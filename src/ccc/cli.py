@@ -9,27 +9,19 @@ so identical inputs give byte-identical output.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .cohoracle import hom_module_oracle, refined_char_box, stalk_euler
-from .errors import BoundaryPointError, CCCError, InvalidArgument
-from .exactlin import complete_to_basis, matrix_inverse
+from .errors import CCCError, InvalidArgument
 from .fm import (
-    ext_case2,
-    ext_case3,
     fm3_region,
     fm_case1,
     fm_case2,
     fm_line_bundle_case1,
     fm_line_bundle_case2,
-    pixels_contractible,
-    poset_embedding_report,
-    raster_bitmap,
 )
 from .stackyfan import (
     discrepancy_compare,
@@ -39,6 +31,13 @@ from .stackyfan import (
     parse_stacky_fan,
 )
 from .svgfig import render_svg
+from .sweeps import (
+    contractibility_sweep,
+    hom_oracle_pair,
+    hom_oracle_sweep,
+    poset_embedding_report,
+    sandwich_sweep,
+)
 from .thetapos import (
     ThetaIndex,
     format_theta,
@@ -49,10 +48,6 @@ from .thetapos import (
 )
 
 _EXIT = {"ok": 0, "invalid-input": 1, "check-failed": 2}
-
-# grid offset keeping raster pixel centers off every constraint line of the
-# bundled setups, including the diagonal ones a half-step grid would hit
-_RASTER_ORIGIN = (Fraction(1, 64), Fraction(1, 128))
 
 
 @dataclass
@@ -126,40 +121,19 @@ def _poly_json(poly) -> dict:
     }
 
 
-def _witness_box(fan, window: int) -> Fraction:
-    """Box bound guaranteed to contain a completed-apex witness point.
-
-    Any support non-inclusion between window thetas is witnessed by the apex
-    of the first, completed by zero rows; its coordinates are bounded by the
-    window times the worst row sum of the inverted ray matrices.
-    """
-    worst = Fraction(1)
-    for cone in fan.all_cones:
-        rows = complete_to_basis([fan.v(i) for i in cone.ray_indices], fan.dim)
-        inverse = matrix_inverse([list(r) for r in rows])
-        for row in inverse:
-            worst = max(worst, sum(abs(c) for c in row))
-    return window * worst + 2
+def _check_report(sweep, witnesses, **counts) -> Report:
+    """Payload: the sweep's fields but its witness tuple, plus counts; ok iff no witnesses."""
+    payload = {k: v for k, v in vars(sweep).items() if not isinstance(v, tuple)}
+    status = "check-failed" if witnesses else "ok"
+    return Report(status=status, payload=payload | counts, witnesses=sorted(witnesses))
 
 
-def _window_thetas(fan, window: int):
-    out = []
-    for cone in fan.all_cones:
-        for t in itertools.product(range(-window, window + 1), repeat=cone.dim):
-            out.append(ThetaIndex(fan=fan, cone=cone, t=t))
-    return out
-
-
-def _charts(setup, window: int):
-    """All (J, phi) with the extra ray in J, in deterministic order."""
-    free = list(range(setup.n))
-    for size in range(len(free) + 1):
-        for rest in itertools.combinations(free, size):
-            J = tuple(sorted(rest + (setup.extra_index,)))
-            if set(setup.i_prime) <= set(J):
-                continue
-            for phi in itertools.product(range(-window, window + 1), repeat=len(J)):
-                yield J, phi
+def _sweep_key(key) -> list:
+    # a theta prints as its string form, a staircase chart as J and phi
+    if isinstance(key, ThetaIndex):
+        return [format_theta(key)]
+    J, phi = key
+    return [list(J), list(phi)]
 
 
 # --- command handlers -------------------------------------------------------
@@ -184,9 +158,7 @@ def _cmd_hom(args) -> Report:
     payload = {"value": res.value, "reason": res.reason}
     status, witnesses = "ok", []
     if args.oracle:
-        window = max((abs(t) for th in (th1, th2) for t in th.t), default=0)
-        bound = _rational(args.box) if args.box else _witness_box(fan, window)
-        oracle = hom_module_oracle(th1, th2, refined_char_box(fan, bound))
+        oracle, bound = hom_oracle_pair(th1, th2, _rational(args.box) if args.box else None)
         payload["oracle"] = {"value": oracle.value, "reason": oracle.reason, "box": bound}
         if oracle.value != res.value:
             status = "check-failed"
@@ -196,7 +168,7 @@ def _cmd_hom(args) -> Report:
 
 def _cmd_fm_same_base(args) -> Report:
     setup = parse_same_base(_load(args.file))
-    if args.bundle:
+    if args.bundle is not None:
         image = fm_line_bundle_case1(setup, _ints(args.bundle))
         payload = {"bundle": list(image) if image is not None else None}
     else:
@@ -207,7 +179,7 @@ def _cmd_fm_same_base(args) -> Report:
 
 def _cmd_fm_contract_push(args) -> Report:
     setup = parse_contraction(_load(args.file))
-    if args.bundle:
+    if args.bundle is not None:
         image = fm_line_bundle_case2(setup, _ints(args.bundle))
         payload = {"bundle": list(image) if image is not None else None}
     else:
@@ -241,121 +213,36 @@ def _cmd_check_poset(args) -> Report:
     violations = sorted(
         [format_theta(a), format_theta(b), direction] for a, b, direction in rep.violations
     )
-    payload = {
-        "window": rep.window,
-        "pairs_checked": rep.pairs_checked,
-        "verdict": rep.verdict,
-        "violations": violations,
-    }
-    status = "ok" if rep.verdict == "embedding" else "check-failed"
-    return Report(status=status, payload=payload, witnesses=violations)
+    return _check_report(rep, violations, violations=violations)
 
 
 def _cmd_check_hom_oracle(args) -> Report:
     fan = parse_stacky_fan(_load(args.file))
-    bound = _rational(args.box) if args.box else _witness_box(fan, args.window)
-    box = refined_char_box(fan, bound)
-    thetas = _window_thetas(fan, args.window)
-    witnesses = []
-    pairs = 0
-    for th1, th2 in itertools.product(thetas, repeat=2):
-        pairs += 1
-        fast = hom_constructible(th1, th2)
-        slow = hom_module_oracle(th1, th2, box)
-        if fast.value != slow.value:
-            witnesses.append(
-                [format_theta(th1), format_theta(th2), fast.value, slow.value]
-            )
-    payload = {
-        "window": args.window,
-        "box": bound,
-        "pairs": pairs,
-        "disagreements": len(witnesses),
-    }
-    status = "ok" if not witnesses else "check-failed"
-    return Report(status=status, payload=payload, witnesses=sorted(witnesses))
+    rep = hom_oracle_sweep(fan, args.window, _rational(args.box) if args.box else None)
+    witnesses = [
+        [format_theta(th1), format_theta(th2), fast, slow]
+        for th1, th2, fast, slow in rep.disagreements
+    ]
+    return _check_report(rep, witnesses, disagreements=len(witnesses))
 
 
 def _cmd_check_sandwich(args) -> Report:
     setup = parse_contraction(_load(args.file))
-    window = args.window
-    span = 2 * window + 3
-    witnesses = []
-    charts = 0
-    points = 0
-    for J, phi in _charts(setup, window):
-        charts += 1
-        region = fm3_region(setup, J, phi)
-        for a in range(-span, span + 1):
-            for b in range(-span, span + 1):
-                x = (Fraction(a, 2) + Fraction(1, 16), Fraction(b, 4) + Fraction(1, 32))
-                inside = region.contains(x)
-                if region.inner is not None and region.inner.contains(x) and not inside:
-                    witnesses.append([list(J), list(phi), str(x), "inner-escapes"])
-                if inside and not region.outer.contains(x):
-                    witnesses.append([list(J), list(phi), str(x), "outer-misses"])
-                try:
-                    euler = stalk_euler(setup, J, phi, x)
-                except BoundaryPointError:
-                    continue
-                points += 1
-                if euler != int(inside):
-                    witnesses.append([list(J), list(phi), str(x), "stalk-mismatch"])
-    payload = {"window": window, "charts": charts, "points": points, "violations": len(witnesses)}
-    status = "ok" if not witnesses else "check-failed"
-    return Report(status=status, payload=payload, witnesses=sorted(witnesses))
+    rep = sandwich_sweep(setup, args.window)
+    witnesses = [[list(J), list(phi), str(x), kind] for J, phi, x, kind in rep.violations]
+    return _check_report(rep, witnesses, violations=len(witnesses))
 
 
 def _cmd_check_contractibility(args) -> Report:
     setup = parse_contraction(_load(args.file))
-    if setup.sigma2.dim != 2:
-        raise InvalidArgument("contractibility rasters need a two-dimensional setup")
-    window = args.window
-    bbox = _rational(args.box) if args.box else Fraction(6)
-    step = _rational(args.step) if args.step else Fraction(1, 4)
-    comparison = discrepancy_compare(setup)
-    witnesses = []
-    confirmed = 0
-    pairs = 0
-    def bitmap(obj):
-        return raster_bitmap(obj, bbox, step, origin=_RASTER_ORIGIN)
-
-    if comparison in (">=", "="):
-        thetas = _window_thetas(setup.sigma2, window)
-        images = {th: bitmap(fm_case2(setup, th)[0]) for th in thetas}
-        for th1, th2 in itertools.product(thetas, repeat=2):
-            verdict = ext_case2(setup, th1, th2)
-            if verdict.value != "Zero" or verdict.reason != "contractible-difference":
-                continue
-            pairs += 1
-            if pixels_contractible(images[th1] - images[th2]):
-                confirmed += 1
-            else:
-                witnesses.append(["push", format_theta(th1), format_theta(th2)])
-    if comparison in ("<=", "="):
-        charts = list(_charts(setup, window))
-        regions = {key: bitmap(fm3_region(setup, *key)) for key in charts}
-        for key1, key2 in itertools.product(charts, repeat=2):
-            verdict = ext_case3(setup, key1, key2)
-            if verdict.value != "Zero" or verdict.reason != "contractible-difference":
-                continue
-            pairs += 1
-            if pixels_contractible(regions[key1] - regions[key2]):
-                confirmed += 1
-            else:
-                witnesses.append(
-                    ["pull", list(key1[0]), list(key1[1]), list(key2[0]), list(key2[1])]
-                )
-    payload = {
-        "window": window,
-        "bbox": bbox,
-        "step": step,
-        "discrepancy": comparison,
-        "pairs": pairs,
-        "confirmed": confirmed,
-    }
-    status = "ok" if not witnesses else "check-failed"
-    return Report(status=status, payload=payload, witnesses=sorted(witnesses))
+    rep = contractibility_sweep(
+        setup,
+        args.window,
+        bbox=_rational(args.box) if args.box else Fraction(6),
+        step=_rational(args.step) if args.step else Fraction(1, 4),
+    )
+    witnesses = [[tag, *_sweep_key(k1), *_sweep_key(k2)] for tag, k1, k2 in rep.witnesses]
+    return _check_report(rep, witnesses)
 
 
 def _cmd_plot_lagrangian(args) -> Report:
@@ -433,13 +320,15 @@ def _build_parser() -> _Parser:
     )
     p = fm.add_parser("same-base", help="weight-change transform, s to r")
     p.add_argument("file")
-    p.add_argument("--bundle", help="line bundle coefficients c1,c2,...")
-    p.add_argument("--theta", help="theta index 'cone=...;t=...'")
+    subject = p.add_mutually_exclusive_group(required=True)
+    subject.add_argument("--bundle", help="line bundle coefficients c1,c2,...")
+    subject.add_argument("--theta", help="theta index 'cone=...;t=...'")
     p.set_defaults(handler=_cmd_fm_same_base)
     p = fm.add_parser("contract-push", help="pushforward along the contraction")
     p.add_argument("file")
-    p.add_argument("--bundle")
-    p.add_argument("--theta")
+    subject = p.add_mutually_exclusive_group(required=True)
+    subject.add_argument("--bundle")
+    subject.add_argument("--theta")
     p.set_defaults(handler=_cmd_fm_contract_push)
     p = fm.add_parser("contract-pull", help="staircase pullback of one chart theta")
     p.add_argument("file")

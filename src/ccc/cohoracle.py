@@ -58,9 +58,6 @@ class PointSet:
     def __contains__(self, x) -> bool:
         return tuple(Fraction(c) for c in x) in self.points
 
-    def issubset(self, other: "PointSet") -> bool:
-        return self.points <= other.points
-
 
 def _det(rows) -> int:
     n = len(rows)

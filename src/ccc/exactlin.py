@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InvalidArgument
 
@@ -45,10 +45,6 @@ def floor_frac(x: Fraction | int) -> int:
     return floor_div(x.numerator, x.denominator)
 
 
-def as_rational_vector(v: Sequence[Fraction | int]) -> RationalVector:
-    return tuple(Fraction(c) for c in v)
-
-
 def pair(x: Sequence[Fraction | int], v: Sequence[int]) -> Fraction:
     """Natural pairing sum(x_i * v_i), exact."""
     if len(x) != len(v):
@@ -68,26 +64,12 @@ def vec_sub(x: Sequence[Fraction | int], y: Sequence[Fraction | int]) -> Rationa
     return tuple(Fraction(a) - Fraction(b) for a, b in zip(x, y))
 
 
-def vec_scale(c: Fraction | int, x: Sequence[Fraction | int]) -> RationalVector:
-    return tuple(Fraction(c) * Fraction(a) for a in x)
-
-
 def is_primitive(v: Sequence[int]) -> bool:
     """True iff the integer vector is nonzero with coprime coordinates."""
     g = 0
     for c in v:
         g = gcd(g, abs(c))
     return g == 1
-
-
-def lcm_list(values: Iterable[int]) -> int:
-    out = 1
-    for v in values:
-        v = abs(v)
-        if v == 0:
-            raise InvalidArgument("lcm of zero is undefined here")
-        out = out * v // gcd(out, v)
-    return out
 
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

@@ -35,7 +35,6 @@ from .stackyfan import (
     Cone,
     ContractionSetup,
     SameBaseSetup,
-    StackyFan,
     discrepancy_compare,
     is_complete,
     j_image,
@@ -102,60 +101,6 @@ def fm_line_bundle_case1(setup: SameBaseSetup, c) -> tuple[int, ...] | None:
             if glued.setdefault(i, -tk) != -tk:
                 return None
     return tuple(glued[i] for i in range(len(c)))
-
-
-@dataclass(frozen=True)
-class FFReport:
-    """Outcome of an exhaustive order-embedding sweep on a threshold window."""
-
-    window: int
-    pairs_checked: int
-    violations: tuple[tuple[ThetaIndex, ThetaIndex, str], ...]
-    verdict: str
-
-    def __post_init__(self):
-        if self.verdict not in ("embedding", "violated"):
-            raise InvalidArgument(f"bad verdict {self.verdict!r}")
-        if (self.verdict == "embedding") != (len(self.violations) == 0):
-            raise InvalidArgument("verdict must be embedding exactly when no violations")
-
-
-def _window_thetas(fan: StackyFan, window: int) -> list[ThetaIndex]:
-    out = []
-    for cone in fan.all_cones:
-        for t in itertools.product(range(-window, window + 1), repeat=cone.dim):
-            out.append(ThetaIndex(fan=fan, cone=cone, t=t))
-    return out
-
-
-def poset_embedding_report(setup: SameBaseSetup, window: int) -> FFReport:
-    """Check both order implications for all theta pairs with |t| <= window.
-
-    forward violation: order held before the transform but not after;
-    backward: order appeared only after.  Embedding is expected exactly
-    when r >= s componentwise.
-    """
-    if window < 1:
-        raise InvalidArgument("window must be >= 1")
-    thetas = _window_thetas(setup.fan_s, window)
-    images = [fm_case1(setup, th) for th in thetas]
-    violations = []
-    pairs = 0
-    for a, fa in zip(thetas, images):
-        for b, fb in zip(thetas, images):
-            pairs += 1
-            src = leq(a, b)
-            img = leq(fa, fb)
-            if src and not img:
-                violations.append((a, b, "forward"))
-            elif img and not src:
-                violations.append((a, b, "backward"))
-    return FFReport(
-        window=window,
-        pairs_checked=pairs,
-        violations=tuple(violations),
-        verdict="embedding" if not violations else "violated",
-    )
 
 
 # ---------------------------------------------------------------------------

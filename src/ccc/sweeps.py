@@ -1,0 +1,249 @@
+"""The four verification sweeps behind ``ccc check``, on finite windows.
+
+Each sweep checks a closed-form rule against an independent route on
+every theta or staircase chart with thresholds in [-window, window], and
+returns a frozen report of what it checked and where the routes
+disagreed.  The window and chart enumerators here are the only ones.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .cohoracle import hom_module_oracle, refined_char_box, stalk_euler
+from .errors import BoundaryPointError, InvalidArgument
+from .exactlin import complete_to_basis, matrix_inverse
+from .fm import (
+    ext_case2,
+    ext_case3,
+    fm3_region,
+    fm_case1,
+    fm_case2,
+    pixels_contractible,
+    raster_bitmap,
+)
+from .stackyfan import ContractionSetup, SameBaseSetup, StackyFan, discrepancy_compare
+from .thetapos import HomResult, ThetaIndex, hom_constructible, leq
+
+# grid offset keeping raster pixel centers off every constraint line of the
+# bundled setups, including the diagonal ones a half-step grid would hit
+RASTER_ORIGIN = (Fraction(1, 64), Fraction(1, 128))
+
+
+def _check_window(window: int, least: int = 0) -> None:
+    """Refuse windows whose sweep would be (nearly) empty and pass vacuously."""
+    if window < least:
+        raise InvalidArgument(f"window must be >= {least}")
+
+
+def window_thetas(fan: StackyFan, window: int) -> list[ThetaIndex]:
+    """Every theta on every cone of the fan with thresholds in [-window, window]."""
+    _check_window(window)
+    return [
+        ThetaIndex(fan=fan, cone=cone, t=t)
+        for cone in fan.all_cones
+        for t in itertools.product(range(-window, window + 1), repeat=cone.dim)
+    ]
+
+
+def charts(setup: ContractionSetup, window: int):
+    """All (J, phi) with the extra ray in J, in deterministic order."""
+    _check_window(window)
+    free = list(range(setup.n))
+    for size in range(len(free) + 1):
+        for rest in itertools.combinations(free, size):
+            J = tuple(sorted(rest + (setup.extra_index,)))
+            if set(setup.i_prime) <= set(J):
+                continue
+            for phi in itertools.product(range(-window, window + 1), repeat=len(J)):
+                yield J, phi
+
+
+def witness_box(fan: StackyFan, window: int) -> Fraction:
+    """Box bound guaranteed to contain a completed-apex witness point.
+
+    Any support non-inclusion between window thetas is witnessed by the apex
+    of the first, completed by zero rows; its coordinates are bounded by the
+    window times the worst row sum of the inverted ray matrices.
+    """
+    worst = Fraction(1)
+    for cone in fan.all_cones:
+        rows = complete_to_basis([fan.v(i) for i in cone.ray_indices], fan.dim)
+        inverse = matrix_inverse([list(r) for r in rows])
+        for row in inverse:
+            worst = max(worst, sum(abs(c) for c in row))
+    return window * worst + 2
+
+
+@dataclass(frozen=True)
+class FFReport:
+    """Outcome of an exhaustive order-embedding sweep on a threshold window."""
+
+    window: int
+    pairs_checked: int
+    violations: tuple[tuple[ThetaIndex, ThetaIndex, str], ...]
+    verdict: str
+
+    def __post_init__(self):
+        if self.verdict not in ("embedding", "violated"):
+            raise InvalidArgument(f"bad verdict {self.verdict!r}")
+        if (self.verdict == "embedding") != (len(self.violations) == 0):
+            raise InvalidArgument("verdict must be embedding exactly when no violations")
+
+
+def poset_embedding_report(setup: SameBaseSetup, window: int) -> FFReport:
+    """Check both order implications for all theta pairs with |t| <= window.
+
+    forward violation: order held before the transform but not after;
+    backward: order appeared only after.  Embedding is expected exactly
+    when r >= s componentwise.
+    """
+    _check_window(window, least=1)
+    thetas = window_thetas(setup.fan_s, window)
+    images = [fm_case1(setup, th) for th in thetas]
+    violations = []
+    for a, fa in zip(thetas, images):
+        for b, fb in zip(thetas, images):
+            src = leq(a, b)
+            img = leq(fa, fb)
+            if src and not img:
+                violations.append((a, b, "forward"))
+            elif img and not src:
+                violations.append((a, b, "backward"))
+    verdict = "embedding" if not violations else "violated"
+    return FFReport(window, len(thetas) ** 2, tuple(violations), verdict)
+
+
+@dataclass(frozen=True)
+class HomOracleReport:
+    """Disagreements are (theta1, theta2, rule value, oracle value)."""
+
+    window: int
+    box: Fraction
+    pairs: int
+    disagreements: tuple[tuple[ThetaIndex, ThetaIndex, str, str], ...]
+
+
+def hom_oracle_pair(
+    th1: ThetaIndex, th2: ThetaIndex, box: Fraction | None = None
+) -> tuple[HomResult, Fraction]:
+    """The module oracle's hom for one pair, and its box (default: witness_box)."""
+    window = max((abs(t) for th in (th1, th2) for t in th.t), default=0)
+    bound = box if box is not None else witness_box(th1.fan, window)
+    return hom_module_oracle(th1, th2, refined_char_box(th1.fan, bound)), bound
+
+
+def hom_oracle_sweep(
+    fan: StackyFan, window: int, box: Fraction | None = None
+) -> HomOracleReport:
+    """Compare the hom rule with the module oracle on every window theta pair.
+
+    The oracle box defaults to ``witness_box``, large enough that every
+    support non-inclusion in the window shows inside it.
+    """
+    thetas = window_thetas(fan, window)
+    bound = box if box is not None else witness_box(fan, window)
+    char_box = refined_char_box(fan, bound)
+    disagreements = []
+    for th1, th2 in itertools.product(thetas, repeat=2):
+        fast = hom_constructible(th1, th2)
+        slow = hom_module_oracle(th1, th2, char_box)
+        if fast.value != slow.value:
+            disagreements.append((th1, th2, fast.value, slow.value))
+    return HomOracleReport(window, bound, len(thetas) ** 2, tuple(disagreements))
+
+
+@dataclass(frozen=True)
+class SandwichReport:
+    """Violations are (J, phi, point, kind): inner-escapes, outer-misses or stalk-mismatch."""
+
+    window: int
+    charts: int
+    points: int
+    violations: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[Fraction, ...], str], ...]
+
+
+def sandwich_sweep(setup: ContractionSetup, window: int) -> SandwichReport:
+    """Check inner <= region <= outer and the stalk Euler count on a probe grid.
+
+    Axis k is probed at a/2^(k+1) + 1/2^(k+4) for |a| <= 2*window + 3.
+    Probes on a region boundary, where the stalk count is undefined, are
+    skipped and not counted in ``points``.
+    """
+    keys = list(charts(setup, window))
+    span = 2 * window + 3
+    axes = [
+        [Fraction(a, 2 << k) + Fraction(1, 16 << k) for a in range(-span, span + 1)]
+        for k in range(setup.sigma1.dim)
+    ]
+    violations = []
+    points = 0
+    for J, phi in keys:
+        region = fm3_region(setup, J, phi)
+        for x in itertools.product(*axes):
+            inside = region.contains(x)
+            if region.inner is not None and region.inner.contains(x) and not inside:
+                violations.append((J, phi, x, "inner-escapes"))
+            if inside and not region.outer.contains(x):
+                violations.append((J, phi, x, "outer-misses"))
+            try:
+                euler = stalk_euler(setup, J, phi, x)
+            except BoundaryPointError:
+                continue
+            points += 1
+            if euler != int(inside):
+                violations.append((J, phi, x, "stalk-mismatch"))
+    return SandwichReport(window, len(keys), points, tuple(violations))
+
+
+@dataclass(frozen=True)
+class ContractibilityReport:
+    """Witnesses are (direction, key1, key2): push keys are thetas, pull keys charts."""
+
+    window: int
+    bbox: Fraction
+    step: Fraction
+    discrepancy: str
+    pairs: int
+    confirmed: int
+    witnesses: tuple[tuple, ...]
+
+
+def contractibility_sweep(
+    setup: ContractionSetup, window: int, bbox: Fraction, step: Fraction
+) -> ContractibilityReport:
+    """Rasterize every contractible-difference Ext verdict of the valid directions.
+
+    Push runs when sum(alpha) >= 1 and pull when sum(alpha) <= 1.  A pair
+    is confirmed when the pixel difference of its two images is contractible.
+    """
+    if setup.sigma2.dim != 2:
+        raise InvalidArgument("contractibility rasters need a two-dimensional setup")
+    bbox, step = Fraction(bbox), Fraction(step)
+    comparison = discrepancy_compare(setup)
+    # (witness tag, keys, image of one key, Ext verdict on a key pair)
+    directions = []
+    if comparison in (">=", "="):
+        thetas = window_thetas(setup.sigma2, window)
+        directions.append(("push", thetas, lambda th: fm_case2(setup, th)[0], ext_case2))
+    if comparison in ("<=", "="):
+        keys = list(charts(setup, window))
+        directions.append(("pull", keys, lambda key: fm3_region(setup, *key), ext_case3))
+    witnesses = []
+    pairs = 0
+    for tag, keys, image, ext in directions:
+        bitmaps = {
+            key: raster_bitmap(image(key), bbox, step, origin=RASTER_ORIGIN) for key in keys
+        }
+        for key1, key2 in itertools.product(keys, repeat=2):
+            verdict = ext(setup, key1, key2)
+            if verdict.value != "Zero" or verdict.reason != "contractible-difference":
+                continue
+            pairs += 1
+            if not pixels_contractible(bitmaps[key1] - bitmaps[key2]):
+                witnesses.append((tag, key1, key2))
+    return ContractibilityReport(
+        window, bbox, step, comparison, pairs, pairs - len(witnesses), tuple(witnesses)
+    )

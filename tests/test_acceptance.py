@@ -15,14 +15,8 @@ from pathlib import Path
 import pytest
 
 import ccc
-from ccc.cli import _charts, _window_thetas, _witness_box, run
-from ccc.cohoracle import (
-    koszul_euler,
-    hom_module_oracle,
-    q2_member,
-    refined_char_box,
-    stalk_euler,
-)
+from ccc.cli import run
+from ccc.cohoracle import koszul_euler, q2_member, stalk_euler
 from ccc.fm import (
     _chart,
     as_pixel_predicate,
@@ -34,25 +28,23 @@ from ccc.fm import (
     fm_line_bundle_case2,
     fm_line_bundle_case3,
     gamma_char,
-    pixels_contractible,
-    poset_embedding_report,
-    raster_bitmap,
     raster_contractible_2d,
 )
-from ccc.stackyfan import build_same_base, parse_contraction
-from ccc.thetapos import (
-    ample_polytope,
-    hom_constructible,
-    lambda_skeleton,
-    leq,
-    minkowski_sum,
+from ccc.stackyfan import build_same_base
+from ccc.sweeps import (
+    RASTER_ORIGIN,
+    charts,
+    contractibility_sweep,
+    hom_oracle_sweep,
+    poset_embedding_report,
+    window_thetas,
 )
+from ccc.thetapos import ample_polytope, lambda_skeleton, leq, minkowski_sum
 
 from conftest import load_data
 
 DATA = Path(ccc.__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
-RASTER_ORIGIN = (Fraction(1, 64), Fraction(1, 128))
 
 
 def _criterion(num, desc, budget, body):
@@ -125,11 +117,9 @@ def test_criterion_04_hom_oracle_equivalence(p1, p13, p112, a1_resolution):
     def body():
         total = 0
         for fan in (p1, p13, p112, a1_resolution):
-            box = refined_char_box(fan, _witness_box(fan, 3))
-            thetas = _window_thetas(fan, 3)
-            for th1, th2 in itertools.product(thetas, repeat=2):
-                total += 1
-                assert hom_constructible(th1, th2) == hom_module_oracle(th1, th2, box)
+            report = hom_oracle_sweep(fan, 3)
+            assert not report.disagreements, report.disagreements
+            total += report.pairs
         assert total > 2000, total
 
     _criterion(4, "hom verdicts agree with the module oracle", 30.0, body)
@@ -187,10 +177,10 @@ def _union_member(setup, region, frontier, pairings):
 
 
 def _sandwich_sweep(setup):
-    charts = 0
+    seen = 0
     points = 0
-    for J, phi in _charts(setup, 3):
-        charts += 1
+    for J, phi in charts(setup, 3):
+        seen += 1
         region = fm3_region(setup, J, phi)
         frontier = _gamma_frontier(setup, J, phi, 12)
         narrower = _gamma_frontier(setup, J, phi, 11)
@@ -210,8 +200,8 @@ def _sandwich_sweep(setup):
                 # window saturation: one more shell of shifts changes nothing here
                 assert union == _union_member(setup, region, narrower, pairings), (J, phi, x)
                 assert union == inside, (J, phi, x)
-    assert charts > 0
-    return points / charts
+    assert seen > 0
+    return points / seen
 
 
 def test_criterion_06_staircase_sandwich_and_stalks(crepant_a1, om3):
@@ -233,7 +223,7 @@ def test_criterion_07_koszul_euler_matches_membership(crepant_a1, om3):
     def body():
         for setup in (crepant_a1, om3):
             probes = 0
-            for J, phi in _charts(setup, 1):
+            for J, phi in charts(setup, 1):
                 region = fm3_region(setup, J, phi)
                 width = len(region.j_prime)
                 for q in itertools.product(range(-3, 4), repeat=width):
@@ -249,46 +239,33 @@ def test_criterion_07_koszul_euler_matches_membership(crepant_a1, om3):
 # -- 8 ------------------------------------------------------------------
 
 
+def _first_zero_pair(setup, comparison):
+    """Images of the first contractible-difference pair in the sweep's order."""
+    if comparison in (">=", "="):
+        pairs = itertools.product(window_thetas(setup.sigma2, 1), repeat=2)
+        th1, th2 = next(p for p in pairs if ext_case2(setup, *p).value == "Zero")
+        return fm_case2(setup, th1)[0], fm_case2(setup, th2)[0]
+    pairs = itertools.product(list(charts(setup, 1)), repeat=2)
+    k1, k2 = next(p for p in pairs if ext_case3(setup, *p).value == "Zero")
+    return fm3_region(setup, *k1), fm3_region(setup, *k2)
+
+
 def _contractibility_sweep(setup, comparison):
     bbox, step = Fraction(12), Fraction(1, 8)
-
-    def bitmap(obj):
-        return raster_bitmap(obj, bbox, step, origin=RASTER_ORIGIN)
-
-    confirmed = 0
-    spot = None
-    if comparison in (">=", "="):
-        thetas = _window_thetas(setup.sigma2, 1)
-        images = {th: bitmap(fm_case2(setup, th)[0]) for th in thetas}
-        for th1, th2 in itertools.product(thetas, repeat=2):
-            verdict = ext_case2(setup, th1, th2)
-            if verdict.value != "Zero" or verdict.reason != "contractible-difference":
-                continue
-            assert pixels_contractible(images[th1] - images[th2]), (th1, th2)
-            confirmed += 1
-            if spot is None:
-                spot = (fm_case2(setup, th1)[0], fm_case2(setup, th2)[0])
-    if comparison in ("<=", "="):
-        keys = list(_charts(setup, 1))
-        regions = {key: bitmap(fm3_region(setup, *key)) for key in keys}
-        for k1, k2 in itertools.product(keys, repeat=2):
-            verdict = ext_case3(setup, k1, k2)
-            if verdict.value != "Zero" or verdict.reason != "contractible-difference":
-                continue
-            assert pixels_contractible(regions[k1] - regions[k2]), (k1, k2)
-            confirmed += 1
-            if spot is None:
-                spot = (fm3_region(setup, *k1), fm3_region(setup, *k2))
-    assert confirmed > 0
+    report = contractibility_sweep(setup, window=1, bbox=bbox, step=step)
+    assert not report.witnesses, report.witnesses
+    assert report.confirmed == report.pairs > 0
+    assert report.discrepancy == comparison
     # one verdict per setup re-confirmed through the one-shot predicate walk
+    first, second = _first_zero_pair(setup, comparison)
     assert raster_contractible_2d(
-        as_pixel_predicate(spot[0]),
-        as_pixel_predicate(spot[1]),
+        as_pixel_predicate(first),
+        as_pixel_predicate(second),
         bbox,
         step,
         origin=RASTER_ORIGIN,
     )
-    return confirmed
+    return report.confirmed
 
 
 def test_criterion_08_zero_verdicts_raster_confirmed(crepant_a1, discrepancy_setup, om3):

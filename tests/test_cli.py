@@ -199,6 +199,57 @@ def test_check_contractibility_quick_sweep(capsys):
     assert rep.payload["confirmed"] == rep.payload["pairs"] > 0
 
 
+@pytest.mark.parametrize(
+    "verb, name",
+    [
+        ("hom-oracle", "p13.json"),
+        ("case3-sandwich", "contract_om3.json"),
+        ("contractibility-2d", "contract_crepant_a1.json"),
+    ],
+)
+def test_check_negative_window_is_invalid_input(capsys, verb, name):
+    code, rep = invoke(capsys, "check", verb, str(DATA / name), "--window=-1")
+    assert code == 1
+    assert rep.payload == {"error": "window must be >= 0"}
+
+
+def test_check_sandwich_report_bytes(capsys):
+    code = run(["check", "case3-sandwich", str(DATA / "contract_om3.json"), "--window", "0"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        '{"payload":{"charts":3,"points":147,"violations":0,"window":0},'
+        '"status":"ok","witnesses":[]}\n'
+    )
+
+
+def test_check_sandwich_three_dimensional(capsys, tmp_path):
+    doc = {
+        "rays": [{"v": [1, 0, 0]}, {"v": [0, 1, 0]}, {"v": [0, 0, 1]}],
+        "extra": {"v": [1, 1, 0]},
+    }
+    path = tmp_path / "blowup3.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, rep = invoke(capsys, "check", "case3-sandwich", str(path), "--window", "0")
+    assert code == 0
+    assert rep.payload == {"charts": 6, "points": 2058, "violations": 0, "window": 0}
+
+
+@pytest.mark.parametrize(
+    "verb, name, subject",
+    [
+        ("same-base", "samebase_p12_p13.json", []),
+        ("same-base", "samebase_p12_p13.json", ["--bundle", "3,0", "--theta", "cone=0;t=2"]),
+        ("contract-push", "contract_crepant_a1.json", []),
+        ("contract-push", "contract_crepant_a1.json", ["--bundle", "1,1", "--theta", "cone=0;t=1"]),
+    ],
+)
+def test_fm_needs_exactly_one_of_bundle_and_theta(capsys, verb, name, subject):
+    code, rep = invoke(capsys, "fm", verb, str(DATA / name), *subject)
+    assert code == 1
+    assert rep.status == "invalid-input"
+    assert "--bundle" in rep.payload["error"]
+
+
 def test_check_contractibility_needs_dim_2(capsys, tmp_path):
     doc = {
         "fan": {"dim": 1, "rays": [{"v": [1]}, {"v": [-1]}], "max_cones": [[0], [1]]},

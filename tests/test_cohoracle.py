@@ -19,19 +19,12 @@ from ccc.cohoracle import (
 from ccc.errors import BoundaryPointError, InvalidArgument, WindowTooSmall
 from ccc.fm import fm3_region
 from ccc.stackyfan import Cone
+from ccc.sweeps import window_thetas
 from ccc.thetapos import ThetaIndex, hom_constructible, leq
 
 
 def theta(fan, cone, t):
     return ThetaIndex(fan=fan, cone=Cone(tuple(cone)), t=tuple(t))
-
-
-def all_window_thetas(fan, window):
-    out = []
-    for cone in fan.all_cones:
-        for t in itertools.product(range(-window, window + 1), repeat=cone.dim):
-            out.append(theta(fan, cone.ray_indices, t))
-    return out
 
 
 def test_refined_denominator(p1, p13, p112, a1_resolution):
@@ -99,7 +92,7 @@ def test_natural_points_land_in_refined_lattice(p112):
 def test_module_points_monotone_under_leq(p13, p112):
     for fan in (p13, p112):
         box = refined_char_box(fan, 4)
-        thetas = all_window_thetas(fan, 2)
+        thetas = window_thetas(fan, 2)
         sets = {th: module_points(th, "refined", box).points for th in thetas}
         for th1, th2 in itertools.product(thetas, repeat=2):
             if leq(th1, th2):
@@ -110,7 +103,7 @@ def test_module_points_monotone_under_leq(p13, p112):
 def test_hom_oracle_matches_constructible(fixture, request):
     fan = request.getfixturevalue(fixture)
     box = refined_char_box(fan, 6)
-    thetas = all_window_thetas(fan, 2)
+    thetas = window_thetas(fan, 2)
     for th1, th2 in itertools.product(thetas, repeat=2):
         assert hom_module_oracle(th1, th2, box) == hom_constructible(th1, th2)
 

@@ -27,13 +27,13 @@ from ccc.fm import (
     fm_line_bundle_case2,
     fm_line_bundle_case3,
     gamma_char,
-    poset_embedding_report,
     raster_bitmap,
     raster_contractible_2d,
     raster_pixels,
     s1_threshold,
 )
 from ccc.stackyfan import Cone, build_same_base, parse_stacky_fan
+from ccc.sweeps import RASTER_ORIGIN, poset_embedding_report
 from ccc.thetapos import Polyhedron, ThetaIndex
 
 from conftest import load_data
@@ -544,9 +544,6 @@ def test_raster_confirms_case2_difference(crepant_a1):
     ) is True
 
 
-OFF_GRID = (Fraction(1, 64), Fraction(1, 128))
-
-
 def test_raster_bitmap_matches_predicate_walk(crepant_a1, om3, discrepancy_setup):
     objs = []
     for su in (crepant_a1, discrepancy_setup):
@@ -558,8 +555,8 @@ def test_raster_bitmap_matches_predicate_walk(crepant_a1, om3, discrepancy_setup
     objs.append(fm3_region(crepant_a1, (2,), (0,)))  # extra-only chart
     objs.append(fm3_region(om3, (1, 2), (1, 0)))
     for obj in objs:
-        fast = raster_bitmap(obj, 3, Fraction(1, 4), origin=OFF_GRID)
-        slow = raster_pixels(as_pixel_predicate(obj), 3, Fraction(1, 4), origin=OFF_GRID)
+        fast = raster_bitmap(obj, 3, Fraction(1, 4), origin=RASTER_ORIGIN)
+        slow = raster_pixels(as_pixel_predicate(obj), 3, Fraction(1, 4), origin=RASTER_ORIGIN)
         assert fast == slow
 
 

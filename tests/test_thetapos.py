@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ccc.errors import InvalidArgument, UnsupportedOperation
 from ccc.exactlin import pair
 from ccc.stackyfan import Cone
+from ccc.sweeps import window_thetas
 from ccc.thetapos import (
     perp_slice,
     HomResult,
@@ -32,14 +33,6 @@ F = Fraction
 
 def theta(fan, cone, t):
     return ThetaIndex(fan=fan, cone=Cone(tuple(cone)), t=tuple(t))
-
-
-def all_thetas(fan, window):
-    out = []
-    for sigma in fan.all_cones:
-        for t in itertools.product(range(-window, window + 1), repeat=sigma.dim):
-            out.append(ThetaIndex(fan=fan, cone=sigma, t=t))
-    return out
 
 
 def test_support_p13_ray(p13):
@@ -96,7 +89,7 @@ def test_leq_rejects_mixed_fans(p13, p1):
 
 def test_partial_order_axioms(p13, p112):
     for fan, window in ((p13, 3), (p112, 2)):
-        thetas = all_thetas(fan, window)
+        thetas = window_thetas(fan, window)
         rel = {
             (i, j)
             for i, a in enumerate(thetas)
@@ -143,7 +136,7 @@ def test_leq_matches_threshold_shortcut(p112, data):
 def test_leq_matches_rational_sample_oracle(p13, p112):
     rng = random.Random(7)
     for fan, denom, box in ((p13, 3, 4), (p112, 2, 7)):
-        thetas = all_thetas(fan, 2)
+        thetas = window_thetas(fan, 2)
         pool = [rng.sample(thetas, 2) for _ in range(120)]
         grid = [F(k, denom) for k in range(-box * denom, box * denom + 1)]
         for t1, t2 in pool:
