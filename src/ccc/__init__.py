@@ -9,7 +9,8 @@ The package computes, entirely in arbitrary-precision rational arithmetic:
   contraction pushforward, and its inverse staircase transform), together with
   full-faithfulness checks on finite character windows,
 * independent brute-force oracles (character point sets, Koszul/stalk Euler counts,
-  a 2D raster contractibility check),
+  a 2D raster contractibility check: pixel rows are stored as runs, and their union
+  is contractible exactly when the graph of touching runs is a tree),
 * a ``ccc`` command line front end emitting deterministic JSON reports and SVG figures.
 """
 

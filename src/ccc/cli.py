@@ -229,7 +229,7 @@ def _cmd_check_hom_oracle(args) -> Report:
 def _cmd_check_sandwich(args) -> Report:
     setup = parse_contraction(_load(args.file))
     rep = sandwich_sweep(setup, args.window)
-    witnesses = [[list(J), list(phi), str(x), kind] for J, phi, x, kind in rep.violations]
+    witnesses = [[list(J), list(phi), list(x), kind] for J, phi, x, kind in rep.violations]
     return _check_report(rep, witnesses, violations=len(witnesses))
 
 

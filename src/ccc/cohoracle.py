@@ -175,7 +175,11 @@ def hom_module_oracle(theta1: ThetaIndex, theta2: ThetaIndex, box: CharBox) -> H
 
 
 def _window_cap() -> int:
-    return int(os.environ.get(_WINDOW_CAP_VAR, "16"))
+    value = os.environ.get(_WINDOW_CAP_VAR, "16")
+    try:
+        return int(value)
+    except ValueError:
+        raise InvalidArgument(f"{_WINDOW_CAP_VAR} must be an integer, got {value!r}") from None
 
 
 def _stabilized_sum(chart, contribution, clipped, m_window: int) -> int:

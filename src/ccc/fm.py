@@ -548,158 +548,157 @@ def raster_grid(bbox, step, origin=(0, 0)):
     return xs, ys
 
 
-def raster_pixels(member, bbox, step, origin=(0, 0)) -> frozenset:
-    """Pixel indices whose centers satisfy one membership predicate."""
-    xs, ys = raster_grid(bbox, step, origin)
-    return frozenset(
-        (i, j) for i, x in enumerate(xs) for j, y in enumerate(ys) if member((x, y))
-    )
+def raster_pixels(member, bbox, step, origin=(0, 0)) -> tuple:
+    """The raster of one membership predicate, walked pixel by pixel.
 
-
-def _scaled_axes(xs, ys):
-    scale = lcm(*(v.denominator for v in xs), *(v.denominator for v in ys))
-    return scale, [int(v * scale) for v in xs], [int(v * scale) for v in ys]
-
-
-def _poly_bitmap(poly: Polyhedron, xs, ys):
-    scale, sx, sy = _scaled_axes(xs, ys)
-    cons = []
-    for normal, threshold, strict in poly.constraints:
-        if any(Fraction(c).denominator != 1 for c in normal):
-            return None
-        n0, n1 = (int(c) for c in normal)
-        thr = Fraction(threshold) * scale
-        cons.append((n0, n1, thr.numerator, thr.denominator, strict))
-    out = set()
-    for i, vx in enumerate(sx):
-        row = [(n1, n0 * vx, tn, td, st) for n0, n1, tn, td, st in cons]
-        for j, vy in enumerate(sy):
-            member = True
-            for n1, base, tn, td, _ in row:
-                value = (base + n1 * vy) * td
-                if value == tn:
-                    raise GridAlignmentError(
-                        f"pixel center {(xs[i], ys[j])} aligned with a constraint"
-                    )
-                if value < tn:
-                    member = False
-            if member:
-                out.add((i, j))
-    return frozenset(out)
-
-
-def _staircase_bitmap(region: StaircaseRegion, xs, ys):
-    su = region.setup
-    rays = {j: su.sigma2.b(j) for j in region.j_prime}
-    if any(len(b) != 2 for b in rays.values()):
-        return None
-    scale, sx, sy = _scaled_axes(xs, ys)
-    floors = {j: region.c[j] * scale for j in region.j_prime if j in region.c}
-    gamma_cache: dict[tuple[int, ...], int] = {}
-    out = set()
-    for i, vx in enumerate(sx):
-        row = {j: (b[1], b[0] * vx) for j, b in rays.items()}
-        for j, vy in enumerate(sy):
-            p = {k: base + n1 * vy for k, (n1, base) in row.items()}
-            aligned = any(p[k] == floors[k] for k in floors) or any(
-                p[k] % scale == 0 for k in region.m_index
-            )
-            stepped = all(p[k] > floors[k] for k in region.m_index if k in floors)
-            member = stepped and all(p[k] > floors[k] for k in floors)
-            if stepped:
-                m0 = tuple(
-                    -((-p[k]) // scale) - 1 - region.c.get(k, 0) for k in region.m_index
-                )
-                gamma = gamma_cache.get(m0)
-                if gamma is None:
-                    gamma = region._gamma0_of(m0)
-                    gamma_cache[m0] = gamma
-                gate = p[region.i0] - gamma * scale
-                if gate == 0:
-                    aligned = True
-                member = member and gate > 0
-            if aligned:
-                raise GridAlignmentError(
-                    f"pixel center {(xs[i], ys[j])} aligned with a region face"
-                )
-            if member:
-                out.add((i, j))
-    return frozenset(out)
-
-
-def raster_bitmap(obj, bbox, step, origin=(0, 0)) -> frozenset:
-    """Pixel set of ``as_pixel_predicate(obj)``, taken with scaled integers.
-
-    Same answer and same boundary refusals as running ``raster_pixels`` on
-    the predicate, just much faster on fine grids; objects the integer
-    path cannot handle fall back to the predicate walk.
+    Row i holds the maximal half-open runs (start, stop) of the y indices j
+    with member((xs[i], ys[j])).  This walk is the oracle for raster_runs.
     """
     xs, ys = raster_grid(bbox, step, origin)
-    pixels = None
-    if isinstance(obj, StaircaseRegion):
-        if obj.setup.extra_index in obj.J:
-            pixels = _staircase_bitmap(obj, xs, ys)
+    return tuple(_merged((j, j + 1) for j, y in enumerate(ys) if member((x, y))) for x in xs)
+
+
+def _merged(spans) -> tuple:
+    """Maximal runs of sorted, disjoint half-open spans; empty spans are dropped."""
+    runs: list = []
+    for start, stop in spans:
+        if start >= stop:
+            continue
+        if runs and runs[-1][1] == start:
+            start = runs.pop()[0]
+        runs.append((start, stop))
+    return tuple(runs)
+
+
+def _bounds(constraints, x, y0, step, lo, hi, hits) -> tuple[int, int]:
+    """Pixels [start, stop) of [lo, hi) in the row at x that meet every constraint.
+
+    Pixels of [lo, hi) with equality go to hits.  Strict and closed
+    constraints agree here, since such a pixel refuses the whole raster.
+    """
+    start, stop = lo, hi
+    for (n0, n1), threshold, _ in constraints:
+        a, b = n0 * x + n1 * y0, n1 * step  # the pairing at pixel j is a + b*j
+        if b == 0:
+            hits += [lo] if a == threshold else []
+            stop = stop if a > threshold else start
+            continue
+        u = (threshold - a) / b
+        hits += [u.numerator] if u.denominator == 1 and lo <= u < hi else []
+        if b > 0:
+            start = max(start, floor_frac(u) + 1)
         else:
-            pixels = _poly_bitmap(obj.outer, xs, ys)
-    elif isinstance(obj, Polyhedron) and obj.dim == 2:
-        pixels = _poly_bitmap(obj, xs, ys)
-    if pixels is None:
-        return raster_pixels(as_pixel_predicate(obj), bbox, step, origin)
-    return pixels
+            stop = min(stop, ceil_frac(u))
+    return start, stop
 
 
-def pixels_contractible(pixels) -> bool:
-    """Connected with cubical Euler characteristic 1; empty counts as no.
+def _staircase_spans(region: StaircaseRegion, x, y0, step, side, hits, gammas) -> list:
+    """Row spans at x of a staircase region whose chart holds the extra ray.
 
-    Corners and edges of the squares are packed into integers (row in the
-    high bits, one parity bit for edge orientation) so the counting stays
-    fast on large rasters.
+    Between two steps m0 is constant, and membership is p[i0] > gamma0(m0).
     """
-    if not pixels:
-        return False
-    min_i = min(i for i, _ in pixels)
-    min_j = min(j for _, j in pixels)
-    shift = 1 << 32
-    cells = {((i - min_i + 1) * shift) + (j - min_j + 1) for i, j in pixels}
+    rays, c = {j: region.setup.sigma2.b(j) for j in region.j_prime}, region.c
+    floors = [(rays[j], c[j], True) for j in region.j_prime if j in c]
+    start, stop = _bounds(floors, x, y0, step, 0, side, hits)
+    # the steps sit where an m_index pairing a + slope*j crosses an integer n
+    lines = [(k, pair((x, y0), rays[k]), rays[k][1] * step) for k in region.m_index]
+    cuts = {0, side}
+    for k, a, slope in lines:
+        low, high = sorted((a, a + slope * (side - 1)))
+        for n in range(ceil_frac(low), floor_frac(high) + 1):
+            cuts.update(_bounds([(rays[k], n, True)], x, y0, step, 0, side, hits))
+    bounds = sorted(cuts)
+    spans = []
+    for first, end in zip(bounds, bounds[1:]):
+        m0 = tuple(ceil_frac(a + slope * first) - 1 - c.get(k, 0) for k, a, slope in lines)
+        if any(m < 0 for m, k in zip(m0, region.m_index) if k in c):
+            continue  # under a floor of J, where nothing is stepped
+        if m0 not in gammas:
+            gammas[m0] = region._gamma0_of(m0)
+        lo, hi = _bounds([(rays[region.i0], gammas[m0], True)], x, y0, step, first, end, hits)
+        spans.append((max(lo, start), min(hi, stop)))
+    return spans
 
-    verts = (
-        cells
-        | {c + 1 for c in cells}
-        | {c + shift for c in cells}
-        | {c + shift + 1 for c in cells}
-    )
-    edges = (
-        {2 * c for c in cells}
-        | {2 * c + 1 for c in cells}
-        | {2 * (c + 1) for c in cells}
-        | {2 * (c + shift) + 1 for c in cells}
-    )
-    euler = len(verts) - len(edges) + len(cells)
-    if euler != 1:
-        return False
 
-    offsets = (-shift - 1, -shift, -shift + 1, -1, 1, shift - 1, shift, shift + 1)
-    start = next(iter(cells))
-    seen = {start}
-    stack = [start]
-    while stack:
-        cur = stack.pop()
-        for off in offsets:
-            nb = cur + off
-            if nb in cells and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == len(cells)
+def raster_runs(obj, bbox, step, origin=(0, 0)) -> tuple:
+    """Row runs of ``as_pixel_predicate(obj)``, one exact bound per constraint.
+
+    Same runs as ``raster_pixels`` on the predicate, and the same refusal:
+    GridAlignmentError at the first aligned center in row-major order.
+    """
+    xs, ys = raster_grid(bbox, step, origin)
+    step, side, gammas = Fraction(step), len(ys), {}
+    if isinstance(obj, StaircaseRegion) and obj.setup.extra_index not in obj.J:
+        obj = obj.outer
+    if isinstance(obj, Polyhedron) and obj.dim == 2:
+        face = "constraint"
+    elif isinstance(obj, StaircaseRegion) and obj.setup.sigma2.dim == 2:
+        face = "region face"
+    else:
+        raise InvalidArgument(f"no planar raster for {type(obj).__name__}")
+    rows = []
+    for x in xs:
+        hits: list[int] = []
+        if isinstance(obj, Polyhedron):
+            spans = [_bounds(obj.constraints, x, ys[0], step, 0, side, hits)]
+        else:
+            spans = _staircase_spans(obj, x, ys[0], step, side, hits, gammas)
+        if hits:
+            raise GridAlignmentError(f"pixel center {(x, ys[min(hits)])} aligned with a {face}")
+        rows.append(_merged(spans))
+    return tuple(rows)
+
+
+def runs_difference(first, second) -> tuple:
+    """Row-wise set difference of two rasters on the same grid."""
+    out = []
+    for row, cut in zip(first, second):
+        spans = []
+        for start, stop in row:
+            for lo, hi in cut:
+                if lo < stop and start < hi:
+                    spans.append((start, lo))
+                    start = hi
+            spans.append((start, stop))
+        out.append(_merged(spans))
+    return tuple(out)
+
+
+def runs_contractible(runs) -> bool:
+    """Whether the union of the raster's closed pixels is contractible.
+
+    Maximal runs are closed rectangles that meet only across adjacent rows
+    (corner contact included), and no three share a point, so the union is
+    homotopy equivalent to the graph of meeting runs: contractible exactly
+    when that graph is a tree.  An empty raster counts as not contractible.
+    """
+    parent: list[int] = []
+
+    def root(node):
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    below: list = []
+    for row in runs:
+        here = []
+        for start, stop in row:
+            node = len(parent)
+            parent.append(node)
+            for lo, hi, other in below:
+                if lo <= stop and start <= hi:
+                    top, bottom = root(node), root(other)
+                    if top == bottom:
+                        return False  # a cycle of runs: the union has a hole
+                    parent[top] = bottom
+            here.append((start, stop, node))
+        below = here
+    return sum(root(node) == node for node in range(len(parent))) == 1
 
 
 def raster_contractible_2d(member_a, member_b, bbox, step, origin=(0, 0)) -> bool:
-    """Decide contractibility of {A and not B} inside a box, by pixels.
-
-    The difference is rasterized at pixel centers, the pixels assemble into
-    a cubical complex, and the answer is (connected and Euler
-    characteristic 1) which characterizes contractibility for planar
-    complexes.  An empty raster returns False.
-    """
+    """Contractibility of {A and not B} in a box, walking both predicates."""
     pixels_a = raster_pixels(member_a, bbox, step, origin)
     pixels_b = raster_pixels(member_b, bbox, step, origin)
-    return pixels_contractible(pixels_a - pixels_b)
+    return runs_contractible(runs_difference(pixels_a, pixels_b))

@@ -167,6 +167,25 @@ def make_fan(dim: int, rays, max_cones) -> StackyFan:
     return StackyFan(dim=dim, rays=rays, max_cones=tuple(cones), all_cones=all_cones)
 
 
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{what} must be a list")
+    return value
+
+
+def _int_list(value, what: str) -> tuple[int, ...]:
+    # JSON booleans are Python ints; they are not integers of a document
+    if not all(isinstance(c, int) and not isinstance(c, bool) for c in _list(value, what)):
+        raise ValidationError(f"{what} must be a list of integers")
+    return tuple(value)
+
+
+def _parse_ray(entry, what: str) -> WeightedRay:
+    if not isinstance(entry, dict) or "v" not in entry:
+        raise ValidationError(f"{what} must be an object with a 'v' key")
+    return WeightedRay(v=_int_list(entry["v"], f"{what} 'v'"), weight=entry.get("weight", 1))
+
+
 def parse_stacky_fan(data: dict) -> StackyFan:
     """Build a validated StackyFan from its document form.
 
@@ -182,13 +201,9 @@ def parse_stacky_fan(data: dict) -> StackyFan:
     dim = data["dim"]
     if not isinstance(dim, int):
         raise ValidationError("dim must be an integer")
-    rays = []
-    for i, entry in enumerate(data["rays"]):
-        if not isinstance(entry, dict) or "v" not in entry:
-            raise ValidationError(f"ray {i} must be an object with a 'v' key")
-        weight = entry.get("weight", 1)
-        rays.append(WeightedRay(v=tuple(entry["v"]), weight=weight))
-    return make_fan(dim, rays, [tuple(c) for c in data["max_cones"]])
+    rays = [_parse_ray(entry, f"ray {i}") for i, entry in enumerate(_list(data["rays"], "rays"))]
+    cones = _list(data["max_cones"], "max_cones")
+    return make_fan(dim, rays, [_int_list(c, f"max cone {k}") for k, c in enumerate(cones)])
 
 
 def is_complete(fan: StackyFan) -> bool:
@@ -376,16 +391,16 @@ def parse_contraction(data: dict) -> ContractionSetup:
     """Build a ContractionSetup from {"rays": [...], "extra": {...}}."""
     if not isinstance(data, dict) or "rays" not in data or "extra" not in data:
         raise ValidationError("contraction document needs 'rays' and 'extra'")
-    rays = [WeightedRay(v=tuple(e["v"]), weight=e.get("weight", 1)) for e in data["rays"]]
-    extra = WeightedRay(v=tuple(data["extra"]["v"]), weight=data["extra"].get("weight", 1))
-    return build_contraction(rays, extra)
+    rays = [_parse_ray(entry, f"ray {i}") for i, entry in enumerate(_list(data["rays"], "rays"))]
+    return build_contraction(rays, _parse_ray(data["extra"], "extra ray"))
 
 
 def parse_same_base(data: dict) -> SameBaseSetup:
     """Build a SameBaseSetup from {"fan": {...}, "r": [...], "s": [...]}."""
     if not isinstance(data, dict) or any(k not in data for k in ("fan", "r", "s")):
         raise ValidationError("same-base document needs 'fan', 'r' and 's'")
-    return build_same_base(parse_stacky_fan(data["fan"]), data["r"], data["s"])
+    r, s = _list(data["r"], "weights r"), _list(data["s"], "weights s")
+    return build_same_base(parse_stacky_fan(data["fan"]), r, s)
 
 
 def j_image(setup: ContractionSetup, J) -> tuple[int, ...]:

@@ -218,5 +218,8 @@ def render_svg(scene: str, data: dict, out_path) -> str:
     _SCENES[scene](canvas, data)
     text = canvas.text()
     if out_path is not None:
-        Path(out_path).write_text(text, encoding="utf-8")
+        try:
+            Path(out_path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise InvalidArgument(f"cannot write {out_path}: {exc}") from None
     return text

@@ -3,7 +3,8 @@
 Each sweep checks a closed-form rule against an independent route on
 every theta or staircase chart with thresholds in [-window, window], and
 returns a frozen report of what it checked and where the routes
-disagreed.  The window and chart enumerators here are the only ones.
+disagreed.  The chart enumerator here and ``thetapos.window_thetas`` are
+the only enumerators.
 """
 
 from __future__ import annotations
@@ -21,36 +22,28 @@ from .fm import (
     fm3_region,
     fm_case1,
     fm_case2,
-    pixels_contractible,
-    raster_bitmap,
+    raster_runs,
+    runs_contractible,
+    runs_difference,
 )
 from .stackyfan import ContractionSetup, SameBaseSetup, StackyFan, discrepancy_compare
-from .thetapos import HomResult, ThetaIndex, hom_constructible, leq
+from .thetapos import (
+    HomResult,
+    ThetaIndex,
+    check_window,
+    hom_constructible,
+    leq,
+    window_thetas,
+)
 
 # grid offset keeping raster pixel centers off every constraint line of the
 # bundled setups, including the diagonal ones a half-step grid would hit
 RASTER_ORIGIN = (Fraction(1, 64), Fraction(1, 128))
 
 
-def _check_window(window: int, least: int = 0) -> None:
-    """Refuse windows whose sweep would be (nearly) empty and pass vacuously."""
-    if window < least:
-        raise InvalidArgument(f"window must be >= {least}")
-
-
-def window_thetas(fan: StackyFan, window: int) -> list[ThetaIndex]:
-    """Every theta on every cone of the fan with thresholds in [-window, window]."""
-    _check_window(window)
-    return [
-        ThetaIndex(fan=fan, cone=cone, t=t)
-        for cone in fan.all_cones
-        for t in itertools.product(range(-window, window + 1), repeat=cone.dim)
-    ]
-
-
 def charts(setup: ContractionSetup, window: int):
     """All (J, phi) with the extra ray in J, in deterministic order."""
-    _check_window(window)
+    check_window(window)
     free = list(range(setup.n))
     for size in range(len(free) + 1):
         for rest in itertools.combinations(free, size):
@@ -100,7 +93,7 @@ def poset_embedding_report(setup: SameBaseSetup, window: int) -> FFReport:
     backward: order appeared only after.  Embedding is expected exactly
     when r >= s componentwise.
     """
-    _check_window(window, least=1)
+    check_window(window, least=1)
     thetas = window_thetas(setup.fan_s, window)
     images = [fm_case1(setup, th) for th in thetas]
     violations = []
@@ -234,15 +227,15 @@ def contractibility_sweep(
     witnesses = []
     pairs = 0
     for tag, keys, image, ext in directions:
-        bitmaps = {
-            key: raster_bitmap(image(key), bbox, step, origin=RASTER_ORIGIN) for key in keys
+        rasters = {
+            key: raster_runs(image(key), bbox, step, origin=RASTER_ORIGIN) for key in keys
         }
         for key1, key2 in itertools.product(keys, repeat=2):
             verdict = ext(setup, key1, key2)
             if verdict.value != "Zero" or verdict.reason != "contractible-difference":
                 continue
             pairs += 1
-            if not pixels_contractible(bitmaps[key1] - bitmaps[key2]):
+            if not runs_contractible(runs_difference(rasters[key1], rasters[key2])):
                 witnesses.append((tag, key1, key2))
     return ContractibilityReport(
         window, bbox, step, comparison, pairs, pairs - len(witnesses), tuple(witnesses)

@@ -178,6 +178,22 @@ def perp_slice(theta: ThetaIndex) -> Polyhedron:
     return Polyhedron(dim=theta.fan.dim, constraints=tuple(cons))
 
 
+def check_window(window: int, least: int = 0) -> None:
+    """Refuse windows whose sweep would be (nearly) empty and pass vacuously."""
+    if window < least:
+        raise InvalidArgument(f"window must be >= {least}")
+
+
+def window_thetas(fan: StackyFan, window: int) -> list[ThetaIndex]:
+    """Every theta on every cone of the fan with thresholds in [-window, window]."""
+    check_window(window)
+    return [
+        ThetaIndex(fan=fan, cone=cone, t=t)
+        for cone in fan.all_cones
+        for t in itertools.product(range(-window, window + 1), repeat=cone.dim)
+    ]
+
+
 def lambda_skeleton(fan: StackyFan, char_window: int, box: Rational) -> list[LagrangianPiece]:
     """All skeleton pieces whose base meets [-box, box]^n.
 
@@ -187,14 +203,12 @@ def lambda_skeleton(fan: StackyFan, char_window: int, box: Rational) -> list[Lag
     if char_window < 0 or box <= 0:
         raise InvalidArgument("char_window and box must be positive")
     pieces = []
-    for sigma in fan.all_cones:
-        for t in itertools.product(range(-char_window, char_window + 1), repeat=sigma.dim):
-            theta = ThetaIndex(fan=fan, cone=sigma, t=t)
-            base = perp_slice(theta)
-            if base.meets_box(box):
-                pieces.append(
-                    LagrangianPiece(base=base, fiber_cone=sigma, fiber_negated=True, t=t)
-                )
+    for theta in window_thetas(fan, char_window):
+        base = perp_slice(theta)
+        if base.meets_box(box):
+            pieces.append(
+                LagrangianPiece(base=base, fiber_cone=theta.cone, fiber_negated=True, t=theta.t)
+            )
     pieces.sort(key=lambda p: (p.fiber_cone.ray_indices, p.t))
     return pieces
 

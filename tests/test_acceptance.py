@@ -12,8 +12,6 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
-
 import ccc
 from ccc.cli import run
 from ccc.cohoracle import koszul_euler, q2_member, stalk_euler
@@ -37,11 +35,8 @@ from ccc.sweeps import (
     contractibility_sweep,
     hom_oracle_sweep,
     poset_embedding_report,
-    window_thetas,
 )
-from ccc.thetapos import ample_polytope, lambda_skeleton, leq, minkowski_sum
-
-from conftest import load_data
+from ccc.thetapos import ample_polytope, lambda_skeleton, leq, minkowski_sum, window_thetas
 
 DATA = Path(ccc.__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"

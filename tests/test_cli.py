@@ -1,6 +1,7 @@
 """CLI surface: exit codes, report shape, thin-adapter equality, figures."""
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -232,6 +233,66 @@ def test_check_sandwich_three_dimensional(capsys, tmp_path):
     code, rep = invoke(capsys, "check", "case3-sandwich", str(path), "--window", "0")
     assert code == 0
     assert rep.payload == {"charts": 6, "points": 2058, "violations": 0, "window": 0}
+
+
+def test_check_sandwich_witness_points_are_rational_strings(capsys, monkeypatch):
+    # a stalk count no region membership can equal: every probe is a witness
+    monkeypatch.setattr("ccc.sweeps.stalk_euler", lambda *args: 2)
+    path = str(DATA / "contract_om3.json")
+    code, rep = invoke(capsys, "check", "case3-sandwich", path, "--window", "0")
+    assert code == 2
+    assert rep.status == "check-failed"
+    assert rep.witnesses
+    for _, _, point, kind in rep.witnesses:
+        assert kind == "stalk-mismatch"
+        assert isinstance(point, list) and len(point) == 2
+        assert all(isinstance(c, str) and re.fullmatch(r"-?\d+(/\d+)?", c) for c in point)
+
+
+_FAN = {"dim": 1, "rays": [{"v": [1]}, {"v": [-1]}], "max_cones": [[0], [1]]}
+_BLOWUP = {"rays": [{"v": [1, 0]}, {"v": [0, 1]}], "extra": {"v": [1, 1]}}
+_PUSH = ["fm", "contract-push", "--bundle", "1,1"]
+
+
+@pytest.mark.parametrize(
+    "argv, doc, env",
+    [
+        (["validate"], {**_FAN, "max_cones": [0]}, {}),
+        (["validate"], {**_FAN, "rays": 5}, {}),
+        (["validate"], {**_FAN, "rays": [{"v": 5}]}, {}),
+        (["validate"], {**_FAN, "rays": [{"v": [1, "a"]}]}, {}),
+        (["validate"], {**_FAN, "max_cones": [["x"]]}, {}),
+        (_PUSH, {**_BLOWUP, "extra": 5}, {}),
+        (_PUSH, {**_BLOWUP, "rays": [5, 6]}, {}),
+        (["fm", "same-base", "--bundle", "1,1"], {"fan": _FAN, "r": 5, "s": [1, 1]}, {}),
+        (
+            ["check", "case3-sandwich", "--window", "0", str(DATA / "contract_om3.json")],
+            None,
+            {"CCC_MAX_WINDOW": "abc"},
+        ),
+        (["plot", "lagrangian", "-o", "{missing}", str(DATA / "p13.json")], None, {}),
+    ],
+    ids=[
+        "cone-not-a-list", "rays-not-a-list", "v-not-a-list", "v-not-integers",
+        "cone-not-integers", "extra-not-an-object", "ray-not-an-object",
+        "weights-not-a-list", "window-cap-not-an-integer", "unwritable-figure",
+    ],
+)
+def test_malformed_input_is_invalid_input(capsys, monkeypatch, tmp_path, argv, doc, env):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    argv = [arg.replace("{missing}", str(tmp_path / "missing" / "x.svg")) for arg in argv]
+    if doc is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv.append(str(path))
+    code = run(argv)
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert len(lines) == 1
+    rep = parse_report(lines[0])
+    assert rep.status == "invalid-input"
+    assert rep.payload["error"]
 
 
 @pytest.mark.parametrize(

@@ -19,8 +19,7 @@ from ccc.cohoracle import (
 from ccc.errors import BoundaryPointError, InvalidArgument, WindowTooSmall
 from ccc.fm import fm3_region
 from ccc.stackyfan import Cone
-from ccc.sweeps import window_thetas
-from ccc.thetapos import ThetaIndex, hom_constructible, leq
+from ccc.thetapos import ThetaIndex, hom_constructible, leq, window_thetas
 
 
 def theta(fan, cone, t):

@@ -27,9 +27,11 @@ from ccc.fm import (
     fm_line_bundle_case2,
     fm_line_bundle_case3,
     gamma_char,
-    raster_bitmap,
     raster_contractible_2d,
     raster_pixels,
+    raster_runs,
+    runs_contractible,
+    runs_difference,
     s1_threshold,
 )
 from ccc.stackyfan import Cone, build_same_base, parse_stacky_fan
@@ -544,7 +546,7 @@ def test_raster_confirms_case2_difference(crepant_a1):
     ) is True
 
 
-def test_raster_bitmap_matches_predicate_walk(crepant_a1, om3, discrepancy_setup):
+def test_raster_runs_matches_predicate_walk(crepant_a1, om3, discrepancy_setup):
     objs = []
     for su in (crepant_a1, discrepancy_setup):
         for t0 in range(-1, 2):
@@ -555,22 +557,116 @@ def test_raster_bitmap_matches_predicate_walk(crepant_a1, om3, discrepancy_setup
     objs.append(fm3_region(crepant_a1, (2,), (0,)))  # extra-only chart
     objs.append(fm3_region(om3, (1, 2), (1, 0)))
     for obj in objs:
-        fast = raster_bitmap(obj, 3, Fraction(1, 4), origin=RASTER_ORIGIN)
+        fast = raster_runs(obj, 3, Fraction(1, 4), origin=RASTER_ORIGIN)
         slow = raster_pixels(as_pixel_predicate(obj), 3, Fraction(1, 4), origin=RASTER_ORIGIN)
         assert fast == slow
 
 
-def test_raster_bitmap_refuses_aligned_grid(crepant_a1):
+def test_raster_runs_refuses_aligned_grid(crepant_a1):
     image, _ = fm_case2(crepant_a1, theta(crepant_a1.sigma2, (0, 1), (0, 0)))
     # centers -2 + 1/8 + 1/8 + k/4 hit x0 = 0 exactly
-    with pytest.raises(GridAlignmentError):
-        raster_bitmap(image, 2, Fraction(1, 4), origin=(Fraction(1, 8), 0))
-    with pytest.raises(GridAlignmentError):
+    with pytest.raises(GridAlignmentError) as fast:
+        raster_runs(image, 2, Fraction(1, 4), origin=(Fraction(1, 8), 0))
+    with pytest.raises(GridAlignmentError) as slow:
         raster_pixels(
             as_pixel_predicate(image), 2, Fraction(1, 4), origin=(Fraction(1, 8), 0)
         )
+    assert str(fast.value) == str(slow.value)
 
 
-def test_raster_bitmap_rejects_unknown_objects():
+def test_raster_runs_rejects_unknown_objects():
     with pytest.raises(InvalidArgument):
-        raster_bitmap("not a region", 2, Fraction(1, 2))
+        raster_runs("not a region", 2, Fraction(1, 2))
+
+
+def _raster_or_refusal(make):
+    try:
+        return make()
+    except GridAlignmentError as exc:
+        return str(exc)
+
+
+_NORMALS = st.one_of(
+    st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1), (2, 0), (0, -3)]),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda n: n != (0, 0)),
+)
+_CONSTRAINTS = st.lists(
+    st.tuples(
+        _NORMALS,
+        st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@given(
+    constraints=_CONSTRAINTS,
+    bbox=st.integers(1, 3),
+    pixels_per_unit=st.integers(1, 4),
+    origin=st.tuples(
+        st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 4, 8, 16])),
+        st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 3, 6, 12])),
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_raster_runs_equal_predicate_walk_on_random_polyhedra(
+    constraints, bbox, pixels_per_unit, origin
+):
+    poly = Polyhedron(dim=2, constraints=tuple(constraints))
+    step = Fraction(1, pixels_per_unit)
+    fast = _raster_or_refusal(lambda: raster_runs(poly, bbox, step, origin))
+    slow = _raster_or_refusal(
+        lambda: raster_pixels(as_pixel_predicate(poly), bbox, step, origin)
+    )
+    assert fast == slow
+
+
+def _runs_of(pixels, side=8):
+    rows = []
+    for i in range(side):
+        runs = []
+        for j in range(side):
+            if (i, j) not in pixels:
+                continue
+            if runs and runs[-1][1] == j:
+                runs[-1] = (runs[-1][0], j + 1)
+            else:
+                runs.append((j, j + 1))
+        rows.append(tuple(runs))
+    return tuple(rows)
+
+
+def _cubical_contractible(pixels):
+    """Plain reference: V - E + F = 1 on the closed squares, and 8-connected."""
+    if not pixels:
+        return False
+    verts = {(i + a, j + b) for i, j in pixels for a in (0, 1) for b in (0, 1)}
+    edges = set()
+    for i, j in pixels:
+        edges |= {((i, j), (i + 1, j)), ((i, j + 1), (i + 1, j + 1))}
+        edges |= {((i, j), (i, j + 1)), ((i + 1, j), (i + 1, j + 1))}
+    if len(verts) - len(edges) + len(pixels) != 1:
+        return False
+    start = next(iter(pixels))
+    seen, stack = {start}, [start]
+    while stack:
+        i, j = stack.pop()
+        for di, dj in itertools.product((-1, 0, 1), repeat=2):
+            nb = (i + di, j + dj)
+            if nb in pixels and nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return len(seen) == len(pixels)
+
+
+_PIXEL_SETS = st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=64)
+
+
+@given(first=_PIXEL_SETS, second=_PIXEL_SETS)
+@settings(max_examples=300, deadline=None)
+def test_runs_contractible_matches_cubical_reference(first, second):
+    difference = runs_difference(_runs_of(first), _runs_of(second))
+    assert difference == _runs_of(first - second)
+    assert runs_contractible(difference) == _cubical_contractible(first - second)

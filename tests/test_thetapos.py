@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from ccc.errors import InvalidArgument, UnsupportedOperation
 from ccc.exactlin import pair
 from ccc.stackyfan import Cone
-from ccc.sweeps import window_thetas
 from ccc.thetapos import (
     perp_slice,
     HomResult,
@@ -26,6 +25,7 @@ from ccc.thetapos import (
     minkowski_sum,
     parse_theta,
     support,
+    window_thetas,
 )
 
 F = Fraction
