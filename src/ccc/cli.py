@@ -196,9 +196,9 @@ def _cmd_fm_contract_pull(args) -> Report:
     setup = parse_contraction(_load(args.file))
     region = fm3_region(setup, _ints(args.J), _ints(args.phi))
     payload = {
-        "J": list(region.J),
-        "j_prime": list(region.j_prime),
-        "i0": region.i0,
+        "J": list(region.chart.J),
+        "j_prime": list(region.chart.j_prime),
+        "i0": region.chart.i0,
         "discrepancy": discrepancy_compare(setup),
         "s1": region.s1,
         "outer": _poly_json(region.outer),

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 
 from .errors import BoundaryPointError, InvalidArgument, WindowTooSmall
 from .exactlin import (
@@ -23,11 +23,13 @@ from .exactlin import (
     matrix_inverse,
     pair,
 )
-from .fm import _chart, gamma_char
+from .fm import Chart, chart
 from .stackyfan import ContractionSetup, StackyFan
 from .thetapos import HomResult, ThetaIndex
 
 _WINDOW_CAP_VAR = "CCC_MAX_WINDOW"
+# refined oracle boxes enumerate at most this many lattice points
+_MAX_BOX_POINTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,11 @@ def _scaled_support_rows(theta: ThetaIndex, denoms):
 def _refined_scaled(theta: ThetaIndex, bound: Fraction, denoms: tuple[int, ...]) -> frozenset:
     rows = _scaled_support_rows(theta, denoms)
     limits = [int(bound * d) for d in denoms]
+    count = prod(2 * lim + 1 for lim in limits)
+    if count > _MAX_BOX_POINTS:
+        raise InvalidArgument(
+            f"the oracle box holds {count} lattice points, over the limit {_MAX_BOX_POINTS}"
+        )
     points = set()
     for k in itertools.product(*[range(-lim, lim + 1) for lim in limits]):
         if all(r * sum(a * b for a, b in zip(k, w)) >= rhs for w, r, rhs in rows):
@@ -182,31 +189,41 @@ def _window_cap() -> int:
         raise InvalidArgument(f"{_WINDOW_CAP_VAR} must be an integer, got {value!r}") from None
 
 
-def _stabilized_sum(chart, contribution, clipped, m_window: int) -> int:
-    """Sum signed contributions over a growing m window until stable.
+def _euler_sum(ch: Chart, pairings: dict, m_window: int) -> int:
+    """Alternating count over m and subsets S of m_index, stabilized in m.
 
-    Any term surviving the alternating sum pins every m coordinate to one
-    rung determined by the probe; clipped(w) reports whether the probe
-    still clears the last rung on some axis of the current window, which
-    is exactly when a contribution sits beyond the boundary.  The window
-    doubles up to the cap from CCC_MAX_WINDOW.
+    The (m, S) term is (-1)^|S| when pairings[j] > gamma(m)_j + [j in S]
+    for every j of J'.  Any term surviving the alternating sum pins every
+    m coordinate to one rung determined by the pairings; the window is
+    clipped while a pairing still clears the last rung on some axis, which
+    is exactly when a term sits beyond it.  The window doubles up to the
+    cap from CCC_MAX_WINDOW.
     """
     if m_window < 1:
         raise InvalidArgument("m_window must be >= 1")
-    in_j = set(chart.J)
+    shifts = ch.m_index
     cap = _window_cap()
     w = min(m_window, cap)
-    while True:
-        if clipped(w):
-            if w >= cap:
-                raise WindowTooSmall(f"m window hit the cap {cap} before stabilizing")
-            w = min(2 * w, cap)
-            continue
-        ranges = [
-            range(0, w + 1) if i in in_j else range(-w, w + 1)
-            for i in chart.m_index
-        ]
-        return sum(contribution(m) for m in itertools.product(*ranges))
+
+    def clipped(w):
+        return any(
+            pairings[i] > ch.c[i] + w + 1 if i in ch.c else not -w <= pairings[i] <= w + 1
+            for i in shifts
+        )
+
+    while clipped(w):
+        if w >= cap:
+            raise WindowTooSmall(f"m window hit the cap {cap} before stabilizing")
+        w = min(2 * w, cap)
+    ranges = [range(0, w + 1) if i in ch.c else range(-w, w + 1) for i in shifts]
+    total = 0
+    for m in itertools.product(*ranges):
+        t = ch.gamma(m).t
+        for size in range(len(shifts) + 1):
+            for s_set in itertools.combinations(shifts, size):
+                if all(pairings[j] > tk + (j in s_set) for j, tk in zip(ch.j_prime, t)):
+                    total += (-1) ** size
+    return total
 
 
 def koszul_euler(setup: ContractionSetup, J, phi, probe, m_window: int = 4) -> int:
@@ -215,40 +232,17 @@ def koszul_euler(setup: ContractionSetup, J, phi, probe, m_window: int = 4) -> i
     Terms are the shifted modules f_{gamma(m) + sum_S b*} B2 over subsets
     S of I' - {i0}; the probe is an integer character of the contracted
     chart.  The sum telescopes to the Q2-membership indicator, so the
-    return value is always 0 or 1.
+    return value is always 0 or 1.  For integers q >= t exactly when
+    q + 1/2 > t, so this is the stalk count at the pairings q_j + 1/2.
     """
-    chart = _chart(setup, J, phi)
-    if setup.extra_index not in chart.J:
+    ch = chart(setup, J, phi)
+    if not ch.stepped:
         raise InvalidArgument("the resolution needs the extra ray in J")
     probe = tuple(int(x) for x in probe)
     if len(probe) != setup.n:
         raise InvalidArgument("probe must be a character of the contracted chart")
-    jp = chart.j_prime
-    shifts = chart.m_index
-
-    def contribution(m):
-        g = gamma_char(setup, chart.J, chart.c, m)
-        total = 0
-        for size in range(len(shifts) + 1):
-            for s_set in itertools.combinations(shifts, size):
-                ok = all(
-                    probe[j] >= tk + (1 if j in s_set else 0)
-                    for j, tk in zip(jp, g.t)
-                )
-                total += (-1) ** size * int(ok)
-        return total
-
-    def clipped(w):
-        for i in shifts:
-            ci = chart.c_of(i)
-            if ci is not None:
-                if probe[i] > ci + w:
-                    return True
-            elif probe[i] > w or probe[i] < -w:
-                return True
-        return False
-
-    return _stabilized_sum(chart, contribution, clipped, m_window)
+    half = Fraction(1, 2)
+    return _euler_sum(ch, {j: probe[j] + half for j in ch.j_prime}, m_window)
 
 
 def stalk_euler(setup: ContractionSetup, J, phi, p, m_window: int = 4) -> int:
@@ -258,41 +252,16 @@ def stalk_euler(setup: ContractionSetup, J, phi, p, m_window: int = 4) -> int:
     of the point p in place of character dominance; equals the staircase
     region indicator at p.
     """
-    chart = _chart(setup, J, phi)
-    if setup.extra_index not in chart.J:
+    ch = chart(setup, J, phi)
+    if not ch.stepped:
         raise InvalidArgument("stalk complexes need the extra ray in J")
     p = tuple(Fraction(c) for c in p)
     if len(p) != setup.sigma2.dim:
         raise InvalidArgument("point has the wrong dimension")
-    pairings = {j: pair(p, setup.sigma2.b(j)) for j in chart.j_prime}
+    pairings = {j: pair(p, setup.sigma2.b(j)) for j in ch.j_prime}
     if any(v.denominator == 1 for v in pairings.values()):
         raise BoundaryPointError("point pairs integrally with a chart ray")
-    jp = chart.j_prime
-    shifts = chart.m_index
-
-    def contribution(m):
-        g = gamma_char(setup, chart.J, chart.c, m)
-        total = 0
-        for size in range(len(shifts) + 1):
-            for s_set in itertools.combinations(shifts, size):
-                ok = all(
-                    pairings[j] > tk + (1 if j in s_set else 0)
-                    for j, tk in zip(jp, g.t)
-                )
-                total += (-1) ** size * int(ok)
-        return total
-
-    def clipped(w):
-        for i in shifts:
-            ci = chart.c_of(i)
-            if ci is not None:
-                if pairings[i] > ci + w + 1:
-                    return True
-            elif pairings[i] > w + 1 or pairings[i] < -w:
-                return True
-        return False
-
-    return _stabilized_sum(chart, contribution, clipped, m_window)
+    return _euler_sum(ch, pairings, m_window)
 
 
 def q2_member(setup: ContractionSetup, J, phi, probe) -> bool:
@@ -301,23 +270,16 @@ def q2_member(setup: ContractionSetup, J, phi, probe) -> bool:
     The resolution pins the only gamma(m) that can contain the probe: its
     coordinates on I' - {i0} must match the probe exactly.
     """
-    chart = _chart(setup, J, phi)
-    if setup.extra_index not in chart.J:
+    ch = chart(setup, J, phi)
+    if not ch.stepped:
         raise InvalidArgument("Q2 membership needs the extra ray in J")
     probe = tuple(int(x) for x in probe)
     if len(probe) != setup.n:
         raise InvalidArgument("probe must be a character of the contracted chart")
-    m = []
-    for i in chart.m_index:
-        ci = chart.c_of(i)
-        if ci is not None:
-            if probe[i] < ci:
-                return False
-            m.append(probe[i] - ci)
-        else:
-            m.append(probe[i])
-    g = gamma_char(setup, chart.J, chart.c, tuple(m))
-    return all(probe[j] >= tk for j, tk in zip(chart.j_prime, g.t))
+    if any(probe[i] < ch.c[i] for i in ch.m_index if i in ch.c):
+        return False
+    g = ch.gamma(tuple(probe[i] - ch.c.get(i, 0) for i in ch.m_index))
+    return all(probe[j] >= tk for j, tk in zip(ch.j_prime, g.t))
 
 
 def q2_member_enum(setup: ContractionSetup, J, phi, probe, m_window: int = 4) -> bool:
@@ -327,31 +289,20 @@ def q2_member_enum(setup: ContractionSetup, J, phi, probe, m_window: int = 4) ->
     coordinatewise dominance with equality off i0, growing the window from
     the probe size so the search is provably exhaustive.
     """
-    chart = _chart(setup, J, phi)
-    if setup.extra_index not in chart.J:
+    ch = chart(setup, J, phi)
+    if not ch.stepped:
         raise InvalidArgument("Q2 membership needs the extra ray in J")
     probe = tuple(int(x) for x in probe)
     span = m_window
-    for i in chart.m_index:
-        ci = chart.c_of(i) or 0
-        span = max(span, abs(probe[i]) + abs(ci) + 1)
-    in_j = set(chart.J)
-    ranges = [
-        range(0, span + 1) if i in in_j else range(-span, span + 1)
-        for i in chart.m_index
-    ]
-    pinned = set(chart.m_index)
+    for i in ch.m_index:
+        span = max(span, abs(probe[i]) + abs(ch.c.get(i, 0)) + 1)
+    ranges = [range(0, span + 1) if i in ch.c else range(-span, span + 1) for i in ch.m_index]
+    pinned = set(ch.m_index)
     for m in itertools.product(*ranges):
-        g = gamma_char(setup, chart.J, chart.c, m)
-        ok = True
-        for j, tk in zip(chart.j_prime, g.t):
-            if j in pinned:
-                if probe[j] != tk:
-                    ok = False
-                    break
-            elif probe[j] < tk:
-                ok = False
-                break
-        if ok:
+        t = ch.gamma(m).t
+        if all(
+            probe[j] == tk if j in pinned else probe[j] >= tk
+            for j, tk in zip(ch.j_prime, t)
+        ):
             return True
     return False

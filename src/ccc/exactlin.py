@@ -52,12 +52,6 @@ def pair(x: Sequence[Fraction | int], v: Sequence[int]) -> Fraction:
     return sum((Fraction(a) * b for a, b in zip(x, v)), Fraction(0))
 
 
-def vec_add(x: Sequence[Fraction | int], y: Sequence[Fraction | int]) -> RationalVector:
-    if len(x) != len(y):
-        raise InvalidArgument("vector dimension mismatch")
-    return tuple(Fraction(a) + Fraction(b) for a, b in zip(x, y))
-
-
 def vec_sub(x: Sequence[Fraction | int], y: Sequence[Fraction | int]) -> RationalVector:
     if len(x) != len(y):
         raise InvalidArgument("vector dimension mismatch")

@@ -46,15 +46,13 @@ from .thetapos import HomResult, Polyhedron, ThetaIndex, leq, support
 # Case 1: one base fan, two weightings
 
 
-def fm_case1(setup: SameBaseSetup, theta: ThetaIndex, direction: str = "push12") -> ThetaIndex:
+def fm_case1(setup: SameBaseSetup, theta: ThetaIndex) -> ThetaIndex:
     """Push a theta index from the s-weighted fan to the r-weighted fan.
 
     The cone is unchanged; the threshold over ray i becomes
     ceil(r_i * t_i / s_i).  Equals pullback to the lcm weighting followed
     by pushforward (see case1_pullback / case1_pushforward).
     """
-    if direction != "push12":
-        raise InvalidArgument(f"unknown direction {direction!r}")
     if theta.fan != setup.fan_s:
         raise InvalidArgument("theta does not live over the s-weighted fan")
     t = tuple(
@@ -201,27 +199,71 @@ def ext_case2(setup: ContractionSetup, theta1: ThetaIndex, theta2: ThetaIndex) -
 # Case 3: pulling back along the contraction
 
 
-@dataclass(frozen=True)
-class _Chart:
-    # shared index bookkeeping for one (J, phi) over sigma1
+@dataclass(frozen=True, eq=False)
+class Chart:
+    """One chart (J, phi) over sigma1 and its staircase characters gamma(m).
+
+    c maps each index of J to its threshold, i0 is the least index of the
+    subdivided block outside J, m_index holds the rest of the block in
+    increasing order, and j_prime indexes the contracted cone sigma_{J'}.
+    Charts come from ``chart``, which validates and memoizes them.
+    """
+
+    setup: ContractionSetup
     J: tuple[int, ...]
-    c: tuple[int, ...]
+    c: dict[int, int]
     i0: int
     j_prime: tuple[int, ...]
     m_index: tuple[int, ...]
+    _characters: dict = field(default_factory=dict, init=False, repr=False)
 
-    def c_of(self, j: int) -> int | None:
-        try:
-            return self.c[self.J.index(j)]
-        except ValueError:
-            return None
+    @property
+    def stepped(self) -> bool:
+        """Whether J holds the extra ray, so that the pullback is a staircase."""
+        return self.setup.extra_index in self.c
+
+    def gamma(self, m) -> ThetaIndex:
+        """The staircase character gamma(m) on the contracted cone sigma_{J'}.
+
+        m is indexed by m_index, nonnegative on indices inside J and
+        unrestricted on the rest.
+        """
+        key = tuple(m)
+        if key in self._characters:
+            return self._characters[key]
+        if not self.stepped:
+            raise InvalidArgument("gamma characters need the extra ray in J")
+        m = tuple(int(x) for x in key)
+        if len(m) != len(self.m_index):
+            raise InvalidArgument("m must be indexed by I' minus the chosen i0")
+        su = self.setup
+        coords = dict(self.c)
+        num = Fraction(self.c[su.extra_index])
+        for mk, i in zip(m, self.m_index):
+            if i in self.c and mk < 0:
+                raise InvalidArgument(f"m_{i} must be nonnegative inside J")
+            coords[i] = self.c.get(i, 0) + mk
+            num -= su.alpha[i] * coords[i]
+        coords[self.i0] = ceil_frac(num / su.alpha[self.i0])
+        g = ThetaIndex(
+            fan=su.sigma2,
+            cone=Cone(self.j_prime),
+            t=tuple(coords[j] for j in self.j_prime),
+        )
+        self._characters[key] = g
+        return g
 
 
-def _chart(setup: ContractionSetup, J, phi) -> _Chart:
+def chart(setup: ContractionSetup, J, phi) -> Chart:
+    """The chart with threshold phi[k] over ray J[k], memoized; J need not be sorted."""
+    return _build_chart(setup, tuple(J), tuple(phi))
+
+
+@lru_cache(maxsize=1 << 10)
+def _build_chart(setup: ContractionSetup, J: tuple, phi: tuple) -> Chart:
     J = tuple(int(j) for j in J)
     if len(set(J)) != len(J):
         raise InvalidArgument("repeated index in J")
-    J = tuple(sorted(J))
     if any(j < 0 or j > setup.extra_index for j in J):
         raise InvalidArgument("J indices out of range")
     iset = set(setup.i_prime)
@@ -230,53 +272,15 @@ def _chart(setup: ContractionSetup, J, phi) -> _Chart:
     phi = tuple(int(x) for x in phi)
     if len(phi) != len(J):
         raise InvalidArgument("phi must have one threshold per index of J")
+    c = dict(sorted(zip(J, phi)))
     i0 = min(iset - set(J))
-    return _Chart(
-        J=J,
-        c=phi,
+    return Chart(
+        setup=setup,
+        J=tuple(c),
+        c=c,
         i0=i0,
         j_prime=j_image(setup, J),
         m_index=tuple(i for i in setup.i_prime if i != i0),
-    )
-
-
-def gamma_char(setup: ContractionSetup, J, phi, m) -> ThetaIndex:
-    """The staircase character gamma(m) on the contracted cone sigma_{J'}.
-
-    m is indexed by I' - {i0} in increasing order, nonnegative on indices
-    inside J and unrestricted on the rest.
-    """
-    return _gamma_char_cached(setup, tuple(J), tuple(phi), tuple(int(x) for x in m))
-
-
-@lru_cache(maxsize=1 << 16)
-def _gamma_char_cached(setup: ContractionSetup, J, phi, m) -> ThetaIndex:
-    chart = _chart(setup, J, phi)
-    if setup.extra_index not in chart.J:
-        raise InvalidArgument("gamma characters need the extra ray in J")
-    m = tuple(int(x) for x in m)
-    if len(m) != len(chart.m_index):
-        raise InvalidArgument("m must be indexed by I' minus the chosen i0")
-    coords: dict[int, int] = {}
-    num = Fraction(chart.c_of(setup.extra_index))
-    for mk, i in zip(m, chart.m_index):
-        ci = chart.c_of(i)
-        if ci is not None:
-            if mk < 0:
-                raise InvalidArgument(f"m_{i} must be nonnegative inside J")
-            coords[i] = ci + mk
-            num -= setup.alpha[i] * (ci + mk)
-        else:
-            coords[i] = mk
-            num -= setup.alpha[i] * mk
-    coords[chart.i0] = ceil_frac(num / setup.alpha[chart.i0])
-    for j in chart.j_prime:
-        if j not in coords:
-            coords[j] = chart.c_of(j)
-    return ThetaIndex(
-        fan=setup.sigma2,
-        cone=Cone(chart.j_prime),
-        t=tuple(coords[j] for j in chart.j_prime),
     )
 
 
@@ -288,17 +292,17 @@ def s1_threshold(setup: ContractionSetup, J, phi) -> Fraction:
     moves in the subgroup generated by the ratios alpha_i / alpha_{i0}
     modulo 1, so the minimum comes from one residue computation.
     """
-    chart = _chart(setup, J, phi)
-    if setup.extra_index not in chart.J:
+    ch = chart(setup, J, phi)
+    if not ch.stepped:
         raise InvalidArgument("s1 needs the extra ray in J")
-    a0 = setup.alpha[chart.i0]
-    u0 = Fraction(chart.c_of(setup.extra_index))
-    for i in chart.m_index:
-        ci = chart.c_of(i)
-        if ci is not None:
-            u0 -= setup.alpha[i] * ci
+    a0 = setup.alpha[ch.i0]
+    c_extra = ch.c[setup.extra_index]
+    u0 = Fraction(c_extra)
+    for i in ch.m_index:
+        if i in ch.c:
+            u0 -= setup.alpha[i] * ch.c[i]
     u0 /= a0
-    ratios = [setup.alpha[i] / a0 for i in chart.m_index]
+    ratios = [setup.alpha[i] / a0 for i in ch.m_index]
     q = lcm(*[r.denominator for r in ratios])
     g = gcd(q, *[int(r * q) for r in ratios])
     step = Fraction(g, q)
@@ -310,118 +314,94 @@ def s1_threshold(setup: ContractionSetup, J, phi) -> Fraction:
     else:
         min_a = step
     eps = 1 - a0 / 2 * min_a
-    return chart.c_of(setup.extra_index) + eps
+    return c_extra + eps
 
 
-@dataclass
+@dataclass(frozen=True)
 class StaircaseRegion:
     """The pulled-back support: an infinite union of shifted dual cones.
 
     Membership is exact (one ceiling evaluation via the minimal staircase
     character), and the region is sandwiched between the polyhedra inner
     and outer.  When the extra ray is not involved the region degenerates
-    to a plain open support and inner == outer.  inner is left unset when
-    the sandwich hypothesis sum(alpha) <= 1 fails.
+    to a plain open support and inner == outer.  inner is None when the
+    sandwich hypothesis sum(alpha) <= 1 fails.
     """
 
-    setup: ContractionSetup
-    J: tuple[int, ...]
-    c: dict[int, int]
-    i0: int
+    chart: Chart
     s1: Fraction | None
     inner: Polyhedron | None
     outer: Polyhedron
-    phi: tuple[int, ...] = field(repr=False, default=())
-    j_prime: tuple[int, ...] = field(repr=False, default=())
-    m_index: tuple[int, ...] = field(repr=False, default=())
 
     def _pairings(self, x) -> dict[int, Fraction]:
-        return {j: pair(x, self.setup.sigma2.b(j)) for j in self.j_prime}
+        return {j: pair(x, self.chart.setup.sigma2.b(j)) for j in self.chart.j_prime}
 
     def _gamma0(self, p: dict[int, Fraction]) -> int:
-        m0 = tuple(ceil_frac(p[i]) - 1 - self.c.get(i, 0) for i in self.m_index)
-        return self._gamma0_of(m0)
-
-    def _gamma0_of(self, m0: tuple[int, ...]) -> int:
-        g = gamma_char(self.setup, self.J, self.phi, m0)
-        return g.t[self.j_prime.index(self.i0)]
+        ch = self.chart
+        m0 = tuple(ceil_frac(p[i]) - 1 - ch.c.get(i, 0) for i in ch.m_index)
+        return ch.gamma(m0).t[ch.j_prime.index(ch.i0)]
 
     def contains(self, x) -> bool:
-        su = self.setup
-        if su.extra_index not in self.J:
+        ch = self.chart
+        if not ch.stepped:
             return self.outer.contains(x)
         p = self._pairings(x)
-        for j in self.j_prime:
-            cj = self.c.get(j)
-            if cj is not None and not p[j] > cj:
+        for j in ch.j_prime:
+            if j in ch.c and not p[j] > ch.c[j]:
                 return False
-        return p[self.i0] > self._gamma0(p)
+        return p[ch.i0] > self._gamma0(p)
 
     def boundary_aligned(self, x) -> bool:
         """True when x sits on a face of the staircase or on a step grid line."""
-        su = self.setup
-        if su.extra_index not in self.J:
+        ch = self.chart
+        if not ch.stepped:
             return self.outer.on_boundary(x)
         p = self._pairings(x)
-        for j in self.j_prime:
-            cj = self.c.get(j)
-            if cj is not None and p[j] == cj:
-                return True
-        if any(p[i].denominator == 1 for i in self.m_index):
+        if any(j in ch.c and p[j] == ch.c[j] for j in ch.j_prime):
             return True
-        if all(p[i] > self.c[i] for i in self.m_index if i in self.c):
-            return p[self.i0] == self._gamma0(p)
+        if any(p[i].denominator == 1 for i in ch.m_index):
+            return True
+        if all(p[i] > ch.c[i] for i in ch.m_index if i in ch.c):
+            return p[ch.i0] == self._gamma0(p)
         return False
 
 
 def fm3_region(setup: ContractionSetup, J, phi) -> StaircaseRegion:
     """Pull a theta on the cone sigma_J upstairs back to the contracted side."""
-    chart = _chart(setup, J, phi)
+    ch = chart(setup, J, phi)
     dim = setup.sigma1.dim
     strict = tuple(
-        (setup.sigma1.b(j), Fraction(chart.c_of(j)), True)
-        for j in chart.J
+        (setup.sigma1.b(j), Fraction(cj), True)
+        for j, cj in ch.c.items()
         if j != setup.extra_index
     )
-    region = StaircaseRegion(
-        setup=setup,
-        J=chart.J,
-        c=dict(zip(chart.J, chart.c)),
-        i0=chart.i0,
-        s1=None,
-        inner=None,
-        outer=Polyhedron(dim=dim, constraints=strict),
-        phi=chart.c,
-        j_prime=chart.j_prime,
-        m_index=chart.m_index,
-    )
-    if setup.extra_index not in chart.J:
-        region.inner = region.outer
-        return region
+    if not ch.stepped:
+        outer = Polyhedron(dim=dim, constraints=strict)
+        return StaircaseRegion(chart=ch, s1=None, inner=outer, outer=outer)
 
-    c_extra = chart.c_of(setup.extra_index)
     extra_b = setup.extra.b
-    region.outer = Polyhedron(
-        dim=dim, constraints=strict + ((extra_b, Fraction(c_extra), True),)
+    outer = Polyhedron(
+        dim=dim, constraints=strict + ((extra_b, Fraction(ch.c[setup.extra_index]), True),)
     )
-    if discrepancy_compare(setup) in ("<=", "="):
-        # inner hyperplane bound only exists under the pull hypothesis
-        region.s1 = s1_threshold(setup, J, phi)
-        region.inner = Polyhedron(
-            dim=dim, constraints=strict + ((extra_b, region.s1, False),)
-        )
-        _validate_inner(region)
+    if discrepancy_compare(setup) not in ("<=", "="):
+        return StaircaseRegion(chart=ch, s1=None, inner=None, outer=outer)
+    # inner hyperplane bound only exists under the pull hypothesis
+    s1 = s1_threshold(setup, J, phi)
+    inner = Polyhedron(dim=dim, constraints=strict + ((extra_b, s1, False),))
+    region = StaircaseRegion(chart=ch, s1=s1, inner=inner, outer=outer)
+    _validate_inner(region)
     return region
 
 
 def _validate_inner(region: StaircaseRegion) -> None:
     # a few exact points of D(c, s1) must land inside the region
-    su = region.setup
+    ch = region.chart
+    su = ch.setup
     dim = su.sigma1.dim
-    rows = [su.sigma1.b(j) for j in region.J]
+    rows = [su.sigma1.b(j) for j in ch.J]
     rhs = [
-        region.s1 if j == su.extra_index else Fraction(region.c[j]) + Fraction(1, 2)
-        for j in region.J
+        region.s1 if j == su.extra_index else Fraction(cj) + Fraction(1, 2)
+        for j, cj in ch.c.items()
     ]
     full = complete_to_basis(rows, dim)
     pad = [Fraction(0)] * (len(full) - len(rows))
@@ -449,24 +429,25 @@ def ext_case3(setup: ContractionSetup, pair1, pair2) -> HomResult:
     """
     if discrepancy_compare(setup) not in ("<=", "="):
         raise PreconditionError("pull direction needs discrepancy sum(alpha) <= 1")
-    chart1 = _chart(setup, *pair1)
-    chart2 = _chart(setup, *pair2)
-    theta1 = ThetaIndex(fan=setup.sigma1, cone=Cone(chart1.J), t=chart1.c)
-    theta2 = ThetaIndex(fan=setup.sigma1, cone=Cone(chart2.J), t=chart2.c)
+    chart1, chart2 = chart(setup, *pair1), chart(setup, *pair2)
+    theta1, theta2 = (
+        ThetaIndex(fan=setup.sigma1, cone=Cone(ch.J), t=tuple(ch.c.values()))
+        for ch in (chart1, chart2)
+    )
     if leq(theta1, theta2):
         return HomResult(value="C0", reason="inclusion")
 
-    missing = tuple(sorted(set(chart2.J) - set(chart1.J)))
+    missing = tuple(j for j in chart2.J if j not in chart1.c)
     failures = tuple(
-        (j, chart1.c_of(j), chart2.c_of(j))
-        for j in chart2.J
-        if chart1.c_of(j) is not None and chart1.c_of(j) < chart2.c_of(j)
+        (j, chart1.c[j], c2)
+        for j, c2 in chart2.c.items()
+        if j in chart1.c and chart1.c[j] < c2
     )
     cert: dict = {
         "j1": chart1.J,
         "j2": chart2.J,
-        "extra_in_j1": setup.extra_index in chart1.J,
-        "extra_in_j2": setup.extra_index in chart2.J,
+        "extra_in_j1": chart1.stepped,
+        "extra_in_j2": chart2.stepped,
         "missing_rays": missing,
         "threshold_failures": failures,
     }
@@ -480,7 +461,7 @@ def ext_case3(setup: ContractionSetup, pair1, pair2) -> HomResult:
             cut = Polyhedron(
                 dim=setup.sigma1.dim,
                 constraints=region1.inner.constraints
-                + ((neg, Fraction(-chart2.c_of(j)), False),),
+                + ((neg, Fraction(-chart2.c[j]), False),),
             )
             if not cut.is_empty():
                 witness = True
@@ -511,6 +492,8 @@ def fm_line_bundle_case3(setup: ContractionSetup, c) -> tuple[int, ...] | None:
 
 def as_pixel_predicate(obj):
     """Membership closure for the raster that refuses boundary-aligned pixels."""
+    if isinstance(obj, StaircaseRegion) and not obj.chart.stepped:
+        obj = obj.outer  # a plain open support, refused as raster_runs refuses it
     if isinstance(obj, StaircaseRegion):
         def pred(x):
             if obj.boundary_aligned(x):
@@ -592,30 +575,31 @@ def _bounds(constraints, x, y0, step, lo, hi, hits) -> tuple[int, int]:
     return start, stop
 
 
-def _staircase_spans(region: StaircaseRegion, x, y0, step, side, hits, gammas) -> list:
+def _staircase_spans(region: StaircaseRegion, x, y0, step, side, hits) -> list:
     """Row spans at x of a staircase region whose chart holds the extra ray.
 
-    Between two steps m0 is constant, and membership is p[i0] > gamma0(m0).
+    Between two steps m0 is constant, and membership is p[i0] > gamma(m0)[i0].
     """
-    rays, c = {j: region.setup.sigma2.b(j) for j in region.j_prime}, region.c
-    floors = [(rays[j], c[j], True) for j in region.j_prime if j in c]
+    ch = region.chart
+    rays, c = {j: ch.setup.sigma2.b(j) for j in ch.j_prime}, ch.c
+    floors = [(rays[j], c[j], True) for j in ch.j_prime if j in c]
     start, stop = _bounds(floors, x, y0, step, 0, side, hits)
     # the steps sit where an m_index pairing a + slope*j crosses an integer n
-    lines = [(k, pair((x, y0), rays[k]), rays[k][1] * step) for k in region.m_index]
+    lines = [(k, pair((x, y0), rays[k]), rays[k][1] * step) for k in ch.m_index]
     cuts = {0, side}
     for k, a, slope in lines:
         low, high = sorted((a, a + slope * (side - 1)))
         for n in range(ceil_frac(low), floor_frac(high) + 1):
             cuts.update(_bounds([(rays[k], n, True)], x, y0, step, 0, side, hits))
     bounds = sorted(cuts)
+    k0 = ch.j_prime.index(ch.i0)
     spans = []
     for first, end in zip(bounds, bounds[1:]):
         m0 = tuple(ceil_frac(a + slope * first) - 1 - c.get(k, 0) for k, a, slope in lines)
-        if any(m < 0 for m, k in zip(m0, region.m_index) if k in c):
+        if any(m < 0 for m, k in zip(m0, ch.m_index) if k in c):
             continue  # under a floor of J, where nothing is stepped
-        if m0 not in gammas:
-            gammas[m0] = region._gamma0_of(m0)
-        lo, hi = _bounds([(rays[region.i0], gammas[m0], True)], x, y0, step, first, end, hits)
+        height = ch.gamma(m0).t[k0]
+        lo, hi = _bounds([(rays[ch.i0], height, True)], x, y0, step, first, end, hits)
         spans.append((max(lo, start), min(hi, stop)))
     return spans
 
@@ -627,12 +611,12 @@ def raster_runs(obj, bbox, step, origin=(0, 0)) -> tuple:
     GridAlignmentError at the first aligned center in row-major order.
     """
     xs, ys = raster_grid(bbox, step, origin)
-    step, side, gammas = Fraction(step), len(ys), {}
-    if isinstance(obj, StaircaseRegion) and obj.setup.extra_index not in obj.J:
+    step, side = Fraction(step), len(ys)
+    if isinstance(obj, StaircaseRegion) and not obj.chart.stepped:
         obj = obj.outer
     if isinstance(obj, Polyhedron) and obj.dim == 2:
         face = "constraint"
-    elif isinstance(obj, StaircaseRegion) and obj.setup.sigma2.dim == 2:
+    elif isinstance(obj, StaircaseRegion) and obj.chart.setup.sigma2.dim == 2:
         face = "region face"
     else:
         raise InvalidArgument(f"no planar raster for {type(obj).__name__}")
@@ -642,7 +626,7 @@ def raster_runs(obj, bbox, step, origin=(0, 0)) -> tuple:
         if isinstance(obj, Polyhedron):
             spans = [_bounds(obj.constraints, x, ys[0], step, 0, side, hits)]
         else:
-            spans = _staircase_spans(obj, x, ys[0], step, side, hits, gammas)
+            spans = _staircase_spans(obj, x, ys[0], step, side, hits)
         if hits:
             raise GridAlignmentError(f"pixel center {(x, ys[min(hits)])} aligned with a {face}")
         rows.append(_merged(spans))

@@ -331,6 +331,9 @@ def build_contraction(rays, extra: WeightedRay) -> ContractionSetup:
     if n < 2:
         raise InvalidArgument("need at least two rays")
     dim = len(rays[0].v)
+    for i, ray in enumerate(rays):
+        if len(ray.v) != dim:
+            raise InvalidArgument(f"ray {i} has {len(ray.v)} coordinates, expected {dim}")
     if dim != n:
         raise InvalidArgument(f"{n} rays of dimension {dim}: rays must be a basis")
     if lattice_rank([r.v for r in rays]) != n:

@@ -16,8 +16,8 @@ import ccc
 from ccc.cli import run
 from ccc.cohoracle import koszul_euler, q2_member, stalk_euler
 from ccc.fm import (
-    _chart,
     as_pixel_predicate,
+    chart,
     ext_case2,
     ext_case3,
     fm3_region,
@@ -25,7 +25,6 @@ from ccc.fm import (
     fm_line_bundle_case1,
     fm_line_bundle_case2,
     fm_line_bundle_case3,
-    gamma_char,
     raster_contractible_2d,
 )
 from ccc.stackyfan import build_same_base
@@ -150,14 +149,14 @@ def test_criterion_05_poset_embedding_and_reversal(p1):
 
 def _gamma_frontier(setup, J, phi, width):
     """Pareto-minimal staircase threshold vectors over the m window."""
-    chart = _chart(setup, J, phi)
+    ch = chart(setup, J, phi)
     ranges = [
-        range(0, width + 1) if chart.c_of(i) is not None else range(-width, width + 1)
-        for i in chart.m_index
+        range(0, width + 1) if i in ch.c else range(-width, width + 1)
+        for i in ch.m_index
     ]
     frontier = []
     for m in itertools.product(*ranges):
-        t = gamma_char(setup, J, phi, m).t
+        t = ch.gamma(m).t
         if any(all(f[k] <= t[k] for k in range(len(t))) for f in frontier):
             continue
         frontier = [f for f in frontier if not all(t[k] <= f[k] for k in range(len(t)))]
@@ -166,8 +165,8 @@ def _gamma_frontier(setup, J, phi, width):
 
 
 def _union_member(setup, region, frontier, pairings):
-    weights = [setup.sigma2.weight(j) for j in region.j_prime]
-    scaled = [pairings[j] * w for j, w in zip(region.j_prime, weights)]
+    weights = [setup.sigma2.weight(j) for j in region.chart.j_prime]
+    scaled = [pairings[j] * w for j, w in zip(region.chart.j_prime, weights)]
     return any(all(p > t for p, t in zip(scaled, vec)) for vec in frontier)
 
 
@@ -190,7 +189,7 @@ def _sandwich_sweep(setup):
                     assert region.outer.contains(x), (J, phi, x, "region left the outer bound")
                 assert stalk_euler(setup, J, phi, x, m_window=8) == int(inside), (J, phi, x)
                 pairings = {j: sum(c * v for c, v in zip(x, setup.sigma2.b(j)))
-                            for j in region.j_prime}
+                            for j in region.chart.j_prime}
                 union = _union_member(setup, region, frontier, pairings)
                 # window saturation: one more shell of shifts changes nothing here
                 assert union == _union_member(setup, region, narrower, pairings), (J, phi, x)
@@ -220,7 +219,7 @@ def test_criterion_07_koszul_euler_matches_membership(crepant_a1, om3):
             probes = 0
             for J, phi in charts(setup, 1):
                 region = fm3_region(setup, J, phi)
-                width = len(region.j_prime)
+                width = len(region.chart.j_prime)
                 for q in itertools.product(range(-3, 4), repeat=width):
                     probes += 1
                     value = koszul_euler(setup, J, phi, q, m_window=8)

@@ -157,6 +157,20 @@ def test_negative_phi_equals_form(capsys):
     assert rep.payload["J"] == [1, 2]
 
 
+def test_contract_pull_pairs_each_index_with_its_threshold(capsys, tmp_path):
+    path = str(DATA / "contract_crepant_a1.json")
+    reports, figures = [], []
+    for k, (J, phi) in enumerate([("2,1", "3,0"), ("1,2", "0,3")]):
+        reports.append(invoke(capsys, "fm", "contract-pull", path, "--J", J, "--phi", phi))
+        out = tmp_path / f"region{k}.svg"
+        code, rep = invoke(capsys, "plot", "region", path, "--J", J, "--phi", phi, "-o", str(out))
+        assert code == 0 and rep.payload["regions"] == 2
+        figures.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert reports[0][1].payload["s1"] == "15/4"
+    assert figures[0] == figures[1]
+
+
 def test_check_poset_embedding_ok(capsys):
     code, rep = invoke(
         capsys,
@@ -271,11 +285,18 @@ _PUSH = ["fm", "contract-push", "--bundle", "1,1"]
             {"CCC_MAX_WINDOW": "abc"},
         ),
         (["plot", "lagrangian", "-o", "{missing}", str(DATA / "p13.json")], None, {}),
+        (
+            ["hom", str(DATA / "p1.json"), "--theta1", "cone=0;t=100000000000000000000",
+             "--theta2", "cone=0;t=0", "--oracle"],
+            None,
+            {},
+        ),
     ],
     ids=[
         "cone-not-a-list", "rays-not-a-list", "v-not-a-list", "v-not-integers",
         "cone-not-integers", "extra-not-an-object", "ray-not-an-object",
         "weights-not-a-list", "window-cap-not-an-integer", "unwritable-figure",
+        "oracle-box-too-large",
     ],
 )
 def test_malformed_input_is_invalid_input(capsys, monkeypatch, tmp_path, argv, doc, env):

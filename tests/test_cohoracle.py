@@ -182,7 +182,7 @@ def test_stalk_euler_matches_region(crepant_a1, om3, discrepancy_setup):
                     p = (Fraction(a, 2) + Fraction(1, 16), Fraction(b, 4) + Fraction(1, 32))
                     pairings = [
                         sum(x * c for x, c in zip(p, setup.sigma2.b(j)))
-                        for j in region.j_prime
+                        for j in region.chart.j_prime
                     ]
                     if any(Fraction(v).denominator == 1 for v in pairings):
                         continue

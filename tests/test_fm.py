@@ -17,6 +17,7 @@ from ccc.exactlin import pair
 from ccc.fm import (
     as_pixel_predicate,
     case1_pullback,
+    chart,
     case1_pushforward,
     ext_case2,
     ext_case3,
@@ -26,7 +27,6 @@ from ccc.fm import (
     fm_line_bundle_case1,
     fm_line_bundle_case2,
     fm_line_bundle_case3,
-    gamma_char,
     raster_contractible_2d,
     raster_pixels,
     raster_runs,
@@ -80,8 +80,6 @@ def test_fm_case1_rejects_wrong_fan(p12_to_p13):
     th = theta(p12_to_p13.fan_r, (0,), (1,))
     with pytest.raises(InvalidArgument):
         fm_case1(p12_to_p13, th)
-    with pytest.raises(InvalidArgument):
-        fm_case1(p12_to_p13, theta(p12_to_p13.fan_s, (0,), (1,)), direction="pull")
 
 
 def test_fm_case1_factors_through_refinement(p12_to_p13, p13_to_p12):
@@ -277,34 +275,34 @@ def test_ext_case2_gap_certificate(crepant_a1):
 
 
 def test_gamma_char_crepant_values(crepant_a1):
-    zero = gamma_char(crepant_a1, (1, 2), (0, 0), (0,))
+    zero = chart(crepant_a1, (1, 2), (0, 0)).gamma((0,))
     assert zero.cone == Cone((0, 1))
     assert zero.t == (0, 0)
     assert zero.fan == crepant_a1.sigma2
 
-    one = gamma_char(crepant_a1, (1, 2), (0, 0), (1,))
+    one = chart(crepant_a1, (1, 2), (0, 0)).gamma((1,))
     assert one.t == (-1, 1)
 
     # extra-only J puts ray 1 into K1, so m may be negative there
-    k1_variant = gamma_char(crepant_a1, (2,), (0,), (-1,))
+    k1_variant = chart(crepant_a1, (2,), (0,)).gamma((-1,))
     assert k1_variant.t == (1, -1)
 
 
 def test_gamma_char_domain_errors(crepant_a1):
     with pytest.raises(InvalidArgument):
-        gamma_char(crepant_a1, (1, 2), (0, 0), (-1,))  # ray 1 is inside J
+        chart(crepant_a1, (1, 2), (0, 0)).gamma((-1,))  # ray 1 is inside J
     with pytest.raises(InvalidArgument):
-        gamma_char(crepant_a1, (1,), (0,), (0,))  # extra ray missing
+        chart(crepant_a1, (1,), (0,)).gamma((0,))  # extra ray missing
     with pytest.raises(InvalidArgument):
-        gamma_char(crepant_a1, (0, 1, 2), (0, 0, 0), (0,))  # not a cone upstairs
+        chart(crepant_a1, (0, 1, 2), (0, 0, 0))  # not a cone upstairs
 
 
 def test_gamma_monotone_in_m(crepant_a1, om3):
     # raising any m coordinate lowers the i0 staircase height
     for setup in (crepant_a1, om3):
         for m in range(0, 6):
-            lo = gamma_char(setup, (1, 2), (0, 1), (m,))
-            hi = gamma_char(setup, (1, 2), (0, 1), (m + 1,))
+            lo = chart(setup, (1, 2), (0, 1)).gamma((m,))
+            hi = chart(setup, (1, 2), (0, 1)).gamma((m + 1,))
             assert hi.t[0] <= lo.t[0]
 
 
@@ -337,8 +335,9 @@ def _gamma_union_member(setup, J, phi, x, span=14):
         if i == i0:
             continue
         ranges.append(range(0, span) if i in set(J) else range(-span, span))
+    ch = chart(setup, J, phi)
     for m in itertools.product(*ranges):
-        g = gamma_char(setup, J, phi, m)
+        g = ch.gamma(m)
         ok = all(
             pair(x, setup.sigma2.b(i)) > tk
             for i, tk in zip(g.cone.ray_indices, g.t)
@@ -563,15 +562,18 @@ def test_raster_runs_matches_predicate_walk(crepant_a1, om3, discrepancy_setup):
 
 
 def test_raster_runs_refuses_aligned_grid(crepant_a1):
-    image, _ = fm_case2(crepant_a1, theta(crepant_a1.sigma2, (0, 1), (0, 0)))
-    # centers -2 + 1/8 + 1/8 + k/4 hit x0 = 0 exactly
-    with pytest.raises(GridAlignmentError) as fast:
-        raster_runs(image, 2, Fraction(1, 4), origin=(Fraction(1, 8), 0))
-    with pytest.raises(GridAlignmentError) as slow:
-        raster_pixels(
-            as_pixel_predicate(image), 2, Fraction(1, 4), origin=(Fraction(1, 8), 0)
-        )
-    assert str(fast.value) == str(slow.value)
+    push, _ = fm_case2(crepant_a1, theta(crepant_a1.sigma2, (0, 1), (0, 0)))
+    # a chart without the extra ray pulls back to its plain open support
+    pull = fm3_region(crepant_a1, (0,), (0,))
+    for image in (push, pull):
+        # centers -2 + 1/8 + 1/8 + k/4 hit x0 = 0 exactly
+        with pytest.raises(GridAlignmentError) as fast:
+            raster_runs(image, 2, Fraction(1, 4), origin=(Fraction(1, 8), 0))
+        with pytest.raises(GridAlignmentError) as slow:
+            raster_pixels(
+                as_pixel_predicate(image), 2, Fraction(1, 4), origin=(Fraction(1, 8), 0)
+            )
+        assert str(fast.value) == str(slow.value)
 
 
 def test_raster_runs_rejects_unknown_objects():

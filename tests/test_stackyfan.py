@@ -175,6 +175,12 @@ def test_contraction_rejects_degenerate_extra():
         build_contraction(rays, WeightedRay((-1, -1), 1))
 
 
+def test_contraction_names_ray_length_mismatch():
+    rays = [WeightedRay((1, 0), 1), WeightedRay((0, 1, 0), 1)]
+    with pytest.raises(InvalidArgument, match="ray 1 has 3 coordinates, expected 2"):
+        build_contraction(rays, WeightedRay((1, 1), 1))
+
+
 def test_contraction_reindexes_rays():
     rays = [WeightedRay((1, 0, 0), 1), WeightedRay((0, 1, 0), 1), WeightedRay((0, 0, 1), 1)]
     s = build_contraction(rays, WeightedRay((1, 0, 1), 1))
