@@ -299,7 +299,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="ccc", description="Exact toric orbifold kernel")
+    # no abbreviations: run() reads --pretty off argv verbatim, before parsing
+    parser = _Parser(prog="ccc", description="Exact toric orbifold kernel", allow_abbrev=False)
     parser.add_argument("--pretty", action="store_true", help="indent the JSON report")
     sub = parser.add_subparsers(dest="verb", required=True)
 

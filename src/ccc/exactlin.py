@@ -52,12 +52,6 @@ def pair(x: Sequence[Fraction | int], v: Sequence[int]) -> Fraction:
     return sum((Fraction(a) * b for a, b in zip(x, v)), Fraction(0))
 
 
-def vec_sub(x: Sequence[Fraction | int], y: Sequence[Fraction | int]) -> RationalVector:
-    if len(x) != len(y):
-        raise InvalidArgument("vector dimension mismatch")
-    return tuple(Fraction(a) - Fraction(b) for a, b in zip(x, y))
-
-
 def is_primitive(v: Sequence[int]) -> bool:
     """True iff the integer vector is nonzero with coprime coordinates."""
     g = 0
@@ -142,32 +136,6 @@ def solve_square(rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fractio
     if pivots != list(range(n)):
         raise InvalidArgument("matrix is singular")
     return [mat[i][n] for i in range(n)]
-
-
-def solve_apex(
-    rays: Sequence[Sequence[int]], thresholds: Sequence[Fraction | int]
-) -> RationalVector:
-    """A point x0 with pair(x0, ray_k) = threshold_k for every k.
-
-    When the rays do not span the ambient space the solution is canonicalized
-    to the row span of the rays (Gram system), which makes downstream
-    inclusion tests deterministic.
-    """
-    if len(rays) != len(thresholds):
-        raise InvalidArgument("one threshold per ray required")
-    if not rays:
-        return ()
-    dim = len(rays[0])
-    gram = [[Fraction(sum(a * b for a, b in zip(ri, rj))) for rj in rays] for ri in rays]
-    try:
-        y = solve_square(gram, [Fraction(t) for t in thresholds])
-    except InvalidArgument:
-        raise InvalidArgument("solve_apex requires linearly independent rays")
-    x0 = [Fraction(0)] * dim
-    for yk, ray in zip(y, rays):
-        for i, c in enumerate(ray):
-            x0[i] += yk * c
-    return tuple(x0)
 
 
 def cone_coefficients(

@@ -430,19 +430,16 @@ def ext_case3(setup: ContractionSetup, pair1, pair2) -> HomResult:
     if discrepancy_compare(setup) not in ("<=", "="):
         raise PreconditionError("pull direction needs discrepancy sum(alpha) <= 1")
     chart1, chart2 = chart(setup, *pair1), chart(setup, *pair2)
-    theta1, theta2 = (
-        ThetaIndex(fan=setup.sigma1, cone=Cone(ch.J), t=tuple(ch.c.values()))
-        for ch in (chart1, chart2)
-    )
-    if leq(theta1, theta2):
-        return HomResult(value="C0", reason="inclusion")
-
+    # leq upstairs: missing rays break the face condition, failures the thresholds
     missing = tuple(j for j in chart2.J if j not in chart1.c)
     failures = tuple(
         (j, chart1.c[j], c2)
         for j, c2 in chart2.c.items()
         if j in chart1.c and chart1.c[j] < c2
     )
+    if not missing and not failures:
+        return HomResult(value="C0", reason="inclusion")
+
     cert: dict = {
         "j1": chart1.J,
         "j2": chart2.J,

@@ -23,6 +23,11 @@ from .exactlin import (
 )
 
 
+def _is_int(x) -> bool:
+    # JSON booleans are Python ints; they are not integers of a document
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class WeightedRay:
     """A primitive lattice direction v together with a positive weight."""
@@ -34,7 +39,7 @@ class WeightedRay:
         object.__setattr__(self, "v", tuple(int(c) for c in self.v))
         if not is_primitive(self.v):
             raise ValidationError(f"ray {self.v} is not primitive")
-        if not isinstance(self.weight, int) or self.weight < 1:
+        if not _is_int(self.weight) or self.weight < 1:
             raise ValidationError(f"ray weight {self.weight!r} must be a positive integer")
 
     @property
@@ -87,11 +92,7 @@ class StackyFan:
         return self.rays[i].weight
 
     def has_cone(self, sigma: Cone) -> bool:
-        return sigma in self._cone_set
-
-    @property
-    def _cone_set(self) -> frozenset:
-        return frozenset(self.all_cones)
+        return sigma in self.all_cones
 
 
 def _relint_meets(fan_rays, sigma: Cone, tau: Cone) -> bool:
@@ -106,16 +107,15 @@ def _relint_meets(fan_rays, sigma: Cone, tau: Cone) -> bool:
     nvars = ns + nt
     cons = []
     for k in range(nvars):
-        coeffs = tuple(Fraction(1) if j == k else Fraction(0) for j in range(nvars))
-        cons.append((coeffs, Fraction(0), True))
+        cons.append((tuple(int(j == k) for j in range(nvars)), 0, True))
     for coord in range(dim):
-        row = [Fraction(0)] * nvars
+        row = [0] * nvars
         for k, i in enumerate(sigma.ray_indices):
-            row[k] = Fraction(fan_rays[i].v[coord])
+            row[k] = fan_rays[i].v[coord]
         for k, i in enumerate(tau.ray_indices):
-            row[ns + k] -= Fraction(fan_rays[i].v[coord])
-        cons.append((tuple(row), Fraction(0), False))
-        cons.append((tuple(-c for c in row), Fraction(0), False))
+            row[ns + k] -= fan_rays[i].v[coord]
+        cons.append((tuple(row), 0, False))
+        cons.append((tuple(-c for c in row), 0, False))
     return linear_feasible(cons, nvars)
 
 
@@ -151,6 +151,10 @@ def make_fan(dim: int, rays, max_cones) -> StackyFan:
         cones.append(sigma)
     if len(set(cones)) != len(cones):
         raise ValidationError("duplicate maximal cone")
+    used = {i for sigma in cones for i in sigma.ray_indices}
+    unused = [i for i in range(len(rays)) if i not in used]
+    if unused:
+        raise ValidationError(f"rays {unused} lie in no listed cone")
 
     closure = set()
     for sigma in cones:
@@ -174,8 +178,7 @@ def _list(value, what: str) -> list:
 
 
 def _int_list(value, what: str) -> tuple[int, ...]:
-    # JSON booleans are Python ints; they are not integers of a document
-    if not all(isinstance(c, int) and not isinstance(c, bool) for c in _list(value, what)):
+    if not all(_is_int(c) for c in _list(value, what)):
         raise ValidationError(f"{what} must be a list of integers")
     return tuple(value)
 
@@ -199,7 +202,7 @@ def parse_stacky_fan(data: dict) -> StackyFan:
         if key not in data:
             raise ValidationError(f"fan document missing key {key!r}")
     dim = data["dim"]
-    if not isinstance(dim, int):
+    if not _is_int(dim):
         raise ValidationError("dim must be an integer")
     rays = [_parse_ray(entry, f"ray {i}") for i, entry in enumerate(_list(data["rays"], "rays"))]
     cones = _list(data["max_cones"], "max_cones")
@@ -265,7 +268,7 @@ def build_same_base(fan: StackyFan, r, s) -> SameBaseSetup:
     for name, w in (("r", r), ("s", s)):
         if len(w) != len(fan.rays):
             raise InvalidArgument(f"weights {name} have length {len(w)}, expected {len(fan.rays)}")
-        if any(not isinstance(x, int) or x < 1 for x in w):
+        if any(not _is_int(x) or x < 1 for x in w):
             raise InvalidArgument(f"weights {name} must be positive integers")
     t = tuple(lcm(a, b) for a, b in zip(r, s))
     m = tuple(ti // ri for ti, ri in zip(t, r))
@@ -402,7 +405,7 @@ def parse_same_base(data: dict) -> SameBaseSetup:
     """Build a SameBaseSetup from {"fan": {...}, "r": [...], "s": [...]}."""
     if not isinstance(data, dict) or any(k not in data for k in ("fan", "r", "s")):
         raise ValidationError("same-base document needs 'fan', 'r' and 's'")
-    r, s = _list(data["r"], "weights r"), _list(data["s"], "weights s")
+    r, s = _int_list(data["r"], "weights r"), _int_list(data["s"], "weights s")
     return build_same_base(parse_stacky_fan(data["fan"]), r, s)
 
 

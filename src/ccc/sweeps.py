@@ -55,11 +55,13 @@ def charts(setup: ContractionSetup, window: int):
 
 
 def witness_box(fan: StackyFan, window: int) -> Fraction:
-    """Box bound guaranteed to contain a completed-apex witness point.
+    """Box bound meant to hold a witness of every non-inclusion.
 
-    Any support non-inclusion between window thetas is witnessed by the apex
-    of the first, completed by zero rows; its coordinates are bounded by the
-    window times the worst row sum of the inverted ray matrices.
+    Witnesses of a support non-inclusion between window thetas are sought
+    near the corner of the first support: <x, v_i> = t_i / r_i on its rays
+    and zero on the unit rows completing them to a basis.  The corner's
+    coordinates are bounded by the window times the worst row sum of the
+    inverted ray matrices; the 2 leaves room past it.
     """
     worst = Fraction(1)
     for cone in fan.all_cones:

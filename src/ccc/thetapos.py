@@ -14,15 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InvalidArgument
-from .exactlin import (
-    Rational,
-    RationalVector,
-    linear_feasible,
-    pair,
-    solve_apex,
-    solve_square,
-    vec_sub,
-)
+from .exactlin import Rational, RationalVector, linear_feasible, pair, solve_square
 from .stackyfan import Cone, StackyFan
 
 
@@ -67,19 +59,14 @@ class Polyhedron:
         return any(pair(x, normal) == threshold for normal, threshold, _ in self.constraints)
 
     def is_empty(self) -> bool:
-        return not linear_feasible(
-            [(tuple(Fraction(c) for c in n), Fraction(t), s) for n, t, s in self.constraints],
-            self.dim,
-        )
+        return not linear_feasible(self.constraints, self.dim)
 
     def meets_box(self, bound: Rational) -> bool:
-        cons = [
-            (tuple(Fraction(c) for c in n), Fraction(t), s) for n, t, s in self.constraints
-        ]
+        cons = list(self.constraints)
         for j in range(self.dim):
-            unit = tuple(Fraction(1 if k == j else 0) for k in range(self.dim))
-            cons.append((unit, Fraction(-bound), False))
-            cons.append((tuple(-c for c in unit), Fraction(-bound), False))
+            unit = tuple(int(k == j) for k in range(self.dim))
+            cons.append((unit, -bound, False))
+            cons.append((tuple(-c for c in unit), -bound, False))
         return linear_feasible(cons, self.dim)
 
     def canonical(self) -> tuple[Constraint, ...]:
@@ -102,30 +89,19 @@ def support(theta: ThetaIndex, open: bool = False) -> Polyhedron:
     return Polyhedron(dim=fan.dim, constraints=tuple(cons))
 
 
-def apex(theta: ThetaIndex) -> RationalVector:
-    """The canonical translation point x0 with <x0, v_k> = t_k / r_k."""
-    fan = theta.fan
-    rays = [fan.v(i) for i in theta.cone.ray_indices]
-    thresholds = [Fraction(theta.t[k], fan.weight(i)) for k, i in enumerate(theta.cone.ray_indices)]
-    x0 = solve_apex(rays, thresholds)
-    if x0 == ():
-        x0 = tuple(Fraction(0) for _ in range(fan.dim))
-    return x0
-
-
 def leq(theta1: ThetaIndex, theta2: ThetaIndex) -> bool:
     """Support inclusion support(theta1) <= support(theta2).
 
-    Decided by the apex criterion: the second cone must be a face of the
-    first, and the apex difference must pair nonnegatively with every ray of
-    the second cone (membership in its dual cone).
+    For a simplicial fan the second dual cone contains the first exactly
+    when the second cone is a face of the first and, on each of its rays,
+    the first threshold is at least the second.  Both thetas share the fan,
+    so they share the weights r_i, and t1_i / r_i >= t2_i / r_i compares
+    the integer thresholds.
     """
     if theta1.fan != theta2.fan:
         raise InvalidArgument("theta indices live in different fans")
-    if not set(theta2.cone.ray_indices) <= set(theta1.cone.ray_indices):
-        return False
-    diff = vec_sub(apex(theta1), apex(theta2))
-    return all(pair(diff, theta1.fan.v(i)) >= 0 for i in theta2.cone.ray_indices)
+    t1 = dict(zip(theta1.cone.ray_indices, theta1.t))
+    return all(i in t1 and t1[i] >= t for i, t in zip(theta2.cone.ray_indices, theta2.t))
 
 
 @dataclass(frozen=True)
@@ -230,24 +206,22 @@ def ample_polytope(fan: StackyFan, c) -> tuple[Polyhedron, bool]:
 
 def _q_ample(fan: StackyFan, c, poly: Polyhedron) -> bool:
     n = fan.dim
-    rational_cons = [(tuple(Fraction(x) for x in nrm), thr, s) for nrm, thr, s in poly.constraints]
     # bounded: the recession cone admits no direction with any nonzero coordinate
-    recession = [(nrm, Fraction(0), False) for nrm, _, _ in rational_cons]
+    recession = [(nrm, 0, False) for nrm, _, _ in poly.constraints]
     for j in range(n):
         for sign in (1, -1):
-            unit = tuple(Fraction(sign if k == j else 0) for k in range(n))
-            if linear_feasible(recession + [(unit, Fraction(1), False)], n):
+            unit = tuple(sign if k == j else 0 for k in range(n))
+            if linear_feasible(recession + [(unit, 1, False)], n):
                 return False
     # full-dimensional: all constraints simultaneously strict
-    if not linear_feasible([(nrm, thr, True) for nrm, thr, _ in rational_cons], n):
+    if not linear_feasible([(nrm, thr, True) for nrm, thr, _ in poly.constraints], n):
         return False
     # strict convexity at each maximal cone's vertex
     for sigma in fan.max_cones:
         if sigma.dim != n:
             return False
         rows = [fan.b(i) for i in sigma.ray_indices]
-        rhs = [Fraction(-c[i]) for i in sigma.ray_indices]
-        vertex = solve_square([[Fraction(x) for x in row] for row in rows], rhs)
+        vertex = solve_square(rows, [-c[i] for i in sigma.ray_indices])
         for j in range(len(fan.rays)):
             if j in sigma.ray_indices:
                 continue

@@ -266,6 +266,8 @@ def test_check_sandwich_witness_points_are_rational_strings(capsys, monkeypatch)
 _FAN = {"dim": 1, "rays": [{"v": [1]}, {"v": [-1]}], "max_cones": [[0], [1]]}
 _BLOWUP = {"rays": [{"v": [1, 0]}, {"v": [0, 1]}], "extra": {"v": [1, 1]}}
 _PUSH = ["fm", "contract-push", "--bundle", "1,1"]
+_SAME_BASE = ["fm", "same-base", "--bundle", "1,1"]
+_GHOST = {**_FAN, "rays": [{"v": [1]}, {"v": [-1]}, {"v": [1]}]}
 
 
 @pytest.mark.parametrize(
@@ -278,7 +280,17 @@ _PUSH = ["fm", "contract-push", "--bundle", "1,1"]
         (["validate"], {**_FAN, "max_cones": [["x"]]}, {}),
         (_PUSH, {**_BLOWUP, "extra": 5}, {}),
         (_PUSH, {**_BLOWUP, "rays": [5, 6]}, {}),
-        (["fm", "same-base", "--bundle", "1,1"], {"fan": _FAN, "r": 5, "s": [1, 1]}, {}),
+        (_SAME_BASE, {"fan": _FAN, "r": 5, "s": [1, 1]}, {}),
+        (
+            ["fm", "same-base", "--bundle", "3,0,0"],
+            {"fan": _GHOST, "r": [3, 1, 1], "s": [2, 1, 1]},
+            {},
+        ),
+        (["validate"], {**_FAN, "dim": True}, {}),
+        (["validate"], {**_FAN, "rays": [{"v": [1], "weight": True}, {"v": [-1]}]}, {}),
+        (_PUSH, {**_BLOWUP, "extra": {"v": [1, 1], "weight": True}}, {}),
+        (_SAME_BASE, {"fan": _FAN, "r": [True, 1], "s": [1, 1]}, {}),
+        (_SAME_BASE, {"fan": _FAN, "r": [1, 1], "s": [1, True]}, {}),
         (
             ["check", "case3-sandwich", "--window", "0", str(DATA / "contract_om3.json")],
             None,
@@ -295,7 +307,9 @@ _PUSH = ["fm", "contract-push", "--bundle", "1,1"]
     ids=[
         "cone-not-a-list", "rays-not-a-list", "v-not-a-list", "v-not-integers",
         "cone-not-integers", "extra-not-an-object", "ray-not-an-object",
-        "weights-not-a-list", "window-cap-not-an-integer", "unwritable-figure",
+        "weights-not-a-list", "ray-in-no-cone", "dim-boolean", "weight-boolean",
+        "extra-weight-boolean", "weights-r-boolean", "weights-s-boolean",
+        "window-cap-not-an-integer", "unwritable-figure",
         "oracle-box-too-large",
     ],
 )
@@ -358,6 +372,15 @@ def test_pretty_report_parses_to_same_document(capsys):
     _, plain = invoke(capsys, *args)
     _, pretty = invoke(capsys, "--pretty", *args)
     assert plain == pretty
+
+
+def test_abbreviated_pretty_is_refused(capsys):
+    # the report format is read off argv verbatim, so the parser takes no abbreviation
+    code = run(["--pret", "validate", str(DATA / "p13.json")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert len(lines) == 1
+    assert parse_report(lines[0]).status == "invalid-input"
 
 
 def test_emit_parse_roundtrip():

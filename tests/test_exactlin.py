@@ -16,7 +16,6 @@ from ccc.exactlin import (
     linear_feasible,
     matrix_inverse,
     pair,
-    solve_apex,
 )
 
 F = Fraction
@@ -69,37 +68,6 @@ def test_pair_dimension_mismatch():
 )
 def test_pair_is_bilinear(x, y, v):
     assert pair(tuple(a + b for a, b in zip(x, y)), v) == pair(x, v) + pair(y, v)
-
-
-def test_solve_apex_standard_basis():
-    assert solve_apex([(1, 0), (0, 1)], [F(5), F(-2, 3)]) == (F(5), F(-2, 3))
-
-
-def test_solve_apex_canonical_span_solution():
-    assert solve_apex([(1, 0)], [F(1, 3)]) == (F(1, 3), F(0))
-
-
-def test_solve_apex_homogeneous():
-    assert solve_apex([(1, 0), (-1, -2)], [F(0), F(0)]) == (F(0), F(0))
-
-
-def test_solve_apex_rejects_dependent_rays():
-    with pytest.raises(InvalidArgument):
-        solve_apex([(1, 0), (2, 0)], [F(0), F(1)])
-
-
-@given(
-    st.lists(st.tuples(ints, ints, ints), min_size=1, max_size=3),
-    st.lists(rationals, min_size=3, max_size=3),
-)
-def test_solve_apex_resubstitutes(rays, thresholds):
-    rays = [r for r in rays if any(c != 0 for c in r)]
-    if lattice_rank(rays) != len(rays) or not rays:
-        return
-    thresholds = thresholds[: len(rays)]
-    x0 = solve_apex(rays, thresholds)
-    for ray, t in zip(rays, thresholds):
-        assert pair(x0, ray) == t
 
 
 def test_cone_coefficients_examples():

@@ -8,16 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccc.cohoracle import hom_module_oracle, refined_char_box
 from ccc.errors import InvalidArgument, UnsupportedOperation
 from ccc.exactlin import pair
 from ccc.stackyfan import Cone
+from ccc.sweeps import witness_box
 from ccc.thetapos import (
     perp_slice,
     HomResult,
     Polyhedron,
     ThetaIndex,
     ample_polytope,
-    apex,
     format_theta,
     hom_constructible,
     lambda_skeleton,
@@ -56,13 +57,6 @@ def test_support_first_quadrant(p112):
     open_poly = support(theta(p112, (0, 2), (0, 0)), open=True)
     assert not open_poly.contains((F(0), F(0)))
     assert open_poly.contains((F(1), F(1)))
-
-
-def test_apex_solves_thresholds(p112):
-    x0 = apex(theta(p112, (0, 1), (1, 2)))
-    assert pair(x0, p112.b(0)) == 1
-    assert pair(x0, p112.b(1)) == 2
-    assert apex(theta(p112, (), ())) == (F(0), F(0))
 
 
 def test_leq_nested_half_lines(p13):
@@ -112,25 +106,18 @@ def test_partial_order_axioms(p13, p112):
                     assert (i, j) in rel
 
 
-def _threshold_order_shortcut(t1, t2):
-    """Face relation plus componentwise threshold comparison on shared rays."""
-    idx1, idx2 = t1.cone.ray_indices, t2.cone.ray_indices
-    if not set(idx2) <= set(idx1):
-        return False
-    pos1 = {i: k for k, i in enumerate(idx1)}
-    return all(t1.t[pos1[i]] >= t2.t[k] for k, i in enumerate(idx2))
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_leq_matches_threshold_shortcut(p112, data):
+    # the module oracle is the independent route; its box holds every witness
+    box = refined_char_box(p112, witness_box(p112, 4))
     cones = [c.ray_indices for c in p112.all_cones]
     ints = st.integers(min_value=-4, max_value=4)
     c1 = data.draw(st.sampled_from(cones))
     c2 = data.draw(st.sampled_from(cones))
     t1 = theta(p112, c1, [data.draw(ints) for _ in c1])
     t2 = theta(p112, c2, [data.draw(ints) for _ in c2])
-    assert leq(t1, t2) == _threshold_order_shortcut(t1, t2)
+    assert leq(t1, t2) == (hom_module_oracle(t1, t2, box).value == "C0")
 
 
 def test_leq_matches_rational_sample_oracle(p13, p112):
