@@ -17,12 +17,7 @@ from functools import lru_cache
 from math import lcm, prod
 
 from .errors import BoundaryPointError, InvalidArgument, WindowTooSmall
-from .exactlin import (
-    RationalVector,
-    complete_to_basis,
-    matrix_inverse,
-    pair,
-)
+from .exactlin import RationalVector, cone_basis, pair
 from .fm import Chart, chart
 from .stackyfan import ContractionSetup, StackyFan
 from .thetapos import HomResult, ThetaIndex
@@ -61,26 +56,12 @@ class PointSet:
         return tuple(Fraction(c) for c in x) in self.points
 
 
-def _det(rows) -> int:
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for k in range(n):
-        minor = [row[:k] + row[k + 1 :] for row in rows[1:]]
-        total += (-1) ** k * rows[0][k] * _det(minor)
-    return total
-
-
 def refined_denominator(fan: StackyFan) -> int:
     """Common denominator D with every chart lattice inside (1/D)Z^n."""
-    d = 1
-    for cone in fan.all_cones:
-        rows = complete_to_basis([fan.b(i) for i in cone.ray_indices], fan.dim)
-        d = lcm(d, abs(_det([list(r) for r in rows])))
-    return d
+    return lcm(*(
+        abs(cone_basis(tuple(fan.b(i) for i in cone.ray_indices), fan.dim).det)
+        for cone in fan.all_cones
+    ))
 
 
 def refined_char_box(fan: StackyFan, bound) -> CharBox:
@@ -99,17 +80,21 @@ def _scaled_support_rows(theta: ThetaIndex, denoms):
     return rows
 
 
-@lru_cache(maxsize=None)
-def _refined_scaled(theta: ThetaIndex, bound: Fraction, denoms: tuple[int, ...]) -> frozenset:
-    rows = _scaled_support_rows(theta, denoms)
-    limits = [int(bound * d) for d in denoms]
+def _box_points(limits):
+    """Integer points k with |k_j| <= limits[j], refusing more than _MAX_BOX_POINTS."""
     count = prod(2 * lim + 1 for lim in limits)
     if count > _MAX_BOX_POINTS:
         raise InvalidArgument(
             f"the oracle box holds {count} lattice points, over the limit {_MAX_BOX_POINTS}"
         )
+    return itertools.product(*[range(-lim, lim + 1) for lim in limits])
+
+
+@lru_cache(maxsize=None)
+def _refined_scaled(theta: ThetaIndex, bound: Fraction, denoms: tuple[int, ...]) -> frozenset:
+    rows = _scaled_support_rows(theta, denoms)
     points = set()
-    for k in itertools.product(*[range(-lim, lim + 1) for lim in limits]):
+    for k in _box_points([int(bound * d) for d in denoms]):
         if all(r * sum(a * b for a, b in zip(k, w)) >= rhs for w, r, rhs in rows):
             points.add(k)
     return frozenset(points)
@@ -118,9 +103,10 @@ def _refined_scaled(theta: ThetaIndex, bound: Fraction, denoms: tuple[int, ...])
 def module_points(theta: ThetaIndex, lattice_choice: str, box: CharBox) -> PointSet:
     """All lattice points of the closed support inside the box.
 
-    lattice_choice "natural" enumerates the chart lattice of theta's cone
-    (weighted generators completed to full rank, then dualized); "refined"
-    enumerates the sublattice declared by the box.
+    lattice_choice "natural" enumerates the chart lattice of theta's cone,
+    spanned by the inverse columns of the cone basis of its weighted
+    generators; "refined" enumerates the sublattice declared by the box.
+    Either way a box of more than _MAX_BOX_POINTS lattice points is refused.
     """
     fan = theta.fan
     if len(box.denominators) != fan.dim:
@@ -134,16 +120,15 @@ def module_points(theta: ThetaIndex, lattice_choice: str, box: CharBox) -> Point
     if lattice_choice != "natural":
         raise InvalidArgument(f"unknown lattice choice {lattice_choice!r}")
 
-    rows = complete_to_basis([fan.b(i) for i in theta.cone.ray_indices], fan.dim)
-    inverse = matrix_inverse(rows)
-    columns = list(zip(*inverse))  # x = sum m_i * column_i
-    limits = [int(box.bound * sum(abs(c) for c in row)) for row in rows]
+    basis = cone_basis(tuple(fan.b(i) for i in theta.cone.ray_indices), fan.dim)
+    columns = list(zip(*basis.inverse))  # x = sum m_i * column_i
+    limits = [int(box.bound * sum(abs(c) for c in row)) for row in basis.rows]
     thresholds = [
         (fan.v(i), Fraction(tk, fan.weight(i)))
         for tk, i in zip(theta.t, theta.cone.ray_indices)
     ]
     points = set()
-    for m in itertools.product(*[range(-lim, lim + 1) for lim in limits]):
+    for m in _box_points(limits):
         x = tuple(sum(mi * col[j] for mi, col in zip(m, columns)) for j in range(fan.dim))
         if any(abs(c) > box.bound for c in x):
             continue

@@ -8,7 +8,9 @@ anywhere.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Sequence
 
@@ -60,18 +62,27 @@ def is_primitive(v: Sequence[int]) -> bool:
     return g == 1
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
+def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int], Fraction]:
+    """Reduced row echelon form.
+
+    Returns (matrix, pivot column indices, signed product of the pivots);
+    the product is the determinant when the leading square block is
+    nonsingular.
+    """
     mat = [list(r) for r in rows]
     pivots: list[int] = []
+    det = Fraction(1)
     r = 0
     ncols = len(mat[0]) if mat else 0
     for c in range(ncols):
         piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
         if piv is None:
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
+        if piv != r:
+            mat[r], mat[piv] = mat[piv], mat[r]
+            det = -det
         inv = mat[r][c]
+        det *= inv
         mat[r] = [x / inv for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c] != 0:
@@ -81,7 +92,7 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         r += 1
         if r == len(mat):
             break
-    return mat, pivots
+    return mat, pivots, det
 
 
 def lattice_rank(matrix: Sequence[Sequence[int]]) -> int:
@@ -89,50 +100,52 @@ def lattice_rank(matrix: Sequence[Sequence[int]]) -> int:
     rows = [[Fraction(c) for c in row] for row in matrix]
     if not rows:
         return 0
-    _, pivots = _rref(rows)
+    _, pivots, _ = _rref(rows)
     return len(pivots)
 
 
-def complete_to_basis(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[int, ...]]:
-    """Extend independent integer rows to a full-rank square list.
+@dataclass(frozen=True)
+class ConeBasis:
+    """Cone generators completed to a basis, with its exact inverse and determinant.
 
-    Standard basis vectors are adjoined greedily in coordinate order, so the
-    output is deterministic.
+    ``inverse`` is the matrix whose columns are the dual basis: the chart
+    lattice of the cone is spanned by them.
     """
-    out = [tuple(int(c) for c in row) for row in rows]
-    rank = lattice_rank(out)
-    if rank != len(out):
-        raise InvalidArgument("complete_to_basis requires independent rows")
-    for k in range(dim):
-        if rank == dim:
-            break
-        unit = tuple(1 if j == k else 0 for j in range(dim))
-        if lattice_rank(out + [unit]) > rank:
-            out.append(unit)
-            rank += 1
-    if rank != dim:
-        raise InvalidArgument("rows could not be completed to a basis")
-    return out
+
+    rows: tuple[LatticeVector, ...]
+    inverse: tuple[RationalVector, ...]
+    det: int
 
 
-def matrix_inverse(rows: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:
-    """Exact inverse of a square matrix, or InvalidArgument if singular."""
-    n = len(rows)
-    aug = [
-        [Fraction(c) for c in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    mat, pivots = _rref(aug)
-    if pivots != list(range(n)):
-        raise InvalidArgument("matrix is singular")
-    return [row[n:] for row in mat[:n]]
+@lru_cache(maxsize=1 << 10)
+def cone_basis(rows: tuple[LatticeVector, ...], dim: int) -> ConeBasis:
+    """Complete independent integer rows to a basis of Z^dim and invert it.
+
+    The standard basis vectors adjoined are the greedy choice in coordinate
+    order: e_k is adjoined exactly when it raises the rank of the rows and
+    the units before it.  Those are the non-pivot columns of the rows
+    reduced over the reversed coordinates.  Memoized, so rows is a tuple
+    of integer tuples.
+    """
+    _, pivots, _ = _rref([[Fraction(c) for c in reversed(row)] for row in rows])
+    if len(pivots) != len(rows):
+        raise InvalidArgument("cone_basis requires independent rows")
+    taken = {dim - 1 - c for c in pivots}
+    full = rows + tuple(
+        tuple(int(j == k) for j in range(dim)) for k in range(dim) if k not in taken
+    )
+    mat, _, det = _rref(
+        [[Fraction(c) for c in row] + [Fraction(int(i == j)) for j in range(dim)]
+         for i, row in enumerate(full)]
+    )
+    return ConeBasis(rows=full, inverse=tuple(tuple(row[dim:]) for row in mat), det=int(det))
 
 
 def solve_square(rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]) -> list[Fraction]:
     """Solve a nonsingular square system rows * x = rhs exactly."""
     n = len(rows)
     aug = [[Fraction(c) for c in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    mat, pivots = _rref(aug)
+    mat, pivots, _ = _rref(aug)
     if pivots != list(range(n)):
         raise InvalidArgument("matrix is singular")
     return [mat[i][n] for i in range(n)]
@@ -141,24 +154,22 @@ def solve_square(rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fractio
 def cone_coefficients(
     target: Sequence[Fraction | int], generators: Sequence[Sequence[int]]
 ) -> list[Fraction] | None:
-    """Unique coefficients of target over independent generators, or None off-span."""
-    if not generators:
-        return [] if all(Fraction(c) == 0 for c in target) else None
-    gram = [
-        [Fraction(sum(a * b for a, b in zip(gi, gj))) for gj in generators]
-        for gi in generators
-    ]
-    try:
-        coeffs = solve_square(gram, [pair(target, g) for g in generators])
-    except InvalidArgument:
+    """Unique coefficients of target over independent generators, or None off-span.
+
+    One reduction of [generators^T | target]: a generator column without a
+    pivot means dependence, a pivot in the target column means off-span.
+    """
+    n = len(generators)
+    if any(len(g) != len(target) for g in generators):
+        raise InvalidArgument("cone_coefficients needs generators of the target's length")
+    mat, pivots, _ = _rref(
+        [[Fraction(g[i]) for g in generators] + [Fraction(c)] for i, c in enumerate(target)]
+    )
+    if pivots[:n] != list(range(n)):
         raise InvalidArgument("cone_coefficients requires independent generators")
-    recombined = [Fraction(0)] * len(generators[0])
-    for ck, gen in zip(coeffs, generators):
-        for i, c in enumerate(gen):
-            recombined[i] += ck * c
-    if tuple(recombined) != tuple(Fraction(c) for c in target):
+    if n in pivots:
         return None
-    return coeffs
+    return [mat[k][n] for k in range(n)]
 
 
 Constraint = tuple[tuple[Fraction, ...], Fraction, bool]

@@ -26,10 +26,9 @@ from .errors import (
 from .exactlin import (
     ceil_div,
     ceil_frac,
-    complete_to_basis,
+    cone_basis,
     floor_frac,
     pair,
-    solve_square,
 )
 from .stackyfan import (
     Cone,
@@ -398,20 +397,19 @@ def _validate_inner(region: StaircaseRegion) -> None:
     ch = region.chart
     su = ch.setup
     dim = su.sigma1.dim
-    rows = [su.sigma1.b(j) for j in ch.J]
+    rows = tuple(su.sigma1.b(j) for j in ch.J)
     rhs = [
         region.s1 if j == su.extra_index else Fraction(cj) + Fraction(1, 2)
         for j, cj in ch.c.items()
     ]
-    full = complete_to_basis(rows, dim)
-    pad = [Fraction(0)] * (len(full) - len(rows))
-    corner = tuple(solve_square(full, list(rhs) + pad))
-    ray = tuple(solve_square(full, [Fraction(1)] * len(rows) + pad))
+    # column k of the inverse pairs to 1 with row k and to 0 with the others
+    columns = list(zip(*cone_basis(rows, dim).inverse))[: len(rows)]
+    corner = tuple(sum(h * col[i] for h, col in zip(rhs, columns)) for i in range(dim))
+    ray = tuple(sum(col[i] for col in columns) for i in range(dim))
     points = [corner]
     for scale in (Fraction(1, 2), Fraction(2)):
         points.append(tuple(a + scale * b for a, b in zip(corner, ray)))
-    for k in range(len(rows)):
-        bump = tuple(solve_square(full, [Fraction(int(i == k)) for i in range(len(full))]))
+    for bump in columns:
         points.append(tuple(a + b for a, b in zip(corner, bump)))
     for pt in points:
         if not region.contains(pt):

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .cohoracle import hom_module_oracle, refined_char_box, stalk_euler
 from .errors import BoundaryPointError, InvalidArgument
-from .exactlin import complete_to_basis, matrix_inverse
+from .exactlin import cone_basis
 from .fm import (
     ext_case2,
     ext_case3,
@@ -59,15 +59,14 @@ def witness_box(fan: StackyFan, window: int) -> Fraction:
 
     Witnesses of a support non-inclusion between window thetas are sought
     near the corner of the first support: <x, v_i> = t_i / r_i on its rays
-    and zero on the unit rows completing them to a basis.  The corner's
-    coordinates are bounded by the window times the worst row sum of the
-    inverted ray matrices; the 2 leaves room past it.
+    and zero on the unit rows of the cone basis of its primitive rays.  The
+    corner's coordinates are bounded by the window times the worst row sum
+    of the inverses of those bases; the 2 leaves room past it.
     """
     worst = Fraction(1)
     for cone in fan.all_cones:
-        rows = complete_to_basis([fan.v(i) for i in cone.ray_indices], fan.dim)
-        inverse = matrix_inverse([list(r) for r in rows])
-        for row in inverse:
+        basis = cone_basis(tuple(fan.v(i) for i in cone.ray_indices), fan.dim)
+        for row in basis.inverse:
             worst = max(worst, sum(abs(c) for c in row))
     return window * worst + 2
 

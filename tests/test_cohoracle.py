@@ -18,12 +18,49 @@ from ccc.cohoracle import (
 )
 from ccc.errors import BoundaryPointError, InvalidArgument, WindowTooSmall
 from ccc.fm import fm3_region
-from ccc.stackyfan import Cone
+from ccc.stackyfan import (
+    Cone,
+    WeightedRay,
+    build_contraction,
+    parse_contraction,
+    parse_same_base,
+    parse_stacky_fan,
+)
+from ccc.sweeps import witness_box
 from ccc.thetapos import ThetaIndex, hom_constructible, leq, window_thetas
+
+from conftest import load_data
 
 
 def theta(fan, cone, t):
     return ThetaIndex(fan=fan, cone=Cone(tuple(cone)), t=tuple(t))
+
+
+# (refined_denominator, witness_box at window 3) of every bundled fan
+CHART_BOUNDS = {
+    ("p1.json", None): (1, 5),
+    ("p13.json", None): (3, 5),
+    ("p112.json", None): (2, 11),
+    ("a1_resolution.json", None): (2, 11),
+    ("contract_crepant_a1.json", "sigma1"): (2, 11),
+    ("contract_crepant_a1.json", "sigma2"): (2, 5),
+    ("contract_crepant_a1.json", "sigma_prime"): (2, 11),
+    ("contract_discrepancy.json", "sigma1"): (2, 8),
+    ("contract_discrepancy.json", "sigma2"): (2, 5),
+    ("contract_discrepancy.json", "sigma_prime"): (4, 8),
+    ("contract_om2.json", "sigma1"): (2, 11),
+    ("contract_om2.json", "sigma2"): (2, 5),
+    ("contract_om2.json", "sigma_prime"): (2, 11),
+    ("contract_om3.json", "sigma1"): (3, 14),
+    ("contract_om3.json", "sigma2"): (3, 5),
+    ("contract_om3.json", "sigma_prime"): (3, 14),
+    ("samebase_p12_p13.json", "fan_r"): (3, 5),
+    ("samebase_p12_p13.json", "fan_s"): (2, 5),
+    ("samebase_p12_p13.json", "fan_t"): (6, 5),
+    ("samebase_rev.json", "fan_r"): (2, 5),
+    ("samebase_rev.json", "fan_s"): (3, 5),
+    ("samebase_rev.json", "fan_t"): (6, 5),
+}
 
 
 def test_refined_denominator(p1, p13, p112, a1_resolution):
@@ -32,6 +69,17 @@ def test_refined_denominator(p1, p13, p112, a1_resolution):
     # the ray (-1,-2) completes to determinant 2 in both surface fans
     assert refined_denominator(p112) == 2
     assert refined_denominator(a1_resolution) == 2
+    parsers = {"contract": parse_contraction, "samebase": parse_same_base}
+    for (name, attr), expected in CHART_BOUNDS.items():
+        doc = load_data(name)
+        parse = parsers.get(name.split("_")[0], parse_stacky_fan)
+        fan = parse(doc) if attr is None else getattr(parse(doc), attr)
+        assert (refined_denominator(fan), witness_box(fan, 3)) == expected, (name, attr)
+    # the 3-D contraction: rays e1, e2, e3 of weights 2, 2, 1, extra ray (1,1,0)
+    rays = [WeightedRay((1, 0, 0), 2), WeightedRay((0, 1, 0), 2), WeightedRay((0, 0, 1), 1)]
+    blowup = build_contraction(rays, WeightedRay((1, 1, 0), 1))
+    assert (refined_denominator(blowup.sigma1), witness_box(blowup.sigma1, 3)) == (2, 8)
+    assert (refined_denominator(blowup.sigma2), witness_box(blowup.sigma2, 3)) == (4, 5)
 
 
 def test_module_points_weighted_ray(p13):
@@ -66,6 +114,12 @@ def test_module_points_refined_lattice(p13):
     assert ref.points == nat.points
     finer = module_points(theta(p13, (0,), (1,)), "refined", CharBox(2, (6,)))
     assert len(finer) == 11  # sixths from 2/6 up to 12/6
+
+
+def test_module_points_natural_box_limit(p13):
+    # the zero cone's lattice is Z, so the bound 2^17 gives 2^18 + 1 points
+    with pytest.raises(InvalidArgument, match="262145 lattice points"):
+        module_points(theta(p13, (), ()), "natural", CharBox(1 << 17, (1,)))
 
 
 def test_module_points_rejects_bad_input(p13):

@@ -1,20 +1,22 @@
 """Exact linear algebra: frozen examples plus algebraic property tests."""
 
+import itertools
 from fractions import Fraction
+from math import prod
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ccc.errors import InvalidArgument
 from ccc.exactlin import (
     ceil_div,
     ceil_frac,
+    cone_basis,
     cone_coefficients,
     floor_frac,
     lattice_rank,
     linear_feasible,
-    matrix_inverse,
     pair,
 )
 
@@ -98,13 +100,64 @@ def test_lattice_rank_examples():
 
 
 def test_matrix_inverse_round_trip():
-    m = [[F(1), F(2)], [F(3), F(5)]]
-    inv = matrix_inverse(m)
-    prod = [
+    m = ((1, 2), (3, 5))
+    inv = cone_basis(m, 2).inverse
+    product = [
         [sum(m[i][k] * inv[k][j] for k in range(2)) for j in range(2)]
         for i in range(2)
     ]
-    assert prod == [[1, 0], [0, 1]]
+    assert product == [[1, 0], [0, 1]]
+
+
+def test_cone_basis_rejects_dependent_rows():
+    with pytest.raises(InvalidArgument):
+        cone_basis(((1, 2), (-2, -4)), 2)
+
+
+def _greedy_completion(rows, dim):
+    out = list(rows)
+    for k in range(dim):
+        unit = tuple(int(j == k) for j in range(dim))
+        if lattice_rank(out + [unit]) > lattice_rank(out):
+            out.append(unit)
+    return tuple(out)
+
+
+def _leibniz_det(m):
+    def sign(perm):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        return -1 if inversions % 2 else 1
+
+    n = len(m)
+    return sum(
+        sign(perm) * prod(m[i][perm[i]] for i in range(n))
+        for perm in itertools.permutations(range(n))
+    )
+
+
+@st.composite
+def independent_rows(draw):
+    dim = draw(st.integers(min_value=1, max_value=4))
+    count = draw(st.integers(min_value=0, max_value=dim))
+    entry = st.integers(min_value=-3, max_value=3)
+    rows = tuple(
+        tuple(draw(entry) for _ in range(dim)) for _ in range(count)
+    )
+    assume(lattice_rank(rows) == count)
+    return rows, dim
+
+
+@given(independent_rows())
+def test_cone_basis_completes_inverts_and_measures(case):
+    rows, dim = case
+    basis = cone_basis(rows, dim)
+    assert basis.rows == _greedy_completion(rows, dim)
+    identity = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    assert [
+        [sum(basis.rows[i][k] * basis.inverse[k][j] for k in range(dim)) for j in range(dim)]
+        for i in range(dim)
+    ] == identity
+    assert basis.det == _leibniz_det(basis.rows)
 
 
 def test_linear_feasible_basics():
