@@ -205,7 +205,8 @@ class Chart:
     c maps each index of J to its threshold, i0 is the least index of the
     subdivided block outside J, m_index holds the rest of the block in
     increasing order, and j_prime indexes the contracted cone sigma_{J'}.
-    Charts come from ``chart``, which validates and memoizes them.
+    Charts come from ``chart``, which validates and memoizes them; each
+    chart also holds its one validated pullback region, from ``fm3_region``.
     """
 
     setup: ContractionSetup
@@ -215,6 +216,7 @@ class Chart:
     j_prime: tuple[int, ...]
     m_index: tuple[int, ...]
     _characters: dict = field(default_factory=dict, init=False, repr=False)
+    _region: list = field(default_factory=list, init=False, repr=False)
 
     @property
     def stepped(self) -> bool:
@@ -366,8 +368,19 @@ class StaircaseRegion:
 
 
 def fm3_region(setup: ContractionSetup, J, phi) -> StaircaseRegion:
-    """Pull a theta on the cone sigma_J upstairs back to the contracted side."""
+    """Pull a theta on the cone sigma_J upstairs back to the contracted side.
+
+    The region is built and validated once per chart; a region whose inner
+    bound fails validation is not kept.
+    """
     ch = chart(setup, J, phi)
+    if not ch._region:
+        ch._region.append(_pull_region(ch))
+    return ch._region[0]
+
+
+def _pull_region(ch: Chart) -> StaircaseRegion:
+    setup = ch.setup
     dim = setup.sigma1.dim
     strict = tuple(
         (setup.sigma1.b(j), Fraction(cj), True)
@@ -385,7 +398,7 @@ def fm3_region(setup: ContractionSetup, J, phi) -> StaircaseRegion:
     if discrepancy_compare(setup) not in ("<=", "="):
         return StaircaseRegion(chart=ch, s1=None, inner=None, outer=outer)
     # inner hyperplane bound only exists under the pull hypothesis
-    s1 = s1_threshold(setup, J, phi)
+    s1 = s1_threshold(setup, ch.J, tuple(ch.c.values()))
     inner = Polyhedron(dim=dim, constraints=strict + ((extra_b, s1, False),))
     region = StaircaseRegion(chart=ch, s1=s1, inner=inner, outer=outer)
     _validate_inner(region)
@@ -506,12 +519,8 @@ def as_pixel_predicate(obj):
     raise InvalidArgument(f"no pixel predicate for {type(obj).__name__}")
 
 
-def raster_grid(bbox, step, origin=(0, 0)):
-    """Pixel center coordinates, as one list per axis.
-
-    Centers sit at -bbox + step*(i + 1/2) + origin; the origin shifts the
-    grid so centers stay off constraint lines with non-axis normals.
-    """
+def _grid(bbox, step, origin) -> tuple:
+    """The first pixel center, the step and the side count of a checked grid."""
     bbox = Fraction(bbox)
     step = Fraction(step)
     if bbox <= 0 or step <= 0:
@@ -519,11 +528,18 @@ def raster_grid(bbox, step, origin=(0, 0)):
     count = (2 * bbox) / step
     if count.denominator != 1:
         raise InvalidArgument("the box must hold a whole number of pixels")
-    side = int(count)
     ox, oy = (Fraction(o) for o in origin)
-    xs = [-bbox + step * i + step / 2 + ox for i in range(side)]
-    ys = [-bbox + step * j + step / 2 + oy for j in range(side)]
-    return xs, ys
+    return (-bbox + step / 2 + ox, -bbox + step / 2 + oy), step, int(count)
+
+
+def raster_grid(bbox, step, origin=(0, 0)):
+    """Pixel center coordinates, as one list per axis.
+
+    Centers sit at -bbox + step*(i + 1/2) + origin; the origin shifts the
+    grid so centers stay off constraint lines with non-axis normals.
+    """
+    (x0, y0), step, side = _grid(bbox, step, origin)
+    return [x0 + step * i for i in range(side)], [y0 + step * j for j in range(side)]
 
 
 def raster_pixels(member, bbox, step, origin=(0, 0)) -> tuple:
@@ -551,51 +567,69 @@ def _merged(spans) -> tuple:
 def _bounds(constraints, x, y0, step, lo, hi, hits) -> tuple[int, int]:
     """Pixels [start, stop) of [lo, hi) in the row at x that meet every constraint.
 
-    Pixels of [lo, hi) with equality go to hits.  Strict and closed
-    constraints agree here, since such a pixel refuses the whole raster.
+    Constraints are (normal, threshold) pairs.  The coordinates x, y0 and
+    step and the thresholds are integers scaled by the raster's common
+    denominator, so the crossing u = q + r/b of each constraint comes from
+    one divmod: a hit is a zero remainder, the floor is q and the ceiling
+    q + (r != 0).  Pixels of [lo, hi) with equality go to hits.  Strict and
+    closed constraints agree here, since such a pixel refuses the whole
+    raster.
     """
     start, stop = lo, hi
-    for (n0, n1), threshold, _ in constraints:
+    for (n0, n1), threshold in constraints:
         a, b = n0 * x + n1 * y0, n1 * step  # the pairing at pixel j is a + b*j
         if b == 0:
             hits += [lo] if a == threshold else []
             stop = stop if a > threshold else start
             continue
-        u = (threshold - a) / b
-        hits += [u.numerator] if u.denominator == 1 and lo <= u < hi else []
+        q, r = divmod(threshold - a, b)
+        hits += [q] if r == 0 and lo <= q < hi else []
         if b > 0:
-            start = max(start, floor_frac(u) + 1)
+            start = max(start, q + 1)
         else:
-            stop = min(stop, ceil_frac(u))
+            stop = min(stop, q + (r != 0))
     return start, stop
 
 
-def _staircase_spans(region: StaircaseRegion, x, y0, step, side, hits) -> list:
-    """Row spans at x of a staircase region whose chart holds the extra ray.
+def _staircase_spans(region: StaircaseRegion, y0, step, side, scale):
+    """The row spans of a staircase region whose chart holds the extra ray.
 
-    Between two steps m0 is constant, and membership is p[i0] > gamma(m0)[i0].
+    Returns spans(x, hits), the spans of the row at x, with the same
+    integer scaling as _bounds; the rays, floors and step offsets are read
+    once per raster.  Between two steps m0 is constant, and membership is
+    p[i0] > gamma(m0)[i0].
     """
     ch = region.chart
     rays, c = {j: ch.setup.sigma2.b(j) for j in ch.j_prime}, ch.c
-    floors = [(rays[j], c[j], True) for j in ch.j_prime if j in c]
-    start, stop = _bounds(floors, x, y0, step, 0, side, hits)
-    # the steps sit where an m_index pairing a + slope*j crosses an integer n
-    lines = [(k, pair((x, y0), rays[k]), rays[k][1] * step) for k in ch.m_index]
-    cuts = {0, side}
-    for k, a, slope in lines:
-        low, high = sorted((a, a + slope * (side - 1)))
-        for n in range(ceil_frac(low), floor_frac(high) + 1):
-            cuts.update(_bounds([(rays[k], n, True)], x, y0, step, 0, side, hits))
-    bounds = sorted(cuts)
-    k0 = ch.j_prime.index(ch.i0)
-    spans = []
-    for first, end in zip(bounds, bounds[1:]):
-        m0 = tuple(ceil_frac(a + slope * first) - 1 - c.get(k, 0) for k, a, slope in lines)
-        if any(m < 0 for m, k in zip(m0, ch.m_index) if k in c):
-            continue  # under a floor of J, where nothing is stepped
-        height = ch.gamma(m0).t[k0]
-        lo, hi = _bounds([(rays[ch.i0], height, True)], x, y0, step, first, end, hits)
-        spans.append((max(lo, start), min(hi, stop)))
+    floors = [(rays[j], c[j] * scale) for j in ch.j_prime if j in c]
+    step_rays = [rays[k] for k in ch.m_index]
+    offsets = [c.get(k, 0) for k in ch.m_index]
+    inside = [k in c for k in ch.m_index]
+    i0_ray, k0 = rays[ch.i0], ch.j_prime.index(ch.i0)
+
+    def spans(x, hits) -> list:
+        start, stop = _bounds(floors, x, y0, step, 0, side, hits)
+        # the steps sit where an m_index pairing a + slope*j crosses an integer n
+        lines = [(n0 * x + n1 * y0, n1 * step) for n0, n1 in step_rays]
+        cuts = {0, side}
+        for (a, slope), ray in zip(lines, step_rays):
+            low, high = sorted((a, a + slope * (side - 1)))
+            for n in range(-(-low // scale), high // scale + 1):
+                cuts.update(_bounds([(ray, n * scale)], x, y0, step, 0, side, hits))
+        bounds = sorted(cuts)
+        out = []
+        for first, end in zip(bounds, bounds[1:]):
+            m0 = tuple(
+                -(-(a + slope * first) // scale) - 1 - off
+                for (a, slope), off in zip(lines, offsets)
+            )
+            if any(m < 0 for m, held in zip(m0, inside) if held):
+                continue  # under a floor of J, where nothing is stepped
+            height = ch.gamma(m0).t[k0] * scale
+            lo, hi = _bounds([(i0_ray, height)], x, y0, step, first, end, hits)
+            out.append((max(lo, start), min(hi, stop)))
+        return out
+
     return spans
 
 
@@ -603,28 +637,42 @@ def raster_runs(obj, bbox, step, origin=(0, 0)) -> tuple:
     """Row runs of ``as_pixel_predicate(obj)``, one exact bound per constraint.
 
     Same runs as ``raster_pixels`` on the predicate, and the same refusal:
-    GridAlignmentError at the first aligned center in row-major order.
+    GridAlignmentError at the first aligned center in row-major order.  The
+    raster is scaled once by the common denominator of its first center,
+    its step and the thresholds, so every bound is found on integers; only
+    a refused center is rebuilt as fractions, for its message.
     """
-    xs, ys = raster_grid(bbox, step, origin)
-    step, side = Fraction(step), len(ys)
+    (x0, y0), step, side = _grid(bbox, step, origin)
     if isinstance(obj, StaircaseRegion) and not obj.chart.stepped:
         obj = obj.outer
     if isinstance(obj, Polyhedron) and obj.dim == 2:
         face = "constraint"
+        thresholds = [Fraction(t) for _, t, _ in obj.constraints]
     elif isinstance(obj, StaircaseRegion) and obj.chart.setup.sigma2.dim == 2:
         face = "region face"
+        thresholds = []  # staircase thresholds and step heights are integers
     else:
         raise InvalidArgument(f"no planar raster for {type(obj).__name__}")
+    scale = lcm(*(v.denominator for v in (x0, y0, step, *thresholds)))
+    sx, sy, sstep = (int(v * scale) for v in (x0, y0, step))
+    if isinstance(obj, Polyhedron):
+        constraints = [
+            (normal, int(t * scale)) for (normal, _, _), t in zip(obj.constraints, thresholds)
+        ]
+
+        def spans(x, hits) -> list:
+            return [_bounds(constraints, x, sy, sstep, 0, side, hits)]
+
+    else:
+        spans = _staircase_spans(obj, sy, sstep, side, scale)
     rows = []
-    for x in xs:
+    for i in range(side):
         hits: list[int] = []
-        if isinstance(obj, Polyhedron):
-            spans = [_bounds(obj.constraints, x, ys[0], step, 0, side, hits)]
-        else:
-            spans = _staircase_spans(obj, x, ys[0], step, side, hits)
+        row = spans(sx + sstep * i, hits)
         if hits:
-            raise GridAlignmentError(f"pixel center {(x, ys[min(hits)])} aligned with a {face}")
-        rows.append(_merged(spans))
+            center = (x0 + step * i, y0 + step * min(hits))
+            raise GridAlignmentError(f"pixel center {center} aligned with a {face}")
+        rows.append(_merged(row))
     return tuple(rows)
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccc import fm
 from ccc.errors import (
     GridAlignmentError,
     InvalidArgument,
@@ -35,8 +36,8 @@ from ccc.fm import (
     s1_threshold,
 )
 from ccc.stackyfan import Cone, build_same_base, parse_stacky_fan
-from ccc.sweeps import RASTER_ORIGIN, poset_embedding_report
-from ccc.thetapos import Polyhedron, ThetaIndex
+from ccc.sweeps import RASTER_ORIGIN, charts, contractibility_sweep, poset_embedding_report
+from ccc.thetapos import Polyhedron, ThetaIndex, window_thetas
 
 from conftest import load_data
 
@@ -407,6 +408,26 @@ def test_fm3_region_skips_inner_when_hypothesis_fails(discrepancy_setup):
     assert isinstance(region.contains((Fraction(5, 4), Fraction(7, 8))), bool)
 
 
+def test_fm3_region_is_one_region_per_chart(crepant_a1):
+    J, phi = (1, 2), (0, -1)
+    assert fm3_region(crepant_a1, J, phi) is fm3_region(crepant_a1, list(J), list(phi))
+
+
+def test_contractibility_sweep_validates_each_chart_once(crepant_a1, monkeypatch):
+    fm._build_chart.cache_clear()  # fresh charts hold no region yet
+    validated = []
+    original = fm._validate_inner
+
+    def counted(region):
+        validated.append(region.chart)
+        original(region)
+
+    monkeypatch.setattr(fm, "_validate_inner", counted)
+    report = contractibility_sweep(crepant_a1, 1, 6, Fraction(1, 6))
+    assert report.pairs > 0
+    assert len(validated) == len(set(validated)) == len(list(charts(crepant_a1, 1))) == 21
+
+
 def test_ext_case3_gate_and_c0(crepant_a1, om3, discrepancy_setup):
     with pytest.raises(PreconditionError):
         ext_case3(discrepancy_setup, ((1, 2), (0, 0)), ((1, 2), (0, 0)))
@@ -621,6 +642,38 @@ def test_raster_runs_equal_predicate_walk_on_random_polyhedra(
     fast = _raster_or_refusal(lambda: raster_runs(poly, bbox, step, origin))
     slow = _raster_or_refusal(
         lambda: raster_pixels(as_pixel_predicate(poly), bbox, step, origin)
+    )
+    assert fast == slow
+
+
+_GRID_ORIGINS = st.tuples(
+    st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 4, 8, 16])),
+    st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 3, 6, 12])),
+)
+
+
+@given(
+    data=st.data(),
+    name=st.sampled_from(["crepant_a1", "om3", "discrepancy_setup"]),
+    pull=st.booleans(),
+    bbox=st.integers(1, 3),
+    pixels_per_unit=st.integers(1, 4),
+    origin=_GRID_ORIGINS,
+)
+@settings(max_examples=40, deadline=None)
+def test_raster_runs_equal_predicate_walk_on_staircase_images(
+    request, data, name, pull, bbox, pixels_per_unit, origin
+):
+    setup = request.getfixturevalue(name)
+    if pull:
+        obj = fm3_region(setup, *data.draw(st.sampled_from(list(charts(setup, 2)))))
+    else:
+        th = data.draw(st.sampled_from(window_thetas(setup.sigma2, 2)))
+        obj = fm_case2(setup, th)[0]
+    step = Fraction(1, pixels_per_unit)
+    fast = _raster_or_refusal(lambda: raster_runs(obj, bbox, step, origin))
+    slow = _raster_or_refusal(
+        lambda: raster_pixels(as_pixel_predicate(obj), bbox, step, origin)
     )
     assert fast == slow
 

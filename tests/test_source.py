@@ -1,4 +1,10 @@
-"""Source rules of the core package: stdlib-only imports and no floats."""
+"""Source rules of the core package: stdlib-only imports and no floats.
+
+The raster bounds ``fm._bounds`` and ``fm._staircase_spans`` run on
+integers scaled by one common denominator, so their bodies also hold no
+true division (a stray ``/`` on ints yields a float that the float-literal
+rule cannot see) and no ``Fraction``.
+"""
 
 import ast
 import sys
@@ -9,6 +15,18 @@ import pytest
 import ccc
 
 SOURCES = sorted(Path(ccc.__file__).parent.glob("*.py"))
+
+INTEGER_ONLY = ("_bounds", "_staircase_spans")
+
+
+def _integer_violations(func: ast.FunctionDef) -> list[str]:
+    found = []
+    for node in ast.walk(func):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append(f"line {node.lineno}: true division in {func.name}")
+        if isinstance(node, ast.Name) and node.id == "Fraction":
+            found.append(f"line {node.lineno}: Fraction in {func.name}")
+    return found
 
 
 def _violations(tree: ast.AST) -> list[str]:
@@ -31,11 +49,20 @@ def _violations(tree: ast.AST) -> list[str]:
             and node.func.id == "float"
         ):
             found.append(f"line {node.lineno}: float() call")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in INTEGER_ONLY:
+            found += _integer_violations(node)
     return found
 
 
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"exactlin.py", "fm.py", "cohoracle.py"}
+
+
+def test_integer_only_functions_found():
+    tree = ast.parse((Path(ccc.__file__).parent / "fm.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert set(INTEGER_ONLY) <= defined
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -45,9 +72,14 @@ def test_core_is_stdlib_only_and_float_free(path):
 
 
 def test_guard_flags_each_rule():
-    tree = ast.parse("import numpy\nfrom os import path\nx = 0.5\ny = float(3)\n")
+    tree = ast.parse(
+        "import numpy\nfrom os import path\nx = 0.5\ny = float(3)\n"
+        "def _bounds(a, b):\n    a /= b\n    return Fraction(a)\n"
+    )
     assert _violations(tree) == [
         "line 1: imports numpy",
         "line 3: float literal 0.5",
         "line 4: float() call",
+        "line 6: true division in _bounds",
+        "line 7: Fraction in _bounds",
     ]
