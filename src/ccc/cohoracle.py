@@ -107,6 +107,10 @@ def module_points(theta: ThetaIndex, lattice_choice: str, box: CharBox) -> Point
     spanned by the inverse columns of the cone basis of its weighted
     generators; "refined" enumerates the sublattice declared by the box.
     Either way a box of more than _MAX_BOX_POINTS lattice points is refused.
+    On the natural branch that box is the enumerated one in chart
+    coordinates, wide enough to cover the character box, so the cap counts
+    every point enumerated, kept or not (on p112 cone (1, 2) at bound 6 it
+    enumerates 481 points, of which 169 land in the box).
     """
     fan = theta.fan
     if len(box.denominators) != fan.dim:
@@ -174,12 +178,14 @@ def _window_cap() -> int:
         raise InvalidArgument(f"{_WINDOW_CAP_VAR} must be an integer, got {value!r}") from None
 
 
-def _euler_sum(ch: Chart, pairings: dict, m_window: int) -> int:
+def _euler_sum(ch: Chart, pairings: dict, scale: int, m_window: int) -> int:
     """Alternating count over m and subsets S of m_index, stabilized in m.
 
-    The (m, S) term is (-1)^|S| when pairings[j] > gamma(m)_j + [j in S]
-    for every j of J'.  Any term surviving the alternating sum pins every
-    m coordinate to one rung determined by the pairings; the window is
+    pairings[j] is scale times the pairing of the point with ray j of J',
+    an integer, so every test below is on integers.  The (m, S) term is
+    (-1)^|S| when pairings[j] > scale * (gamma(m)_j + [j in S]) for every
+    j of J'.  Any term surviving the alternating sum pins every m
+    coordinate to one rung determined by the pairings; the window is
     clipped while a pairing still clears the last rung on some axis, which
     is exactly when a term sits beyond it.  The window doubles up to the
     cap from CCC_MAX_WINDOW.
@@ -192,7 +198,8 @@ def _euler_sum(ch: Chart, pairings: dict, m_window: int) -> int:
 
     def clipped(w):
         return any(
-            pairings[i] > ch.c[i] + w + 1 if i in ch.c else not -w <= pairings[i] <= w + 1
+            pairings[i] > scale * (ch.c[i] + w + 1) if i in ch.c
+            else not -w * scale <= pairings[i] <= (w + 1) * scale
             for i in shifts
         )
 
@@ -201,13 +208,20 @@ def _euler_sum(ch: Chart, pairings: dict, m_window: int) -> int:
             raise WindowTooSmall(f"m window hit the cap {cap} before stabilizing")
         w = min(2 * w, cap)
     ranges = [range(0, w + 1) if i in ch.c else range(-w, w + 1) for i in shifts]
+    values = [pairings[j] for j in ch.j_prime]
+    subsets = [
+        (tuple(scale * (j in s_set) for j in ch.j_prime), (-1) ** size)
+        for size in range(len(shifts) + 1)
+        for s_set in itertools.combinations(shifts, size)
+    ]
     total = 0
     for m in itertools.product(*ranges):
-        t = ch.gamma(m).t
-        for size in range(len(shifts) + 1):
-            for s_set in itertools.combinations(shifts, size):
-                if all(pairings[j] > tk + (j in s_set) for j, tk in zip(ch.j_prime, t)):
-                    total += (-1) ** size
+        floors = [scale * tk for tk in ch.gamma(m).t]
+        if not all(v > f for v, f in zip(values, floors)):
+            continue  # bumps only raise the floors, so no term of this m survives
+        for bumps, sign in subsets:
+            if all(v > f + b for v, f, b in zip(values, floors, bumps)):
+                total += sign
     return total
 
 
@@ -218,7 +232,8 @@ def koszul_euler(setup: ContractionSetup, J, phi, probe, m_window: int = 4) -> i
     S of I' - {i0}; the probe is an integer character of the contracted
     chart.  The sum telescopes to the Q2-membership indicator, so the
     return value is always 0 or 1.  For integers q >= t exactly when
-    q + 1/2 > t, so this is the stalk count at the pairings q_j + 1/2.
+    q + 1/2 > t, so this is the stalk count at the pairings q_j + 1/2,
+    passed to _euler_sum at scale 2 as the integers 2 q_j + 1.
     """
     ch = chart(setup, J, phi)
     if not ch.stepped:
@@ -226,8 +241,7 @@ def koszul_euler(setup: ContractionSetup, J, phi, probe, m_window: int = 4) -> i
     probe = tuple(int(x) for x in probe)
     if len(probe) != setup.n:
         raise InvalidArgument("probe must be a character of the contracted chart")
-    half = Fraction(1, 2)
-    return _euler_sum(ch, {j: probe[j] + half for j in ch.j_prime}, m_window)
+    return _euler_sum(ch, {j: 2 * probe[j] + 1 for j in ch.j_prime}, 2, m_window)
 
 
 def stalk_euler(setup: ContractionSetup, J, phi, p, m_window: int = 4) -> int:
@@ -235,7 +249,11 @@ def stalk_euler(setup: ContractionSetup, J, phi, p, m_window: int = 4) -> int:
 
     Same alternating sum as koszul_euler but with open support membership
     of the point p in place of character dominance; equals the staircase
-    region indicator at p.
+    region indicator at p.  The point is scaled by the lcm of its
+    denominators and its integer numerators are paired with the rays here,
+    so the count never goes through the region's own pairing; p is on a
+    chart face or a step exactly when a scaled pairing is a multiple of
+    the scale.
     """
     ch = chart(setup, J, phi)
     if not ch.stepped:
@@ -243,10 +261,14 @@ def stalk_euler(setup: ContractionSetup, J, phi, p, m_window: int = 4) -> int:
     p = tuple(Fraction(c) for c in p)
     if len(p) != setup.sigma2.dim:
         raise InvalidArgument("point has the wrong dimension")
-    pairings = {j: pair(p, setup.sigma2.b(j)) for j in ch.j_prime}
-    if any(v.denominator == 1 for v in pairings.values()):
+    scale = lcm(*(c.denominator for c in p))
+    scaled = [c.numerator * (scale // c.denominator) for c in p]
+    pairings = {
+        j: sum(a * b for a, b in zip(scaled, setup.sigma2.b(j))) for j in ch.j_prime
+    }
+    if any(v % scale == 0 for v in pairings.values()):
         raise BoundaryPointError("point pairs integrally with a chart ray")
-    return _euler_sum(ch, pairings, m_window)
+    return _euler_sum(ch, pairings, scale, m_window)
 
 
 def q2_member(setup: ContractionSetup, J, phi, probe) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import InvalidArgument
@@ -48,10 +48,22 @@ def floor_frac(x: Fraction | int) -> int:
 
 
 def pair(x: Sequence[Fraction | int], v: Sequence[int]) -> Fraction:
-    """Natural pairing sum(x_i * v_i), exact."""
+    """Natural pairing sum(x_i * v_i), exact.
+
+    The numerator is summed over a running common denominator of the
+    coordinates, so only the result is built as a Fraction.
+    """
     if len(x) != len(v):
         raise InvalidArgument(f"pairing dimension mismatch: {len(x)} vs {len(v)}")
-    return sum((Fraction(a) * b for a, b in zip(x, v)), Fraction(0))
+    num, den = 0, 1
+    for a, b in zip(x, v):
+        d = a.denominator
+        if den % d:
+            common = lcm(den, d)
+            num *= common // den
+            den = common
+        num += a.numerator * (den // d) * b
+    return Fraction(num, den)
 
 
 def is_primitive(v: Sequence[int]) -> bool:

@@ -343,21 +343,25 @@ class StaircaseRegion:
         return ch.gamma(m0).t[ch.j_prime.index(ch.i0)]
 
     def contains(self, x) -> bool:
-        ch = self.chart
-        if not ch.stepped:
+        if not self.chart.stepped:
             return self.outer.contains(x)
-        p = self._pairings(x)
+        return self._contains(self._pairings(x))
+
+    def boundary_aligned(self, x) -> bool:
+        """True when x sits on a face of the staircase or on a step grid line."""
+        if not self.chart.stepped:
+            return self.outer.on_boundary(x)
+        return self._aligned(self._pairings(x))
+
+    def _contains(self, p: dict[int, Fraction]) -> bool:
+        ch = self.chart
         for j in ch.j_prime:
             if j in ch.c and not p[j] > ch.c[j]:
                 return False
         return p[ch.i0] > self._gamma0(p)
 
-    def boundary_aligned(self, x) -> bool:
-        """True when x sits on a face of the staircase or on a step grid line."""
+    def _aligned(self, p: dict[int, Fraction]) -> bool:
         ch = self.chart
-        if not ch.stepped:
-            return self.outer.on_boundary(x)
-        p = self._pairings(x)
         if any(j in ch.c and p[j] == ch.c[j] for j in ch.j_prime):
             return True
         if any(p[i].denominator == 1 for i in ch.m_index):
@@ -504,9 +508,10 @@ def as_pixel_predicate(obj):
         obj = obj.outer  # a plain open support, refused as raster_runs refuses it
     if isinstance(obj, StaircaseRegion):
         def pred(x):
-            if obj.boundary_aligned(x):
+            p = obj._pairings(x)  # one set of pairings for both tests
+            if obj._aligned(p):
                 raise GridAlignmentError(f"pixel center {x} aligned with a region face")
-            return obj.contains(x)
+            return obj._contains(p)
 
         return pred
     if isinstance(obj, Polyhedron):

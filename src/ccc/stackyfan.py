@@ -9,7 +9,7 @@ always contains the zero cone ().
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import lcm
 
@@ -309,6 +309,15 @@ class ContractionSetup:
     sigma1: StackyFan
     sigma2: StackyFan
     sigma_prime: StackyFan
+
+    def __hash__(self) -> int:
+        # the hash of the fields walks all three fans, and every chart
+        # lookup hashes the setup, so it is computed once and kept
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            object.__setattr__(self, "_hash", cached)
+        return cached
 
     @property
     def extra_index(self) -> int:

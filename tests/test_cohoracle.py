@@ -1,9 +1,12 @@
 """Brute-force module enumeration against the closed-form routines."""
 
+import functools
 import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccc.cohoracle import (
     CharBox,
@@ -26,7 +29,7 @@ from ccc.stackyfan import (
     parse_same_base,
     parse_stacky_fan,
 )
-from ccc.sweeps import witness_box
+from ccc.sweeps import charts, witness_box
 from ccc.thetapos import ThetaIndex, hom_constructible, leq, window_thetas
 
 from conftest import load_data
@@ -243,3 +246,43 @@ def test_stalk_euler_matches_region(crepant_a1, om3, discrepancy_setup):
                     checked += 1
                     assert stalk_euler(setup, J, phi, p) == int(region.contains(p))
             assert checked > 80
+
+
+CONTRACTIONS_2D = (
+    "contract_crepant_a1.json",
+    "contract_discrepancy.json",
+    "contract_om2.json",
+    "contract_om3.json",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _contraction(name):
+    return parse_contraction(load_data(name))
+
+
+def _rational(denominator):
+    return st.integers(-4 * denominator, 4 * denominator).map(
+        lambda k: Fraction(k, denominator)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_euler_counts_match_region_and_q2(data):
+    setup = _contraction(data.draw(st.sampled_from(CONTRACTIONS_2D)))
+    J, phi = data.draw(st.sampled_from(list(charts(setup, 2))))
+    region = fm3_region(setup, J, phi)
+    rational = st.integers(1, 12).flatmap(_rational)
+    p = data.draw(st.tuples(rational, rational))
+    pairings = [
+        sum((x * c for x, c in zip(p, setup.sigma2.b(j))), Fraction(0))
+        for j in region.chart.j_prime
+    ]
+    if any(v.denominator == 1 for v in pairings):
+        with pytest.raises(BoundaryPointError):
+            stalk_euler(setup, J, phi, p)
+    else:
+        assert stalk_euler(setup, J, phi, p) == int(region.contains(p))
+    probe = data.draw(st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
+    assert koszul_euler(setup, J, phi, probe) == int(q2_member(setup, J, phi, probe))

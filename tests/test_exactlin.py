@@ -72,6 +72,21 @@ def test_pair_is_bilinear(x, y, v):
     assert pair(tuple(a + b for a, b in zip(x, y)), v) == pair(x, v) + pair(y, v)
 
 
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda k: st.tuples(
+            st.lists(st.one_of(ints, rationals), min_size=k, max_size=k),
+            st.lists(ints, min_size=k, max_size=k),
+        )
+    )
+)
+def test_pair_matches_fraction_sum(case):
+    x, v = case
+    value = pair(x, v)
+    assert type(value) is Fraction
+    assert value == sum((Fraction(a) * b for a, b in zip(x, v)), Fraction(0))
+
+
 def test_cone_coefficients_examples():
     assert cone_coefficients((1, 1), [(1, 0), (0, 1)]) == [F(1), F(1)]
     assert cone_coefficients((0, -1), [(1, 0), (-1, -2)]) == [F(1, 2), F(1, 2)]

@@ -1,5 +1,6 @@
 """Fan parsing/validation, completeness, and the two transform setups."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -16,8 +17,11 @@ from ccc.stackyfan import (
     faces,
     is_complete,
     j_image,
+    parse_contraction,
     parse_stacky_fan,
 )
+
+from conftest import load_data
 
 F = Fraction
 
@@ -165,6 +169,17 @@ def test_contraction_om3(om3):
     assert om3.m == 3
     assert om3.r_prime == 3
     assert om3.beta == (1, 1)
+
+
+def test_contraction_hash_is_the_field_hash_kept_once():
+    doc = load_data("contract_om3.json")
+    first, second = parse_contraction(doc), parse_contraction(doc)
+    assert first == second and hash(first) == hash(second)
+    changed = dataclasses.replace(first, r_prime=first.r_prime + 1)
+    assert changed != first
+    for s in (first, changed):
+        fields = tuple(getattr(s, f.name) for f in dataclasses.fields(s))
+        assert hash(s) == hash(s) == hash(fields)
 
 
 def test_contraction_rejects_degenerate_extra():
