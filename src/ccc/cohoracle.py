@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
+from operator import le, mul
 
 from .errors import BoundaryPointError, InvalidArgument, WindowTooSmall
-from .exactlin import RationalVector, cone_basis, pair
+from .exactlin import Rational, RationalVector, cone_basis, pair
 from .fm import Chart, chart
 from .stackyfan import ContractionSetup, StackyFan
 from .thetapos import HomResult, ThetaIndex
@@ -69,35 +70,69 @@ def refined_char_box(fan: StackyFan, bound) -> CharBox:
 
 
 def _scaled_support_rows(theta: ThetaIndex, denoms):
-    # <x, v_i> >= t_k/r_i over x = k/denoms becomes <k, w_i>*r_i >= t_k*L
+    # <x, v_i> >= t_k/r_i over x = k/denoms becomes r_i*<k, w_i> >= t_k*L,
+    # that is <k, w_i> >= ceil(t_k*L / r_i); w_i is split into its leading
+    # coordinates and its last one
     fan = theta.fan
     scale = lcm(*denoms) if denoms else 1
     rows = []
     for tk, i in zip(theta.t, theta.cone.ray_indices):
         v = fan.v(i)
         w = tuple(c * (scale // d) for c, d in zip(v, denoms))
-        rows.append((w, fan.weight(i), tk * scale))
+        rows.append((w[:-1], w[-1], -(-tk * scale // fan.weight(i))))
     return rows
 
 
-def _box_points(limits):
-    """Integer points k with |k_j| <= limits[j], refusing more than _MAX_BOX_POINTS."""
+def _check_box(limits) -> None:
+    """Refuse a box |k_j| <= limits[j] of more than _MAX_BOX_POINTS lattice points."""
     count = prod(2 * lim + 1 for lim in limits)
     if count > _MAX_BOX_POINTS:
         raise InvalidArgument(
             f"the oracle box holds {count} lattice points, over the limit {_MAX_BOX_POINTS}"
         )
+
+
+def _box_points(limits):
+    """Integer points k with |k_j| <= limits[j], refusing more than _MAX_BOX_POINTS."""
+    _check_box(limits)
     return itertools.product(*[range(-lim, lim + 1) for lim in limits])
 
 
 @lru_cache(maxsize=None)
-def _refined_scaled(theta: ThetaIndex, bound: Fraction, denoms: tuple[int, ...]) -> frozenset:
+def _refined_scaled(
+    theta: ThetaIndex, bound: Rational, denoms: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The refined support in the box as one interval of the last coordinate per line.
+
+    Points are integer k with x = k/denoms and |k_j| <= floor(bound * d_j).
+    Returns (lows, highs): for each k' over the leading axes, in
+    itertools.product order, the k_last with (k', k_last) in the support
+    are exactly lows[i] <= k_last <= highs[i].  An empty line is (L+1, -L-1)
+    for L the last limit, so that containment of lines is containment of
+    intervals, empty or not.  The whole box counts against _MAX_BOX_POINTS.
+    """
+    limits = [bound.numerator * d // bound.denominator for d in denoms]
+    _check_box(limits)
+    *lead, last = limits
     rows = _scaled_support_rows(theta, denoms)
-    points = set()
-    for k in _box_points([int(bound * d) for d in denoms]):
-        if all(r * sum(a * b for a, b in zip(k, w)) >= rhs for w, r, rhs in rows):
-            points.add(k)
-    return frozenset(points)
+    lows, highs = [], []
+    for head in itertools.product(*[range(-lim, lim + 1) for lim in lead]):
+        lo, hi = -last, last
+        for w, w_last, least in rows:
+            # w_last * k_last >= rest
+            rest = least - sum(map(mul, head, w))
+            if w_last > 0:
+                lo = max(lo, -(-rest // w_last))
+            elif w_last < 0:
+                hi = min(hi, rest // w_last)
+            elif rest > 0:
+                lo = hi + 1
+                break
+        if lo > hi:
+            lo, hi = last + 1, -last - 1
+        lows.append(lo)
+        highs.append(hi)
+    return tuple(lows), tuple(highs)
 
 
 def module_points(theta: ThetaIndex, lattice_choice: str, box: CharBox) -> PointSet:
@@ -105,8 +140,10 @@ def module_points(theta: ThetaIndex, lattice_choice: str, box: CharBox) -> Point
 
     lattice_choice "natural" enumerates the chart lattice of theta's cone,
     spanned by the inverse columns of the cone basis of its weighted
-    generators; "refined" enumerates the sublattice declared by the box.
-    Either way a box of more than _MAX_BOX_POINTS lattice points is refused.
+    generators; "refined" covers the sublattice declared by the box, whose
+    support _refined_scaled holds as one interval per line along the last
+    axis, expanded back to points here.  Either way a box of more than
+    _MAX_BOX_POINTS lattice points is refused.
     On the natural branch that box is the enumerated one in chart
     coordinates, wide enough to cover the character box, so the cap counts
     every point enumerated, kept or not (on p112 cone (1, 2) at bound 6 it
@@ -116,10 +153,13 @@ def module_points(theta: ThetaIndex, lattice_choice: str, box: CharBox) -> Point
     if len(box.denominators) != fan.dim:
         raise InvalidArgument("box has the wrong dimension")
     if lattice_choice == "refined":
-        scaled = _refined_scaled(theta, box.bound, box.denominators)
+        lows, highs = _refined_scaled(theta, box.bound, box.denominators)
+        *lead, _ = (int(box.bound * d) for d in box.denominators)
+        heads = itertools.product(*[range(-lim, lim + 1) for lim in lead])
         return PointSet(points=frozenset(
-            tuple(Fraction(kj, d) for kj, d in zip(k, box.denominators))
-            for k in scaled
+            tuple(Fraction(kj, d) for kj, d in zip(head + (k,), box.denominators))
+            for head, lo, hi in zip(heads, lows, highs)
+            for k in range(lo, hi + 1)
         ))
     if lattice_choice != "natural":
         raise InvalidArgument(f"unknown lattice choice {lattice_choice!r}")
@@ -146,22 +186,28 @@ def hom_module_oracle(theta1: ThetaIndex, theta2: ThetaIndex, box: CharBox) -> H
 
     C[0] exactly when the cone of the second is a face of the first and
     every refined lattice point of the first support lies in the second.
-    The box must strictly dominate every threshold by more than one unit.
+    Both supports are per-line intervals from _refined_scaled, built once
+    per theta, so the inclusion is interval containment on every line.
+    The box must strictly dominate every threshold by more than one unit;
+    that guard runs on the integers of the bound and the weights.
     """
     if theta1.fan != theta2.fan:
         raise InvalidArgument("theta indices live in different fans")
     fan = theta1.fan
     if len(box.denominators) != fan.dim:
         raise InvalidArgument("box has the wrong dimension")
+    # bound p/q <= |t/r| + 1 exactly when p*r <= (|t| + r)*q
+    p, q = box.bound.numerator, box.bound.denominator
     for th in (theta1, theta2):
         for tk, i in zip(th.t, th.cone.ray_indices):
-            if box.bound <= abs(Fraction(tk, fan.weight(i))) + 1:
+            r = fan.weight(i)
+            if p * r <= (abs(tk) + r) * q:
                 raise InvalidArgument("box too small for these thresholds")
     if not set(theta2.cone.ray_indices) <= set(theta1.cone.ray_indices):
         return HomResult(value="Zero", reason="non-inclusion")
-    pts1 = _refined_scaled(theta1, box.bound, box.denominators)
-    pts2 = _refined_scaled(theta2, box.bound, box.denominators)
-    if pts1 <= pts2:
+    lo1, hi1 = _refined_scaled(theta1, box.bound, box.denominators)
+    lo2, hi2 = _refined_scaled(theta2, box.bound, box.denominators)
+    if all(map(le, lo2, lo1)) and all(map(le, hi1, hi2)):
         return HomResult(value="C0", reason="inclusion")
     return HomResult(value="Zero", reason="non-inclusion")
 

@@ -164,9 +164,8 @@ def _gamma_frontier(setup, J, phi, width):
     return sorted(frontier)
 
 
-def _union_member(setup, region, frontier, pairings):
-    weights = [setup.sigma2.weight(j) for j in region.chart.j_prime]
-    scaled = [pairings[j] * w for j, w in zip(region.chart.j_prime, weights)]
+def _union_member(frontier, scaled):
+    """Whether weight-scaled pairings clear some threshold vector of the frontier."""
     return any(all(p > t for p, t in zip(scaled, vec)) for vec in frontier)
 
 
@@ -178,6 +177,7 @@ def _sandwich_sweep(setup):
         region = fm3_region(setup, J, phi)
         frontier = _gamma_frontier(setup, J, phi, 12)
         narrower = _gamma_frontier(setup, J, phi, 11)
+        rays = [(setup.sigma2.b(j), setup.sigma2.weight(j)) for j in region.chart.j_prime]
         for a in range(-7, 8):
             for b in range(-7, 8):
                 x = (Fraction(a, 4) + Fraction(1, 16), Fraction(b, 8) + Fraction(1, 32))
@@ -188,11 +188,10 @@ def _sandwich_sweep(setup):
                 if inside:
                     assert region.outer.contains(x), (J, phi, x, "region left the outer bound")
                 assert stalk_euler(setup, J, phi, x, m_window=8) == int(inside), (J, phi, x)
-                pairings = {j: sum(c * v for c, v in zip(x, setup.sigma2.b(j)))
-                            for j in region.chart.j_prime}
-                union = _union_member(setup, region, frontier, pairings)
+                scaled = [w * sum(c * v for c, v in zip(x, b)) for b, w in rays]
+                union = _union_member(frontier, scaled)
                 # window saturation: one more shell of shifts changes nothing here
-                assert union == _union_member(setup, region, narrower, pairings), (J, phi, x)
+                assert union == _union_member(narrower, scaled), (J, phi, x)
                 assert union == inside, (J, phi, x)
     assert seen > 0
     return points / seen

@@ -1,11 +1,15 @@
 """CLI surface: exit codes, report shape, thin-adapter equality, figures."""
 
+import contextlib
+import io
 import json
 import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ccc
 from ccc.cli import Report, emit_report, parse_report, run
@@ -438,3 +442,96 @@ def test_plot_region_needs_a_subject(capsys, tmp_path):
         str(tmp_path / "x.svg"),
     )
     assert code == 1
+
+
+# --- fuzzing run() over real verbs, flags and documents ----------------------
+
+_VERBS = {
+    ("validate",): (),
+    ("hom",): ("--theta1", "--theta2", "--oracle", "--box"),
+    ("fm", "same-base"): ("--bundle", "--theta"),
+    ("fm", "contract-push"): ("--bundle", "--theta"),
+    ("fm", "contract-pull"): ("--J", "--phi"),
+    ("check", "poset-embedding"): ("--window",),
+    ("check", "hom-oracle"): ("--window", "--box"),
+    ("check", "case3-sandwich"): ("--window",),
+    ("check", "contractibility-2d"): ("--window", "--box", "--step"),
+    ("plot", "lagrangian"): ("--window", "--box", "-o"),
+    ("plot", "region"): ("--theta", "--J", "--phi", "--box", "-o"),
+}
+_THETAS = st.sampled_from([
+    "cone=0;t=1", "cone=;t=", "cone=0,2;t=1,0", "cone=1;t=-1", "cone=2;t=0",
+    "cone=0,1;t=1", "cone=5;t=0", "t=1", "cone=a;t=b", "",
+])
+_INTS = st.lists(st.integers(-2, 3), max_size=3).map(
+    lambda xs: ",".join(map(str, xs))
+) | st.sampled_from(["a", "1,,2"])
+# windows stop at 1, so that every sweep stays well under a second; -h is
+# left out, as argparse answers it with usage text rather than a report
+_VALUES = {
+    "--theta1": _THETAS,
+    "--theta2": _THETAS,
+    "--theta": _THETAS,
+    "--box": st.sampled_from(["3", "1/2", "0", "-2", "7/3", "12", "x", "1/0"]),
+    "--step": st.sampled_from(["1/2", "1", "0", "-1/4", "x"]),
+    "--window": st.sampled_from(["-1", "0", "1", "x", ""]),
+    "--bundle": _INTS,
+    "--J": _INTS,
+    "--phi": _INTS,
+}
+_DOC_KEYS = ("dim", "rays", "v", "weight", "max_cones", "extra", "fan", "r", "s")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 4) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_DOC_KEYS) | st.text(max_size=2), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _mutated(draw, doc):
+    """A bundled document with one subtree replaced by arbitrary JSON."""
+    if isinstance(doc, dict) and doc and draw(st.integers(0, 3)):
+        key = draw(st.sampled_from(sorted(doc)))
+        return {**doc, key: draw(_mutated(doc[key]))}
+    if isinstance(doc, list) and doc and draw(st.integers(0, 3)):
+        i = draw(st.integers(0, len(doc) - 1))
+        return [*doc[:i], draw(_mutated(doc[i])), *doc[i + 1:]]
+    return draw(_JSON)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_run_gives_one_report_for_any_argv(tmp_path_factory, data):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    verb = data.draw(st.sampled_from(sorted(_VERBS)))
+    names = sorted(p.name for p in DATA.glob("*.json"))
+    source = data.draw(st.sampled_from(["bundled", "mutated", "json", "missing"]))
+    if source in ("bundled", "missing"):
+        path = str(DATA / data.draw(st.sampled_from(names)))
+        path = path if source == "bundled" else path + ".missing"
+    else:
+        doc = data.draw(st.sampled_from(names).map(lambda n: json.loads((DATA / n).read_text())))
+        doc = data.draw(_mutated(doc)) if source == "mutated" else data.draw(_JSON)
+        path = str(tmp / "doc.json")
+        Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    argv = list(verb) + [path]
+    # --oracle also stands for a flag that most verbs do not take
+    flags = st.sampled_from(_VERBS[verb] + ("--oracle",))
+    for flag in data.draw(st.lists(flags, max_size=4)):
+        argv.append(flag)
+        if flag == "-o":
+            argv.append(str(tmp / "figure.svg"))
+        elif flag != "--oracle":
+            argv.append(data.draw(_VALUES[flag]))
+    if data.draw(st.booleans()):
+        argv.insert(data.draw(st.integers(0, len(argv))), "--pretty")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    text = out.getvalue()
+    assert code in (0, 1, 2)
+    rep = parse_report(text)
+    assert {"ok": 0, "invalid-input": 1, "check-failed": 2}[rep.status] == code
+    if "--pretty" not in argv:
+        assert text.count("\n") == 1

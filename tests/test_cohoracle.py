@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from ccc.cohoracle import (
     CharBox,
+    _refined_scaled,
     hom_module_oracle,
     koszul_euler,
     module_points,
@@ -25,6 +27,7 @@ from ccc.stackyfan import (
     Cone,
     WeightedRay,
     build_contraction,
+    build_same_base,
     parse_contraction,
     parse_same_base,
     parse_stacky_fan,
@@ -172,9 +175,80 @@ def test_hom_oracle_box_guard(p13):
     assert hom_module_oracle(th1, th2, CharBox(Fraction(9, 2), (3,))).value == "C0"
 
 
+def test_hom_oracle_box_guard_on_weighted_ray(p13):
+    # ray 0 of p13 has weight 3: |t| = 4 needs a bound above 4/3 + 1 = 7/3
+    high, low, deep = (theta(p13, (0,), (t,)) for t in (4, -2, -4))
+    for pair in ((high, low), (low, high), (deep, low), (low, deep)):
+        with pytest.raises(InvalidArgument, match="^box too small for these thresholds$"):
+            hom_module_oracle(*pair, CharBox(Fraction(7, 3), (3,)))
+    box = CharBox(Fraction(7, 3) + Fraction(1, 30), (3,))
+    assert hom_module_oracle(high, low, box).value == "C0"
+    assert hom_module_oracle(low, high, box).value == "Zero"
+    assert hom_module_oracle(low, deep, box).value == "C0"
+
+
 def test_hom_oracle_rejects_mixed_fans(p1, p13):
     with pytest.raises(InvalidArgument):
         hom_module_oracle(theta(p1, (0,), (0,)), theta(p13, (0,), (0,)), CharBox(3, (1,)))
+
+
+ORACLE_FANS = ("p1.json", "p13.json", "p112.json", "a1_resolution.json")
+
+
+@functools.lru_cache(maxsize=None)
+def _window3_thetas(name, weights):
+    fan = parse_stacky_fan(load_data(name))
+    return window_thetas(build_same_base(fan, weights, weights).fan_r, 3)
+
+
+def _filtered_points(th, box):
+    """The refined support by testing every box point, on integers scaled by L."""
+    fan, denoms = th.fan, box.denominators
+    scale = math.lcm(*denoms)
+    rows = [
+        (tuple(c * (scale // d) for c, d in zip(fan.v(i), denoms)), fan.weight(i), tk * scale)
+        for tk, i in zip(th.t, th.cone.ray_indices)
+    ]
+    limits = [math.floor(box.bound * d) for d in denoms]
+    return frozenset(
+        tuple(Fraction(kj, d) for kj, d in zip(k, denoms))
+        for k in itertools.product(*[range(-lim, lim + 1) for lim in limits])
+        if all(r * sum(a * b for a, b in zip(k, w)) >= rhs for w, r, rhs in rows)
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_refined_intervals_match_point_filter(data):
+    name = data.draw(st.sampled_from(ORACLE_FANS))
+    # reweighted, so that the ceilings of the rows differ from floors
+    rays = len(load_data(name)["rays"])
+    thetas = _window3_thetas(name, data.draw(st.tuples(*[st.integers(1, 3)] * rays)))
+    th1, th2 = data.draw(st.tuples(st.sampled_from(thetas), st.sampled_from(thetas)))
+    fan = th1.fan
+    q = data.draw(st.integers(1, 3))
+    bound = Fraction(data.draw(st.integers(1, 7 * q)), q)
+    box = CharBox(bound, data.draw(st.tuples(*[st.integers(1, 4)] * fan.dim)))
+    last = math.floor(bound * box.denominators[-1])
+    for th in (th1, th2):
+        # every line is a sub-interval of [-L, L] or exactly the empty (L+1, -L-1)
+        for lo, hi in zip(*_refined_scaled(th, bound, box.denominators)):
+            assert -last <= lo <= hi <= last or (lo, hi) == (last + 1, -last - 1)
+    ref1, ref2 = _filtered_points(th1, box), _filtered_points(th2, box)
+    assert module_points(th1, "refined", box).points == ref1
+    assert module_points(th2, "refined", box).points == ref2
+    too_small = any(
+        bound <= abs(Fraction(tk, fan.weight(i))) + 1
+        for th in (th1, th2)
+        for tk, i in zip(th.t, th.cone.ray_indices)
+    )
+    if too_small:
+        with pytest.raises(InvalidArgument, match="box too small for these thresholds"):
+            hom_module_oracle(th1, th2, box)
+        return
+    face = set(th2.cone.ray_indices) <= set(th1.cone.ray_indices)
+    expected = "C0" if face and ref1 <= ref2 else "Zero"
+    assert hom_module_oracle(th1, th2, box).value == expected
 
 
 def test_koszul_euler_examples(crepant_a1):

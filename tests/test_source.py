@@ -1,10 +1,11 @@
 """Source rules of the core package: stdlib-only imports and no floats.
 
-The raster bounds ``fm._bounds`` and ``fm._staircase_spans`` and the
-stalk and Koszul count ``cohoracle._euler_sum`` run on integers scaled by
-one common denominator, so their bodies also hold no true division (a
-stray ``/`` on ints yields a float that the float-literal rule cannot see)
-and no ``Fraction``.
+The raster bounds ``fm._bounds`` and ``fm._staircase_spans``, the stalk
+and Koszul count ``cohoracle._euler_sum`` and the refined module intervals
+``cohoracle._refined_scaled`` run on integers scaled by one common
+denominator, so their bodies also hold no true division (a stray ``/`` on
+ints yields a float that the float-literal rule cannot see) and no
+``Fraction``.
 """
 
 import ast
@@ -22,6 +23,7 @@ INTEGER_ONLY = {
     "_bounds": "fm.py",
     "_staircase_spans": "fm.py",
     "_euler_sum": "cohoracle.py",
+    "_refined_scaled": "cohoracle.py",
 }
 
 
@@ -68,8 +70,10 @@ def test_sources_found():
 def test_integer_only_functions_found():
     for name, module in INTEGER_ONLY.items():
         tree = ast.parse((Path(ccc.__file__).parent / module).read_text(encoding="utf-8"))
-        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-        assert name in defined, f"{name} is not defined in {module}"
+        # a top-level def, so that a rename, or a nested helper of the same
+        # name, cannot leave the rule guarding nothing
+        defined = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+        assert defined.count(name) == 1, f"{name} is not defined once at the top of {module}"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -90,3 +94,9 @@ def test_guard_flags_each_rule():
         "line 6: true division in _bounds",
         "line 7: Fraction in _bounds",
     ]
+    for name in INTEGER_ONLY:
+        tree = ast.parse(f"def {name}(a, b):\n    return Fraction(a) / b\n")
+        assert _violations(tree) == [
+            f"line 2: true division in {name}",
+            f"line 2: Fraction in {name}",
+        ]
