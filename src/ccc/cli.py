@@ -293,9 +293,16 @@ def _cmd_plot_region(args) -> Report:
 # --- parser and entry point -------------------------------------------------
 
 
+class _Help(Exception):
+    """-h or --help at any level: the parser's help text, for an ok report."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise InvalidArgument(message)
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
 
 def _build_parser() -> _Parser:
@@ -386,6 +393,8 @@ def run(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
         report = args.handler(args)
+    except _Help as exc:
+        report = Report(status="ok", payload={"help": str(exc)}, witnesses=[])
     except CCCError as exc:
         report = Report(status="invalid-input", payload={"error": str(exc)}, witnesses=[])
     print(emit_report(report, fmt))

@@ -596,43 +596,88 @@ def _bounds(constraints, x, y0, step, lo, hi, hits) -> tuple[int, int]:
     return start, stop
 
 
+def _step_segments(a, slope, scale, side, hits):
+    """The segments of a row on which the step pairing keeps one ceiling.
+
+    The scaled step pairing at pixel j is a + slope*j.  Yields (first, end,
+    n) in increasing j for the nonempty segments [first, end) of [0, side)
+    between its crossings of the lines n*scale, with n the ceiling of the
+    pairing over scale on the segment.  The crossings are visited in
+    pairing order, one divmod each: the quotient q is the last pixel on the
+    near side of the line, and on it when the remainder is zero, a hit.  A
+    segment that ends at the crossing of n has ceiling n going up and n + 1
+    going down; a pixel on a line is refused with its row, so it may join
+    either segment.  A zero slope leaves one segment.  Hits are appended as
+    the walk goes, so a caller consumes it whole.
+    """
+    last = a + slope * (side - 1)
+    if slope > 0:
+        crossings, above = range(-(-a // scale), last // scale + 1), 0
+    elif slope < 0:
+        crossings, above = range(a // scale, -(-last // scale) - 1, -1), 1
+    else:
+        crossings, above = (), 0
+        if a % scale == 0:
+            hits.append(0)
+    first = 0
+    for n in crossings:
+        q, r = divmod(n * scale - a, slope)
+        if r == 0:
+            hits.append(q)
+        if first <= q:
+            yield first, q + 1, n + above
+            first = q + 1
+    if first < side:  # the last segment has the ceiling of the last pixel
+        yield first, side, -(-last // scale)
+
+
 def _staircase_spans(region: StaircaseRegion, y0, step, side, scale):
     """The row spans of a staircase region whose chart holds the extra ray.
 
     Returns spans(x, hits), the spans of the row at x, with the same
-    integer scaling as _bounds; the rays, floors and step offsets are read
-    once per raster.  Between two steps m0 is constant, and membership is
-    p[i0] > gamma(m0)[i0].
+    integer scaling as _bounds; the rays, floors and step heights are read
+    once per raster.  A planar chart steps along one ray k, and the row is
+    one walk over the crossings of its pairing p_k with the integers
+    (_step_segments).  On the segment where ceil(p_k) = n, m0 = n - 1 - c_k,
+    and membership is p[i0] > gamma(m0)[i0]: one more divmod per segment.
+    A segment under a floor of J (m0 < 0 with k in J) is skipped.
     """
     ch = region.chart
     rays, c = {j: ch.setup.sigma2.b(j) for j in ch.j_prime}, ch.c
     floors = [(rays[j], c[j] * scale) for j in ch.j_prime if j in c]
-    step_rays = [rays[k] for k in ch.m_index]
-    offsets = [c.get(k, 0) for k in ch.m_index]
-    inside = [k in c for k in ch.m_index]
-    i0_ray, k0 = rays[ch.i0], ch.j_prime.index(ch.i0)
+    (k,) = ch.m_index  # a planar contraction subdivides two rays
+    (k0, k1), (h0, h1) = rays[k], rays[ch.i0]
+    slope, rise = k1 * step, h1 * step
+    offset, held, pos = c.get(k, 0), k in c, ch.j_prime.index(ch.i0)
+    heights: dict = {}  # n -> the scaled gamma(m0)[i0], None under a floor
+
+    def height(n):
+        m0 = n - 1 - offset
+        heights[n] = None if held and m0 < 0 else ch.gamma((m0,)).t[pos] * scale
+        return heights[n]
 
     def spans(x, hits) -> list:
         start, stop = _bounds(floors, x, y0, step, 0, side, hits)
-        # the steps sit where an m_index pairing a + slope*j crosses an integer n
-        lines = [(n0 * x + n1 * y0, n1 * step) for n0, n1 in step_rays]
-        cuts = {0, side}
-        for (a, slope), ray in zip(lines, step_rays):
-            low, high = sorted((a, a + slope * (side - 1)))
-            for n in range(-(-low // scale), high // scale + 1):
-                cuts.update(_bounds([(ray, n * scale)], x, y0, step, 0, side, hits))
-        bounds = sorted(cuts)
+        a, b = k0 * x + k1 * y0, h0 * x + h1 * y0  # p_k and p_i0 at pixel 0, scaled
         out = []
-        for first, end in zip(bounds, bounds[1:]):
-            m0 = tuple(
-                -(-(a + slope * first) // scale) - 1 - off
-                for (a, slope), off in zip(lines, offsets)
-            )
-            if any(m < 0 for m, held in zip(m0, inside) if held):
-                continue  # under a floor of J, where nothing is stepped
-            height = ch.gamma(m0).t[k0] * scale
-            lo, hi = _bounds([(i0_ray, height)], x, y0, step, first, end, hits)
-            out.append((max(lo, start), min(hi, stop)))
+        for first, end, n in _step_segments(a, slope, scale, side, hits):
+            bound = heights[n] if n in heights else height(n)
+            if bound is None:
+                continue
+            if rise:  # p_i0 meets the bound at j = q + r/rise
+                q, r = divmod(bound - b, rise)
+                if r == 0 and first <= q < end:
+                    hits.append(q)
+                if rise > 0 and q >= first:
+                    first = q + 1
+                elif rise < 0 and q + (r != 0) < end:
+                    end = q + (r != 0)
+            elif b <= bound:
+                if b == bound:
+                    hits.append(first)
+                end = first
+            # max and min inline, cheaper here than the builtin calls
+            out.append((first if first > start else start, end if end < stop else stop))
         return out
 
     return spans

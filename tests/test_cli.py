@@ -444,6 +444,23 @@ def test_plot_region_needs_a_subject(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["-h"],
+    ["--pretty", "--help"],
+    ["validate", "--help"],
+    ["check", "-h"],
+    ["check", "contractibility-2d", "-h", "--window", "x"],
+    ["fm", "contract-pull", "missing.json", "--J", "1", "--help"],
+])
+def test_help_is_one_ok_report(capsys, argv):
+    code, rep = invoke(capsys, *argv)
+    assert code == 0
+    assert rep.status == "ok"
+    assert rep.witnesses == []
+    assert set(rep.payload) == {"help"}
+    assert rep.payload["help"].startswith("usage: ccc ")
+
+
 # --- fuzzing run() over real verbs, flags and documents ----------------------
 
 _VERBS = {
@@ -466,8 +483,7 @@ _THETAS = st.sampled_from([
 _INTS = st.lists(st.integers(-2, 3), max_size=3).map(
     lambda xs: ",".join(map(str, xs))
 ) | st.sampled_from(["a", "1,,2"])
-# windows stop at 1, so that every sweep stays well under a second; -h is
-# left out, as argparse answers it with usage text rather than a report
+# windows stop at 1, so that every sweep stays well under a second
 _VALUES = {
     "--theta1": _THETAS,
     "--theta2": _THETAS,
@@ -479,6 +495,7 @@ _VALUES = {
     "--J": _INTS,
     "--phi": _INTS,
 }
+_BARE = ("--oracle", "-h", "--help")  # flags without a value
 _DOC_KEYS = ("dim", "rays", "v", "weight", "max_cones", "extra", "fan", "r", "s")
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 4) | st.floats() | st.text(max_size=3),
@@ -517,12 +534,12 @@ def test_run_gives_one_report_for_any_argv(tmp_path_factory, data):
         Path(path).write_text(json.dumps(doc), encoding="utf-8")
     argv = list(verb) + [path]
     # --oracle also stands for a flag that most verbs do not take
-    flags = st.sampled_from(_VERBS[verb] + ("--oracle",))
+    flags = st.sampled_from(_VERBS[verb] + _BARE)
     for flag in data.draw(st.lists(flags, max_size=4)):
         argv.append(flag)
         if flag == "-o":
             argv.append(str(tmp / "figure.svg"))
-        elif flag != "--oracle":
+        elif flag not in _BARE:
             argv.append(data.draw(_VALUES[flag]))
     if data.draw(st.booleans()):
         argv.insert(data.draw(st.integers(0, len(argv))), "--pretty")

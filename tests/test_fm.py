@@ -14,7 +14,7 @@ from ccc.errors import (
     InvalidArgument,
     PreconditionError,
 )
-from ccc.exactlin import pair
+from ccc.exactlin import ceil_frac, pair
 from ccc.fm import (
     as_pixel_predicate,
     case1_pullback,
@@ -676,6 +676,64 @@ def test_raster_runs_equal_predicate_walk_on_staircase_images(
         lambda: raster_pixels(as_pixel_predicate(obj), bbox, step, origin)
     )
     assert fast == slow
+
+
+# the sweep's grid origin, and 12- and 6-pixel grids whose centers meet step
+# lines, i0 faces and floors
+_WALK_GRIDS = [
+    (Fraction(3, 2), Fraction(1, 4), RASTER_ORIGIN),
+    (1, Fraction(1, 6), (Fraction(1, 4), 0)),
+    (Fraction(1, 2), Fraction(1, 6), (Fraction(1, 4), 0)),
+]
+
+
+def test_staircase_walk_matches_predicate_walk_on_every_stepped_chart(
+    crepant_a1, om3, discrepancy_setup
+):
+    slopes = set()
+    for setup in (crepant_a1, om3, discrepancy_setup):
+        for J, phi in charts(setup, 1):
+            region = fm3_region(setup, J, phi)
+            assert region.chart.stepped
+            (k,) = region.chart.m_index
+            slopes.add(setup.sigma2.b(k)[1])  # the step pairing's slope along a row
+            for bbox, step, origin in _WALK_GRIDS:
+                fast = _raster_or_refusal(lambda: raster_runs(region, bbox, step, origin))
+                slow = _raster_or_refusal(
+                    lambda: raster_pixels(as_pixel_predicate(region), bbox, step, origin)
+                )
+                assert fast == slow, (J, phi, bbox, step, origin)
+    assert {(s > 0) - (s < 0) for s in slopes} == {-1, 0, 1}
+
+
+@pytest.mark.parametrize(
+    "J, phi, center, on_step",
+    [
+        ((2,), (0,), (Fraction(-1, 2), Fraction(-3, 4)), True),
+        ((0, 2), (-1, 0), (Fraction(-1, 2), Fraction(-1, 4)), False),
+    ],
+    ids=["step-line", "i0-face"],
+)
+def test_staircase_walk_refuses_where_the_predicate_walk_does(
+    crepant_a1, J, phi, center, on_step
+):
+    region = fm3_region(crepant_a1, J, phi)
+    ch = region.chart
+    (k,) = ch.m_index
+    p = {j: pair(center, crepant_a1.sigma2.b(j)) for j in ch.j_prime}
+    # the first refused center lies on a step line or, off them, on the i0 face
+    assert not any(p[j] == c for j, c in ch.c.items() if j in p)
+    assert (p[k].denominator == 1) == on_step
+    if not on_step:
+        m0 = ceil_frac(p[k]) - 1 - ch.c.get(k, 0)
+        assert p[ch.i0] == ch.gamma((m0,)).t[ch.j_prime.index(ch.i0)]
+    grid = _WALK_GRIDS[1]
+    with pytest.raises(GridAlignmentError) as fast:
+        raster_runs(region, *grid)
+    with pytest.raises(GridAlignmentError) as slow:
+        raster_pixels(as_pixel_predicate(region), *grid)
+    message = f"pixel center {center} aligned with a region face"
+    assert str(fast.value) == str(slow.value) == message
 
 
 def _runs_of(pixels, side=8):

@@ -1,7 +1,8 @@
 """Source rules of the core package: stdlib-only imports and no floats.
 
-The raster bounds ``fm._bounds`` and ``fm._staircase_spans``, the stalk
-and Koszul count ``cohoracle._euler_sum`` and the refined module intervals
+The raster bounds ``fm._bounds``, ``fm._step_segments`` and
+``fm._staircase_spans``, the stalk and Koszul count
+``cohoracle._euler_sum`` and the refined module intervals
 ``cohoracle._refined_scaled`` run on integers scaled by one common
 denominator, so their bodies also hold no true division (a stray ``/`` on
 ints yields a float that the float-literal rule cannot see) and no
@@ -21,6 +22,7 @@ SOURCES = sorted(Path(ccc.__file__).parent.glob("*.py"))
 # integer-only function -> the module that defines it
 INTEGER_ONLY = {
     "_bounds": "fm.py",
+    "_step_segments": "fm.py",
     "_staircase_spans": "fm.py",
     "_euler_sum": "cohoracle.py",
     "_refined_scaled": "cohoracle.py",
