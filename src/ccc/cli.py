@@ -264,13 +264,13 @@ def _cmd_plot_region(args) -> Report:
         if not (args.J and args.phi):
             raise InvalidArgument("staircase plots need both --J and --phi")
         setup = parse_contraction(doc)
+        if setup.sigma2.dim != 2:
+            raise InvalidArgument("region plots support dimensions 1 and 2 only")
         region = fm3_region(setup, _ints(args.J), _ints(args.phi))
         entries = [{"polyhedron": region.outer, "fill": "#4682b4"}]
         if region.inner is not None:
             entries.append({"polyhedron": region.inner, "fill": "#46b482"})
-        scene = "region-2d" if setup.sigma2.dim == 2 else "region-1d"
-        if setup.sigma2.dim not in (1, 2):
-            raise InvalidArgument("region plots support dimensions 1 and 2 only")
+        scene = "region-2d"
         render_svg(scene, {"regions": entries, "box": box}, args.out)
         payload = {"scene": scene, "regions": len(entries), "out": args.out}
     elif args.theta:

@@ -10,7 +10,6 @@ independent of the fast ones so the two sides can be compared in tests.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,7 +22,8 @@ from .fm import Chart, chart
 from .stackyfan import ContractionSetup, StackyFan
 from .thetapos import HomResult, ThetaIndex
 
-_WINDOW_CAP_VAR = "CCC_MAX_WINDOW"
+# the m window of _euler_sum doubles up to this cap
+_MAX_WINDOW = 16
 # refined oracle boxes enumerate at most this many lattice points
 _MAX_BOX_POINTS = 1 << 18
 
@@ -216,14 +216,6 @@ def hom_module_oracle(theta1: ThetaIndex, theta2: ThetaIndex, box: CharBox) -> H
 # Koszul resolution and stalk Euler counts for the contraction pullback
 
 
-def _window_cap() -> int:
-    value = os.environ.get(_WINDOW_CAP_VAR, "16")
-    try:
-        return int(value)
-    except ValueError:
-        raise InvalidArgument(f"{_WINDOW_CAP_VAR} must be an integer, got {value!r}") from None
-
-
 def _euler_sum(ch: Chart, pairings: dict, scale: int, m_window: int) -> int:
     """Alternating count over m and subsets S of m_index, stabilized in m.
 
@@ -233,14 +225,13 @@ def _euler_sum(ch: Chart, pairings: dict, scale: int, m_window: int) -> int:
     j of J'.  Any term surviving the alternating sum pins every m
     coordinate to one rung determined by the pairings; the window is
     clipped while a pairing still clears the last rung on some axis, which
-    is exactly when a term sits beyond it.  The window doubles up to the
-    cap from CCC_MAX_WINDOW.
+    is exactly when a term sits beyond it.  The window doubles up to
+    _MAX_WINDOW.
     """
     if m_window < 1:
         raise InvalidArgument("m_window must be >= 1")
     shifts = ch.m_index
-    cap = _window_cap()
-    w = min(m_window, cap)
+    w = min(m_window, _MAX_WINDOW)
 
     def clipped(w):
         return any(
@@ -250,9 +241,9 @@ def _euler_sum(ch: Chart, pairings: dict, scale: int, m_window: int) -> int:
         )
 
     while clipped(w):
-        if w >= cap:
-            raise WindowTooSmall(f"m window hit the cap {cap} before stabilizing")
-        w = min(2 * w, cap)
+        if w >= _MAX_WINDOW:
+            raise WindowTooSmall(f"m window hit the cap {_MAX_WINDOW} before stabilizing")
+        w = min(2 * w, _MAX_WINDOW)
     ranges = [range(0, w + 1) if i in ch.c else range(-w, w + 1) for i in shifts]
     values = [pairings[j] for j in ch.j_prime]
     subsets = [

@@ -438,9 +438,9 @@ def ext_case3(setup: ContractionSetup, pair1, pair2) -> HomResult:
 
     Valid under the discrepancy hypothesis sum(alpha) <= 1, where the pull
     is fully faithful: C[0] exactly on support inclusion upstairs, else a
-    contractible region difference.  The certificate records which ray or
-    threshold breaks the inclusion and, when the inner sandwich bound is
-    available, an exact nonemptiness witness for the difference.
+    contractible region difference.  The certificate records the two cones,
+    whether each holds the extra ray, and which ray or threshold breaks the
+    inclusion; no region is built.
     """
     if discrepancy_compare(setup) not in ("<=", "="):
         raise PreconditionError("pull direction needs discrepancy sum(alpha) <= 1")
@@ -455,7 +455,7 @@ def ext_case3(setup: ContractionSetup, pair1, pair2) -> HomResult:
     if not missing and not failures:
         return HomResult(value="C0", reason="inclusion")
 
-    cert: dict = {
+    cert = {
         "j1": chart1.J,
         "j2": chart2.J,
         "extra_in_j1": chart1.stepped,
@@ -463,22 +463,6 @@ def ext_case3(setup: ContractionSetup, pair1, pair2) -> HomResult:
         "missing_rays": missing,
         "threshold_failures": failures,
     }
-    region1 = fm3_region(setup, *pair1)
-    if region1.inner is not None:
-        # points of D(c1, s1) violating one outer constraint of the second
-        # region lie in the difference; feasibility is checked exactly
-        witness = False
-        for j in itertools.chain(missing, (f[0] for f in failures)):
-            neg = tuple(-cc for cc in setup.sigma1.b(j))
-            cut = Polyhedron(
-                dim=setup.sigma1.dim,
-                constraints=region1.inner.constraints
-                + ((neg, Fraction(-chart2.c[j]), False),),
-            )
-            if not cut.is_empty():
-                witness = True
-                break
-        cert["difference_nonempty"] = witness
     return HomResult(value="Zero", reason="contractible-difference", certificate=cert)
 
 
@@ -726,28 +710,30 @@ def raster_runs(obj, bbox, step, origin=(0, 0)) -> tuple:
     return tuple(rows)
 
 
-def runs_difference(first, second) -> tuple:
-    """Row-wise set difference of two rasters on the same grid."""
-    out = []
-    for row, cut in zip(first, second):
-        spans = []
-        for start, stop in row:
-            for lo, hi in cut:
-                if lo < stop and start < hi:
-                    spans.append((start, lo))
-                    start = hi
-            spans.append((start, stop))
-        out.append(_merged(spans))
-    return tuple(out)
+def _row_minus(row, cut):
+    """The nonempty pieces of a row's runs outside the cut's runs, in order."""
+    for start, stop in row:
+        for lo, hi in cut:
+            if lo < stop and start < hi:
+                if start < lo:
+                    yield start, lo
+                start = hi
+        if start < stop:
+            yield start, stop
 
 
-def runs_contractible(runs) -> bool:
-    """Whether the union of the raster's closed pixels is contractible.
+def difference_contractible(first, second) -> bool:
+    """Whether the closed pixels of first minus second have a contractible union.
 
-    Maximal runs are closed rectangles that meet only across adjacent rows
-    (corner contact included), and no three share a point, so the union is
-    homotopy equivalent to the graph of meeting runs: contractible exactly
-    when that graph is a tree.  An empty raster counts as not contractible.
+    Both rasters hold maximal runs on the same grid.  Each row difference
+    is walked as _row_minus yields it, and its pieces are already maximal:
+    two pieces of one run are split by a nonempty cut run, and pieces of
+    two runs by the gap between those maximal runs, so only empty pieces
+    are dropped.  Maximal runs are closed rectangles that meet only across
+    adjacent rows (corner contact included), and no three share a point,
+    so the union is homotopy equivalent to the graph of meeting runs:
+    contractible exactly when that graph is a tree.  An empty difference
+    counts as not contractible.
     """
     parent: list[int] = []
 
@@ -758,9 +744,9 @@ def runs_contractible(runs) -> bool:
         return node
 
     below: list = []
-    for row in runs:
+    for row, cut in zip(first, second):
         here = []
-        for start, stop in row:
+        for start, stop in _row_minus(row, cut):
             node = len(parent)
             parent.append(node)
             for lo, hi, other in below:
@@ -776,6 +762,6 @@ def runs_contractible(runs) -> bool:
 
 def raster_contractible_2d(member_a, member_b, bbox, step, origin=(0, 0)) -> bool:
     """Contractibility of {A and not B} in a box, walking both predicates."""
-    pixels_a = raster_pixels(member_a, bbox, step, origin)
-    pixels_b = raster_pixels(member_b, bbox, step, origin)
-    return runs_contractible(runs_difference(pixels_a, pixels_b))
+    return difference_contractible(
+        raster_pixels(member_a, bbox, step, origin), raster_pixels(member_b, bbox, step, origin)
+    )

@@ -17,14 +17,13 @@ from .cohoracle import hom_module_oracle, refined_char_box, stalk_euler
 from .errors import BoundaryPointError, InvalidArgument
 from .exactlin import cone_basis
 from .fm import (
+    difference_contractible,
     ext_case2,
     ext_case3,
     fm3_region,
     fm_case1,
     fm_case2,
     raster_runs,
-    runs_contractible,
-    runs_difference,
 )
 from .stackyfan import ContractionSetup, SameBaseSetup, StackyFan, discrepancy_compare
 from .thetapos import (
@@ -236,7 +235,7 @@ def contractibility_sweep(
             if verdict.value != "Zero" or verdict.reason != "contractible-difference":
                 continue
             pairs += 1
-            if not runs_contractible(runs_difference(rasters[key1], rasters[key2])):
+            if not difference_contractible(rasters[key1], rasters[key2]):
                 witnesses.append((tag, key1, key2))
     return ContractibilityReport(
         window, bbox, step, comparison, pairs, pairs - len(witnesses), tuple(witnesses)

@@ -58,9 +58,6 @@ class Polyhedron:
         """True when some constraint holds with equality at x."""
         return any(pair(x, normal) == threshold for normal, threshold, _ in self.constraints)
 
-    def is_empty(self) -> bool:
-        return not linear_feasible(self.constraints, self.dim)
-
     def meets_box(self, bound: Rational) -> bool:
         cons = list(self.constraints)
         for j in range(self.dim):
@@ -115,12 +112,7 @@ class HomResult:
     def __post_init__(self):
         if self.value not in ("C0", "Zero"):
             raise InvalidArgument(f"bad hom value {self.value!r}")
-        if self.reason not in (
-            "inclusion",
-            "non-inclusion",
-            "contractible-difference",
-            "non-contractible-undecided",
-        ):
+        if self.reason not in ("inclusion", "non-inclusion", "contractible-difference"):
             raise InvalidArgument(f"bad hom reason {self.reason!r}")
         if (self.value == "C0") != (self.reason == "inclusion"):
             raise InvalidArgument("C0 exactly when the reason is inclusion")

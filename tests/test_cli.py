@@ -275,37 +275,30 @@ _GHOST = {**_FAN, "rays": [{"v": [1]}, {"v": [-1]}, {"v": [1]}]}
 
 
 @pytest.mark.parametrize(
-    "argv, doc, env",
+    "argv, doc",
     [
-        (["validate"], {**_FAN, "max_cones": [0]}, {}),
-        (["validate"], {**_FAN, "rays": 5}, {}),
-        (["validate"], {**_FAN, "rays": [{"v": 5}]}, {}),
-        (["validate"], {**_FAN, "rays": [{"v": [1, "a"]}]}, {}),
-        (["validate"], {**_FAN, "max_cones": [["x"]]}, {}),
-        (_PUSH, {**_BLOWUP, "extra": 5}, {}),
-        (_PUSH, {**_BLOWUP, "rays": [5, 6]}, {}),
-        (_SAME_BASE, {"fan": _FAN, "r": 5, "s": [1, 1]}, {}),
+        (["validate"], {**_FAN, "max_cones": [0]}),
+        (["validate"], {**_FAN, "rays": 5}),
+        (["validate"], {**_FAN, "rays": [{"v": 5}]}),
+        (["validate"], {**_FAN, "rays": [{"v": [1, "a"]}]}),
+        (["validate"], {**_FAN, "max_cones": [["x"]]}),
+        (_PUSH, {**_BLOWUP, "extra": 5}),
+        (_PUSH, {**_BLOWUP, "rays": [5, 6]}),
+        (_SAME_BASE, {"fan": _FAN, "r": 5, "s": [1, 1]}),
         (
             ["fm", "same-base", "--bundle", "3,0,0"],
             {"fan": _GHOST, "r": [3, 1, 1], "s": [2, 1, 1]},
-            {},
         ),
-        (["validate"], {**_FAN, "dim": True}, {}),
-        (["validate"], {**_FAN, "rays": [{"v": [1], "weight": True}, {"v": [-1]}]}, {}),
-        (_PUSH, {**_BLOWUP, "extra": {"v": [1, 1], "weight": True}}, {}),
-        (_SAME_BASE, {"fan": _FAN, "r": [True, 1], "s": [1, 1]}, {}),
-        (_SAME_BASE, {"fan": _FAN, "r": [1, 1], "s": [1, True]}, {}),
-        (
-            ["check", "case3-sandwich", "--window", "0", str(DATA / "contract_om3.json")],
-            None,
-            {"CCC_MAX_WINDOW": "abc"},
-        ),
-        (["plot", "lagrangian", "-o", "{missing}", str(DATA / "p13.json")], None, {}),
+        (["validate"], {**_FAN, "dim": True}),
+        (["validate"], {**_FAN, "rays": [{"v": [1], "weight": True}, {"v": [-1]}]}),
+        (_PUSH, {**_BLOWUP, "extra": {"v": [1, 1], "weight": True}}),
+        (_SAME_BASE, {"fan": _FAN, "r": [True, 1], "s": [1, 1]}),
+        (_SAME_BASE, {"fan": _FAN, "r": [1, 1], "s": [1, True]}),
+        (["plot", "lagrangian", "-o", "{missing}", str(DATA / "p13.json")], None),
         (
             ["hom", str(DATA / "p1.json"), "--theta1", "cone=0;t=100000000000000000000",
              "--theta2", "cone=0;t=0", "--oracle"],
             None,
-            {},
         ),
     ],
     ids=[
@@ -313,13 +306,10 @@ _GHOST = {**_FAN, "rays": [{"v": [1]}, {"v": [-1]}, {"v": [1]}]}
         "cone-not-integers", "extra-not-an-object", "ray-not-an-object",
         "weights-not-a-list", "ray-in-no-cone", "dim-boolean", "weight-boolean",
         "extra-weight-boolean", "weights-r-boolean", "weights-s-boolean",
-        "window-cap-not-an-integer", "unwritable-figure",
-        "oracle-box-too-large",
+        "unwritable-figure", "oracle-box-too-large",
     ],
 )
-def test_malformed_input_is_invalid_input(capsys, monkeypatch, tmp_path, argv, doc, env):
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
+def test_malformed_input_is_invalid_input(capsys, tmp_path, argv, doc):
     argv = [arg.replace("{missing}", str(tmp_path / "missing" / "x.svg")) for arg in argv]
     if doc is not None:
         path = tmp_path / "doc.json"
@@ -430,6 +420,22 @@ def test_plot_region_staircase(capsys, tmp_path):
     assert rep.payload == {"scene": "region-2d", "regions": 2, "out": str(out)}
     text = out.read_text()
     assert "stroke-dasharray" in text  # strict faces drawn dashed
+
+
+def test_plot_region_refuses_a_3d_staircase(capsys, tmp_path):
+    doc = tmp_path / "contract_3d.json"
+    doc.write_text(json.dumps({
+        "rays": [{"v": [1, 0, 0], "weight": 2}, {"v": [0, 1, 0], "weight": 2}, {"v": [0, 0, 1]}],
+        "extra": {"v": [1, 1, 0]},
+    }), encoding="utf-8")
+    code, rep = invoke(
+        capsys, "plot", "region", str(doc), "--J", "0,3", "--phi", "0,0",
+        "-o", str(tmp_path / "x.svg"),
+    )
+    assert code == 1
+    assert rep.status == "invalid-input"
+    assert rep.payload["error"] == "region plots support dimensions 1 and 2 only"
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_plot_region_needs_a_subject(capsys, tmp_path):

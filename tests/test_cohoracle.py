@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccc import cohoracle
 from ccc.cohoracle import (
     CharBox,
     _refined_scaled,
@@ -281,10 +282,10 @@ def test_koszul_matches_q2_membership(crepant_a1, om3, discrepancy_setup):
 
 
 def test_koszul_window_cap(crepant_a1, monkeypatch):
-    monkeypatch.setenv("CCC_MAX_WINDOW", "4")
+    monkeypatch.setattr(cohoracle, "_MAX_WINDOW", 4)
     with pytest.raises(WindowTooSmall):
         koszul_euler(crepant_a1, (1, 2), (0, 0), (0, 9))
-    monkeypatch.setenv("CCC_MAX_WINDOW", "16")
+    monkeypatch.setattr(cohoracle, "_MAX_WINDOW", 16)
     assert koszul_euler(crepant_a1, (1, 2), (0, 0), (0, 9)) == 1
 
 

@@ -20,6 +20,7 @@ from ccc.fm import (
     case1_pullback,
     chart,
     case1_pushforward,
+    difference_contractible,
     ext_case2,
     ext_case3,
     fm3_region,
@@ -31,8 +32,6 @@ from ccc.fm import (
     raster_contractible_2d,
     raster_pixels,
     raster_runs,
-    runs_contractible,
-    runs_difference,
     s1_threshold,
 )
 from ccc.stackyfan import Cone, build_same_base, parse_stacky_fan
@@ -447,13 +446,27 @@ def test_ext_case3_zero_certificates(crepant_a1):
     cert = res.certificate
     assert cert["extra_in_j1"] and cert["extra_in_j2"]
     assert cert["threshold_failures"] == ((2, 0, 1),)
-    assert cert["difference_nonempty"] is True
+    first, second = (
+        raster_runs(fm3_region(crepant_a1, *key), 6, Fraction(1, 4), RASTER_ORIGIN)
+        for key in (((1, 2), (0, 0)), ((1, 2), (0, 1)))
+    )
+    assert any(next(fm._row_minus(row, cut), None) for row, cut in zip(first, second))
 
     # missing ray, no extra involvement on either side
     plain = ext_case3(crepant_a1, ((0,), (0,)), ((1,), (0,)))
     assert plain.value == "Zero"
     assert plain.certificate["missing_rays"] == (1,)
     assert not plain.certificate["extra_in_j1"]
+
+
+def test_ext_case3_builds_no_region(crepant_a1, monkeypatch):
+    def refuse(ch):
+        raise AssertionError(f"ext_case3 built the region of {ch.J}")
+
+    fm._build_chart.cache_clear()  # fresh charts hold no region yet
+    monkeypatch.setattr(fm, "_pull_region", refuse)
+    res = ext_case3(crepant_a1, ((1, 2), (0, 0)), ((1, 2), (0, 1)))
+    assert res.reason == "contractible-difference"
 
 
 def test_fm_line_bundle_case3_and_composites(crepant_a1, discrepancy_setup):
@@ -779,7 +792,9 @@ _PIXEL_SETS = st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=
 
 @given(first=_PIXEL_SETS, second=_PIXEL_SETS)
 @settings(max_examples=300, deadline=None)
-def test_runs_contractible_matches_cubical_reference(first, second):
-    difference = runs_difference(_runs_of(first), _runs_of(second))
-    assert difference == _runs_of(first - second)
-    assert runs_contractible(difference) == _cubical_contractible(first - second)
+def test_difference_contractible_matches_cubical_reference(first, second):
+    rows = zip(_runs_of(first), _runs_of(second))
+    assert tuple(tuple(fm._row_minus(row, cut)) for row, cut in rows) == _runs_of(first - second)
+    assert difference_contractible(_runs_of(first), _runs_of(second)) == _cubical_contractible(
+        first - second
+    )
