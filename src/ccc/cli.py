@@ -265,7 +265,7 @@ def _cmd_plot_region(args) -> Report:
             raise InvalidArgument("staircase plots need both --J and --phi")
         setup = parse_contraction(doc)
         if setup.sigma2.dim != 2:
-            raise InvalidArgument("region plots support dimensions 1 and 2 only")
+            raise InvalidArgument("staircase region plots need a two-dimensional setup")
         region = fm3_region(setup, _ints(args.J), _ints(args.phi))
         entries = [{"polyhedron": region.outer, "fill": "#4682b4"}]
         if region.inner is not None:

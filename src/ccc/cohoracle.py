@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
-from operator import le, mul
+from operator import gt, le, mul
 
 from .errors import BoundaryPointError, InvalidArgument, WindowTooSmall
 from .exactlin import Rational, RationalVector, cone_basis, pair
@@ -216,7 +216,30 @@ def hom_module_oracle(theta1: ThetaIndex, theta2: ThetaIndex, box: CharBox) -> H
 # Koszul resolution and stalk Euler counts for the contraction pullback
 
 
-def _euler_sum(ch: Chart, pairings: dict, scale: int, m_window: int) -> int:
+@lru_cache(maxsize=1 << 10)
+def _euler_terms(ch: Chart, scale: int, w: int):
+    """The terms of _euler_sum that do not depend on the point, built once.
+
+    Returns (floors, subsets) for the chart at this scale and m window w:
+    floors[k] is scale * gamma(m).t on J' for the k-th m of the window, in
+    itertools.product order over m_index (0..w inside J, -w..w outside),
+    and subsets holds (bumps, (-1)^|S|) per subset S of m_index, with
+    bumps[j] = scale * [j in S] on J'.
+    """
+    shifts = ch.m_index
+    ranges = [range(0, w + 1) if i in ch.c else range(-w, w + 1) for i in shifts]
+    floors = tuple(
+        tuple(scale * tk for tk in ch.gamma(m).t) for m in itertools.product(*ranges)
+    )
+    subsets = tuple(
+        (tuple(scale * (j in s_set) for j in ch.j_prime), (-1) ** size)
+        for size in range(len(shifts) + 1)
+        for s_set in itertools.combinations(shifts, size)
+    )
+    return floors, subsets
+
+
+def _euler_sum(ch: Chart, pairings, scale: int, m_window: int) -> int:
     """Alternating count over m and subsets S of m_index, stabilized in m.
 
     pairings[j] is scale times the pairing of the point with ray j of J',
@@ -226,7 +249,8 @@ def _euler_sum(ch: Chart, pairings: dict, scale: int, m_window: int) -> int:
     coordinate to one rung determined by the pairings; the window is
     clipped while a pairing still clears the last rung on some axis, which
     is exactly when a term sits beyond it.  The window doubles up to
-    _MAX_WINDOW.
+    _MAX_WINDOW.  The scaled floors and subset bumps of each window come
+    from _euler_terms, once per chart, scale and window.
     """
     if m_window < 1:
         raise InvalidArgument("m_window must be >= 1")
@@ -244,20 +268,14 @@ def _euler_sum(ch: Chart, pairings: dict, scale: int, m_window: int) -> int:
         if w >= _MAX_WINDOW:
             raise WindowTooSmall(f"m window hit the cap {_MAX_WINDOW} before stabilizing")
         w = min(2 * w, _MAX_WINDOW)
-    ranges = [range(0, w + 1) if i in ch.c else range(-w, w + 1) for i in shifts]
+    floors, subsets = _euler_terms(ch, scale, w)
     values = [pairings[j] for j in ch.j_prime]
-    subsets = [
-        (tuple(scale * (j in s_set) for j in ch.j_prime), (-1) ** size)
-        for size in range(len(shifts) + 1)
-        for s_set in itertools.combinations(shifts, size)
-    ]
     total = 0
-    for m in itertools.product(*ranges):
-        floors = [scale * tk for tk in ch.gamma(m).t]
-        if not all(v > f for v, f in zip(values, floors)):
+    for f in floors:
+        if not all(map(gt, values, f)):
             continue  # bumps only raise the floors, so no term of this m survives
         for bumps, sign in subsets:
-            if all(v > f + b for v, f, b in zip(values, floors, bumps)):
+            if all(v > a + b for v, a, b in zip(values, f, bumps)):
                 total += sign
     return total
 
@@ -281,31 +299,47 @@ def koszul_euler(setup: ContractionSetup, J, phi, probe, m_window: int = 4) -> i
     return _euler_sum(ch, {j: 2 * probe[j] + 1 for j in ch.j_prime}, 2, m_window)
 
 
+def scaled_pairings(fan: StackyFan, p) -> tuple[int, tuple[int, ...]]:
+    """A rational point as (scale, pairings) for the stalk count.
+
+    scale is the lcm of the denominators of p, and pairings[j] is scale
+    times the pairing of p with the weighted generator of ray j of the fan,
+    paired on the integer numerators of the scaled point.
+    """
+    p = tuple(Fraction(c) for c in p)
+    if len(p) != fan.dim:
+        raise InvalidArgument("point has the wrong dimension")
+    scale = lcm(*(c.denominator for c in p))
+    scaled = [c.numerator * (scale // c.denominator) for c in p]
+    return scale, tuple(sum(map(mul, scaled, ray.b)) for ray in fan.rays)
+
+
+def stalk_euler_scaled(ch: Chart, scale: int, pairings, m_window: int = 4) -> int:
+    """stalk_euler on a chart at a point given as scaled_pairings of sigma2.
+
+    The point is on a chart face or a step exactly when a scaled pairing
+    on J' is a multiple of the scale; there the count is undefined.
+    """
+    if not ch.stepped:
+        raise InvalidArgument("stalk complexes need the extra ray in J")
+    if any(pairings[j] % scale == 0 for j in ch.j_prime):
+        raise BoundaryPointError("point pairs integrally with a chart ray")
+    return _euler_sum(ch, pairings, scale, m_window)
+
+
 def stalk_euler(setup: ContractionSetup, J, phi, p, m_window: int = 4) -> int:
     """Euler count of the stalk complex at a generic rational point.
 
     Same alternating sum as koszul_euler but with open support membership
     of the point p in place of character dominance; equals the staircase
     region indicator at p.  The point is scaled by the lcm of its
-    denominators and its integer numerators are paired with the rays here,
-    so the count never goes through the region's own pairing; p is on a
-    chart face or a step exactly when a scaled pairing is a multiple of
-    the scale.
+    denominators and its integer numerators are paired with the rays
+    (scaled_pairings), so the count never goes through the region's own
+    pairing.
     """
     ch = chart(setup, J, phi)
-    if not ch.stepped:
-        raise InvalidArgument("stalk complexes need the extra ray in J")
-    p = tuple(Fraction(c) for c in p)
-    if len(p) != setup.sigma2.dim:
-        raise InvalidArgument("point has the wrong dimension")
-    scale = lcm(*(c.denominator for c in p))
-    scaled = [c.numerator * (scale // c.denominator) for c in p]
-    pairings = {
-        j: sum(a * b for a, b in zip(scaled, setup.sigma2.b(j))) for j in ch.j_prime
-    }
-    if any(v % scale == 0 for v in pairings.values()):
-        raise BoundaryPointError("point pairs integrally with a chart ray")
-    return _euler_sum(ch, pairings, scale, m_window)
+    scale, pairings = scaled_pairings(setup.sigma2, p)
+    return stalk_euler_scaled(ch, scale, pairings, m_window)
 
 
 def q2_member(setup: ContractionSetup, J, phi, probe) -> bool:

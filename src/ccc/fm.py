@@ -345,7 +345,7 @@ class StaircaseRegion:
     def contains(self, x) -> bool:
         if not self.chart.stepped:
             return self.outer.contains(x)
-        return self._contains(self._pairings(x))
+        return self.contains_pairings(self._pairings(x))
 
     def boundary_aligned(self, x) -> bool:
         """True when x sits on a face of the staircase or on a step grid line."""
@@ -353,7 +353,13 @@ class StaircaseRegion:
             return self.outer.on_boundary(x)
         return self._aligned(self._pairings(x))
 
-    def _contains(self, p: dict[int, Fraction]) -> bool:
+    def contains_pairings(self, p) -> bool:
+        """Membership of a point of a stepped region, given as its pairings.
+
+        p[j] is the exact pairing of the point with ray j of sigma2, for at
+        least every j of J'; a sweep that probes many charts at one point
+        pairs it once and decides each chart here.
+        """
         ch = self.chart
         for j in ch.j_prime:
             if j in ch.c and not p[j] > ch.c[j]:
@@ -495,7 +501,7 @@ def as_pixel_predicate(obj):
             p = obj._pairings(x)  # one set of pairings for both tests
             if obj._aligned(p):
                 raise GridAlignmentError(f"pixel center {x} aligned with a region face")
-            return obj._contains(p)
+            return obj.contains_pairings(p)
 
         return pred
     if isinstance(obj, Polyhedron):

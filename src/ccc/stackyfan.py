@@ -34,6 +34,9 @@ class WeightedRay:
 
     v: LatticeVector
     weight: int
+    # the weighted generator weight * v, kept once; it is derived, so it
+    # takes no part in equality, hashing or repr
+    b: LatticeVector = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "v", tuple(int(c) for c in self.v))
@@ -41,10 +44,7 @@ class WeightedRay:
             raise ValidationError(f"ray {self.v} is not primitive")
         if not _is_int(self.weight) or self.weight < 1:
             raise ValidationError(f"ray weight {self.weight!r} must be a positive integer")
-
-    @property
-    def b(self) -> LatticeVector:
-        return tuple(self.weight * c for c in self.v)
+        object.__setattr__(self, "b", tuple(self.weight * c for c in self.v))
 
 
 @dataclass(frozen=True, order=True)

@@ -13,9 +13,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cohoracle import hom_module_oracle, refined_char_box, stalk_euler
+from .cohoracle import (
+    hom_module_oracle,
+    refined_char_box,
+    scaled_pairings,
+    stalk_euler_scaled,
+)
 from .errors import BoundaryPointError, InvalidArgument
-from .exactlin import cone_basis
+from .exactlin import cone_basis, pair
 from .fm import (
     difference_contractible,
     ext_case2,
@@ -158,31 +163,45 @@ class SandwichReport:
     violations: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[Fraction, ...], str], ...]
 
 
-def sandwich_sweep(setup: ContractionSetup, window: int) -> SandwichReport:
-    """Check inner <= region <= outer and the stalk Euler count on a probe grid.
-
-    Axis k is probed at a/2^(k+1) + 1/2^(k+4) for |a| <= 2*window + 3.
-    Probes on a region boundary, where the stalk count is undefined, are
-    skipped and not counted in ``points``.
-    """
-    keys = list(charts(setup, window))
+def sandwich_probes(dim: int, window: int) -> list[tuple[Fraction, ...]]:
+    """The probe grid of sandwich_sweep: axis k at a/2^(k+1) + 1/2^(k+4), |a| <= 2*window + 3."""
     span = 2 * window + 3
     axes = [
         [Fraction(a, 2 << k) + Fraction(1, 16 << k) for a in range(-span, span + 1)]
-        for k in range(setup.sigma1.dim)
+        for k in range(dim)
+    ]
+    return list(itertools.product(*axes))
+
+
+def sandwich_sweep(setup: ContractionSetup, window: int) -> SandwichReport:
+    """Check inner <= region <= outer and the stalk Euler count on a probe grid.
+
+    Probes on a region boundary, where the stalk count is undefined, are
+    skipped and not counted in ``points``.  The grid (``sandwich_probes``)
+    is the same for every chart, so each probe is paired once per route:
+    exactly, through ``pair``, for region membership, and scaled to
+    integers for the stalk count (``scaled_pairings``); neither table is
+    derived from the other.
+    """
+    keys = list(charts(setup, window))
+    fan = setup.sigma2
+    probes = [
+        (x, tuple(pair(x, ray.b) for ray in fan.rays), scaled_pairings(fan, x))
+        for x in sandwich_probes(setup.sigma1.dim, window)
     ]
     violations = []
     points = 0
     for J, phi in keys:
         region = fm3_region(setup, J, phi)
-        for x in itertools.product(*axes):
-            inside = region.contains(x)
-            if region.inner is not None and region.inner.contains(x) and not inside:
+        ch = region.chart  # every chart holds the extra ray, so it is stepped
+        for x, paired, (scale, scaled) in probes:
+            inside = region.contains_pairings(paired)
+            if not inside and region.inner is not None and region.inner.contains(x):
                 violations.append((J, phi, x, "inner-escapes"))
             if inside and not region.outer.contains(x):
                 violations.append((J, phi, x, "outer-misses"))
             try:
-                euler = stalk_euler(setup, J, phi, x)
+                euler = stalk_euler_scaled(ch, scale, scaled)
             except BoundaryPointError:
                 continue
             points += 1

@@ -255,7 +255,7 @@ def test_check_sandwich_three_dimensional(capsys, tmp_path):
 
 def test_check_sandwich_witness_points_are_rational_strings(capsys, monkeypatch):
     # a stalk count no region membership can equal: every probe is a witness
-    monkeypatch.setattr("ccc.sweeps.stalk_euler", lambda *args: 2)
+    monkeypatch.setattr("ccc.sweeps.stalk_euler_scaled", lambda *args: 2)
     path = str(DATA / "contract_om3.json")
     code, rep = invoke(capsys, "check", "case3-sandwich", path, "--window", "0")
     assert code == 2
@@ -434,7 +434,7 @@ def test_plot_region_refuses_a_3d_staircase(capsys, tmp_path):
     )
     assert code == 1
     assert rep.status == "invalid-input"
-    assert rep.payload["error"] == "region plots support dimensions 1 and 2 only"
+    assert rep.payload["error"] == "staircase region plots need a two-dimensional setup"
     assert not (tmp_path / "x.svg").exists()
 
 

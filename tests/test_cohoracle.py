@@ -3,6 +3,8 @@
 import functools
 import itertools
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,20 +22,24 @@ from ccc.cohoracle import (
     q2_member_enum,
     refined_char_box,
     refined_denominator,
+    scaled_pairings,
     stalk_euler,
+    stalk_euler_scaled,
 )
 from ccc.errors import BoundaryPointError, InvalidArgument, WindowTooSmall
-from ccc.fm import fm3_region
+from ccc.exactlin import pair
+from ccc.fm import chart, fm3_region
 from ccc.stackyfan import (
     Cone,
     WeightedRay,
     build_contraction,
     build_same_base,
+    discrepancy_compare,
     parse_contraction,
     parse_same_base,
     parse_stacky_fan,
 )
-from ccc.sweeps import charts, witness_box
+from ccc.sweeps import charts, sandwich_probes, sandwich_sweep, witness_box
 from ccc.thetapos import ThetaIndex, hom_constructible, leq, window_thetas
 
 from conftest import load_data
@@ -361,3 +367,124 @@ def test_integer_euler_counts_match_region_and_q2(data):
         assert stalk_euler(setup, J, phi, p) == int(region.contains(p))
     probe = data.draw(st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
     assert koszul_euler(setup, J, phi, probe) == int(q2_member(setup, J, phi, probe))
+
+
+# ---------------------------------------------------------------------------
+# the sandwich sweep's hoisted route against the one-point entries
+
+SANDWICH_2D = ("contract_om3.json", "contract_crepant_a1.json", "contract_discrepancy.json")
+
+# the crepant 3-D contraction (3,3,3)/(1,1,1): rays e1, e2, e3 of weight 3
+# and the extra ray (1,1,1) of weight 1, so alpha = 1/3 on each ray
+CREPANT_333 = {
+    "rays": [
+        {"v": [1, 0, 0], "weight": 3},
+        {"v": [0, 1, 0], "weight": 3},
+        {"v": [0, 0, 1], "weight": 3},
+    ],
+    "extra": {"v": [1, 1, 1]},
+}
+
+
+def _outcome(route, *args):
+    """The route's value, or the class of the error it raised."""
+    try:
+        return route(*args)
+    except (BoundaryPointError, WindowTooSmall) as exc:
+        return type(exc)
+
+
+def _hoisted(setup, region, x):
+    # what sandwich_sweep does per probe: one table per route, then the chart
+    fan = setup.sigma2
+    inside = region.contains_pairings(tuple(pair(x, ray.b) for ray in fan.rays))
+    return inside, _outcome(stalk_euler_scaled, region.chart, *scaled_pairings(fan, x))
+
+
+def _one_point(setup, J, phi, region, x):
+    return region.contains(x), _outcome(stalk_euler, setup, J, phi, x)
+
+
+@pytest.mark.parametrize("name", SANDWICH_2D)
+def test_hoisted_sandwich_route_matches_one_point_entries_on_the_grid(name):
+    setup = _contraction(name)
+    seen = Counter()
+    for J, phi in charts(setup, 1):
+        region = fm3_region(setup, J, phi)
+        assert region.chart.stepped
+        for x in sandwich_probes(setup.sigma1.dim, 1):
+            got = _hoisted(setup, region, x)
+            assert got == _one_point(setup, J, phi, region, x), (J, phi, x)
+            assert got[1] == int(got[0]), (J, phi, x)
+            seen[got[1]] += 1
+    assert set(seen) == {0, 1}
+
+
+def _random_point(rng, dim):
+    return tuple(Fraction(rng.randint(-24, 24), rng.randint(1, 8)) for _ in range(dim))
+
+
+def _face_point(rng, setup, ch):
+    # a point whose pairing with a ray of J' is an integer
+    b = setup.sigma2.b(rng.choice(ch.j_prime))
+    x = list(_random_point(rng, len(b)))
+    k = next(i for i, c in enumerate(b) if c)
+    rest = sum(x[i] * b[i] for i in range(len(b)) if i != k)
+    x[k] = (rng.randint(-6, 6) - rest) / b[k]
+    return tuple(x)
+
+
+@pytest.mark.parametrize("name", SANDWICH_2D)
+def test_hoisted_sandwich_route_matches_on_random_points(name, monkeypatch):
+    setup = _contraction(name)
+    keys = list(charts(setup, 1))
+    rng = random.Random(name)
+    seen = Counter()
+    # at the cap 1 the m window cannot double, so far points stop stabilizing
+    for cap in (16, 1):
+        monkeypatch.setattr(cohoracle, "_MAX_WINDOW", cap)
+        for _ in range(200):
+            J, phi = rng.choice(keys)
+            region = fm3_region(setup, J, phi)
+            x = _random_point(rng, setup.sigma1.dim)
+            got = _hoisted(setup, region, x)
+            assert got == _one_point(setup, J, phi, region, x), (cap, J, phi, x)
+            seen[cap, got[1]] += 1
+            face = _face_point(rng, setup, region.chart)
+            got = _hoisted(setup, region, face)
+            assert got == _one_point(setup, J, phi, region, face), (cap, J, phi, face)
+            assert got[1] is BoundaryPointError, (J, phi, face)
+    assert seen[16, 0] and seen[16, 1]
+    assert seen[1, WindowTooSmall] > 0
+
+
+def test_euler_terms_are_the_scaled_characters(om3):
+    setup_3d = parse_contraction(CREPANT_333)
+    for setup, window in ((om3, 1), (setup_3d, 0)):
+        for J, phi in charts(setup, window):
+            ch = chart(setup, J, phi)
+            for scale, w in ((1, 1), (16, 4), (32, 2)):
+                floors, subsets = cohoracle._euler_terms(ch, scale, w)
+                ranges = [range(0, w + 1) if i in ch.c else range(-w, w + 1) for i in ch.m_index]
+                ms = list(itertools.product(*ranges))
+                assert len(floors) == len(ms)
+                for m, f in zip(ms, floors):
+                    assert f == tuple(scale * t for t in ch.gamma(m).t), (J, phi, m)
+                assert len(subsets) == 2 ** len(ch.m_index)
+                assert len(set(bumps for bumps, _ in subsets)) == len(subsets)
+                for bumps, sign in subsets:
+                    raised = [j for j, bump in zip(ch.j_prime, bumps) if bump]
+                    assert set(raised) <= set(ch.m_index)
+                    assert set(bumps) <= {0, scale}
+                    assert sign == (-1) ** len(raised)
+
+
+def test_sandwich_sweep_three_dimensional_two_step_rays():
+    setup = parse_contraction(CREPANT_333)
+    assert discrepancy_compare(setup) == "="
+    keys = list(charts(setup, 0))
+    # every stepped chart steps along two rays, so the term tables run over
+    # a two-dimensional m product
+    assert all(len(chart(setup, J, phi).m_index) == 2 for J, phi in keys)
+    report = sandwich_sweep(setup, 0)
+    assert (report.charts, report.points, report.violations) == (7, 2401, ())

@@ -2,11 +2,12 @@
 
 The raster bounds ``fm._bounds``, ``fm._step_segments`` and
 ``fm._staircase_spans``, the stalk and Koszul count
-``cohoracle._euler_sum`` and the refined module intervals
-``cohoracle._refined_scaled`` run on integers scaled by one common
-denominator, so their bodies also hold no true division (a stray ``/`` on
-ints yields a float that the float-literal rule cannot see) and no
-``Fraction``.
+``cohoracle._euler_sum``, its term tables ``cohoracle._euler_terms`` and
+scaled entry ``cohoracle.stalk_euler_scaled``, and the refined module
+intervals ``cohoracle._refined_scaled`` run on integers scaled by one
+common denominator, so their bodies also hold no true division (a stray
+``/`` on ints yields a float that the float-literal rule cannot see) and
+no ``Fraction``.
 """
 
 import ast
@@ -25,6 +26,8 @@ INTEGER_ONLY = {
     "_step_segments": "fm.py",
     "_staircase_spans": "fm.py",
     "_euler_sum": "cohoracle.py",
+    "_euler_terms": "cohoracle.py",
+    "stalk_euler_scaled": "cohoracle.py",
     "_refined_scaled": "cohoracle.py",
 }
 
