@@ -169,8 +169,7 @@ def _cmd_hom(args) -> Report:
 def _cmd_fm_same_base(args) -> Report:
     setup = parse_same_base(_load(args.file))
     if args.bundle is not None:
-        image = fm_line_bundle_case1(setup, _ints(args.bundle))
-        payload = {"bundle": list(image) if image is not None else None}
+        payload = {"bundle": list(fm_line_bundle_case1(setup, _ints(args.bundle)))}
     else:
         theta = parse_theta(setup.fan_s, args.theta)
         payload = {"theta": format_theta(fm_case1(setup, theta))}
@@ -180,8 +179,7 @@ def _cmd_fm_same_base(args) -> Report:
 def _cmd_fm_contract_push(args) -> Report:
     setup = parse_contraction(_load(args.file))
     if args.bundle is not None:
-        image = fm_line_bundle_case2(setup, _ints(args.bundle))
-        payload = {"bundle": list(image) if image is not None else None}
+        payload = {"bundle": list(fm_line_bundle_case2(setup, _ints(args.bundle)))}
     else:
         theta = parse_theta(setup.sigma2, args.theta)
         image, terms = fm_case2(setup, theta)

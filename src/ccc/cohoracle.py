@@ -83,19 +83,13 @@ def _scaled_support_rows(theta: ThetaIndex, denoms):
     return rows
 
 
-def _check_box(limits) -> None:
+def _check_box(limits, name: str = "oracle box") -> None:
     """Refuse a box |k_j| <= limits[j] of more than _MAX_BOX_POINTS lattice points."""
     count = prod(2 * lim + 1 for lim in limits)
     if count > _MAX_BOX_POINTS:
         raise InvalidArgument(
-            f"the oracle box holds {count} lattice points, over the limit {_MAX_BOX_POINTS}"
+            f"the {name} holds {count} lattice points, over the limit {_MAX_BOX_POINTS}"
         )
-
-
-def _box_points(limits):
-    """Integer points k with |k_j| <= limits[j], refusing more than _MAX_BOX_POINTS."""
-    _check_box(limits)
-    return itertools.product(*[range(-lim, lim + 1) for lim in limits])
 
 
 @lru_cache(maxsize=None)
@@ -147,7 +141,8 @@ def module_points(theta: ThetaIndex, lattice_choice: str, box: CharBox) -> Point
     On the natural branch that box is the enumerated one in chart
     coordinates, wide enough to cover the character box, so the cap counts
     every point enumerated, kept or not (on p112 cone (1, 2) at bound 6 it
-    enumerates 481 points, of which 169 land in the box).
+    enumerates 481 points, of which 169 land in the box), and its refusal
+    names the chart-coordinate box.
     """
     fan = theta.fan
     if len(box.denominators) != fan.dim:
@@ -172,7 +167,8 @@ def module_points(theta: ThetaIndex, lattice_choice: str, box: CharBox) -> Point
         for tk, i in zip(theta.t, theta.cone.ray_indices)
     ]
     points = set()
-    for m in _box_points(limits):
+    _check_box(limits, "chart-coordinate box")
+    for m in itertools.product(*[range(-lim, lim + 1) for lim in limits]):
         x = tuple(sum(mi * col[j] for mi, col in zip(m, columns)) for j in range(fan.dim))
         if any(abs(c) > box.bound for c in x):
             continue

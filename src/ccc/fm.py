@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from .errors import (
@@ -77,31 +77,32 @@ def case1_pushforward(setup: SameBaseSetup, theta: ThetaIndex) -> ThetaIndex:
     return ThetaIndex(fan=setup.fan_r, cone=theta.cone, t=t)
 
 
-def fm_line_bundle_case1(setup: SameBaseSetup, c) -> tuple[int, ...] | None:
-    """Image of the line bundle with coefficients c, if it is again a bundle.
+def fm_line_bundle_case1(setup: SameBaseSetup, c) -> tuple[int, ...]:
+    """Image of the line bundle with coefficients c.
 
-    Per max cone the character thresholds are t_i = -c_i; the pushed
-    thresholds must agree ray by ray across cones to reassemble into one
-    bundle (they always do here, since the rule is per-ray, but the glue
-    check is kept as written).
+    The character of the bundle has threshold -c_i over ray i, and fm_case1
+    pushes each threshold on its own, so the pushed thresholds glue across
+    cones by construction: ray i goes to -fm_case1(-c_i), that is
+    floor(r_i * c_i / s_i).
     """
     c = tuple(int(x) for x in c)
     if len(c) != len(setup.base.rays):
         raise InvalidArgument("one coefficient per ray required")
     if not is_complete(setup.base):
         raise InvalidArgument("bundle pushforward needs a complete fan")
-    glued: dict[int, int] = {}
-    for cone in setup.fan_s.max_cones:
-        theta = ThetaIndex(fan=setup.fan_s, cone=cone, t=tuple(-c[i] for i in cone.ray_indices))
-        image = fm_case1(setup, theta)
-        for tk, i in zip(image.t, cone.ray_indices):
-            if glued.setdefault(i, -tk) != -tk:
-                return None
-    return tuple(glued[i] for i in range(len(c)))
+    return tuple(
+        -fm_case1(setup, ThetaIndex(fan=setup.fan_s, cone=Cone((i,)), t=(-ci,))).t[0]
+        for i, ci in enumerate(c)
+    )
 
 
 # ---------------------------------------------------------------------------
 # Case 2: pushing along a divisorial contraction
+
+
+def _extra_threshold(setup: ContractionSetup, t: dict[int, int]) -> int:
+    """The threshold ceil(sum alpha_i t_i) over the extra ray; t maps ray i to t_i."""
+    return ceil_frac(sum(setup.alpha[i] * t[i] for i in setup.i_prime))
 
 
 def fm_case2(setup: ContractionSetup, theta: ThetaIndex) -> tuple[Polyhedron, list[ThetaIndex]]:
@@ -121,8 +122,8 @@ def fm_case2(setup: ContractionSetup, theta: ThetaIndex) -> tuple[Polyhedron, li
     if not iset <= set(sigma.ray_indices):
         return image, [ThetaIndex(fan=setup.sigma1, cone=sigma, t=theta.t)]
 
-    position = {i: k for k, i in enumerate(sigma.ray_indices)}
-    t_extra = ceil_frac(sum(setup.alpha[i] * theta.t[position[i]] for i in setup.i_prime))
+    coords = dict(zip(sigma.ray_indices, theta.t))
+    coords[setup.extra_index] = t_extra = _extra_threshold(setup, coords)
     extra_con = (setup.extra.v, Fraction(t_extra, setup.extra.weight), True)
     image = Polyhedron(dim=image.dim, constraints=image.constraints + (extra_con,))
 
@@ -132,29 +133,22 @@ def fm_case2(setup: ContractionSetup, theta: ThetaIndex) -> tuple[Polyhedron, li
             cone = Cone(tuple(
                 i for i in sigma.ray_indices + (setup.extra_index,) if i not in removed
             ))
-            t = tuple(
-                t_extra if i == setup.extra_index else theta.t[position[i]]
-                for i in cone.ray_indices
-            )
+            t = tuple(coords[i] for i in cone.ray_indices)
             terms.append(ThetaIndex(fan=setup.sigma1, cone=cone, t=t))
     return image, terms
 
 
-def fm_line_bundle_case2(setup: ContractionSetup, c) -> tuple[int, ...] | None:
-    """Bundle coefficients after the push: c gains floor(sum alpha_i c_i)."""
+def fm_line_bundle_case2(setup: ContractionSetup, c) -> tuple[int, ...]:
+    """Bundle coefficients after the push: c gains floor(sum alpha_i c_i).
+
+    sigma2 is one maximal cone, so nothing is glued: the bundle character
+    has thresholds -c, and the extra coefficient is minus their extra
+    threshold.
+    """
     c = tuple(int(x) for x in c)
     if len(c) != setup.n:
         raise InvalidArgument("one coefficient per contracted ray required")
-    glued: dict[int, int] = {}
-    for cone in setup.sigma2.max_cones:
-        # bundle character on this cone has thresholds t_i = -c_i
-        t_extra = ceil_frac(sum(setup.alpha[i] * -c[i] for i in setup.i_prime))
-        for i in cone.ray_indices:
-            if glued.setdefault(i, c[i]) != c[i]:
-                return None
-        if glued.setdefault(setup.extra_index, -t_extra) != -t_extra:
-            return None
-    return tuple(glued[i] for i in range(setup.n + 1))
+    return c + (-_extra_threshold(setup, {i: -ci for i, ci in enumerate(c)}),)
 
 
 def ext_case2(setup: ContractionSetup, theta1: ThetaIndex, theta2: ThetaIndex) -> HomResult:
@@ -180,17 +174,13 @@ def ext_case2(setup: ContractionSetup, theta1: ThetaIndex, theta2: ThetaIndex) -
     }
     iset = set(setup.i_prime)
     if iset <= set(theta1.cone.ray_indices) and iset <= set(theta2.cone.ray_indices):
-        pos1 = {i: k for k, i in enumerate(theta1.cone.ray_indices)}
-        pos2 = {i: k for k, i in enumerate(theta2.cone.ray_indices)}
-        te1 = ceil_frac(sum(setup.alpha[i] * theta1.t[pos1[i]] for i in setup.i_prime))
-        te2 = ceil_frac(sum(setup.alpha[i] * theta2.t[pos2[i]] for i in setup.i_prime))
-        cert["t_extra"] = (te1, te2)
-        diffs = {i: theta2.t[pos2[i]] - theta1.t[pos1[i]] for i in setup.i_prime}
+        t1 = dict(zip(theta1.cone.ray_indices, theta1.t))
+        t2 = dict(zip(theta2.cone.ray_indices, theta2.t))
+        cert["t_extra"] = (_extra_threshold(setup, t1), _extra_threshold(setup, t2))
+        diffs = {i: t2[i] - t1[i] for i in setup.i_prime}
         if all(d >= 1 for d in diffs.values()):
             # the extra threshold must move along: ceil of a sum >= 1
-            cert["gap_ceiling"] = ceil_frac(
-                sum(setup.alpha[i] * d for i, d in diffs.items())
-            )
+            cert["gap_ceiling"] = _extra_threshold(setup, diffs)
     return HomResult(value="Zero", reason="contractible-difference", certificate=cert)
 
 
@@ -206,7 +196,7 @@ class Chart:
     subdivided block outside J, m_index holds the rest of the block in
     increasing order, and j_prime indexes the contracted cone sigma_{J'}.
     Charts come from ``chart``, which validates and memoizes them; each
-    chart also holds its one validated pullback region, from ``fm3_region``.
+    chart also keeps its one validated pullback region, ``region``.
     """
 
     setup: ContractionSetup
@@ -216,7 +206,14 @@ class Chart:
     j_prime: tuple[int, ...]
     m_index: tuple[int, ...]
     _characters: dict = field(default_factory=dict, init=False, repr=False)
-    _region: list = field(default_factory=list, init=False, repr=False)
+
+    @cached_property
+    def region(self) -> StaircaseRegion:
+        """The pullback region, built and validated on first use.
+
+        A region whose inner bound fails validation raises and is not kept.
+        """
+        return _pull_region(self)
 
     @property
     def stepped(self) -> bool:
@@ -347,12 +344,6 @@ class StaircaseRegion:
             return self.outer.contains(x)
         return self.contains_pairings(self._pairings(x))
 
-    def boundary_aligned(self, x) -> bool:
-        """True when x sits on a face of the staircase or on a step grid line."""
-        if not self.chart.stepped:
-            return self.outer.on_boundary(x)
-        return self._aligned(self._pairings(x))
-
     def contains_pairings(self, p) -> bool:
         """Membership of a point of a stepped region, given as its pairings.
 
@@ -380,13 +371,9 @@ class StaircaseRegion:
 def fm3_region(setup: ContractionSetup, J, phi) -> StaircaseRegion:
     """Pull a theta on the cone sigma_J upstairs back to the contracted side.
 
-    The region is built and validated once per chart; a region whose inner
-    bound fails validation is not kept.
+    The region is built and validated once per chart (``Chart.region``).
     """
-    ch = chart(setup, J, phi)
-    if not ch._region:
-        ch._region.append(_pull_region(ch))
-    return ch._region[0]
+    return chart(setup, J, phi).region
 
 
 def _pull_region(ch: Chart) -> StaircaseRegion:

@@ -291,28 +291,23 @@ class ContractionSetup:
     """Data of a weighted-blowup contraction.
 
     The extra ray v_{n+1} = sum a_i v_i (a_i > 0 for i < n_prime after
-    reindexing) subdivides the cone on the first n_prime rays.  sigma2 is the
-    fan of the contracted model, sigma1 the subdivided one, sigma_prime the
-    subdivided one with the corrected weight r_prime on the extra ray.
+    reindexing) subdivides the cone on the first n_prime rays, and
+    alpha_i = r_{n+1} a_i / r_i writes its weighted generator in the block:
+    b_{n+1} = sum alpha_i b_i.  sigma2 is the fan of the contracted model,
+    sigma1 the subdivided one; perm records the reindexing.
     """
 
     n: int
     n_prime: int
-    rays: tuple[WeightedRay, ...]
     extra: WeightedRay
-    a: tuple[Fraction, ...]
     alpha: tuple[Fraction, ...]
-    m: int
-    r_prime: int
-    beta: tuple[int, ...]
     perm: tuple[int, ...]  # new index -> index in the input ray list
     sigma1: StackyFan
     sigma2: StackyFan
-    sigma_prime: StackyFan
 
     def __hash__(self) -> int:
-        # the hash of the fields walks all three fans, and every chart
-        # lookup hashes the setup, so it is computed once and kept
+        # the hash of the fields walks both fans, and every chart lookup
+        # hashes the setup, so it is computed once and kept
         cached = self.__dict__.get("_hash")
         if cached is None:
             cached = hash(tuple(getattr(self, f.name) for f in fields(self)))
@@ -361,45 +356,21 @@ def build_contraction(rays, extra: WeightedRay) -> ContractionSetup:
         raise InvalidArgument("extra ray must involve at least two rays")
     perm = tuple(positive + [i for i, c in enumerate(a_full) if c == 0])
     rays = tuple(rays[i] for i in perm)
-    a = tuple(a_full[i] for i in positive)
     n_prime = len(positive)
-
-    alpha = tuple(Fraction(extra.weight, rays[i].weight) * a[i] for i in range(n_prime))
-    m = lcm(*[f.denominator for f in alpha])
-    r_prime = m * extra.weight
-    beta = tuple(int(m * f) for f in alpha)
+    alpha = tuple(
+        Fraction(extra.weight, rays[k].weight) * a_full[i] for k, i in enumerate(positive)
+    )
+    # b_{n+1} = sum alpha_i b_i must hold on the nose
+    rhs = tuple(sum(alpha[i] * rays[i].b[k] for i in range(n_prime)) for k in range(dim))
+    if extra.b != rhs:
+        raise ValidationError("internal: weighted extra ray does not recombine")
 
     sigma2 = make_fan(dim, rays, [tuple(range(n))])
-    i_prime = set(range(n_prime))
-    max1 = [tuple(sorted(set(range(n + 1)) - {i})) for i in sorted(i_prime)]
+    max1 = [tuple(j for j in range(n + 1) if j != i) for i in range(n_prime)]
     sigma1 = make_fan(dim, rays + (extra,), max1)
-    extra_prime = WeightedRay(v=extra.v, weight=r_prime)
-    sigma_prime = make_fan(dim, rays + (extra_prime,), max1)
-
-    setup = ContractionSetup(
-        n=n,
-        n_prime=n_prime,
-        rays=rays,
-        extra=extra,
-        a=a,
-        alpha=alpha,
-        m=m,
-        r_prime=r_prime,
-        beta=beta,
-        perm=perm,
-        sigma1=sigma1,
-        sigma2=sigma2,
-        sigma_prime=sigma_prime,
+    return ContractionSetup(
+        n=n, n_prime=n_prime, extra=extra, alpha=alpha, perm=perm, sigma1=sigma1, sigma2=sigma2
     )
-    # b'_{n+1} = sum beta_i b_i must hold on the nose
-    lhs = tuple(r_prime * c for c in extra.v)
-    rhs = [0] * dim
-    for i in range(n_prime):
-        for k, c in enumerate(rays[i].b):
-            rhs[k] += beta[i] * c
-    if lhs != tuple(rhs):
-        raise ValidationError("internal: weighted extra ray does not recombine")
-    return setup
 
 
 def parse_contraction(data: dict) -> ContractionSetup:

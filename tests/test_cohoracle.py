@@ -57,16 +57,12 @@ CHART_BOUNDS = {
     ("a1_resolution.json", None): (2, 11),
     ("contract_crepant_a1.json", "sigma1"): (2, 11),
     ("contract_crepant_a1.json", "sigma2"): (2, 5),
-    ("contract_crepant_a1.json", "sigma_prime"): (2, 11),
     ("contract_discrepancy.json", "sigma1"): (2, 8),
     ("contract_discrepancy.json", "sigma2"): (2, 5),
-    ("contract_discrepancy.json", "sigma_prime"): (4, 8),
     ("contract_om2.json", "sigma1"): (2, 11),
     ("contract_om2.json", "sigma2"): (2, 5),
-    ("contract_om2.json", "sigma_prime"): (2, 11),
     ("contract_om3.json", "sigma1"): (3, 14),
     ("contract_om3.json", "sigma2"): (3, 5),
-    ("contract_om3.json", "sigma_prime"): (3, 14),
     ("samebase_p12_p13.json", "fan_r"): (3, 5),
     ("samebase_p12_p13.json", "fan_s"): (2, 5),
     ("samebase_p12_p13.json", "fan_t"): (6, 5),

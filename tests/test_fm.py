@@ -1,6 +1,7 @@
 """Transform tests: worked examples frozen first, then cross-route checks."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from ccc.errors import (
     GridAlignmentError,
     InvalidArgument,
     PreconditionError,
+    ValidationError,
 )
 from ccc.exactlin import ceil_frac, pair
 from ccc.fm import (
@@ -207,6 +209,28 @@ def test_fm_line_bundle_case2_discrepancy_window(discrepancy_setup):
             assert got == (c1, c2, c1 // 2 + c2)
 
 
+@pytest.mark.parametrize("name", ["p1", "p13", "p112"])
+def test_fm_line_bundle_case1_closed_form(name, request):
+    # every ray is pushed on its own: c_i goes to floor(r_i * c_i / s_i)
+    base = request.getfixturevalue(name)
+    rng = random.Random(name)
+    for _ in range(20):
+        r, s = ([rng.randint(1, 6) for _ in base.rays] for _ in range(2))
+        setup = build_same_base(base, r, s)
+        for _ in range(10):
+            c = [rng.randint(-12, 12) for _ in base.rays]
+            expected = tuple((ri * ci) // si for ri, ci, si in zip(r, c, s))
+            assert fm_line_bundle_case1(setup, c) == expected
+
+
+@pytest.mark.parametrize("name", ["crepant_a1", "discrepancy_setup", "om3"])
+def test_fm_line_bundle_case2_closed_form(name, request):
+    setup = request.getfixturevalue(name)
+    for c in itertools.product(range(-7, 8), repeat=setup.n):
+        extra = math.floor(sum(a * ci for a, ci in zip(setup.alpha, c)))
+        assert fm_line_bundle_case2(setup, c) == c + (extra,)
+
+
 def _generic_probes(setup, rng, count, box):
     # probe points with all relevant pairings off the integer grid
     dim = setup.sigma1.dim
@@ -396,7 +420,8 @@ def test_fm3_region_without_extra_ray(crepant_a1):
     assert region.inner == region.outer
     assert region.contains((Fraction(3, 2), Fraction(0)))
     assert not region.contains((Fraction(1), Fraction(0)))  # open
-    assert region.boundary_aligned((Fraction(1), Fraction(0)))
+    with pytest.raises(GridAlignmentError):
+        as_pixel_predicate(region)((1, 0))
 
 
 def test_fm3_region_skips_inner_when_hypothesis_fails(discrepancy_setup):
@@ -410,6 +435,19 @@ def test_fm3_region_skips_inner_when_hypothesis_fails(discrepancy_setup):
 def test_fm3_region_is_one_region_per_chart(crepant_a1):
     J, phi = (1, 2), (0, -1)
     assert fm3_region(crepant_a1, J, phi) is fm3_region(crepant_a1, list(J), list(phi))
+
+
+def test_fm3_region_keeps_no_region_that_failed_validation(crepant_a1, monkeypatch):
+    def refuse(region):
+        raise ValidationError("refused")
+
+    fm._build_chart.cache_clear()  # fresh charts hold no region yet
+    monkeypatch.setattr(fm, "_validate_inner", refuse)
+    with pytest.raises(ValidationError):
+        fm3_region(crepant_a1, (1, 2), (0, -1))
+    monkeypatch.undo()
+    region = fm3_region(crepant_a1, (1, 2), (0, -1))
+    assert region is chart(crepant_a1, (1, 2), (0, -1)).region
 
 
 def test_contractibility_sweep_validates_each_chart_once(crepant_a1, monkeypatch):

@@ -8,6 +8,10 @@ intervals ``cohoracle._refined_scaled`` run on integers scaled by one
 common denominator, so their bodies also hold no true division (a stray
 ``/`` on ints yields a float that the float-literal rule cannot see) and
 no ``Fraction``.
+
+Every top-level ``def`` and ``class`` of the package is also read somewhere
+in the package or the tests, outside its own definition: a dead helper is
+deleted, not kept.
 """
 
 import ast
@@ -19,6 +23,10 @@ import pytest
 import ccc
 
 SOURCES = sorted(Path(ccc.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
+
+# the console script of pyproject.toml, read by no module
+ENTRY_POINTS = {"main"}
 
 # integer-only function -> the module that defines it
 INTEGER_ONLY = {
@@ -105,3 +113,62 @@ def test_guard_flags_each_rule():
             f"line 2: true division in {name}",
             f"line 2: Fraction in {name}",
         ]
+
+
+def _loads(tree: ast.AST) -> list[str]:
+    """The names a tree reads, as bare names or as attributes."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.append(node.attr)
+    return found
+
+
+def _dead_definitions(modules: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
+    """Top-level defs and classes of modules that no tree reads outside themselves.
+
+    Each module is also a reader; a load inside the definition itself, as
+    in a recursive call, does not count.
+    """
+    loads: dict[str, int] = {}
+    for tree in [*modules.values(), *readers]:
+        for name in _loads(tree):
+            loads[name] = loads.get(name, 0) + 1
+    dead = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name in ENTRY_POINTS:
+                continue
+            if loads.get(node.name, 0) == _loads(node).count(node.name):
+                dead.append(f"{module}: {node.name}")
+    return dead
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_every_definition_is_read():
+    modules = {path.name: _parse(path) for path in SOURCES}
+    assert _dead_definitions(modules, [_parse(path) for path in TESTS]) == []
+
+
+def test_dead_definition_rule_flags_unread_names():
+    module = ast.parse(
+        "def used():\n    return helper()\n"
+        "def helper():\n    return 1\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "class Unread:\n    pass\n"
+        "def main():\n    pass\n"
+    )
+    reader = ast.parse("import m\nm.used()\n")
+    assert _dead_definitions({"m.py": module}, [reader]) == ["m.py: recursive", "m.py: Unread"]
+    assert _dead_definitions({"m.py": module}, []) == [
+        "m.py: used",
+        "m.py: recursive",
+        "m.py: Unread",
+    ]

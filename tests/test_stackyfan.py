@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from ccc import stackyfan
 from ccc.errors import InvalidArgument, ValidationError
 from ccc.exactlin import cone_coefficients
 from ccc.stackyfan import (
@@ -144,42 +145,59 @@ def test_build_same_base_rejects_bad_weights(p1):
 
 def test_contraction_crepant_a1(crepant_a1):
     s = crepant_a1
-    assert s.a == (F(1, 2), F(1, 2))
     assert s.alpha == (F(1, 2), F(1, 2))
-    assert s.m == 2
-    assert s.r_prime == 2
-    assert s.beta == (1, 1)
     assert s.n_prime == 2
     assert {c.ray_indices for c in s.sigma1.max_cones} == {(1, 2), (0, 2)}
     assert [c.ray_indices for c in s.sigma2.max_cones] == [(0, 1)]
-    assert s.sigma_prime.weight(2) == 2
 
 
 def test_contraction_discrepancy_example(discrepancy_setup):
     s = discrepancy_setup
-    assert s.a == (F(1), F(1))
     assert s.alpha == (F(1, 2), F(1))
-    assert s.m == 2
-    assert s.r_prime == 2
-    assert s.beta == (1, 2)
 
 
 def test_contraction_om3(om3):
     assert om3.alpha == (F(1, 3), F(1, 3))
-    assert om3.m == 3
-    assert om3.r_prime == 3
-    assert om3.beta == (1, 1)
 
 
 def test_contraction_hash_is_the_field_hash_kept_once():
     doc = load_data("contract_om3.json")
     first, second = parse_contraction(doc), parse_contraction(doc)
     assert first == second and hash(first) == hash(second)
-    changed = dataclasses.replace(first, r_prime=first.r_prime + 1)
+    changed = dataclasses.replace(first, alpha=tuple(2 * a for a in first.alpha))
     assert changed != first
     for s in (first, changed):
         fields = tuple(getattr(s, f.name) for f in dataclasses.fields(s))
         assert hash(s) == hash(s) == hash(fields)
+
+
+CONTRACTIONS = [
+    "contract_crepant_a1.json",
+    "contract_discrepancy.json",
+    "contract_om2.json",
+    "contract_om3.json",
+]
+
+# rays e1, e2, e3 of weights 2, 2, 1 and the extra ray (1, 1, 0) of weight 1
+CREPANT_3D = {
+    "rays": [{"v": [1, 0, 0], "weight": 2}, {"v": [0, 1, 0], "weight": 2}, {"v": [0, 0, 1]}],
+    "extra": {"v": [1, 1, 0]},
+}
+
+
+@pytest.mark.parametrize("doc", [*CONTRACTIONS, CREPANT_3D], ids=[*CONTRACTIONS, "crepant_3d"])
+def test_parse_contraction_builds_two_fans(doc, monkeypatch):
+    built = []
+    original = stackyfan.make_fan
+
+    def counted(*args):
+        fan = original(*args)
+        built.append(fan)
+        return fan
+
+    monkeypatch.setattr(stackyfan, "make_fan", counted)
+    setup = parse_contraction(load_data(doc) if isinstance(doc, str) else doc)
+    assert built == [setup.sigma2, setup.sigma1]
 
 
 def test_contraction_rejects_degenerate_extra():
@@ -200,7 +218,7 @@ def test_contraction_reindexes_rays():
     rays = [WeightedRay((1, 0, 0), 1), WeightedRay((0, 1, 0), 1), WeightedRay((0, 0, 1), 1)]
     s = build_contraction(rays, WeightedRay((1, 0, 1), 1))
     assert s.perm == (0, 2, 1)
-    assert s.rays[1].v == (0, 0, 1)
+    assert s.sigma2.rays[1].v == (0, 0, 1)
     assert s.n_prime == 2
     assert {c.ray_indices for c in s.sigma1.max_cones} == {(1, 2, 3), (0, 2, 3)}
 
@@ -215,7 +233,7 @@ def _in_cone(fan, point, sigma):
 @pytest.mark.parametrize("name", ["crepant_a1", "discrepancy_setup", "om3"])
 def test_j_image_is_smallest_containing_cone(name, request):
     setup = request.getfixturevalue(name)
-    gens = {i: setup.rays[i].v for i in range(setup.n)}
+    gens = {i: setup.sigma2.v(i) for i in range(setup.n)}
     gens[setup.extra_index] = setup.extra.v
     for cone in setup.sigma1.all_cones:
         J = cone.ray_indices
