@@ -20,7 +20,7 @@ from .errors import BoundaryPointError, InvalidArgument, WindowTooSmall
 from .exactlin import Rational, RationalVector, cone_basis, pair
 from .fm import Chart, chart
 from .stackyfan import ContractionSetup, StackyFan
-from .thetapos import HomResult, ThetaIndex
+from .thetapos import HOM_INCLUSION, HOM_NON_INCLUSION, HomResult, ThetaIndex
 
 # the m window of _euler_sum doubles up to this cap
 _MAX_WINDOW = 16
@@ -177,35 +177,74 @@ def module_points(theta: ThetaIndex, lattice_choice: str, box: CharBox) -> Point
     return PointSet(points=frozenset(points))
 
 
+def _check_thresholds(theta: ThetaIndex, box: CharBox) -> None:
+    """Refuse a box of the wrong dimension or too small for theta's thresholds.
+
+    The box must strictly dominate every threshold by more than one unit.
+    The guard runs on the integers of the bound and the weights: bound
+    p/q <= |t/r| + 1 exactly when p*r <= (|t| + r)*q.
+    """
+    fan = theta.fan
+    if len(box.denominators) != fan.dim:
+        raise InvalidArgument("box has the wrong dimension")
+    p, q = box.bound.numerator, box.bound.denominator
+    for tk, i in zip(theta.t, theta.cone.ray_indices):
+        r = fan.weight(i)
+        if p * r <= (abs(tk) + r) * q:
+            raise InvalidArgument("box too small for these thresholds")
+
+
+# a theta's oracle support: the ray set of its cone and (lows, highs) of _refined_scaled
+OracleSupport = tuple[frozenset[int], tuple[int, ...], tuple[int, ...]]
+
+
+def oracle_support(theta: ThetaIndex, box: CharBox) -> OracleSupport:
+    """One theta's side of the module oracle: its cone's ray set and (lows, highs).
+
+    Runs the threshold guard, then reads the per-line intervals from
+    _refined_scaled, which refuses a box over _MAX_BOX_POINTS.  A sweep
+    builds this once per theta and compares pairs with hom_from_supports.
+    """
+    _check_thresholds(theta, box)
+    lows, highs = _refined_scaled(theta, box.bound, box.denominators)
+    return frozenset(theta.cone.ray_indices), lows, highs
+
+
+def hom_from_supports(support1: OracleSupport, support2: OracleSupport) -> HomResult:
+    """Hom from two oracle supports: the face test, then interval containment.
+
+    C[0] when the second cone is a face of the first and, on every line,
+    the first support's interval lies in the second's; otherwise zero.
+    """
+    rays1, lo1, hi1 = support1
+    rays2, lo2, hi2 = support2
+    if rays2 <= rays1 and all(map(le, lo2, lo1)) and all(map(le, hi1, hi2)):
+        return HOM_INCLUSION
+    return HOM_NON_INCLUSION
+
+
 def hom_module_oracle(theta1: ThetaIndex, theta2: ThetaIndex, box: CharBox) -> HomResult:
     """Hom by comparing truncated character modules in a common lattice.
 
     C[0] exactly when the cone of the second is a face of the first and
     every refined lattice point of the first support lies in the second.
-    Both supports are per-line intervals from _refined_scaled, built once
-    per theta, so the inclusion is interval containment on every line.
-    The box must strictly dominate every threshold by more than one unit;
-    that guard runs on the integers of the bound and the weights.
+    Both thetas pass the threshold guard first; a pair whose second cone
+    is not a face of the first is then zero without building either
+    support, so a box over _MAX_BOX_POINTS refuses only face pairs.
+    Otherwise both supports are per-line intervals from _refined_scaled
+    and hom_from_supports compares them.
     """
     if theta1.fan != theta2.fan:
         raise InvalidArgument("theta indices live in different fans")
-    fan = theta1.fan
-    if len(box.denominators) != fan.dim:
-        raise InvalidArgument("box has the wrong dimension")
-    # bound p/q <= |t/r| + 1 exactly when p*r <= (|t| + r)*q
-    p, q = box.bound.numerator, box.bound.denominator
     for th in (theta1, theta2):
-        for tk, i in zip(th.t, th.cone.ray_indices):
-            r = fan.weight(i)
-            if p * r <= (abs(tk) + r) * q:
-                raise InvalidArgument("box too small for these thresholds")
-    if not set(theta2.cone.ray_indices) <= set(theta1.cone.ray_indices):
-        return HomResult(value="Zero", reason="non-inclusion")
-    lo1, hi1 = _refined_scaled(theta1, box.bound, box.denominators)
-    lo2, hi2 = _refined_scaled(theta2, box.bound, box.denominators)
-    if all(map(le, lo2, lo1)) and all(map(le, hi1, hi2)):
-        return HomResult(value="C0", reason="inclusion")
-    return HomResult(value="Zero", reason="non-inclusion")
+        _check_thresholds(th, box)
+    rays1, rays2 = frozenset(theta1.cone.ray_indices), frozenset(theta2.cone.ray_indices)
+    if not rays2 <= rays1:
+        return HOM_NON_INCLUSION
+    return hom_from_supports(
+        (rays1, *_refined_scaled(theta1, box.bound, box.denominators)),
+        (rays2, *_refined_scaled(theta2, box.bound, box.denominators)),
+    )
 
 
 # ---------------------------------------------------------------------------

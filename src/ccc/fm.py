@@ -38,7 +38,7 @@ from .stackyfan import (
     is_complete,
     j_image,
 )
-from .thetapos import HomResult, Polyhedron, ThetaIndex, leq, support
+from .thetapos import HOM_INCLUSION, HomResult, Polyhedron, ThetaIndex, leq, support
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +164,7 @@ def ext_case2(setup: ContractionSetup, theta1: ThetaIndex, theta2: ThetaIndex) -
         if th.fan != setup.sigma2:
             raise InvalidArgument("theta does not live in the contracted fan")
     if leq(theta1, theta2):
-        return HomResult(value="C0", reason="inclusion")
+        return HOM_INCLUSION
 
     cert: dict = {
         "cone1": theta1.cone.ray_indices,
@@ -446,7 +446,7 @@ def ext_case3(setup: ContractionSetup, pair1, pair2) -> HomResult:
         if j in chart1.c and chart1.c[j] < c2
     )
     if not missing and not failures:
-        return HomResult(value="C0", reason="inclusion")
+        return HOM_INCLUSION
 
     cert = {
         "j1": chart1.J,

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cohoracle import (
+    hom_from_supports,
     hom_module_oracle,
+    oracle_support,
     refined_char_box,
     scaled_pairings,
     stalk_euler_scaled,
@@ -139,15 +141,19 @@ def hom_oracle_sweep(
     """Compare the hom rule with the module oracle on every window theta pair.
 
     The oracle box defaults to ``witness_box``, large enough that every
-    support non-inclusion in the window shows inside it.
+    support non-inclusion in the window shows inside it.  Each theta's
+    ``oracle_support`` is built once, in window order, so the box guard
+    and the lattice-point cap refuse before any pair is compared; each
+    pair then compares two prebuilt supports (``hom_from_supports``).
     """
     thetas = window_thetas(fan, window)
     bound = box if box is not None else witness_box(fan, window)
     char_box = refined_char_box(fan, bound)
+    keyed = [(th, oracle_support(th, char_box)) for th in thetas]
     disagreements = []
-    for th1, th2 in itertools.product(thetas, repeat=2):
+    for (th1, s1), (th2, s2) in itertools.product(keyed, repeat=2):
         fast = hom_constructible(th1, th2)
-        slow = hom_module_oracle(th1, th2, char_box)
+        slow = hom_from_supports(s1, s2)
         if fast.value != slow.value:
             disagreements.append((th1, th2, fast.value, slow.value))
     return HomOracleReport(window, bound, len(thetas) ** 2, tuple(disagreements))

@@ -93,9 +93,10 @@ def leq(theta1: ThetaIndex, theta2: ThetaIndex) -> bool:
     when the second cone is a face of the first and, on each of its rays,
     the first threshold is at least the second.  Both thetas share the fan,
     so they share the weights r_i, and t1_i / r_i >= t2_i / r_i compares
-    the integer thresholds.
+    the integer thresholds.  Thetas of one parsed fan hold the same fan
+    object, so the identity test spares the fan comparison.
     """
-    if theta1.fan != theta2.fan:
+    if theta1.fan is not theta2.fan and theta1.fan != theta2.fan:
         raise InvalidArgument("theta indices live in different fans")
     t1 = dict(zip(theta1.cone.ray_indices, theta1.t))
     return all(i in t1 and t1[i] >= t for i, t in zip(theta2.cone.ray_indices, theta2.t))
@@ -118,11 +119,14 @@ class HomResult:
             raise InvalidArgument("C0 exactly when the reason is inclusion")
 
 
+# the two certificate-free hom results, shared by every route that returns one
+HOM_INCLUSION = HomResult(value="C0", reason="inclusion")
+HOM_NON_INCLUSION = HomResult(value="Zero", reason="non-inclusion")
+
+
 def hom_constructible(theta1: ThetaIndex, theta2: ThetaIndex) -> HomResult:
     """Hom between two theta sheaves: C[0] on support inclusion, else zero."""
-    if leq(theta1, theta2):
-        return HomResult(value="C0", reason="inclusion")
-    return HomResult(value="Zero", reason="non-inclusion")
+    return HOM_INCLUSION if leq(theta1, theta2) else HOM_NON_INCLUSION
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,18 @@ from hypothesis import strategies as st
 
 import ccc
 from ccc.cli import Report, emit_report, parse_report, run
+from ccc.cohoracle import hom_module_oracle, refined_char_box
 from ccc.errors import InvalidArgument
 from ccc.fm import fm_case1, fm_line_bundle_case2
 from ccc.stackyfan import parse_contraction, parse_same_base, parse_stacky_fan
-from ccc.thetapos import format_theta, hom_constructible, parse_theta
+from ccc.sweeps import witness_box
+from ccc.thetapos import (
+    HOM_NON_INCLUSION,
+    format_theta,
+    hom_constructible,
+    parse_theta,
+    window_thetas,
+)
 
 DATA = Path(ccc.__file__).parent / "data"
 
@@ -120,6 +128,56 @@ def test_hom_oracle_box_guard(capsys):
     )
     assert code == 1
     assert "box" in rep.payload["error"]
+
+
+def test_hom_oracle_non_face_pair_skips_the_box_cap(capsys):
+    path = str(DATA / "p13.json")
+    argv = ["hom", path, "--theta1", "cone=0;t=0", "--oracle", "--box", "100000"]
+    code, rep = invoke(capsys, *argv, "--theta2", "cone=1;t=0")
+    assert code == 0
+    assert rep.payload["oracle"] == {"value": "Zero", "reason": "non-inclusion", "box": 100000}
+    code, rep = invoke(capsys, *argv, "--theta2", "cone=0;t=0")
+    assert code == 1
+    assert rep.payload == {
+        "error": "the oracle box holds 600001 lattice points, over the limit 262144"
+    }
+
+
+@pytest.mark.parametrize(
+    "box, error",
+    [
+        ("2", "box too small for these thresholds"),
+        ("100000", "the oracle box holds 160000800001 lattice points, over the limit 262144"),
+    ],
+)
+def test_check_hom_oracle_refusal_bytes(capsys, box, error):
+    path = str(DATA / "p112.json")
+    code = run(["check", "hom-oracle", path, "--window", "2", "--box", box])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        '{"payload":{"error":"' + error + '"},"status":"invalid-input","witnesses":[]}\n'
+    )
+
+
+def test_check_hom_oracle_reports_disagreements(capsys, monkeypatch):
+    # a rule that never finds an inclusion disagrees on every pair the oracle calls C0
+    monkeypatch.setattr("ccc.sweeps.hom_constructible", lambda th1, th2: HOM_NON_INCLUSION)
+    path = DATA / "p13.json"
+    code, rep = invoke(capsys, "check", "hom-oracle", str(path), "--window", "1")
+    assert code == 2
+    assert rep.status == "check-failed"
+    fan = parse_stacky_fan(json.loads(path.read_text()))
+    box = refined_char_box(fan, witness_box(fan, 1))
+    thetas = window_thetas(fan, 1)
+    expected = [
+        [format_theta(th1), format_theta(th2), "Zero", "C0"]
+        for th1 in thetas
+        for th2 in thetas
+        if hom_module_oracle(th1, th2, box).value == "C0"
+    ]
+    assert expected
+    assert rep.payload["disagreements"] == len(expected)
+    assert rep.witnesses == sorted(expected)
 
 
 def test_contract_push_bundle_matches_library(capsys):

@@ -15,9 +15,11 @@ from ccc import cohoracle
 from ccc.cohoracle import (
     CharBox,
     _refined_scaled,
+    hom_from_supports,
     hom_module_oracle,
     koszul_euler,
     module_points,
+    oracle_support,
     q2_member,
     q2_member_enum,
     refined_char_box,
@@ -40,7 +42,7 @@ from ccc.stackyfan import (
     parse_stacky_fan,
 )
 from ccc.sweeps import charts, sandwich_probes, sandwich_sweep, witness_box
-from ccc.thetapos import ThetaIndex, hom_constructible, leq, window_thetas
+from ccc.thetapos import HomResult, ThetaIndex, hom_constructible, leq, window_thetas
 
 from conftest import load_data
 
@@ -166,8 +168,25 @@ def test_hom_oracle_matches_constructible(fixture, request):
     fan = request.getfixturevalue(fixture)
     box = refined_char_box(fan, 6)
     thetas = window_thetas(fan, 2)
-    for th1, th2 in itertools.product(thetas, repeat=2):
-        assert hom_module_oracle(th1, th2, box) == hom_constructible(th1, th2)
+    # the sweep's route: one support per theta, then one comparison per pair
+    keyed = [(th, oracle_support(th, box)) for th in thetas]
+    for (th1, s1), (th2, s2) in itertools.product(keyed, repeat=2):
+        direct = hom_module_oracle(th1, th2, box)
+        assert direct == hom_constructible(th1, th2)
+        assert hom_from_supports(s1, s2) == direct
+
+
+def test_hom_oracle_non_face_pair_skips_the_box_cap(p13):
+    # cone 1 is no face of cone 0: the pair is zero before either support
+    # is built, so a box over the lattice-point cap refuses only face pairs
+    box = CharBox(100000, (3,))
+    th1, th2 = theta(p13, (0,), (0,)), theta(p13, (1,), (0,))
+    assert hom_module_oracle(th1, th2, box) == HomResult(value="Zero", reason="non-inclusion")
+    refusal = "^the oracle box holds 600001 lattice points, over the limit 262144$"
+    with pytest.raises(InvalidArgument, match=refusal):
+        hom_module_oracle(th1, th1, box)
+    with pytest.raises(InvalidArgument, match=refusal):
+        oracle_support(th2, box)
 
 
 def test_hom_oracle_box_guard(p13):

@@ -3,11 +3,12 @@
 The raster bounds ``fm._bounds``, ``fm._step_segments`` and
 ``fm._staircase_spans``, the stalk and Koszul count
 ``cohoracle._euler_sum``, its term tables ``cohoracle._euler_terms`` and
-scaled entry ``cohoracle.stalk_euler_scaled``, and the refined module
-intervals ``cohoracle._refined_scaled`` run on integers scaled by one
-common denominator, so their bodies also hold no true division (a stray
-``/`` on ints yields a float that the float-literal rule cannot see) and
-no ``Fraction``.
+scaled entry ``cohoracle.stalk_euler_scaled``, the refined module
+intervals ``cohoracle._refined_scaled``, and the oracle box guard
+``cohoracle._check_thresholds`` with the per-theta ``oracle_support``
+run on integers scaled by one common denominator, so their bodies also
+hold no true division (a stray ``/`` on ints yields a float that the
+float-literal rule cannot see) and no ``Fraction``.
 
 Every top-level ``def`` and ``class`` of the package is also read somewhere
 in the package or the tests, outside its own definition: a dead helper is
@@ -37,6 +38,8 @@ INTEGER_ONLY = {
     "_euler_terms": "cohoracle.py",
     "stalk_euler_scaled": "cohoracle.py",
     "_refined_scaled": "cohoracle.py",
+    "_check_thresholds": "cohoracle.py",
+    "oracle_support": "cohoracle.py",
 }
 
 
