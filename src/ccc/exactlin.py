@@ -188,44 +188,60 @@ Constraint = tuple[tuple[Fraction, ...], Fraction, bool]
 # (coeffs, rhs, strict) encodes sum(coeffs * x) >= rhs, or > rhs when strict.
 
 
-def _normalize_constraint(coeffs: Sequence[Fraction], rhs: Fraction, strict: bool) -> Constraint:
-    lead = next((c for c in coeffs if c != 0), None)
-    if lead is None:
-        return tuple(coeffs), rhs, strict
-    scale = abs(lead)
-    return tuple(c / scale for c in coeffs), rhs / scale, strict
+def _primitive(coeffs: Sequence[int], rhs: int, strict: bool) -> tuple:
+    """The integer constraint divided by the gcd of its coefficients and rhs.
+
+    Two constraints are positive multiples of each other exactly when their
+    primitive forms agree, so the forms deduplicate the system.
+    """
+    g = gcd(rhs, *coeffs)
+    if g > 1:
+        return tuple(c // g for c in coeffs), rhs // g, strict
+    return tuple(coeffs), rhs, strict
+
+
+def _integer_constraint(coeffs: Sequence[Fraction | int], rhs: Fraction | int, strict: bool) -> tuple:
+    """A rational constraint scaled by the lcm of its denominators, in primitive form."""
+    den = lcm(rhs.denominator, *(c.denominator for c in coeffs))
+    return _primitive(
+        [c.numerator * (den // c.denominator) for c in coeffs],
+        rhs.numerator * (den // rhs.denominator),
+        strict,
+    )
 
 
 def linear_feasible(constraints: Sequence[Constraint], dim: int) -> bool:
     """Exact feasibility of a system of rational linear inequalities.
 
     Fourier-Motzkin elimination; strictness propagates through combinations.
-    Intended for the small systems arising from cones and support polyhedra.
+    Each constraint is scaled to a primitive integer row once, and every
+    combination is an integer one reduced to primitive form again, so the
+    elimination never builds a fraction.  Intended for the small systems
+    arising from cones and support polyhedra.
     """
-    current = {
-        _normalize_constraint([Fraction(c) for c in coeffs], Fraction(rhs), strict)
-        for coeffs, rhs, strict in constraints
-    }
+    current = {_integer_constraint(coeffs, rhs, strict) for coeffs, rhs, strict in constraints}
     for var in range(dim):
-        lowers: list[Constraint] = []
-        uppers: list[Constraint] = []
-        keep: set[Constraint] = set()
-        for coeffs, rhs, strict in current:
-            a = coeffs[var]
+        lowers: list[tuple] = []
+        uppers: list[tuple] = []
+        keep: set[tuple] = set()
+        for con in current:
+            a = con[0][var]
             if a > 0:
-                lowers.append((coeffs, rhs, strict))
+                lowers.append(con)
             elif a < 0:
-                uppers.append((coeffs, rhs, strict))
+                uppers.append(con)
             else:
-                keep.add((coeffs, rhs, strict))
+                keep.add(con)
         for lc, lr, ls in lowers:
             for uc, ur, us in uppers:
-                # x_var >= (lr - rest_l)/la and x_var <= (rest_u - ur)/(-ua)
-                la, ua = lc[var], uc[var]
-                coeffs = [lcx * (-ua) + ucx * la for lcx, ucx in zip(lc, uc)]
-                rhs = lr * (-ua) + ur * la
-                coeffs[var] = Fraction(0)
-                keep.add(_normalize_constraint(coeffs, rhs, ls or us))
+                # x_var >= (lr - rest_l)/la and x_var <= (rest_u - ur)/ua, with
+                # ua = -uc[var]; the two multipliers are reduced by their gcd
+                la, ua = lc[var], -uc[var]
+                g = gcd(la, ua)
+                la, ua = la // g, ua // g
+                coeffs = [lcx * ua + ucx * la for lcx, ucx in zip(lc, uc)]
+                coeffs[var] = 0
+                keep.add(_primitive(coeffs, lr * ua + ur * la, ls or us))
         current = keep
     for coeffs, rhs, strict in current:
         if strict:

@@ -224,7 +224,11 @@ class Chart:
         """The staircase character gamma(m) on the contracted cone sigma_{J'}.
 
         m is indexed by m_index, nonnegative on indices inside J and
-        unrestricted on the rest.
+        unrestricted on the rest.  The height over i0 is
+        ceil((c_{n+1} - sum alpha_i t_i) / alpha_{i0}), found on integers:
+        with the weights scaled by their common denominator D
+        (``setup.scaled_alpha``), it is one ceil_div of the scaled numerator
+        by D * alpha_{i0}.
         """
         key = tuple(m)
         if key in self._characters:
@@ -235,14 +239,15 @@ class Chart:
         if len(m) != len(self.m_index):
             raise InvalidArgument("m must be indexed by I' minus the chosen i0")
         su = self.setup
+        scale, weights = su.scaled_alpha
         coords = dict(self.c)
-        num = Fraction(self.c[su.extra_index])
+        num = self.c[su.extra_index] * scale
         for mk, i in zip(m, self.m_index):
             if i in self.c and mk < 0:
                 raise InvalidArgument(f"m_{i} must be nonnegative inside J")
             coords[i] = self.c.get(i, 0) + mk
-            num -= su.alpha[i] * coords[i]
-        coords[self.i0] = ceil_frac(num / su.alpha[self.i0])
+            num -= weights[i] * coords[i]
+        coords[self.i0] = ceil_div(num, weights[self.i0])
         g = ThetaIndex(
             fan=su.sigma2,
             cone=Cone(self.j_prime),
@@ -611,13 +616,18 @@ def _step_segments(a, slope, scale, side, hits):
 def _staircase_spans(region: StaircaseRegion, y0, step, side, scale):
     """The row spans of a staircase region whose chart holds the extra ray.
 
-    Returns spans(x, hits), the spans of the row at x, with the same
-    integer scaling as _bounds; the rays, floors and step heights are read
-    once per raster.  A planar chart steps along one ray k, and the row is
-    one walk over the crossings of its pairing p_k with the integers
+    Returns spans(x, hits), the maximal runs of the row at x as a tuple,
+    with the same integer scaling as _bounds; the rays, floors and step
+    heights are read once per raster, and each height is one integer
+    Chart.gamma.  A planar chart steps along one ray k, and the row is one
+    walk over the crossings of its pairing p_k with the integers
     (_step_segments).  On the segment where ceil(p_k) = n, m0 = n - 1 - c_k,
     and membership is p[i0] > gamma(m0)[i0]: one more divmod per segment.
-    A segment under a floor of J (m0 < 0 with k in J) is skipped.
+    A segment under a floor of J (m0 < 0 with k in J) is skipped.  The
+    segments tile the row in order, so a span that starts where the last
+    one stopped extends it as the walk emits it, and empty spans are
+    dropped: the row comes out maximal.  Every segment is still walked, so
+    the hits, and with them the refusal, do not depend on the merging.
     """
     ch = region.chart
     rays, c = {j: ch.setup.sigma2.b(j) for j in ch.j_prime}, ch.c
@@ -633,7 +643,7 @@ def _staircase_spans(region: StaircaseRegion, y0, step, side, scale):
         heights[n] = None if held and m0 < 0 else ch.gamma((m0,)).t[pos] * scale
         return heights[n]
 
-    def spans(x, hits) -> list:
+    def spans(x, hits) -> tuple:
         start, stop = _bounds(floors, x, y0, step, 0, side, hits)
         a, b = k0 * x + k1 * y0, h0 * x + h1 * y0  # p_k and p_i0 at pixel 0, scaled
         out = []
@@ -654,8 +664,12 @@ def _staircase_spans(region: StaircaseRegion, y0, step, side, scale):
                     hits.append(first)
                 end = first
             # max and min inline, cheaper here than the builtin calls
-            out.append((first if first > start else start, end if end < stop else stop))
-        return out
+            lo, hi = first if first > start else start, end if end < stop else stop
+            if lo < hi:
+                if out and out[-1][1] == lo:
+                    lo = out.pop()[0]
+                out.append((lo, hi))
+        return tuple(out)
 
     return spans
 
@@ -667,7 +681,10 @@ def raster_runs(obj, bbox, step, origin=(0, 0)) -> tuple:
     GridAlignmentError at the first aligned center in row-major order.  The
     raster is scaled once by the common denominator of its first center,
     its step and the thresholds, so every bound is found on integers; only
-    a refused center is rebuilt as fractions, for its message.
+    a refused center is rebuilt as fractions, for its message.  Each row
+    comes out of its spans already maximal (a polyhedron row is one span);
+    a row equal to the row before it is that row's tuple object, so a
+    consumer can tell repeated rows by identity (difference_contractible).
     """
     (x0, y0), step, side = _grid(bbox, step, origin)
     if isinstance(obj, StaircaseRegion) and not obj.chart.stepped:
@@ -687,8 +704,9 @@ def raster_runs(obj, bbox, step, origin=(0, 0)) -> tuple:
             (normal, int(t * scale)) for (normal, _, _), t in zip(obj.constraints, thresholds)
         ]
 
-        def spans(x, hits) -> list:
-            return [_bounds(constraints, x, sy, sstep, 0, side, hits)]
+        def spans(x, hits) -> tuple:
+            start, stop = _bounds(constraints, x, sy, sstep, 0, side, hits)
+            return ((start, stop),) if start < stop else ()
 
     else:
         spans = _staircase_spans(obj, sy, sstep, side, scale)
@@ -699,7 +717,7 @@ def raster_runs(obj, bbox, step, origin=(0, 0)) -> tuple:
         if hits:
             center = (x0 + step * i, y0 + step * min(hits))
             raise GridAlignmentError(f"pixel center {center} aligned with a {face}")
-        rows.append(_merged(row))
+        rows.append(rows[-1] if rows and rows[-1] == row else row)
     return tuple(rows)
 
 
@@ -725,8 +743,17 @@ def difference_contractible(first, second) -> bool:
     are dropped.  Maximal runs are closed rectangles that meet only across
     adjacent rows (corner contact included), and no three share a point,
     so the union is homotopy equivalent to the graph of meeting runs:
-    contractible exactly when that graph is a tree.  An empty difference
-    counts as not contractible.
+    contractible exactly when that graph is a tree: no edge closes a
+    cycle, and the edges join the nodes into one component.  An empty
+    difference counts as not contractible.
+
+    A row pair that is the very pair below it, the same two objects as
+    raster_runs shares them between equal rows, is skipped.  Runs in one
+    row are at least one pixel apart, so in a stack of identical
+    difference rows each run meets only its own copies above and below:
+    the stack adds one vertical path per run, and contracting each path to
+    one node keeps the graph a tree or not, and empty or not.  Equal rows
+    that are distinct objects are walked, with the same verdict.
     """
     parent: list[int] = []
 
@@ -736,8 +763,13 @@ def difference_contractible(first, second) -> bool:
             node = parent[node]
         return node
 
+    joins = 0  # each edge merges two components
     below: list = []
+    last_row = last_cut = None
     for row, cut in zip(first, second):
+        if row is last_row and cut is last_cut:
+            continue
+        last_row, last_cut = row, cut
         here = []
         for start, stop in _row_minus(row, cut):
             node = len(parent)
@@ -748,9 +780,10 @@ def difference_contractible(first, second) -> bool:
                     if top == bottom:
                         return False  # a cycle of runs: the union has a hole
                     parent[top] = bottom
+                    joins += 1
             here.append((start, stop, node))
         below = here
-    return sum(root(node) == node for node in range(len(parent))) == 1
+    return len(parent) - joins == 1
 
 
 def raster_contractible_2d(member_a, member_b, bbox, step, origin=(0, 0)) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .errors import InvalidArgument, ValidationError
@@ -295,6 +296,10 @@ class ContractionSetup:
     alpha_i = r_{n+1} a_i / r_i writes its weighted generator in the block:
     b_{n+1} = sum alpha_i b_i.  sigma2 is the fan of the contracted model,
     sigma1 the subdivided one; perm records the reindexing.
+
+    The discrepancy comparison and the integer block weights are derived
+    once, on first use; like the kept hash they live outside the fields,
+    so they take no part in equality, hashing or repr.
     """
 
     n: int
@@ -313,6 +318,20 @@ class ContractionSetup:
             cached = hash(tuple(getattr(self, f.name) for f in fields(self)))
             object.__setattr__(self, "_hash", cached)
         return cached
+
+    @cached_property
+    def discrepancy(self) -> str:
+        """sum(alpha) compared with 1: ">=", "<=" or "="."""
+        total = sum(self.alpha)
+        if total == 1:
+            return "="
+        return ">=" if total > 1 else "<="
+
+    @cached_property
+    def scaled_alpha(self) -> tuple[int, tuple[int, ...]]:
+        """(D, (D * alpha_i)): the block weights over their common denominator D."""
+        scale = lcm(*(a.denominator for a in self.alpha))
+        return scale, tuple(int(a * scale) for a in self.alpha)
 
     @property
     def extra_index(self) -> int:
@@ -415,8 +434,5 @@ def discrepancy_compare(setup) -> str:
             return "<="
         return "incomparable"
     if isinstance(setup, ContractionSetup):
-        total = sum(setup.alpha)
-        if total == 1:
-            return "="
-        return ">=" if total > 1 else "<="
+        return setup.discrepancy
     raise InvalidArgument(f"unsupported setup type {type(setup).__name__}")

@@ -210,3 +210,34 @@ def test_linear_feasible_grid_witness_implies_feasible(raw):
     )
     if witness:
         assert linear_feasible(cons, 2)
+
+
+_POSITIVE = st.fractions(min_value=F(1, 12), max_value=12, max_denominator=12)
+
+
+@given(
+    point=st.tuples(rationals, rationals, rationals),
+    rows=st.lists(
+        st.tuples(st.tuples(rationals, rationals, rationals), st.booleans(), _POSITIVE),
+        min_size=2,
+        max_size=5,
+    ),
+    picks=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    weights=st.tuples(_POSITIVE, _POSITIVE),
+    push=_POSITIVE,
+    strict=st.booleans(),
+)
+def test_linear_feasible_rational_systems_both_ways(point, rows, picks, weights, push, strict):
+    # strict rows hold at the point with slack, the others with equality
+    cons = []
+    for coeffs, row_strict, slack in rows:
+        value = sum(c * x for c, x in zip(coeffs, point))
+        cons.append((coeffs, value - slack if row_strict else value, row_strict))
+    assert linear_feasible(cons, 3)
+    # a positive combination of two rows holds on the system; its negation
+    # pushed past the combined bound contradicts it
+    (ci, ri, _), (cj, rj, _) = (cons[k % len(cons)] for k in picks)
+    wi, wj = weights
+    combined = tuple(wi * a + wj * b for a, b in zip(ci, cj))
+    bound = wi * ri + wj * rj
+    assert not linear_feasible(cons + [(tuple(-c for c in combined), push - bound, strict)], 3)

@@ -836,3 +836,37 @@ def test_difference_contractible_matches_cubical_reference(first, second):
     assert difference_contractible(_runs_of(first), _runs_of(second)) == _cubical_contractible(
         first - second
     )
+
+
+def _shared(rows):
+    """The rows with each row equal to the one before it replaced by that object."""
+    out = []
+    for row in rows:
+        out.append(out[-1] if out and out[-1] == row else row)
+    return tuple(out)
+
+
+_ROW_PATTERNS = st.lists(st.frozensets(st.integers(0, 7), max_size=8), min_size=1, max_size=3)
+
+
+@given(
+    first=_ROW_PATTERNS,
+    second=_ROW_PATTERNS,
+    picks=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=8, max_size=16),
+)
+@settings(max_examples=300, deadline=None)
+def test_difference_contractible_skips_shared_repeated_rows(first, second, picks):
+    # row i of each raster is one of a few patterns, so rows repeat in one
+    # raster, in the other, or in both, shared as raster_runs shares them
+    a = {(i, j) for i, (p, _) in enumerate(picks) for j in first[p % len(first)]}
+    b = {(i, j) for i, (_, q) in enumerate(picks) for j in second[q % len(second)]}
+    side = len(picks)
+    runs_a, runs_b = _shared(_runs_of(a, side)), _shared(_runs_of(b, side))
+    assert difference_contractible(runs_a, runs_b) == _cubical_contractible(a - b)
+
+
+def test_raster_runs_shares_equal_consecutive_rows(crepant_a1):
+    rows = raster_runs(fm3_region(crepant_a1, (2,), (0,)), 6, Fraction(1, 6), origin=RASTER_ORIGIN)
+    consecutive = list(zip(rows, rows[1:]))
+    assert sum(a == b and a != () for a, b in consecutive) > 20
+    assert all((a == b) == (a is b) for a, b in consecutive)

@@ -1,14 +1,17 @@
 """Source rules of the core package: stdlib-only imports and no floats.
 
 The raster bounds ``fm._bounds``, ``fm._step_segments`` and
-``fm._staircase_spans``, the stalk and Koszul count
+``fm._staircase_spans``, the staircase heights ``fm.Chart.gamma``, the
+Fourier-Motzkin elimination ``exactlin.linear_feasible`` with its
+primitive rows ``exactlin._primitive``, the stalk and Koszul count
 ``cohoracle._euler_sum``, its term tables ``cohoracle._euler_terms`` and
 scaled entry ``cohoracle.stalk_euler_scaled``, the refined module
 intervals ``cohoracle._refined_scaled``, and the oracle box guard
 ``cohoracle._check_thresholds`` with the per-theta ``oracle_support``
 run on integers scaled by one common denominator, so their bodies also
 hold no true division (a stray ``/`` on ints yields a float that the
-float-literal rule cannot see) and no ``Fraction``.
+float-literal rule cannot see) and no ``Fraction``.  A rule names a
+top-level function, or a method of a top-level class as ``Class.method``.
 
 Every top-level ``def`` and ``class`` of the package is also read somewhere
 in the package or the tests, outside its own definition: a dead helper is
@@ -17,6 +20,7 @@ deleted, not kept.
 
 import ast
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -29,11 +33,14 @@ TESTS = sorted(Path(__file__).parent.glob("*.py"))
 # the console script of pyproject.toml, read by no module
 ENTRY_POINTS = {"main"}
 
-# integer-only function -> the module that defines it
+# integer-only function or Class.method -> the module that defines it
 INTEGER_ONLY = {
     "_bounds": "fm.py",
     "_step_segments": "fm.py",
     "_staircase_spans": "fm.py",
+    "Chart.gamma": "fm.py",
+    "linear_feasible": "exactlin.py",
+    "_primitive": "exactlin.py",
     "_euler_sum": "cohoracle.py",
     "_euler_terms": "cohoracle.py",
     "stalk_euler_scaled": "cohoracle.py",
@@ -43,13 +50,24 @@ INTEGER_ONLY = {
 }
 
 
-def _integer_violations(func: ast.FunctionDef) -> list[str]:
+def _definitions(tree: ast.Module):
+    """(name, def) of each top-level function and, as Class.method, each method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _integer_violations(name: str, func: ast.FunctionDef) -> list[str]:
     found = []
     for node in ast.walk(func):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
-            found.append(f"line {node.lineno}: true division in {func.name}")
+            found.append(f"line {node.lineno}: true division in {name}")
         if isinstance(node, ast.Name) and node.id == "Fraction":
-            found.append(f"line {node.lineno}: Fraction in {func.name}")
+            found.append(f"line {node.lineno}: Fraction in {name}")
     return found
 
 
@@ -73,9 +91,9 @@ def _violations(tree: ast.AST) -> list[str]:
             and node.func.id == "float"
         ):
             found.append(f"line {node.lineno}: float() call")
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name in INTEGER_ONLY:
-            found += _integer_violations(node)
+    for name, node in _definitions(tree):
+        if name in INTEGER_ONLY:
+            found += _integer_violations(name, node)
     return found
 
 
@@ -86,9 +104,9 @@ def test_sources_found():
 def test_integer_only_functions_found():
     for name, module in INTEGER_ONLY.items():
         tree = ast.parse((Path(ccc.__file__).parent / module).read_text(encoding="utf-8"))
-        # a top-level def, so that a rename, or a nested helper of the same
-        # name, cannot leave the rule guarding nothing
-        defined = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+        # a top-level def or method, so that a rename, or a nested helper of
+        # the same name, cannot leave the rule guarding nothing
+        defined = [found for found, _ in _definitions(tree)]
         assert defined.count(name) == 1, f"{name} is not defined once at the top of {module}"
 
 
@@ -111,10 +129,14 @@ def test_guard_flags_each_rule():
         "line 7: Fraction in _bounds",
     ]
     for name in INTEGER_ONLY:
-        tree = ast.parse(f"def {name}(a, b):\n    return Fraction(a) / b\n")
-        assert _violations(tree) == [
-            f"line 2: true division in {name}",
-            f"line 2: Fraction in {name}",
+        owner, _, func = name.rpartition(".")
+        source = f"def {func}(a, b):\n    return Fraction(a) / b\n"
+        if owner:
+            source = f"class {owner}:\n" + textwrap.indent(source, "    ")
+        line = source.count("\n")
+        assert _violations(ast.parse(source)) == [
+            f"line {line}: true division in {name}",
+            f"line {line}: Fraction in {name}",
         ]
 
 

@@ -186,6 +186,23 @@ CREPANT_3D = {
 
 
 @pytest.mark.parametrize("doc", [*CONTRACTIONS, CREPANT_3D], ids=[*CONTRACTIONS, "crepant_3d"])
+def test_contraction_derived_fields_stay_out_of_eq_hash_and_repr(doc):
+    data = load_data(doc) if isinstance(doc, str) else doc
+    first, second = parse_contraction(data), parse_contraction(data)
+    total = sum(first.alpha)
+    assert discrepancy_compare(first) == ("=" if total == 1 else ">=" if total > 1 else "<=")
+    scale, weights = first.scaled_alpha
+    assert all(type(w) is int for w in weights)
+    assert tuple(F(w, scale) for w in weights) == first.alpha
+    # only the first parse has derived its fields
+    assert {"discrepancy", "scaled_alpha"} <= set(vars(first))
+    assert not {"discrepancy", "scaled_alpha"} & set(vars(second))
+    assert first == second and hash(first) == hash(second)
+    assert repr(first) == repr(second)
+    assert "discrepancy" not in repr(first) and "scaled_alpha" not in repr(first)
+
+
+@pytest.mark.parametrize("doc", [*CONTRACTIONS, CREPANT_3D], ids=[*CONTRACTIONS, "crepant_3d"])
 def test_parse_contraction_builds_two_fans(doc, monkeypatch):
     built = []
     original = stackyfan.make_fan
