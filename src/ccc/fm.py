@@ -38,7 +38,15 @@ from .stackyfan import (
     is_complete,
     j_image,
 )
-from .thetapos import HOM_INCLUSION, HomResult, Polyhedron, ThetaIndex, leq, support
+from .thetapos import (
+    HOM_CONTRACTIBLE_DIFFERENCE,
+    HOM_INCLUSION,
+    HomResult,
+    Polyhedron,
+    ThetaIndex,
+    leq,
+    support,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +109,13 @@ def fm_line_bundle_case1(setup: SameBaseSetup, c) -> tuple[int, ...]:
 
 
 def _extra_threshold(setup: ContractionSetup, t: dict[int, int]) -> int:
-    """The threshold ceil(sum alpha_i t_i) over the extra ray; t maps ray i to t_i."""
-    return ceil_frac(sum(setup.alpha[i] * t[i] for i in setup.i_prime))
+    """The threshold ceil(sum alpha_i t_i) over the extra ray; t maps ray i to t_i.
+
+    With the weights over their common denominator D (setup.scaled_alpha),
+    it is one ceil_div of sum D*alpha_i t_i by D, as in Chart.gamma.
+    """
+    scale, weights = setup.scaled_alpha
+    return ceil_div(sum(weights[i] * t[i] for i in setup.i_prime), scale)
 
 
 def fm_case2(setup: ContractionSetup, theta: ThetaIndex) -> tuple[Polyhedron, list[ThetaIndex]]:
@@ -163,25 +176,7 @@ def ext_case2(setup: ContractionSetup, theta1: ThetaIndex, theta2: ThetaIndex) -
     for th in (theta1, theta2):
         if th.fan != setup.sigma2:
             raise InvalidArgument("theta does not live in the contracted fan")
-    if leq(theta1, theta2):
-        return HOM_INCLUSION
-
-    cert: dict = {
-        "cone1": theta1.cone.ray_indices,
-        "cone2": theta2.cone.ray_indices,
-        "t1": theta1.t,
-        "t2": theta2.t,
-    }
-    iset = set(setup.i_prime)
-    if iset <= set(theta1.cone.ray_indices) and iset <= set(theta2.cone.ray_indices):
-        t1 = dict(zip(theta1.cone.ray_indices, theta1.t))
-        t2 = dict(zip(theta2.cone.ray_indices, theta2.t))
-        cert["t_extra"] = (_extra_threshold(setup, t1), _extra_threshold(setup, t2))
-        diffs = {i: t2[i] - t1[i] for i in setup.i_prime}
-        if all(d >= 1 for d in diffs.values()):
-            # the extra threshold must move along: ceil of a sum >= 1
-            cert["gap_ceiling"] = _extra_threshold(setup, diffs)
-    return HomResult(value="Zero", reason="contractible-difference", certificate=cert)
+    return HOM_INCLUSION if leq(theta1, theta2) else HOM_CONTRACTIBLE_DIFFERENCE
 
 
 # ---------------------------------------------------------------------------
@@ -436,32 +431,16 @@ def ext_case3(setup: ContractionSetup, pair1, pair2) -> HomResult:
 
     Valid under the discrepancy hypothesis sum(alpha) <= 1, where the pull
     is fully faithful: C[0] exactly on support inclusion upstairs, else a
-    contractible region difference.  The certificate records the two cones,
-    whether each holds the extra ray, and which ray or threshold breaks the
-    inclusion; no region is built.
+    contractible region difference.  Both charts are validated; no region
+    is built.
     """
     if discrepancy_compare(setup) not in ("<=", "="):
         raise PreconditionError("pull direction needs discrepancy sum(alpha) <= 1")
     chart1, chart2 = chart(setup, *pair1), chart(setup, *pair2)
-    # leq upstairs: missing rays break the face condition, failures the thresholds
-    missing = tuple(j for j in chart2.J if j not in chart1.c)
-    failures = tuple(
-        (j, chart1.c[j], c2)
-        for j, c2 in chart2.c.items()
-        if j in chart1.c and chart1.c[j] < c2
-    )
-    if not missing and not failures:
+    # leq upstairs: every ray of the second cone, with a threshold no larger
+    if all(j in chart1.c and chart1.c[j] >= c2 for j, c2 in chart2.c.items()):
         return HOM_INCLUSION
-
-    cert = {
-        "j1": chart1.J,
-        "j2": chart2.J,
-        "extra_in_j1": chart1.stepped,
-        "extra_in_j2": chart2.stepped,
-        "missing_rays": missing,
-        "threshold_failures": failures,
-    }
-    return HomResult(value="Zero", reason="contractible-difference", certificate=cert)
+    return HOM_CONTRACTIBLE_DIFFERENCE
 
 
 def fm_line_bundle_case3(setup: ContractionSetup, c) -> tuple[int, ...] | None:
@@ -578,64 +557,103 @@ def _bounds(constraints, x, y0, step, lo, hi, hits) -> tuple[int, int]:
     return start, stop
 
 
-def _step_segments(a, slope, scale, side, hits):
-    """The segments of a row on which the step pairing keeps one ceiling.
+def _first_step_hit(a, slope, scale, side):
+    """The least pixel j of [0, side) whose step pairing lies on a step line.
+
+    The scaled step pairing at pixel j is a + slope*j, on a line when
+    scale divides it.  With g = gcd(slope, scale), the congruence
+    slope*j = -a (mod scale) is solvable exactly when g divides a, and its
+    solutions are then one residue modulo scale/g, found with the inverse
+    of slope/g: one congruence test per row, however many lines it
+    crosses.  A zero slope is one divisibility test.  None when no pixel
+    of the row is on a line.
+    """
+    if slope == 0:
+        return 0 if a % scale == 0 else None
+    g = gcd(slope, scale)
+    if a % g:
+        return None
+    period = scale // g
+    j = -(a // g) * pow(slope // g, -1, period) % period
+    return j if j < side else None
+
+
+def _step_segments(a, slope, scale, lo, hi):
+    """The segments of [lo, hi) on which the step pairing keeps one ceiling.
 
     The scaled step pairing at pixel j is a + slope*j.  Yields (first, end,
-    n) in increasing j for the nonempty segments [first, end) of [0, side)
+    n) in increasing j for the nonempty segments [first, end) of [lo, hi)
     between its crossings of the lines n*scale, with n the ceiling of the
     pairing over scale on the segment.  The crossings are visited in
-    pairing order, one divmod each: the quotient q is the last pixel on the
-    near side of the line, and on it when the remainder is zero, a hit.  A
-    segment that ends at the crossing of n has ceiling n going up and n + 1
-    going down; a pixel on a line is refused with its row, so it may join
-    either segment.  A zero slope leaves one segment.  Hits are appended as
-    the walk goes, so a caller consumes it whole.
+    pairing order, one floor division each: the quotient q is the last
+    pixel on the near side of the line, and on it when the division is
+    exact.  A segment that ends at the crossing of n has ceiling n going up
+    and n + 1 going down; a pixel on a line is refused with its row
+    (_first_step_hit), so it may join either segment.  A zero slope leaves
+    one segment.
     """
-    last = a + slope * (side - 1)
+    if lo >= hi:
+        return
+    near, last = a + slope * lo, a + slope * (hi - 1)
     if slope > 0:
-        crossings, above = range(-(-a // scale), last // scale + 1), 0
+        crossings, above = range(-(-near // scale), last // scale + 1), 0
     elif slope < 0:
-        crossings, above = range(a // scale, -(-last // scale) - 1, -1), 1
+        crossings, above = range(near // scale, -(-last // scale) - 1, -1), 1
     else:
         crossings, above = (), 0
-        if a % scale == 0:
-            hits.append(0)
-    first = 0
+    first = lo
     for n in crossings:
-        q, r = divmod(n * scale - a, slope)
-        if r == 0:
-            hits.append(q)
+        q = (n * scale - a) // slope
         if first <= q:
             yield first, q + 1, n + above
             first = q + 1
-    if first < side:  # the last segment has the ceiling of the last pixel
-        yield first, side, -(-last // scale)
+    if first < hi:  # the last segment has the ceiling of the last pixel
+        yield first, hi, -(-last // scale)
 
 
 def _staircase_spans(region: StaircaseRegion, y0, step, side, scale):
     """The row spans of a staircase region whose chart holds the extra ray.
 
     Returns spans(x, hits), the maximal runs of the row at x as a tuple,
-    with the same integer scaling as _bounds; the rays, floors and step
-    heights are read once per raster, and each height is one integer
-    Chart.gamma.  A planar chart steps along one ray k, and the row is one
-    walk over the crossings of its pairing p_k with the integers
-    (_step_segments).  On the segment where ceil(p_k) = n, m0 = n - 1 - c_k,
-    and membership is p[i0] > gamma(m0)[i0]: one more divmod per segment.
-    A segment under a floor of J (m0 < 0 with k in J) is skipped.  The
-    segments tile the row in order, so a span that starts where the last
-    one stopped extends it as the walk emits it, and empty spans are
-    dropped: the row comes out maximal.  Every segment is still walked, so
-    the hits, and with them the refusal, do not depend on the merging.
+    with the same integer scaling as _bounds; the rays, floors, weights and
+    step heights are read once per raster, and each height is one integer
+    Chart.gamma.  A planar chart steps along one ray k: where ceil(p_k) = n,
+    m0 = n - 1 - c_k and membership is p_i0 > h(n) = gamma(m0)[i0] past the
+    floors of J, the only one being k's own (p_k > c_k).
+
+    Only a band of each row is walked.  With the block weights over their
+    common denominator, (D, w) = setup.scaled_alpha, set
+    L = w_i0 p_i0 + w_k p_k - D c_{n+1}.  As h(n) is the ceiling of
+    (D c_{n+1} - w_k (n - 1)) / w_i0 and n - 1 < p_k <= n, a pixel with
+    L <= 0 is outside the region, a pixel with L >= w_k + w_i0 that clears
+    the floors is inside, and every i0-face pixel (p_i0 = h(n)) has
+    0 < L < w_k + w_i0.  L is affine along a row, so the undecided pixels
+    form one interval [lo, hi), found with two floor divisions; the pixels
+    past it on the side where L grows are one run clipped to the floor span
+    [start, stop).  Inside the band the row is one walk over the crossings
+    of p_k with the integers (_step_segments), with one more floor
+    division per segment against its height.  A segment under the floor
+    (m0 < 0 with k in J) is skipped; the floor span is a union of whole
+    segments, so clipping to it drops nothing else.  Spans are merged as
+    they are emitted, so the row comes out maximal.
+
+    Hits are the floor hits of _bounds, the first pixel on a step line
+    (_first_step_hit) and the i0-face hits of the band, which holds every
+    i0-face pixel: their least is the least aligned pixel of the row, as
+    in a walk over every segment.
     """
     ch = region.chart
-    rays, c = {j: ch.setup.sigma2.b(j) for j in ch.j_prime}, ch.c
+    su = ch.setup
+    rays, c = {j: su.sigma2.b(j) for j in ch.j_prime}, ch.c
     floors = [(rays[j], c[j] * scale) for j in ch.j_prime if j in c]
     (k,) = ch.m_index  # a planar contraction subdivides two rays
     (k0, k1), (h0, h1) = rays[k], rays[ch.i0]
     slope, rise = k1 * step, h1 * step
     offset, held, pos = c.get(k, 0), k in c, ch.j_prime.index(ch.i0)
+    denominator, weights = su.scaled_alpha
+    wk, wi = weights[k], weights[ch.i0]
+    base, top = denominator * c[su.extra_index] * scale, (wk + wi) * scale
+    tilt = wi * rise + wk * slope  # the change of the scaled L per pixel
     heights: dict = {}  # n -> the scaled gamma(m0)[i0], None under a floor
 
     def height(n):
@@ -646,8 +664,28 @@ def _staircase_spans(region: StaircaseRegion, y0, step, side, scale):
     def spans(x, hits) -> tuple:
         start, stop = _bounds(floors, x, y0, step, 0, side, hits)
         a, b = k0 * x + k1 * y0, h0 * x + h1 * y0  # p_k and p_i0 at pixel 0, scaled
+        on_line = _first_step_hit(a, slope, scale, side)
+        if on_line is not None:
+            hits.append(on_line)
+        level = wi * b + wk * a - base  # the scaled L at pixel 0
+        # the band [lo, hi) where 0 < L < w_k + w_i0; the decided inside
+        # pixels are [hi, side) when L grows along the row, else [0, lo)
+        if tilt > 0:
+            lo, hi = -level // tilt + 1, -((level - top) // tilt)
+        elif tilt < 0:
+            lo, hi = (level - top) // -tilt + 1, -(-level // -tilt)
+        elif level <= 0:
+            lo = hi = 0
+        else:
+            lo, hi = (side, side) if level >= top else (0, side)
+        lo = 0 if lo < 0 else side if lo > side else lo
+        hi = 0 if hi < 0 else side if hi > side else hi
         out = []
-        for first, end, n in _step_segments(a, slope, scale, side, hits):
+        if tilt <= 0:
+            end = lo if lo < stop else stop
+            if start < end:
+                out.append((start, end))
+        for first, end, n in _step_segments(a, slope, scale, lo, hi):
             bound = heights[n] if n in heights else height(n)
             if bound is None:
                 continue
@@ -664,11 +702,17 @@ def _staircase_spans(region: StaircaseRegion, y0, step, side, scale):
                     hits.append(first)
                 end = first
             # max and min inline, cheaper here than the builtin calls
-            lo, hi = first if first > start else start, end if end < stop else stop
-            if lo < hi:
-                if out and out[-1][1] == lo:
-                    lo = out.pop()[0]
-                out.append((lo, hi))
+            first, end = first if first > start else start, end if end < stop else stop
+            if first < end:
+                if out and out[-1][1] == first:
+                    first = out.pop()[0]
+                out.append((first, end))
+        if tilt > 0:
+            first = hi if hi > start else start
+            if first < stop:
+                if out and out[-1][1] == first:
+                    first = out.pop()[0]
+                out.append((first, stop))
         return tuple(out)
 
     return spans
@@ -681,10 +725,14 @@ def raster_runs(obj, bbox, step, origin=(0, 0)) -> tuple:
     GridAlignmentError at the first aligned center in row-major order.  The
     raster is scaled once by the common denominator of its first center,
     its step and the thresholds, so every bound is found on integers; only
-    a refused center is rebuilt as fractions, for its message.  Each row
-    comes out of its spans already maximal (a polyhedron row is one span);
-    a row equal to the row before it is that row's tuple object, so a
-    consumer can tell repeated rows by identity (difference_contractible).
+    a refused center is rebuilt as fractions, for its message.  A
+    polyhedron row is one span.  A staircase row walks only the band of
+    pixels whose membership its step heights decide (_staircase_spans),
+    and finds its first pixel on a step line with one congruence test, so
+    the refusal is the same as a walk over every step.  Each row comes out
+    of its spans already maximal; a row equal to the row before it is that
+    row's tuple object, so a consumer can tell repeated rows by identity
+    (difference_contractible).
     """
     (x0, y0), step, side = _grid(bbox, step, origin)
     if isinstance(obj, StaircaseRegion) and not obj.chart.stepped:

@@ -108,7 +108,6 @@ class HomResult:
 
     value: str  # "C0" or "Zero"
     reason: str
-    certificate: dict | None = None
 
     def __post_init__(self):
         if self.value not in ("C0", "Zero"):
@@ -119,9 +118,10 @@ class HomResult:
             raise InvalidArgument("C0 exactly when the reason is inclusion")
 
 
-# the two certificate-free hom results, shared by every route that returns one
+# the hom results, shared by every route that returns one
 HOM_INCLUSION = HomResult(value="C0", reason="inclusion")
 HOM_NON_INCLUSION = HomResult(value="Zero", reason="non-inclusion")
+HOM_CONTRACTIBLE_DIFFERENCE = HomResult(value="Zero", reason="contractible-difference")
 
 
 def hom_constructible(theta1: ThetaIndex, theta2: ThetaIndex) -> HomResult:

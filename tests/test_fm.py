@@ -4,9 +4,10 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccc import fm
@@ -36,11 +37,17 @@ from ccc.fm import (
     raster_runs,
     s1_threshold,
 )
-from ccc.stackyfan import Cone, build_same_base, parse_stacky_fan
+from ccc.stackyfan import Cone, build_same_base, parse_contraction, parse_stacky_fan
 from ccc.sweeps import RASTER_ORIGIN, charts, contractibility_sweep, poset_embedding_report
-from ccc.thetapos import Polyhedron, ThetaIndex, window_thetas
+from ccc.thetapos import (
+    HOM_CONTRACTIBLE_DIFFERENCE,
+    HOM_INCLUSION,
+    Polyhedron,
+    ThetaIndex,
+    window_thetas,
+)
 
-from conftest import load_data
+from conftest import load_data, planar_contractions
 
 
 @pytest.fixture(scope="session")
@@ -280,18 +287,32 @@ def test_ext_case2_gate_and_verdicts(crepant_a1, discrepancy_setup, om3):
         zero = ext_case2(setup, b, a)
         assert zero.value == "Zero"
         assert zero.reason == "contractible-difference"
-        assert zero.certificate["t1"] == (-1, -2)
+        assert zero is HOM_CONTRACTIBLE_DIFFERENCE
 
 
-def test_ext_case2_gap_certificate(crepant_a1):
+def test_ext_case2_gap_pair_verdicts(crepant_a1):
+    # every block threshold grows by at least one, so the extra one does too
     a = theta(crepant_a1.sigma2, (0, 1), (0, 0))
     b = theta(crepant_a1.sigma2, (0, 1), (2, 1))
-    zero = ext_case2(crepant_a1, a, b)
-    assert zero.value == "Zero"
-    cert = zero.certificate
-    assert cert["t_extra"] == (0, 2)  # ceil(0), ceil(3/2)
-    assert cert["gap_ceiling"] == 2  # ceil(1/2*2 + 1/2*1)
-    assert cert["gap_ceiling"] >= 1
+    assert ext_case2(crepant_a1, a, b) is HOM_CONTRACTIBLE_DIFFERENCE
+    assert ext_case2(crepant_a1, b, a) is HOM_INCLUSION
+    first, second = (
+        raster_runs(fm_case2(crepant_a1, th)[0], 6, Fraction(1, 4), RASTER_ORIGIN)
+        for th in (a, b)
+    )
+    assert difference_contractible(first, second)
+    assert not difference_contractible(second, first)  # the difference is empty
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(f.name for f in resources.files("ccc.data").iterdir() if f.name.startswith("contract_")),
+)
+def test_extra_threshold_is_the_fraction_ceiling(name):
+    setup = parse_contraction(load_data(name))
+    for t in itertools.product(range(-4, 5), repeat=setup.n_prime):
+        expected = math.ceil(sum(a * ti for a, ti in zip(setup.alpha, t)))
+        assert fm._extra_threshold(setup, dict(zip(setup.i_prime, t))) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -476,25 +497,23 @@ def test_ext_case3_gate_and_c0(crepant_a1, om3, discrepancy_setup):
         assert nested.value == "C0"
 
 
-def test_ext_case3_zero_certificates(crepant_a1):
+def test_ext_case3_zero_verdicts(crepant_a1):
     # threshold failure on the extra ray
     res = ext_case3(crepant_a1, ((1, 2), (0, 0)), ((1, 2), (0, 1)))
     assert res.value == "Zero"
     assert res.reason == "contractible-difference"
-    cert = res.certificate
-    assert cert["extra_in_j1"] and cert["extra_in_j2"]
-    assert cert["threshold_failures"] == ((2, 0, 1),)
+    assert res is HOM_CONTRACTIBLE_DIFFERENCE
+    assert ext_case3(crepant_a1, ((1, 2), (0, 1)), ((1, 2), (0, 0))) is HOM_INCLUSION
     first, second = (
         raster_runs(fm3_region(crepant_a1, *key), 6, Fraction(1, 4), RASTER_ORIGIN)
         for key in (((1, 2), (0, 0)), ((1, 2), (0, 1)))
     )
     assert any(next(fm._row_minus(row, cut), None) for row, cut in zip(first, second))
+    assert difference_contractible(first, second)
 
-    # missing ray, no extra involvement on either side
-    plain = ext_case3(crepant_a1, ((0,), (0,)), ((1,), (0,)))
-    assert plain.value == "Zero"
-    assert plain.certificate["missing_rays"] == (1,)
-    assert not plain.certificate["extra_in_j1"]
+    # missing ray, no extra involvement on either side: Zero both ways
+    for pair1, pair2 in ((((0,), (0,)), ((1,), (0,))), (((1,), (0,)), ((0,), (0,)))):
+        assert ext_case3(crepant_a1, pair1, pair2) is HOM_CONTRACTIBLE_DIFFERENCE
 
 
 def test_ext_case3_builds_no_region(crepant_a1, monkeypatch):
@@ -727,6 +746,51 @@ def test_raster_runs_equal_predicate_walk_on_staircase_images(
         lambda: raster_pixels(as_pixel_predicate(obj), bbox, step, origin)
     )
     assert fast == slow
+
+
+@given(
+    setup=planar_contractions(),
+    data=st.data(),
+    bbox=st.sampled_from([1, Fraction(3, 2), 2]),
+    pixels_per_unit=st.integers(2, 4),
+    origin=_GRID_ORIGINS,
+)
+@settings(max_examples=100, deadline=None)
+def test_raster_runs_equal_predicate_walk_on_generated_contractions(
+    setup, data, bbox, pixels_per_unit, origin
+):
+    # random bases, weights in all three discrepancy regimes, and extra rays
+    # on the first axis, where the staircase's weighted form is constant
+    # along a row
+    keys = data.draw(st.lists(st.sampled_from(list(charts(setup, 2))), min_size=1, max_size=4))
+    thetas = data.draw(st.lists(st.sampled_from(window_thetas(setup.sigma2, 2)), max_size=2))
+    step = Fraction(1, pixels_per_unit)
+    for obj in [fm3_region(setup, *key) for key in keys] + [fm_case2(setup, th)[0] for th in thetas]:
+        fast = _raster_or_refusal(lambda: raster_runs(obj, bbox, step, origin))
+        slow = _raster_or_refusal(
+            lambda: raster_pixels(as_pixel_predicate(obj), bbox, step, origin)
+        )
+        assert fast == slow
+
+
+@given(
+    a=st.integers(-200, 200),
+    slope=st.integers(-24, 24),
+    scale=st.integers(1, 24),
+    side=st.integers(1, 40),
+)
+@example(a=1, slope=4, scale=6, side=40)  # gcd(slope, scale) = 2 does not divide a
+@example(a=7, slope=5, scale=1, side=1)  # every pixel is on a line
+@example(a=10, slope=0, scale=5, side=3)
+@example(a=11, slope=0, scale=5, side=3)
+@example(a=4, slope=1, scale=10, side=7)  # first hit at side - 1
+@example(a=4, slope=1, scale=10, side=6)  # first hit just past the row
+@example(a=3, slope=-1, scale=10, side=4)
+@example(a=3, slope=-1, scale=10, side=3)
+@settings(max_examples=400, deadline=None)
+def test_first_step_hit_matches_a_scan(a, slope, scale, side):
+    scan = next((j for j in range(side) if (a + slope * j) % scale == 0), None)
+    assert fm._first_step_hit(a, slope, scale, side) == scan
 
 
 # the sweep's grid origin, and 12- and 6-pixel grids whose centers meet step

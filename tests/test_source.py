@@ -1,7 +1,9 @@
 """Source rules of the core package: stdlib-only imports and no floats.
 
-The raster bounds ``fm._bounds``, ``fm._step_segments`` and
-``fm._staircase_spans``, the staircase heights ``fm.Chart.gamma``, the
+The raster bounds ``fm._bounds``, ``fm._step_segments``,
+``fm._staircase_spans`` and the step-line congruence
+``fm._first_step_hit``, the staircase heights ``fm.Chart.gamma`` and the
+extra threshold ``fm._extra_threshold``, the
 Fourier-Motzkin elimination ``exactlin.linear_feasible`` with its
 primitive rows ``exactlin._primitive``, the stalk and Koszul count
 ``cohoracle._euler_sum``, its term tables ``cohoracle._euler_terms`` and
@@ -38,6 +40,8 @@ INTEGER_ONLY = {
     "_bounds": "fm.py",
     "_step_segments": "fm.py",
     "_staircase_spans": "fm.py",
+    "_first_step_hit": "fm.py",
+    "_extra_threshold": "fm.py",
     "Chart.gamma": "fm.py",
     "linear_feasible": "exactlin.py",
     "_primitive": "exactlin.py",
