@@ -24,7 +24,6 @@ from .fm import (
     fm_line_bundle_case2,
 )
 from .stackyfan import (
-    discrepancy_compare,
     is_complete,
     parse_contraction,
     parse_same_base,
@@ -197,7 +196,7 @@ def _cmd_fm_contract_pull(args) -> Report:
         "J": list(region.chart.J),
         "j_prime": list(region.chart.j_prime),
         "i0": region.chart.i0,
-        "discrepancy": discrepancy_compare(setup),
+        "discrepancy": setup.discrepancy,
         "s1": region.s1,
         "outer": _poly_json(region.outer),
         "inner": _poly_json(region.inner) if region.inner is not None else None,

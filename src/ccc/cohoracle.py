@@ -22,7 +22,7 @@ from .fm import Chart, chart
 from .stackyfan import ContractionSetup, StackyFan
 from .thetapos import HOM_INCLUSION, HOM_NON_INCLUSION, HomResult, ThetaIndex
 
-# the m window of _euler_sum doubles up to this cap
+# _euler_sum refuses a point whose m window would pass this cap
 _MAX_WINDOW = 16
 # refined oracle boxes enumerate at most this many lattice points
 _MAX_BOX_POINTS = 1 << 18
@@ -92,7 +92,6 @@ def _check_box(limits, name: str = "oracle box") -> None:
         )
 
 
-@lru_cache(maxsize=None)
 def _refined_scaled(
     theta: ThetaIndex, bound: Rational, denoms: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -274,36 +273,30 @@ def _euler_terms(ch: Chart, scale: int, w: int):
     return floors, subsets
 
 
-def _euler_sum(ch: Chart, pairings, scale: int, m_window: int) -> int:
-    """Alternating count over m and subsets S of m_index, stabilized in m.
+def _euler_sum(ch: Chart, pairings, scale: int) -> int:
+    """Alternating count over m and subsets S of m_index, over the point's m window.
 
     pairings[j] is scale times the pairing of the point with ray j of J',
     an integer, so every test below is on integers.  The (m, S) term is
     (-1)^|S| when pairings[j] > scale * (gamma(m)_j + [j in S]) for every
     j of J'.  Any term surviving the alternating sum pins every m
-    coordinate to one rung determined by the pairings; the window is
-    clipped while a pairing still clears the last rung on some axis, which
-    is exactly when a term sits beyond it.  The window doubles up to
-    _MAX_WINDOW.  The scaled floors and subset bumps of each window come
-    from _euler_terms, once per chart, scale and window.
+    coordinate to one rung determined by the pairings, so with
+    P_i = pairings[i] / scale a window w holds every such term once
+    w >= ceil(P_i) - c_i - 1 on each axis i inside J, and w >= ceil(P_i) - 1
+    and w >= -floor(P_i) on each axis outside J.  The least such w >= 1 is
+    rounded up to a power of two, so that each chart keeps few tables, and
+    a w past _MAX_WINDOW is refused.
+    The scaled floors and subset bumps of each window come from
+    _euler_terms, once per chart, scale and window.
     """
-    if m_window < 1:
-        raise InvalidArgument("m_window must be >= 1")
-    shifts = ch.m_index
-    w = min(m_window, _MAX_WINDOW)
-
-    def clipped(w):
-        return any(
-            pairings[i] > scale * (ch.c[i] + w + 1) if i in ch.c
-            else not -w * scale <= pairings[i] <= (w + 1) * scale
-            for i in shifts
-        )
-
-    while clipped(w):
-        if w >= _MAX_WINDOW:
-            raise WindowTooSmall(f"m window hit the cap {_MAX_WINDOW} before stabilizing")
-        w = min(2 * w, _MAX_WINDOW)
-    floors, subsets = _euler_terms(ch, scale, w)
+    need = 1
+    for i in ch.m_index:
+        # ceil(P_i) - 1 and -floor(P_i)
+        top, bottom = -(-pairings[i] // scale) - 1, -(pairings[i] // scale)
+        need = max(need, top - ch.c[i]) if i in ch.c else max(need, top, bottom)
+    if need > _MAX_WINDOW:
+        raise WindowTooSmall(f"the point needs an m window of {need}, over the cap {_MAX_WINDOW}")
+    floors, subsets = _euler_terms(ch, scale, min(1 << (need - 1).bit_length(), _MAX_WINDOW))
     values = [pairings[j] for j in ch.j_prime]
     total = 0
     for f in floors:
@@ -315,7 +308,7 @@ def _euler_sum(ch: Chart, pairings, scale: int, m_window: int) -> int:
     return total
 
 
-def koszul_euler(setup: ContractionSetup, J, phi, probe, m_window: int = 4) -> int:
+def koszul_euler(setup: ContractionSetup, J, phi, probe) -> int:
     """Alternating character count of the pullback resolution at one probe.
 
     Terms are the shifted modules f_{gamma(m) + sum_S b*} B2 over subsets
@@ -331,7 +324,7 @@ def koszul_euler(setup: ContractionSetup, J, phi, probe, m_window: int = 4) -> i
     probe = tuple(int(x) for x in probe)
     if len(probe) != setup.n:
         raise InvalidArgument("probe must be a character of the contracted chart")
-    return _euler_sum(ch, {j: 2 * probe[j] + 1 for j in ch.j_prime}, 2, m_window)
+    return _euler_sum(ch, {j: 2 * probe[j] + 1 for j in ch.j_prime}, 2)
 
 
 def scaled_pairings(fan: StackyFan, p) -> tuple[int, tuple[int, ...]]:
@@ -349,7 +342,7 @@ def scaled_pairings(fan: StackyFan, p) -> tuple[int, tuple[int, ...]]:
     return scale, tuple(sum(map(mul, scaled, ray.b)) for ray in fan.rays)
 
 
-def stalk_euler_scaled(ch: Chart, scale: int, pairings, m_window: int = 4) -> int:
+def stalk_euler_scaled(ch: Chart, scale: int, pairings) -> int:
     """stalk_euler on a chart at a point given as scaled_pairings of sigma2.
 
     The point is on a chart face or a step exactly when a scaled pairing
@@ -359,10 +352,10 @@ def stalk_euler_scaled(ch: Chart, scale: int, pairings, m_window: int = 4) -> in
         raise InvalidArgument("stalk complexes need the extra ray in J")
     if any(pairings[j] % scale == 0 for j in ch.j_prime):
         raise BoundaryPointError("point pairs integrally with a chart ray")
-    return _euler_sum(ch, pairings, scale, m_window)
+    return _euler_sum(ch, pairings, scale)
 
 
-def stalk_euler(setup: ContractionSetup, J, phi, p, m_window: int = 4) -> int:
+def stalk_euler(setup: ContractionSetup, J, phi, p) -> int:
     """Euler count of the stalk complex at a generic rational point.
 
     Same alternating sum as koszul_euler but with open support membership
@@ -374,7 +367,7 @@ def stalk_euler(setup: ContractionSetup, J, phi, p, m_window: int = 4) -> int:
     """
     ch = chart(setup, J, phi)
     scale, pairings = scaled_pairings(setup.sigma2, p)
-    return stalk_euler_scaled(ch, scale, pairings, m_window)
+    return stalk_euler_scaled(ch, scale, pairings)
 
 
 def q2_member(setup: ContractionSetup, J, phi, probe) -> bool:
@@ -395,7 +388,7 @@ def q2_member(setup: ContractionSetup, J, phi, probe) -> bool:
     return all(probe[j] >= tk for j, tk in zip(ch.j_prime, g.t))
 
 
-def q2_member_enum(setup: ContractionSetup, J, phi, probe, m_window: int = 4) -> bool:
+def q2_member_enum(setup: ContractionSetup, J, phi, probe) -> bool:
     """Q2 membership by unioning over an m window wide enough for the probe.
 
     Independent of q2_member: enumerates characters gamma(m) and asks for
@@ -406,7 +399,7 @@ def q2_member_enum(setup: ContractionSetup, J, phi, probe, m_window: int = 4) ->
     if not ch.stepped:
         raise InvalidArgument("Q2 membership needs the extra ray in J")
     probe = tuple(int(x) for x in probe)
-    span = m_window
+    span = 1
     for i in ch.m_index:
         span = max(span, abs(probe[i]) + abs(ch.c.get(i, 0)) + 1)
     ranges = [range(0, span + 1) if i in ch.c else range(-span, span + 1) for i in ch.m_index]

@@ -28,13 +28,6 @@ def ceil_div(p: int, q: int) -> int:
     return -((-p) // q)
 
 
-def floor_div(p: int, q: int) -> int:
-    """Exact floor of p/q for integers, q > 0."""
-    if q <= 0:
-        raise InvalidArgument(f"floor_div requires a positive divisor, got {q}")
-    return p // q
-
-
 def ceil_frac(x: Fraction | int) -> int:
     """Exact ceiling of a rational."""
     x = Fraction(x)
@@ -44,7 +37,7 @@ def ceil_frac(x: Fraction | int) -> int:
 def floor_frac(x: Fraction | int) -> int:
     """Exact floor of a rational."""
     x = Fraction(x)
-    return floor_div(x.numerator, x.denominator)
+    return x.numerator // x.denominator
 
 
 def pair(x: Sequence[Fraction | int], v: Sequence[int]) -> Fraction:

@@ -34,7 +34,6 @@ from .stackyfan import (
     Cone,
     ContractionSetup,
     SameBaseSetup,
-    discrepancy_compare,
     is_complete,
     j_image,
 )
@@ -171,7 +170,7 @@ def ext_case2(setup: ContractionSetup, theta1: ThetaIndex, theta2: ThetaIndex) -
     is fully faithful: C[0] exactly on support inclusion upstairs, and any
     failed inclusion leaves a contractible difference of image regions.
     """
-    if discrepancy_compare(setup) not in (">=", "="):
+    if setup.discrepancy not in (">=", "="):
         raise PreconditionError("push direction needs discrepancy sum(alpha) >= 1")
     for th in (theta1, theta2):
         if th.fan != setup.sigma2:
@@ -287,8 +286,9 @@ def s1_threshold(setup: ContractionSetup, J, phi) -> Fraction:
 
     eps = 1 - (alpha_{i0}/2) * min A where A collects the fractional
     defects u + 1 - ceil(u) of the staircase heights.  A is finite: u
-    moves in the subgroup generated by the ratios alpha_i / alpha_{i0}
-    modulo 1, so the minimum comes from one residue computation.
+    moves in the subgroup step * Z generated by the ratios
+    alpha_i / alpha_{i0} modulo 1 (step <= 1), so min A is the residue r0
+    of u0 modulo step, or step itself when r0 = 0.
     """
     ch = chart(setup, J, phi)
     if not ch.stepped:
@@ -305,13 +305,7 @@ def s1_threshold(setup: ContractionSetup, J, phi) -> Fraction:
     g = gcd(q, *[int(r * q) for r in ratios])
     step = Fraction(g, q)
     r0 = u0 - floor_frac(u0 / step) * step
-    if r0 > 0:
-        min_a = r0
-    elif step == 1:
-        min_a = Fraction(1)
-    else:
-        min_a = step
-    eps = 1 - a0 / 2 * min_a
+    eps = 1 - a0 / 2 * (r0 or step)
     return c_extra + eps
 
 
@@ -392,7 +386,7 @@ def _pull_region(ch: Chart) -> StaircaseRegion:
     outer = Polyhedron(
         dim=dim, constraints=strict + ((extra_b, Fraction(ch.c[setup.extra_index]), True),)
     )
-    if discrepancy_compare(setup) not in ("<=", "="):
+    if setup.discrepancy not in ("<=", "="):
         return StaircaseRegion(chart=ch, s1=None, inner=None, outer=outer)
     # inner hyperplane bound only exists under the pull hypothesis
     s1 = s1_threshold(setup, ch.J, tuple(ch.c.values()))
@@ -434,7 +428,7 @@ def ext_case3(setup: ContractionSetup, pair1, pair2) -> HomResult:
     contractible region difference.  Both charts are validated; no region
     is built.
     """
-    if discrepancy_compare(setup) not in ("<=", "="):
+    if setup.discrepancy not in ("<=", "="):
         raise PreconditionError("pull direction needs discrepancy sum(alpha) <= 1")
     chart1, chart2 = chart(setup, *pair1), chart(setup, *pair2)
     # leq upstairs: every ray of the second cone, with a threshold no larger

@@ -244,7 +244,11 @@ def is_complete(fan: StackyFan) -> bool:
 
 @dataclass(frozen=True)
 class SameBaseSetup:
-    """Two weightings r, s of one base fan, refined by t_i = lcm(r_i, s_i)."""
+    """Two weightings r, s of one base fan, refined by t_i = lcm(r_i, s_i).
+
+    The discrepancy comparison is derived on first use and, like that of
+    ContractionSetup, takes no part in equality, hashing or repr.
+    """
 
     base: StackyFan
     r: tuple[int, ...]
@@ -255,6 +259,17 @@ class SameBaseSetup:
     fan_r: StackyFan
     fan_s: StackyFan
     fan_t: StackyFan
+
+    @cached_property
+    def discrepancy(self) -> str:
+        """r compared with s componentwise: ">=", "<=", "=" or "incomparable"."""
+        ge = all(a >= b for a, b in zip(self.r, self.s))
+        le = all(a <= b for a, b in zip(self.r, self.s))
+        if ge and le:
+            return "="
+        if ge:
+            return ">="
+        return "<=" if le else "incomparable"
 
 
 def _reweight(fan: StackyFan, weights) -> StackyFan:
@@ -414,25 +429,3 @@ def j_image(setup: ContractionSetup, J) -> tuple[int, ...]:
     if setup.extra_index not in J:
         return J
     return tuple(sorted((set(J) - {setup.extra_index}) | set(setup.i_prime)))
-
-
-def discrepancy_compare(setup) -> str:
-    """Compare the two sides of the discrepancy inequality.
-
-    Same-base setups compare the weight vectors componentwise; contraction
-    setups compare sum(a_i / r_i) with 1 / r_{n+1}.  Returns one of
-    ">=", "<=", "=", "incomparable" (the last only for same-base setups).
-    """
-    if isinstance(setup, SameBaseSetup):
-        ge = all(a >= b for a, b in zip(setup.r, setup.s))
-        le = all(a <= b for a, b in zip(setup.r, setup.s))
-        if ge and le:
-            return "="
-        if ge:
-            return ">="
-        if le:
-            return "<="
-        return "incomparable"
-    if isinstance(setup, ContractionSetup):
-        return setup.discrepancy
-    raise InvalidArgument(f"unsupported setup type {type(setup).__name__}")

@@ -22,6 +22,7 @@ MARGIN = 40
 _AXIS_STYLE = 'stroke="#999999" stroke-width="1"'
 _SPIKE_STYLE = 'stroke="#202020" stroke-width="2"'
 _FILLS = ("#4682b4", "#b44682", "#46b482", "#b48246")
+_EDGE_COLOR = "#1f3d5c"
 
 
 def _dec12(value) -> str:
@@ -136,7 +137,7 @@ def _vertices_2d(constraints):
     return sorted(pts, key=cmp_to_key(compare))
 
 
-def _draw_region_2d(canvas, poly, fill, stroke_color):
+def _draw_region_2d(canvas, poly, fill):
     box = canvas.box
     box_cons = [
         ((1, 0), -box, False),
@@ -151,7 +152,7 @@ def _draw_region_2d(canvas, poly, fill, stroke_color):
     for normal, rhs, strict in cons:
         on_line = sorted(v for v in verts if pair(v, normal) == rhs)
         if len(on_line) >= 2:
-            canvas.line(on_line[0], on_line[-1], _stroke(strict, stroke_color))
+            canvas.line(on_line[0], on_line[-1], _stroke(strict, _EDGE_COLOR))
 
 
 def _scene_lagrangian(canvas, data):
@@ -197,9 +198,7 @@ def _scene_region_2d(canvas, data):
         poly = entry["polyhedron"]
         if poly.dim != 2:
             raise InvalidArgument("region-2d needs two-dimensional polyhedra")
-        fill = entry.get("fill", _FILLS[k % len(_FILLS)])
-        stroke = entry.get("stroke", "#1f3d5c")
-        _draw_region_2d(canvas, poly, fill, stroke)
+        _draw_region_2d(canvas, poly, entry.get("fill", _FILLS[k % len(_FILLS)]))
 
 
 _SCENES = {
@@ -209,17 +208,14 @@ _SCENES = {
 }
 
 
-def render_svg(scene: str, data: dict, out_path) -> str:
-    """Render one scene to a deterministic SVG file, returning its text."""
+def render_svg(scene: str, data: dict, out_path) -> None:
+    """Render one scene to a deterministic SVG file at out_path."""
     if scene not in _SCENES:
         raise InvalidArgument(f"unknown scene {scene!r}")
     canvas = _Canvas(data.get("box", 1))
     canvas.axes()
     _SCENES[scene](canvas, data)
-    text = canvas.text()
-    if out_path is not None:
-        try:
-            Path(out_path).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise InvalidArgument(f"cannot write {out_path}: {exc}") from None
-    return text
+    try:
+        Path(out_path).write_text(canvas.text(), encoding="utf-8")
+    except OSError as exc:
+        raise InvalidArgument(f"cannot write {out_path}: {exc}") from None

@@ -32,7 +32,7 @@ from .fm import (
     fm_case2,
     raster_runs,
 )
-from .stackyfan import ContractionSetup, SameBaseSetup, StackyFan, discrepancy_compare
+from .stackyfan import ContractionSetup, SameBaseSetup, StackyFan
 from .thetapos import (
     HomResult,
     ThetaIndex,
@@ -240,7 +240,7 @@ def contractibility_sweep(
     if setup.sigma2.dim != 2:
         raise InvalidArgument("contractibility rasters need a two-dimensional setup")
     bbox, step = Fraction(bbox), Fraction(step)
-    comparison = discrepancy_compare(setup)
+    comparison = setup.discrepancy
     # (witness tag, keys, image of one key, Ext verdict on a key pair)
     directions = []
     if comparison in (">=", "="):

@@ -187,7 +187,7 @@ def _sandwich_sweep(setup):
                     assert inside, (J, phi, x, "inner point escaped the region")
                 if inside:
                     assert region.outer.contains(x), (J, phi, x, "region left the outer bound")
-                assert stalk_euler(setup, J, phi, x, m_window=8) == int(inside), (J, phi, x)
+                assert stalk_euler(setup, J, phi, x) == int(inside), (J, phi, x)
                 scaled = [w * sum(c * v for c, v in zip(x, b)) for b, w in rays]
                 union = _union_member(frontier, scaled)
                 # window saturation: one more shell of shifts changes nothing here
@@ -221,7 +221,7 @@ def test_criterion_07_koszul_euler_matches_membership(crepant_a1, om3):
                 width = len(region.chart.j_prime)
                 for q in itertools.product(range(-3, 4), repeat=width):
                     probes += 1
-                    value = koszul_euler(setup, J, phi, q, m_window=8)
+                    value = koszul_euler(setup, J, phi, q)
                     assert value in (0, 1), (J, phi, q, value)
                     assert (value == 1) == q2_member(setup, J, phi, q), (J, phi, q)
             assert probes >= 200, probes

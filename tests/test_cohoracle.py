@@ -36,7 +36,6 @@ from ccc.stackyfan import (
     WeightedRay,
     build_contraction,
     build_same_base,
-    discrepancy_compare,
     parse_contraction,
     parse_same_base,
     parse_stacky_fan,
@@ -279,7 +278,7 @@ def test_koszul_euler_examples(crepant_a1):
     assert koszul_euler(crepant_a1, J, phi, (-1, 0)) == 0
     assert koszul_euler(crepant_a1, J, phi, (-1, 1)) == 1
     assert koszul_euler(crepant_a1, J, phi, (-5, 0)) == 0
-    # pinned m = 5 sits outside the initial window; growth must find it
+    # pinned m = 5 needs a window of at least 5, summed as 8
     assert koszul_euler(crepant_a1, J, phi, (0, 5)) == 1
 
 
@@ -494,9 +493,101 @@ def test_euler_terms_are_the_scaled_characters(om3):
                     assert sign == (-1) ** len(raised)
 
 
+# each chart of crepant_a1 below steps along axis 1 only; (e, d) is an edge
+# pairing band (e, e + 1) whose points need a window of exactly the cap, and
+# the band one rung further, in direction d, needs one more
+WINDOW_EDGES = {
+    # inside J, a pairing P needs ceil(P) - c_1 - 1
+    ((1, 2), (0, 0)): lambda cap: [(cap, 1)],
+    ((1, 2), (1, -1)): lambda cap: [(cap + 1, 1)],
+    # outside J, it needs ceil(P) - 1 and -floor(P)
+    ((2,), (0,)): lambda cap: [(cap, 1), (-cap, -1)],
+}
+
+
+@pytest.mark.parametrize("key", WINDOW_EDGES, ids=str)
+def test_derived_window_edges(crepant_a1, key):
+    cap = cohoracle._MAX_WINDOW
+    J, phi = key
+    region = fm3_region(crepant_a1, J, phi)
+    ch = region.chart
+    assert ch.m_index == (1,) and (1 in ch.c) == (1 in J)
+    counts = Counter()
+    for e, d in WINDOW_EDGES[key](cap):
+        for q0 in range(-3 * cap, 3 * cap):
+            # an integer probe pairs as q + 1/2, so q1 = e sits in the band
+            probe = (q0, e)
+            value = koszul_euler(crepant_a1, J, phi, probe)
+            assert value == int(q2_member(crepant_a1, J, phi, probe)), probe
+            counts["probe", value] += 1
+            with pytest.raises(WindowTooSmall):
+                koszul_euler(crepant_a1, J, phi, (q0, e + d))
+            for k in (1, 2, 3):
+                # pairings at scale 4: P0 = q0 + 1/4, P1 in (e, e + 1)
+                pairings = {0: 4 * q0 + 1, 1: 4 * e + k}
+                value = stalk_euler_scaled(ch, 4, pairings)
+                inside = region.contains_pairings({j: Fraction(v, 4) for j, v in pairings.items()})
+                assert value == int(inside), pairings
+                counts["point", value] += 1
+                with pytest.raises(WindowTooSmall):
+                    stalk_euler_scaled(ch, 4, {0: 4 * q0 + 1, 1: 4 * (e + d) + k})
+    assert set(counts) == {("probe", 0), ("probe", 1), ("point", 0), ("point", 1)}
+
+
+@functools.lru_cache(maxsize=None)
+def _stepped_charts(name, outside):
+    """The stepped charts that have (or have not) an m axis outside J."""
+    if name == "crepant_333":
+        setup, window = parse_contraction(CREPANT_333), 0
+    else:
+        setup, window = _contraction(name), 1
+    found = [chart(setup, *key) for key in charts(setup, window)]
+    return [ch for ch in found if outside == any(i not in ch.c for i in ch.m_index)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_stalk_count_is_the_sum_over_the_cap_window(data):
+    """stalk_euler_scaled against the alternating sum over the cap's tables.
+
+    A point the count refuses is one whose pairing, on some m axis, still
+    clears the last rung of the cap window, read rung by rung.
+    """
+    cap = cohoracle._MAX_WINDOW
+    name = data.draw(st.sampled_from([*CONTRACTIONS_2D, "crepant_333"]))
+    # half the draws take a chart with an m axis outside J, the one kind
+    # whose window also has a lower edge
+    ch = data.draw(st.sampled_from(_stepped_charts(name, data.draw(st.booleans()))))
+    scale = data.draw(st.integers(2, 6))
+    # no pairing a multiple of the scale: those points sit on a chart face;
+    # rungs next to the cap, where the window's edges are, are drawn often
+    edges = st.sampled_from([-cap - 1, -cap, *range(cap - 1, cap + 3)])
+    rungs = st.one_of(edges, st.integers(-cap - 3, cap + 2))
+    off_face = st.tuples(rungs, st.integers(1, scale - 1))
+    pairings = {j: data.draw(off_face.map(lambda t: t[0] * scale + t[1])) for j in ch.j_prime}
+    floors, subsets = cohoracle._euler_terms(ch, scale, cap)
+    values = [pairings[j] for j in ch.j_prime]
+    direct = sum(
+        sign
+        for f in floors
+        for bumps, sign in subsets
+        if all(v > a + b for v, a, b in zip(values, f, bumps))
+    )
+    past_cap = any(
+        pairings[i] > scale * (ch.c[i] + cap + 1) if i in ch.c
+        else not -cap * scale <= pairings[i] <= (cap + 1) * scale
+        for i in ch.m_index
+    )
+    if past_cap:
+        with pytest.raises(WindowTooSmall):
+            stalk_euler_scaled(ch, scale, pairings)
+    else:
+        assert stalk_euler_scaled(ch, scale, pairings) == direct
+
+
 def test_sandwich_sweep_three_dimensional_two_step_rays():
     setup = parse_contraction(CREPANT_333)
-    assert discrepancy_compare(setup) == "="
+    assert setup.discrepancy == "="
     keys = list(charts(setup, 0))
     # every stepped chart steps along two rays, so the term tables run over
     # a two-dimensional m product

@@ -15,6 +15,9 @@ hold no true division (a stray ``/`` on ints yields a float that the
 float-literal rule cannot see) and no ``Fraction``.  A rule names a
 top-level function, or a method of a top-level class as ``Class.method``.
 
+Every ``functools`` cache of the package is bounded: ``lru_cache`` takes a
+finite ``maxsize``, and ``functools.cache`` is not used.
+
 Every top-level ``def`` and ``class`` of the package is also read somewhere
 in the package or the tests, outside its own definition: a dead helper is
 deleted, not kept.
@@ -75,9 +78,27 @@ def _integer_violations(name: str, func: ast.FunctionDef) -> list[str]:
     return found
 
 
+def _unbounded_cache(node: ast.AST) -> bool:
+    """functools.cache, imported or read as an attribute, or lru_cache(maxsize=None)."""
+    if isinstance(node, ast.ImportFrom) and node.module == "functools":
+        return any(alias.name == "cache" for alias in node.names)
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return node.value.id == "functools" and node.attr == "cache"
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        sizes = [*node.args[:1], *(kw.value for kw in node.keywords if kw.arg == "maxsize")]
+        return name == "lru_cache" and any(
+            isinstance(size, ast.Constant) and size.value is None for size in sizes
+        )
+    return False
+
+
 def _violations(tree: ast.AST) -> list[str]:
     found = []
     for node in ast.walk(tree):
+        if _unbounded_cache(node):
+            found.append(f"line {node.lineno}: unbounded cache")
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -131,6 +152,19 @@ def test_guard_flags_each_rule():
         "line 4: float() call",
         "line 6: true division in _bounds",
         "line 7: Fraction in _bounds",
+    ]
+    caches = ast.parse(
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=None)\ndef f():\n    pass\n"
+        "g = functools.lru_cache(None)(len)\nh = functools.cache(len)\n"
+        "@lru_cache(maxsize=64)\ndef k():\n    pass\n"
+        "m = functools.lru_cache(1 << 10)(len)\n"
+    )
+    assert sorted(_violations(caches)) == [
+        "line 2: unbounded cache",
+        "line 3: unbounded cache",
+        "line 6: unbounded cache",
+        "line 7: unbounded cache",
     ]
     for name in INTEGER_ONLY:
         owner, _, func = name.rpartition(".")

@@ -14,7 +14,6 @@ from ccc.stackyfan import (
     WeightedRay,
     build_contraction,
     build_same_base,
-    discrepancy_compare,
     faces,
     is_complete,
     j_image,
@@ -190,7 +189,7 @@ def test_contraction_derived_fields_stay_out_of_eq_hash_and_repr(doc):
     data = load_data(doc) if isinstance(doc, str) else doc
     first, second = parse_contraction(data), parse_contraction(data)
     total = sum(first.alpha)
-    assert discrepancy_compare(first) == ("=" if total == 1 else ">=" if total > 1 else "<=")
+    assert first.discrepancy == ("=" if total == 1 else ">=" if total > 1 else "<=")
     scale, weights = first.scaled_alpha
     assert all(type(w) is int for w in weights)
     assert tuple(F(w, scale) for w in weights) == first.alpha
@@ -264,11 +263,15 @@ def test_j_image_is_smallest_containing_cone(name, request):
         assert j_image(setup, J) == smallest.ray_indices
 
 
-def test_discrepancy_compare(p1, crepant_a1, discrepancy_setup, om3):
-    assert discrepancy_compare(build_same_base(p1, (3, 1), (2, 1))) == ">="
-    assert discrepancy_compare(build_same_base(p1, (2, 1), (3, 1))) == "<="
-    assert discrepancy_compare(build_same_base(p1, (2, 2), (2, 2))) == "="
-    assert discrepancy_compare(build_same_base(p1, (2, 3), (3, 2))) == "incomparable"
-    assert discrepancy_compare(crepant_a1) == "="
-    assert discrepancy_compare(discrepancy_setup) == ">="
-    assert discrepancy_compare(om3) == "<="
+def test_setup_discrepancy(p1, crepant_a1, discrepancy_setup, om3):
+    assert build_same_base(p1, (3, 1), (2, 1)).discrepancy == ">="
+    assert build_same_base(p1, (2, 1), (3, 1)).discrepancy == "<="
+    assert build_same_base(p1, (2, 2), (2, 2)).discrepancy == "="
+    same_base = build_same_base(p1, (2, 3), (3, 2))
+    assert same_base.discrepancy == "incomparable"
+    assert crepant_a1.discrepancy == "="
+    assert discrepancy_setup.discrepancy == ">="
+    assert om3.discrepancy == "<="
+    # the derived comparison takes no part in equality, hashing or repr
+    fresh = build_same_base(p1, (2, 3), (3, 2))
+    assert (fresh, hash(fresh), repr(fresh)) == (same_base, hash(same_base), repr(same_base))
