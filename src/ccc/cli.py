@@ -302,93 +302,137 @@ class _Parser(argparse.ArgumentParser):
         raise _Help(self.format_help())
 
 
-def _build_parser() -> _Parser:
+def _arg(*flags, **options) -> tuple:
+    return flags, options
+
+
+# The verb tree, declared once for the parser builder and the path picker.
+# A group is (help, {name: node}); a leaf is (help, handler, arguments), where
+# an argument is an _arg or a list of them forming a required one-of group.
+_VERB_TREE = {
+    "validate": ("parse and validate a stacky fan file", _cmd_validate, [_arg("file")]),
+    "hom": ("hom between two theta indices", _cmd_hom, [
+        _arg("file"),
+        _arg("--theta1", required=True),
+        _arg("--theta2", required=True),
+        _arg("--oracle", action="store_true", help="also run the module oracle"),
+        _arg("--box", help="oracle box bound (rational)"),
+    ]),
+    "fm": ("apply a transform", {
+        "same-base": ("weight-change transform, s to r", _cmd_fm_same_base, [
+            _arg("file"),
+            [
+                _arg("--bundle", help="line bundle coefficients c1,c2,..."),
+                _arg("--theta", help="theta index 'cone=...;t=...'"),
+            ],
+        ]),
+        "contract-push": ("pushforward along the contraction", _cmd_fm_contract_push, [
+            _arg("file"),
+            [_arg("--bundle"), _arg("--theta")],
+        ]),
+        "contract-pull": ("staircase pullback of one chart theta", _cmd_fm_contract_pull, [
+            _arg("file"),
+            _arg("--J", required=True, help="chart ray indices i,j,..."),
+            _arg("--phi", required=True, help="thresholds c_i per index of J"),
+        ]),
+    }),
+    "check": ("run a verification sweep", {
+        "poset-embedding": ("order embedding of the weight map", _cmd_check_poset, [
+            _arg("file"),
+            _arg("--window", type=int, default=4),
+        ]),
+        "hom-oracle": ("hom agreement against the module oracle", _cmd_check_hom_oracle, [
+            _arg("file"),
+            _arg("--window", type=int, default=2),
+            _arg("--box"),
+        ]),
+        "case3-sandwich": ("staircase sandwich and stalk agreement", _cmd_check_sandwich, [
+            _arg("file"),
+            _arg("--window", type=int, default=1),
+        ]),
+        "contractibility-2d": ("raster-confirm zero verdicts", _cmd_check_contractibility, [
+            _arg("file"),
+            _arg("--window", type=int, default=1),
+            _arg("--box"),
+            _arg("--step"),
+        ]),
+    }),
+    "plot": ("emit an SVG figure", {
+        "lagrangian": ("skeleton phase plot for a 1d fan", _cmd_plot_lagrangian, [
+            _arg("file"),
+            _arg("--window", type=int, default=3),
+            _arg("--box"),
+            _arg("-o", "--out", required=True),
+        ]),
+        "region": ("support or staircase region figure", _cmd_plot_region, [
+            _arg("file"),
+            _arg("--theta"),
+            _arg("--J"),
+            _arg("--phi"),
+            _arg("--box"),
+            _arg("-o", "--out", required=True),
+        ]),
+    }),
+}
+
+
+def _verb_path(argv) -> tuple[str, ...] | None:
+    """The leaf verb that argv names after any leading --pretty, else None.
+
+    Only an exact (verb,) or (verb, subverb) right there counts.  Help at
+    the top or middle level, a missing or unknown verb, and every other
+    argv give None: those are the argvs whose report can list sibling
+    verbs, so they get the whole tree.
+    """
+    i = 0
+    while i < len(argv) and argv[i] == "--pretty":
+        i += 1
+    path, tree = (), _VERB_TREE
+    for token in argv[i : i + 2]:
+        node = tree.get(token)
+        if node is None:
+            return None
+        path += (token,)
+        if not isinstance(node[1], dict):
+            return path
+        tree = node[1]
+    return None
+
+
+def _add_verbs(parser, tree: dict, dests: tuple[str, ...], path) -> None:
+    """Subparsers for the nodes of tree, or for the one node path names."""
+    sub = parser.add_subparsers(dest=dests[0], required=True)
+    for name, node in tree.items():
+        if path and name != path[0]:
+            continue
+        p = sub.add_parser(name, help=node[0])
+        if isinstance(node[1], dict):
+            _add_verbs(p, node[1], dests[1:], path[1:] if path else None)
+            continue
+        _, handler, arguments = node
+        for arg in arguments:
+            if isinstance(arg, list):
+                group = p.add_mutually_exclusive_group(required=True)
+                for flags, options in arg:
+                    group.add_argument(*flags, **options)
+            else:
+                p.add_argument(*arg[0], **arg[1])
+        p.set_defaults(handler=handler)
+
+
+def _build_parser(path=None) -> _Parser:
+    """The parser for the leaf verb path names, or for the whole tree."""
     # no abbreviations: run() reads --pretty off argv verbatim, before parsing
     parser = _Parser(prog="ccc", description="Exact toric orbifold kernel", allow_abbrev=False)
     parser.add_argument("--pretty", action="store_true", help="indent the JSON report")
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("validate", help="parse and validate a stacky fan file")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_validate)
-
-    p = sub.add_parser("hom", help="hom between two theta indices")
-    p.add_argument("file")
-    p.add_argument("--theta1", required=True)
-    p.add_argument("--theta2", required=True)
-    p.add_argument("--oracle", action="store_true", help="also run the module oracle")
-    p.add_argument("--box", help="oracle box bound (rational)")
-    p.set_defaults(handler=_cmd_hom)
-
-    fm = sub.add_parser("fm", help="apply a transform").add_subparsers(
-        dest="subverb", required=True
-    )
-    p = fm.add_parser("same-base", help="weight-change transform, s to r")
-    p.add_argument("file")
-    subject = p.add_mutually_exclusive_group(required=True)
-    subject.add_argument("--bundle", help="line bundle coefficients c1,c2,...")
-    subject.add_argument("--theta", help="theta index 'cone=...;t=...'")
-    p.set_defaults(handler=_cmd_fm_same_base)
-    p = fm.add_parser("contract-push", help="pushforward along the contraction")
-    p.add_argument("file")
-    subject = p.add_mutually_exclusive_group(required=True)
-    subject.add_argument("--bundle")
-    subject.add_argument("--theta")
-    p.set_defaults(handler=_cmd_fm_contract_push)
-    p = fm.add_parser("contract-pull", help="staircase pullback of one chart theta")
-    p.add_argument("file")
-    p.add_argument("--J", required=True, help="chart ray indices i,j,...")
-    p.add_argument("--phi", required=True, help="thresholds c_i per index of J")
-    p.set_defaults(handler=_cmd_fm_contract_pull)
-
-    check = sub.add_parser("check", help="run a verification sweep").add_subparsers(
-        dest="subverb", required=True
-    )
-    p = check.add_parser("poset-embedding", help="order embedding of the weight map")
-    p.add_argument("file")
-    p.add_argument("--window", type=int, default=4)
-    p.set_defaults(handler=_cmd_check_poset)
-    p = check.add_parser("hom-oracle", help="hom agreement against the module oracle")
-    p.add_argument("file")
-    p.add_argument("--window", type=int, default=2)
-    p.add_argument("--box")
-    p.set_defaults(handler=_cmd_check_hom_oracle)
-    p = check.add_parser("case3-sandwich", help="staircase sandwich and stalk agreement")
-    p.add_argument("file")
-    p.add_argument("--window", type=int, default=1)
-    p.set_defaults(handler=_cmd_check_sandwich)
-    p = check.add_parser("contractibility-2d", help="raster-confirm zero verdicts")
-    p.add_argument("file")
-    p.add_argument("--window", type=int, default=1)
-    p.add_argument("--box")
-    p.add_argument("--step")
-    p.set_defaults(handler=_cmd_check_contractibility)
-
-    plot = sub.add_parser("plot", help="emit an SVG figure").add_subparsers(
-        dest="subverb", required=True
-    )
-    p = plot.add_parser("lagrangian", help="skeleton phase plot for a 1d fan")
-    p.add_argument("file")
-    p.add_argument("--window", type=int, default=3)
-    p.add_argument("--box")
-    p.add_argument("-o", "--out", required=True)
-    p.set_defaults(handler=_cmd_plot_lagrangian)
-    p = plot.add_parser("region", help="support or staircase region figure")
-    p.add_argument("file")
-    p.add_argument("--theta")
-    p.add_argument("--J")
-    p.add_argument("--phi")
-    p.add_argument("--box")
-    p.add_argument("-o", "--out", required=True)
-    p.set_defaults(handler=_cmd_plot_region)
-
+    _add_verbs(parser, _VERB_TREE, ("verb", "subverb"), path)
     return parser
 
 
 def run(argv) -> int:
     fmt = "pretty" if "--pretty" in argv else "json-lines"
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(_verb_path(argv)).parse_args(argv)
         report = args.handler(args)
     except _Help as exc:
         report = Report(status="ok", payload={"help": str(exc)}, witnesses=[])

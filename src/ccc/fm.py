@@ -126,7 +126,7 @@ def fm_case2(setup: ContractionSetup, theta: ThetaIndex) -> tuple[Polyhedron, li
     image is resolved by the terms on the cones (sigma - S) + extra ray,
     one per nonempty S inside the subdivided block.
     """
-    if theta.fan != setup.sigma2:
+    if theta.fan is not setup.sigma2 and theta.fan != setup.sigma2:
         raise InvalidArgument("theta does not live in the contracted fan")
     sigma = theta.cone
     image = support(theta, open=True)
@@ -134,7 +134,7 @@ def fm_case2(setup: ContractionSetup, theta: ThetaIndex) -> tuple[Polyhedron, li
     if not iset <= set(sigma.ray_indices):
         return image, [ThetaIndex(fan=setup.sigma1, cone=sigma, t=theta.t)]
 
-    coords = dict(zip(sigma.ray_indices, theta.t))
+    coords = theta.thresholds.copy()  # a copy: the extra ray joins it
     coords[setup.extra_index] = t_extra = _extra_threshold(setup, coords)
     extra_con = (setup.extra.v, Fraction(t_extra, setup.extra.weight), True)
     image = Polyhedron(dim=image.dim, constraints=image.constraints + (extra_con,))
@@ -173,7 +173,7 @@ def ext_case2(setup: ContractionSetup, theta1: ThetaIndex, theta2: ThetaIndex) -
     if setup.discrepancy not in (">=", "="):
         raise PreconditionError("push direction needs discrepancy sum(alpha) >= 1")
     for th in (theta1, theta2):
-        if th.fan != setup.sigma2:
+        if th.fan is not setup.sigma2 and th.fan != setup.sigma2:
             raise InvalidArgument("theta does not live in the contracted fan")
     return HOM_INCLUSION if leq(theta1, theta2) else HOM_CONTRACTIBLE_DIFFERENCE
 

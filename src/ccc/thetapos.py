@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .errors import InvalidArgument
@@ -34,6 +35,15 @@ class ThetaIndex:
             raise InvalidArgument(
                 f"theta has {len(self.t)} thresholds for a {self.cone.dim}-dimensional cone"
             )
+
+    @cached_property
+    def thresholds(self) -> dict[int, int]:
+        """Ray index -> threshold, built on first use and kept.
+
+        Not a field, so it stays out of eq, hash and repr.  Callers that
+        change the map work on a copy.
+        """
+        return dict(zip(self.cone.ray_indices, self.t))
 
 
 # one linear condition <x, normal> >= threshold, strict when the flag is set
@@ -94,12 +104,16 @@ def leq(theta1: ThetaIndex, theta2: ThetaIndex) -> bool:
     the first threshold is at least the second.  Both thetas share the fan,
     so they share the weights r_i, and t1_i / r_i >= t2_i / r_i compares
     the integer thresholds.  Thetas of one parsed fan hold the same fan
-    object, so the identity test spares the fan comparison.
+    object, so the identity test spares the fan comparison, and each theta
+    keeps its threshold map, so a sweep builds it once per theta.
     """
     if theta1.fan is not theta2.fan and theta1.fan != theta2.fan:
         raise InvalidArgument("theta indices live in different fans")
-    t1 = dict(zip(theta1.cone.ray_indices, theta1.t))
-    return all(i in t1 and t1[i] >= t for i, t in zip(theta2.cone.ray_indices, theta2.t))
+    t1 = theta1.thresholds
+    for i, t in theta2.thresholds.items():
+        if i not in t1 or t1[i] < t:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

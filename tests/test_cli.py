@@ -1,5 +1,6 @@
 """CLI surface: exit codes, report shape, thin-adapter equality, figures."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ccc
-from ccc.cli import Report, emit_report, parse_report, run
+from ccc.cli import Report, _build_parser, _Help, _verb_path, emit_report, parse_report, run
 from ccc.cohoracle import hom_module_oracle, refined_char_box
 from ccc.errors import InvalidArgument
 from ccc.fm import fm_case1, fm_line_bundle_case2
@@ -540,6 +541,76 @@ _VERBS = {
     ("plot", "lagrangian"): ("--window", "--box", "-o"),
     ("plot", "region"): ("--theta", "--J", "--phi", "--box", "-o"),
 }
+
+
+def _parsed(parser, argv):
+    """The namespace argv parses to, or the refusal or help text it gets."""
+    try:
+        return vars(parser.parse_args(argv))
+    except (InvalidArgument, _Help) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_filtered_parse_matches(argv):
+    """The parser built for argv's verb path parses argv as the whole tree does."""
+    assert _parsed(_build_parser(_verb_path(argv)), argv) == _parsed(_build_parser(), argv)
+
+
+def _leaves(parser, prefix=()):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _leaves(child, prefix + (name,))
+            return
+    yield prefix
+
+
+def test_every_leaf_is_a_path_the_picker_selects():
+    leaves = set(_leaves(_build_parser()))
+    assert leaves == set(_VERBS)
+    for leaf in leaves:
+        assert _verb_path([*leaf, "f.json"]) == leaf
+        assert _verb_path(["--pretty", *leaf]) == leaf
+        assert set(_leaves(_build_parser(leaf))) == {leaf}
+
+
+@pytest.mark.parametrize("verb", sorted(_VERBS))
+def test_filtered_parser_matches_whole_tree_per_leaf(verb):
+    path = str(DATA / "p13.json")
+    for argv in (
+        [*verb, path],
+        [*verb, "-h"],
+        [*verb, path, "--help", "--window", "x"],
+        ["--pretty", *verb, path, *_VERBS[verb][:1], "1"],
+        [*verb, path, "--pretty", "--bogus"],
+        [*verb],
+    ):
+        assert_filtered_parse_matches(argv)
+
+
+@pytest.mark.parametrize("argv, path", [
+    ([], None),
+    (["-h"], None),
+    (["--pretty", "--help"], None),
+    (["check"], None),
+    (["check", "-h"], None),
+    (["fm", "--help"], None),
+    (["check", "bogus"], None),
+    (["bogus", "validate"], None),
+    (["check", "--pretty", "hom-oracle", "F"], None),
+    (["--", "validate", "F"], None),
+    (["--pretty", "--pretty", "hom", "F", "--theta1", "cone=0;t=1", "--theta2", "cone=;t="],
+     ("hom",)),
+    (["validate", "-h"], ("validate",)),
+    (["check", "hom-oracle", "-h"], ("check", "hom-oracle")),
+    (["plot", "region", "F", "--help"], ("plot", "region")),
+])
+def test_filtered_parser_matches_whole_tree_pinned(argv, path):
+    argv = [str(DATA / "p13.json") if a == "F" else a for a in argv]
+    assert _verb_path(argv) == path
+    assert_filtered_parse_matches(argv)
+
+
 _THETAS = st.sampled_from([
     "cone=0;t=1", "cone=;t=", "cone=0,2;t=1,0", "cone=1;t=-1", "cone=2;t=0",
     "cone=0,1;t=1", "cone=5;t=0", "t=1", "cone=a;t=b", "",
@@ -607,6 +678,7 @@ def test_run_gives_one_report_for_any_argv(tmp_path_factory, data):
             argv.append(data.draw(_VALUES[flag]))
     if data.draw(st.booleans()):
         argv.insert(data.draw(st.integers(0, len(argv))), "--pretty")
+    assert_filtered_parse_matches(argv)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = run(argv)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ccc.cohoracle import hom_module_oracle, refined_char_box
 from ccc.errors import InvalidArgument, UnsupportedOperation
 from ccc.exactlin import pair
-from ccc.stackyfan import Cone
+from ccc.stackyfan import Cone, parse_stacky_fan
 from ccc.sweeps import witness_box
 from ccc.thetapos import (
     perp_slice,
@@ -28,6 +28,8 @@ from ccc.thetapos import (
     support,
     window_thetas,
 )
+
+from conftest import load_data
 
 F = Fraction
 
@@ -79,6 +81,28 @@ def test_leq_quadrant_in_half_plane(p112):
 def test_leq_rejects_mixed_fans(p13, p1):
     with pytest.raises(InvalidArgument):
         leq(theta(p13, (0,), (0,)), theta(p1, (0,), (0,)))
+
+
+def test_thresholds_stay_out_of_eq_hash_and_repr(p112):
+    a = theta(p112, (0, 2), (1, -1))
+    b = theta(p112, (0, 2), (1, -1))
+    text, key = repr(a), hash(a)
+    assert a.thresholds == {0: 1, 2: -1}
+    assert a.thresholds is a.thresholds  # kept, not rebuilt
+    assert "thresholds" in vars(a) and "thresholds" not in vars(b)
+    assert a == b and hash(a) == hash(b) == key
+    assert repr(a) == repr(b) == text
+    assert "thresholds" not in text
+
+
+def test_leq_on_equal_parsed_fans_matches_one_fan(p112):
+    doc = load_data("p112.json")
+    fan_a, fan_b = parse_stacky_fan(doc), parse_stacky_fan(doc)
+    assert fan_a == fan_b and fan_a is not fan_b
+    same = window_thetas(p112, 1)
+    left, right = window_thetas(fan_a, 1), window_thetas(fan_b, 1)
+    for i, j in itertools.product(range(len(same)), repeat=2):
+        assert leq(left[i], right[j]) == leq(same[i], same[j])
 
 
 def test_partial_order_axioms(p13, p112):
