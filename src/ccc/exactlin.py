@@ -29,14 +29,20 @@ def ceil_div(p: int, q: int) -> int:
 
 
 def ceil_frac(x: Fraction | int) -> int:
-    """Exact ceiling of a rational."""
-    x = Fraction(x)
-    return ceil_div(x.numerator, x.denominator)
+    """Exact ceiling of a rational.
+
+    An ``int`` or a ``Fraction`` is read through its numerator and
+    denominator as it stands; only other rationals are made a ``Fraction``.
+    """
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return -(-x.numerator // x.denominator)
 
 
 def floor_frac(x: Fraction | int) -> int:
-    """Exact floor of a rational."""
-    x = Fraction(x)
+    """Exact floor of a rational, read like ``ceil_frac``."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
     return x.numerator // x.denominator
 
 

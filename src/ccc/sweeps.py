@@ -35,6 +35,7 @@ from .fm import (
 from .stackyfan import ContractionSetup, SameBaseSetup, StackyFan
 from .thetapos import (
     HomResult,
+    Polyhedron,
     ThetaIndex,
     check_window,
     hom_constructible,
@@ -47,17 +48,22 @@ from .thetapos import (
 RASTER_ORIGIN = (Fraction(1, 64), Fraction(1, 128))
 
 
-def charts(setup: ContractionSetup, window: int):
-    """All (J, phi) with the extra ray in J, in deterministic order."""
-    check_window(window)
+def _chart_cones(setup: ContractionSetup):
+    """Each J of ``charts``: the extra ray plus free rays short of all of I'."""
     free = list(range(setup.n))
     for size in range(len(free) + 1):
         for rest in itertools.combinations(free, size):
             J = tuple(sorted(rest + (setup.extra_index,)))
-            if set(setup.i_prime) <= set(J):
-                continue
-            for phi in itertools.product(range(-window, window + 1), repeat=len(J)):
-                yield J, phi
+            if not set(setup.i_prime) <= set(J):
+                yield J
+
+
+def charts(setup: ContractionSetup, window: int):
+    """All (J, phi) with the extra ray in J, in deterministic order."""
+    check_window(window)
+    for J in _chart_cones(setup):
+        for phi in itertools.product(range(-window, window + 1), repeat=len(J)):
+            yield J, phi
 
 
 def witness_box(fan: StackyFan, window: int) -> Fraction:
@@ -169,6 +175,11 @@ class SandwichReport:
     violations: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[Fraction, ...], str], ...]
 
 
+# the most chart-probe pairs one sandwich sweep tests; the 3-D window-1
+# sweep of the crepant blowup of a 3-ray block tests 147 741
+MAX_SANDWICH_PAIRS = 1 << 20
+
+
 def sandwich_probes(dim: int, window: int) -> list[tuple[Fraction, ...]]:
     """The probe grid of sandwich_sweep: axis k at a/2^(k+1) + 1/2^(k+4), |a| <= 2*window + 3."""
     span = 2 * window + 3
@@ -179,33 +190,62 @@ def sandwich_probes(dim: int, window: int) -> list[tuple[Fraction, ...]]:
     return list(itertools.product(*axes))
 
 
+def _columns(bound: Polyhedron, column: dict) -> tuple[int, ...]:
+    """The sigma1 ray index of each constraint normal of a bound, in order."""
+    return tuple(column[normal] for normal, _, _ in bound.constraints)
+
+
 def sandwich_sweep(setup: ContractionSetup, window: int) -> SandwichReport:
     """Check inner <= region <= outer and the stalk Euler count on a probe grid.
 
     Probes on a region boundary, where the stalk count is undefined, are
-    skipped and not counted in ``points``.  The grid (``sandwich_probes``)
-    is the same for every chart, so each probe is paired once per route:
-    exactly, through ``pair``, for region membership, and scaled to
-    integers for the stalk count (``scaled_pairings``); neither table is
-    derived from the other.
+    skipped and not counted in ``points``; a chart on which every probe is
+    skipped would pass without a single stalk comparison, so it is refused.
+    So is a sweep of more than ``MAX_SANDWICH_PAIRS`` chart-probe pairs,
+    counted before any grid or chart is built.
+
+    The grid (``sandwich_probes``) is the same for every chart, so each
+    probe is paired once per route.  The region route pairs it exactly,
+    through ``pair``, with every ray of sigma1: the rays of sigma2, which
+    decide region membership, then the extra ray.  Every constraint normal
+    of the inner and outer bounds is one of those rays (b_{n+1} is the
+    extra normal of both), so each chart maps its bounds' normals to ray
+    indices once and both bounds are decided from the same table
+    (``Polyhedron.holds``).  The stalk route scales the probe to integers
+    (``scaled_pairings``); neither route's table is derived from the other.
     """
+    check_window(window)
+    dim = setup.sigma1.dim
+    # sandwich_probes puts 4 * window + 7 probes on each axis
+    work = sum((2 * window + 1) ** len(J) for J in _chart_cones(setup)) * (4 * window + 7) ** dim
+    if work > MAX_SANDWICH_PAIRS:
+        raise InvalidArgument(
+            f"sandwich sweep would test {work} chart-probe pairs, "
+            f"over the cap of {MAX_SANDWICH_PAIRS}; use a smaller window"
+        )
     keys = list(charts(setup, window))
-    fan = setup.sigma2
+    rays = setup.sigma1.rays
+    column = {ray.b: j for j, ray in enumerate(rays)}
     probes = [
-        (x, tuple(pair(x, ray.b) for ray in fan.rays), scaled_pairings(fan, x))
-        for x in sandwich_probes(setup.sigma1.dim, window)
+        (x, tuple(pair(x, ray.b) for ray in rays), scaled_pairings(setup.sigma2, x))
+        for x in sandwich_probes(dim, window)
     ]
     violations = []
     points = 0
     for J, phi in keys:
         region = fm3_region(setup, J, phi)
         ch = region.chart  # every chart holds the extra ray, so it is stepped
+        inner, outer = region.inner, region.outer
+        inner_at = None if inner is None else _columns(inner, column)
+        outer_at = _columns(outer, column)
+        before = points
         for x, paired, (scale, scaled) in probes:
             inside = region.contains_pairings(paired)
-            if not inside and region.inner is not None and region.inner.contains(x):
+            if inside:
+                if not outer.holds(map(paired.__getitem__, outer_at)):
+                    violations.append((J, phi, x, "outer-misses"))
+            elif inner is not None and inner.holds(map(paired.__getitem__, inner_at)):
                 violations.append((J, phi, x, "inner-escapes"))
-            if inside and not region.outer.contains(x):
-                violations.append((J, phi, x, "outer-misses"))
             try:
                 euler = stalk_euler_scaled(ch, scale, scaled)
             except BoundaryPointError:
@@ -213,6 +253,11 @@ def sandwich_sweep(setup: ContractionSetup, window: int) -> SandwichReport:
             points += 1
             if euler != int(inside):
                 violations.append((J, phi, x, "stalk-mismatch"))
+        if points == before:
+            raise InvalidArgument(
+                f"chart J={J} phi={phi}: every probe pairs integrally with a chart ray, "
+                "so no stalk count is compared"
+            )
     return SandwichReport(window, len(keys), points, tuple(violations))
 
 

@@ -58,8 +58,16 @@ class Polyhedron:
     constraints: tuple[Constraint, ...]
 
     def contains(self, x: RationalVector) -> bool:
-        for normal, threshold, strict in self.constraints:
-            value = pair(x, normal)
+        return self.holds(pair(x, normal) for normal, _, _ in self.constraints)
+
+    def holds(self, values) -> bool:
+        """Membership of a point given as its pairings, one per constraint in order.
+
+        A sweep that pairs each probe once with a fixed set of normals
+        decides every polyhedron over those normals here, without
+        re-pairing; ``contains`` pairs on the fly and decides here too.
+        """
+        for value, (_, threshold, strict) in zip(values, self.constraints):
             if value < threshold or (strict and value == threshold):
                 return False
         return True

@@ -312,6 +312,33 @@ def test_check_sandwich_three_dimensional(capsys, tmp_path):
     assert rep.payload == {"charts": 6, "points": 2058, "violations": 0, "window": 0}
 
 
+@pytest.mark.parametrize("window", ["0", "1"])
+def test_check_sandwich_refuses_a_vacuous_chart(capsys, tmp_path, window):
+    # ray 0 of weight 16 pairs every probe a/2 + 1/16 of axis 0 to an
+    # integer, so no chart compares a single stalk count: not a vacuous ok
+    doc = {
+        "rays": [{"v": [1, 0], "weight": 16}, {"v": [0, 1], "weight": 1}],
+        "extra": {"v": [1, 1]},
+    }
+    path = tmp_path / "weight16.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, rep = invoke(capsys, "check", "case3-sandwich", str(path), "--window", window)
+    assert code == 1
+    assert rep.status == "invalid-input"
+    error = rep.payload["error"]
+    assert re.match(r"chart J=\(2,\) phi=\(-?\d+,\): every probe pairs integrally", error)
+
+
+def test_check_sandwich_refuses_a_huge_window_at_once(capsys):
+    path = str(DATA / "contract_om3.json")
+    code, rep = invoke(capsys, "check", "case3-sandwich", path, "--window", "100000")
+    assert code == 1
+    assert rep.payload == {
+        "error": "sandwich sweep would test 12800608010000065800147 chart-probe pairs, "
+        "over the cap of 1048576; use a smaller window"
+    }
+
+
 def test_check_sandwich_witness_points_are_rational_strings(capsys, monkeypatch):
     # a stalk count no region membership can equal: every probe is a witness
     monkeypatch.setattr("ccc.sweeps.stalk_euler_scaled", lambda *args: 2)

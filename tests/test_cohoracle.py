@@ -5,13 +5,14 @@ import itertools
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccc import cohoracle
+from ccc import cohoracle, sweeps
 from ccc.cohoracle import (
     CharBox,
     _refined_scaled,
@@ -41,7 +42,14 @@ from ccc.stackyfan import (
     parse_stacky_fan,
 )
 from ccc.sweeps import charts, sandwich_probes, sandwich_sweep, witness_box
-from ccc.thetapos import HomResult, ThetaIndex, hom_constructible, leq, window_thetas
+from ccc.thetapos import (
+    HomResult,
+    Polyhedron,
+    ThetaIndex,
+    hom_constructible,
+    leq,
+    window_thetas,
+)
 
 from conftest import load_data
 
@@ -408,30 +416,60 @@ def _outcome(route, *args):
         return type(exc)
 
 
+def _from_table(setup, bound, table):
+    # a bound decided from the sigma1 table: each normal is a ray of sigma1
+    if bound is None:
+        return None
+    column = {ray.b: j for j, ray in enumerate(setup.sigma1.rays)}
+    return bound.holds(table[column[normal]] for normal, _, _ in bound.constraints)
+
+
 def _hoisted(setup, region, x):
-    # what sandwich_sweep does per probe: one table per route, then the chart
-    fan = setup.sigma2
-    inside = region.contains_pairings(tuple(pair(x, ray.b) for ray in fan.rays))
-    return inside, _outcome(stalk_euler_scaled, region.chart, *scaled_pairings(fan, x))
+    # what sandwich_sweep does per probe: one table per route, then the chart;
+    # the region and both bounds read the one exact table over sigma1
+    table = tuple(pair(x, ray.b) for ray in setup.sigma1.rays)
+    return (
+        region.contains_pairings(table),
+        _from_table(setup, region.inner, table),
+        _from_table(setup, region.outer, table),
+        _outcome(stalk_euler_scaled, region.chart, *scaled_pairings(setup.sigma2, x)),
+    )
 
 
 def _one_point(setup, J, phi, region, x):
-    return region.contains(x), _outcome(stalk_euler, setup, J, phi, x)
+    return (
+        region.contains(x),
+        None if region.inner is None else region.inner.contains(x),
+        region.outer.contains(x),
+        _outcome(stalk_euler, setup, J, phi, x),
+    )
 
 
-@pytest.mark.parametrize("name", SANDWICH_2D)
+def _sandwich_setup(name):
+    if name == "crepant_333":
+        return parse_contraction(CREPANT_333), 0
+    return _contraction(name), 1
+
+
+@pytest.mark.parametrize("name", [*SANDWICH_2D, "crepant_333"])
 def test_hoisted_sandwich_route_matches_one_point_entries_on_the_grid(name):
-    setup = _contraction(name)
+    setup, window = _sandwich_setup(name)
     seen = Counter()
-    for J, phi in charts(setup, 1):
+    for J, phi in charts(setup, window):
         region = fm3_region(setup, J, phi)
         assert region.chart.stepped
-        for x in sandwich_probes(setup.sigma1.dim, 1):
+        for x in sandwich_probes(setup.sigma1.dim, window):
             got = _hoisted(setup, region, x)
             assert got == _one_point(setup, J, phi, region, x), (J, phi, x)
-            assert got[1] == int(got[0]), (J, phi, x)
-            seen[got[1]] += 1
-    assert set(seen) == {0, 1}
+            assert got[3] == int(got[0]), (J, phi, x)
+            seen[got[3]] += 1
+            # both bounds are decided on every probe, on either side of them
+            seen["outer", got[2]] += 1
+            if got[1] is not None:
+                seen["inner", got[1]] += 1
+    assert {0, 1, ("outer", False), ("outer", True)} <= set(seen)
+    if setup.discrepancy != ">=":
+        assert {("inner", False), ("inner", True)} <= set(seen)
 
 
 def _random_point(rng, dim):
@@ -463,13 +501,15 @@ def test_hoisted_sandwich_route_matches_on_random_points(name, monkeypatch):
             x = _random_point(rng, setup.sigma1.dim)
             got = _hoisted(setup, region, x)
             assert got == _one_point(setup, J, phi, region, x), (cap, J, phi, x)
-            seen[cap, got[1]] += 1
+            seen[cap, got[3]] += 1
+            seen["outer", got[2]] += 1
             face = _face_point(rng, setup, region.chart)
             got = _hoisted(setup, region, face)
             assert got == _one_point(setup, J, phi, region, face), (cap, J, phi, face)
-            assert got[1] is BoundaryPointError, (J, phi, face)
+            assert got[3] is BoundaryPointError, (J, phi, face)
     assert seen[16, 0] and seen[16, 1]
     assert seen[1, WindowTooSmall] > 0
+    assert seen["outer", False] and seen["outer", True]
 
 
 def test_euler_terms_are_the_scaled_characters(om3):
@@ -537,10 +577,7 @@ def test_derived_window_edges(crepant_a1, key):
 @functools.lru_cache(maxsize=None)
 def _stepped_charts(name, outside):
     """The stepped charts that have (or have not) an m axis outside J."""
-    if name == "crepant_333":
-        setup, window = parse_contraction(CREPANT_333), 0
-    else:
-        setup, window = _contraction(name), 1
+    setup, window = _sandwich_setup(name)
     found = [chart(setup, *key) for key in charts(setup, window)]
     return [ch for ch in found if outside == any(i not in ch.c for i in ch.m_index)]
 
@@ -594,3 +631,66 @@ def test_sandwich_sweep_three_dimensional_two_step_rays():
     assert all(len(chart(setup, J, phi).m_index) == 2 for J, phi in keys)
     report = sandwich_sweep(setup, 0)
     assert (report.charts, report.points, report.violations) == (7, 2401, ())
+
+
+def _shifted(bound, by):
+    return Polyhedron(bound.dim, tuple((n, t + by, s) for n, t, s in bound.constraints))
+
+
+# a region whose outer bound is raised, or whose inner bound is widened, by
+# one on every constraint, and the violation each must show
+BROKEN_BOUNDS = {
+    "outer-misses": lambda region: replace(region, outer=_shifted(region.outer, 1)),
+    "inner-escapes": lambda region: replace(region, inner=_shifted(region.inner, -1)),
+}
+
+
+@pytest.mark.parametrize(
+    "name, kind",
+    [(name, "outer-misses") for name in SANDWICH_2D]
+    + [(name, "inner-escapes") for name in ("contract_om3.json", "contract_crepant_a1.json")],
+)
+def test_sandwich_sweep_reports_broken_bounds_where_one_point_entries_do(
+    name, kind, monkeypatch
+):
+    setup = _contraction(name)
+    broken = BROKEN_BOUNDS[kind]
+    monkeypatch.setattr(sweeps, "fm3_region", lambda *key: broken(fm3_region(*key)))
+    expected = []
+    for J, phi in charts(setup, 1):
+        region = broken(fm3_region(setup, J, phi))
+        for x in sandwich_probes(setup.sigma1.dim, 1):
+            inside = region.contains(x)
+            if not inside and region.inner is not None and region.inner.contains(x):
+                expected.append((J, phi, x, "inner-escapes"))
+            if inside and not region.outer.contains(x):
+                expected.append((J, phi, x, "outer-misses"))
+    assert expected and {v[3] for v in expected} == {kind}
+    report = sandwich_sweep(setup, 1)
+    assert report.violations == tuple(expected)
+    assert report.points == report.charts * 11**2
+
+
+@pytest.mark.parametrize("window", [0, 1])
+@pytest.mark.parametrize("name", CONTRACTIONS_2D)
+def test_sandwich_sweep_counts_every_probe_of_the_bundled_contractions(name, window):
+    report = sandwich_sweep(_contraction(name), window)
+    assert report.points == report.charts * (4 * window + 7) ** 2
+
+
+def test_sandwich_sweep_refuses_past_its_pair_cap_before_building(om3, monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("built a grid or a chart past the cap")
+
+    # a huge window refuses from the count alone, before a grid or chart
+    with monkeypatch.context() as patch:
+        for built in ("sandwich_probes", "charts", "fm3_region"):
+            patch.setattr(sweeps, built, unbuilt)
+        with pytest.raises(InvalidArgument, match=r"test \d{20,} chart-probe pairs, over the cap"):
+            sandwich_sweep(om3, 10**5)
+    # om3 at window 0 is 3 charts of 7^2 probes: 147 pairs, refused at 146
+    monkeypatch.setattr(sweeps, "MAX_SANDWICH_PAIRS", 147)
+    assert sandwich_sweep(om3, 0).points == 147
+    monkeypatch.setattr(sweeps, "MAX_SANDWICH_PAIRS", 146)
+    with pytest.raises(InvalidArgument, match=r"test 147 chart-probe pairs, over the cap of 146"):
+        sandwich_sweep(om3, 0)
