@@ -191,15 +191,15 @@ def _cmd_fm_contract_push(args) -> Report:
 
 def _cmd_fm_contract_pull(args) -> Report:
     setup = parse_contraction(_load(args.file))
-    region = fm3_region(setup, _ints(args.J), _ints(args.phi))
+    ch = fm3_region(setup, _ints(args.J), _ints(args.phi))
     payload = {
-        "J": list(region.chart.J),
-        "j_prime": list(region.chart.j_prime),
-        "i0": region.chart.i0,
+        "J": list(ch.J),
+        "j_prime": list(ch.j_prime),
+        "i0": ch.i0,
         "discrepancy": setup.discrepancy,
-        "s1": region.s1,
-        "outer": _poly_json(region.outer),
-        "inner": _poly_json(region.inner) if region.inner is not None else None,
+        "s1": ch.s1,
+        "outer": _poly_json(ch.outer),
+        "inner": _poly_json(ch.inner) if ch.inner is not None else None,
     }
     return Report(status="ok", payload=payload, witnesses=[])
 
@@ -263,10 +263,10 @@ def _cmd_plot_region(args) -> Report:
         setup = parse_contraction(doc)
         if setup.sigma2.dim != 2:
             raise InvalidArgument("staircase region plots need a two-dimensional setup")
-        region = fm3_region(setup, _ints(args.J), _ints(args.phi))
-        entries = [{"polyhedron": region.outer, "fill": "#4682b4"}]
-        if region.inner is not None:
-            entries.append({"polyhedron": region.inner, "fill": "#46b482"})
+        ch = fm3_region(setup, _ints(args.J), _ints(args.phi))
+        entries = [{"polyhedron": ch.outer, "fill": "#4682b4"}]
+        if ch.inner is not None:
+            entries.append({"polyhedron": ch.inner, "fill": "#46b482"})
         scene = "region-2d"
         render_svg(scene, {"regions": entries, "box": box}, args.out)
         payload = {"scene": scene, "regions": len(entries), "out": args.out}

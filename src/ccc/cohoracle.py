@@ -18,7 +18,7 @@ from operator import gt, le, mul
 
 from .errors import BoundaryPointError, InvalidArgument, WindowTooSmall
 from .exactlin import Rational, RationalVector, cone_basis, pair
-from .fm import Chart, chart
+from .fm import Chart, fm3_region
 from .stackyfan import ContractionSetup, StackyFan
 from .thetapos import HOM_INCLUSION, HOM_NON_INCLUSION, HomResult, ThetaIndex
 
@@ -318,7 +318,7 @@ def koszul_euler(setup: ContractionSetup, J, phi, probe) -> int:
     q + 1/2 > t, so this is the stalk count at the pairings q_j + 1/2,
     passed to _euler_sum at scale 2 as the integers 2 q_j + 1.
     """
-    ch = chart(setup, J, phi)
+    ch = fm3_region(setup, J, phi)
     if not ch.stepped:
         raise InvalidArgument("the resolution needs the extra ray in J")
     probe = tuple(int(x) for x in probe)
@@ -365,7 +365,7 @@ def stalk_euler(setup: ContractionSetup, J, phi, p) -> int:
     (scaled_pairings), so the count never goes through the region's own
     pairing.
     """
-    ch = chart(setup, J, phi)
+    ch = fm3_region(setup, J, phi)
     scale, pairings = scaled_pairings(setup.sigma2, p)
     return stalk_euler_scaled(ch, scale, pairings)
 
@@ -376,7 +376,7 @@ def q2_member(setup: ContractionSetup, J, phi, probe) -> bool:
     The resolution pins the only gamma(m) that can contain the probe: its
     coordinates on I' - {i0} must match the probe exactly.
     """
-    ch = chart(setup, J, phi)
+    ch = fm3_region(setup, J, phi)
     if not ch.stepped:
         raise InvalidArgument("Q2 membership needs the extra ray in J")
     probe = tuple(int(x) for x in probe)
@@ -395,7 +395,7 @@ def q2_member_enum(setup: ContractionSetup, J, phi, probe) -> bool:
     coordinatewise dominance with equality off i0, growing the window from
     the probe size so the search is provably exhaustive.
     """
-    ch = chart(setup, J, phi)
+    ch = fm3_region(setup, J, phi)
     if not ch.stepped:
         raise InvalidArgument("Q2 membership needs the extra ray in J")
     probe = tuple(int(x) for x in probe)

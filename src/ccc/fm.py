@@ -3,8 +3,9 @@
 Case 1 pushes thresholds along a change of ray weights over a fixed base
 fan.  Cases 2 and 3 push and pull along a weighted-blowup contraction,
 where the image of a single theta sheaf is a staircase glued from
-infinitely many translated dual cones; the staircase is carried as an
-exact membership predicate sandwiched between polyhedral bounds.
+infinitely many translated dual cones.  A pulled-back staircase is its
+chart (``Chart``): an exact membership predicate, with the polyhedral
+bounds that sandwich it built only when read.
 Discrepancy comparisons gate the hom-level checks, and a pixel raster
 decides contractibility of planar region differences.
 """
@@ -27,7 +28,6 @@ from .exactlin import (
     ceil_div,
     ceil_frac,
     cone_basis,
-    floor_frac,
     pair,
 )
 from .stackyfan import (
@@ -184,13 +184,19 @@ def ext_case2(setup: ContractionSetup, theta1: ThetaIndex, theta2: ThetaIndex) -
 
 @dataclass(frozen=True, eq=False)
 class Chart:
-    """One chart (J, phi) over sigma1 and its staircase characters gamma(m).
+    """One chart (J, phi) over sigma1 and its pullback, the staircase region.
 
     c maps each index of J to its threshold, i0 is the least index of the
     subdivided block outside J, m_index holds the rest of the block in
     increasing order, and j_prime indexes the contracted cone sigma_{J'}.
-    Charts come from ``chart``, which validates and memoizes them; each
-    chart also keeps its one validated pullback region, ``region``.
+    Charts come from ``fm3_region``, which validates and memoizes them.
+
+    The region is an infinite union of shifted dual cones with exact
+    membership (one ceiling evaluation via the minimal staircase character
+    gamma(m0)), sandwiched between the polyhedra ``inner`` and ``outer``,
+    which are built on first read.  When the extra ray is not in J the
+    region degenerates to a plain open support and inner is outer.  inner
+    is None when the sandwich hypothesis sum(alpha) <= 1 fails.
     """
 
     setup: ContractionSetup
@@ -201,18 +207,67 @@ class Chart:
     m_index: tuple[int, ...]
     _characters: dict = field(default_factory=dict, init=False, repr=False)
 
-    @cached_property
-    def region(self) -> StaircaseRegion:
-        """The pullback region, built and validated on first use.
-
-        A region whose inner bound fails validation raises and is not kept.
-        """
-        return _pull_region(self)
-
     @property
     def stepped(self) -> bool:
         """Whether J holds the extra ray, so that the pullback is a staircase."""
         return self.setup.extra_index in self.c
+
+    def _floors(self) -> tuple:
+        """The strict constraints <x, b_j> > c_j over the rays of J but the extra one."""
+        b = self.setup.sigma1.b
+        return tuple(
+            (b(j), Fraction(cj), True) for j, cj in self.c.items() if j != self.setup.extra_index
+        )
+
+    @cached_property
+    def outer(self) -> Polyhedron:
+        """The open support of the theta (J, phi) upstairs; it holds the region."""
+        su = self.setup
+        constraints = self._floors()
+        if self.stepped:
+            constraints += ((su.extra.b, Fraction(self.c[su.extra_index]), True),)
+        return Polyhedron(dim=su.sigma1.dim, constraints=constraints)
+
+    @cached_property
+    def s1(self) -> Fraction | None:
+        """Inner hyperplane height s1 = c_{n+1} + eps of the sandwich bound.
+
+        None for an unstepped chart, or when sum(alpha) > 1.  eps is
+        1 - (alpha_{i0}/2) min A, where A collects the fractional defects
+        u + 1 - ceil(u) of the staircase heights u; A is finite since u
+        moves in u0 + Z + sum_i (alpha_i/alpha_{i0}) Z over i in m_index,
+        and min A is the residue of u0 modulo that subgroup's generator, or
+        the generator itself when the residue is 0.  On integers: with
+        (D, w) = setup.scaled_alpha, u0 = N / w_{i0} for
+        N = D c_{n+1} - sum w_i c_i over m_index inside J, and the subgroup
+        is (G / w_{i0}) Z for G = gcd(w_{i0}, w_i over m_index).  So the
+        residue is (N mod G) / w_{i0}, and
+        eps = 1 - ((N mod G) or G) / (2D).
+        """
+        su = self.setup
+        if not self.stepped or su.discrepancy not in ("<=", "="):
+            return None
+        scale, weights = su.scaled_alpha
+        c_extra = self.c[su.extra_index]
+        num = scale * c_extra - sum(weights[i] * self.c[i] for i in self.m_index if i in self.c)
+        step = gcd(weights[self.i0], *(weights[i] for i in self.m_index))
+        return c_extra + 1 - Fraction(num % step or step, 2 * scale)
+
+    @cached_property
+    def inner(self) -> Polyhedron | None:
+        """The polyhedron D(c, s1) inside the region, validated before it is kept.
+
+        A failed validation raises and keeps nothing.
+        """
+        if not self.stepped:
+            return self.outer
+        if self.s1 is None:
+            return None
+        _validate_inner(self)
+        su = self.setup
+        return Polyhedron(
+            dim=su.sigma1.dim, constraints=self._floors() + ((su.extra.b, self.s1, False),)
+        )
 
     def gamma(self, m) -> ThetaIndex:
         """The staircase character gamma(m) on the contracted cone sigma_{J'}.
@@ -250,9 +305,47 @@ class Chart:
         self._characters[key] = g
         return g
 
+    def _pairings(self, x) -> dict[int, Fraction]:
+        return {j: pair(x, self.setup.sigma2.b(j)) for j in self.j_prime}
 
-def chart(setup: ContractionSetup, J, phi) -> Chart:
-    """The chart with threshold phi[k] over ray J[k], memoized; J need not be sorted."""
+    def _gamma0(self, p: dict[int, Fraction]) -> int:
+        m0 = tuple(ceil_frac(p[i]) - 1 - self.c.get(i, 0) for i in self.m_index)
+        return self.gamma(m0).t[self.j_prime.index(self.i0)]
+
+    def contains(self, x) -> bool:
+        """Exact membership of a point in the region."""
+        if not self.stepped:
+            return self.outer.contains(x)
+        return self.contains_pairings(self._pairings(x))
+
+    def contains_pairings(self, p) -> bool:
+        """Membership of a point of a stepped region, given as its pairings.
+
+        p[j] is the exact pairing of the point with ray j of sigma2, for at
+        least every j of J'; a sweep that probes many charts at one point
+        pairs it once and decides each chart here.
+        """
+        for j in self.j_prime:
+            if j in self.c and not p[j] > self.c[j]:
+                return False
+        return p[self.i0] > self._gamma0(p)
+
+    def _aligned(self, p: dict[int, Fraction]) -> bool:
+        if any(j in self.c and p[j] == self.c[j] for j in self.j_prime):
+            return True
+        if any(p[i].denominator == 1 for i in self.m_index):
+            return True
+        if all(p[i] > self.c[i] for i in self.m_index if i in self.c):
+            return p[self.i0] == self._gamma0(p)
+        return False
+
+
+def fm3_region(setup: ContractionSetup, J, phi) -> Chart:
+    """Pull a theta on the cone sigma_J upstairs back to the contracted side.
+
+    The pullback is the chart (J, phi) itself, memoized; J need not be
+    sorted.
+    """
     return _build_chart(setup, tuple(J), tuple(phi))
 
 
@@ -281,129 +374,13 @@ def _build_chart(setup: ContractionSetup, J: tuple, phi: tuple) -> Chart:
     )
 
 
-def s1_threshold(setup: ContractionSetup, J, phi) -> Fraction:
-    """Inner hyperplane height s1 = c_{n+1} + eps for the sandwich bound.
-
-    eps = 1 - (alpha_{i0}/2) * min A where A collects the fractional
-    defects u + 1 - ceil(u) of the staircase heights.  A is finite: u
-    moves in the subgroup step * Z generated by the ratios
-    alpha_i / alpha_{i0} modulo 1 (step <= 1), so min A is the residue r0
-    of u0 modulo step, or step itself when r0 = 0.
-    """
-    ch = chart(setup, J, phi)
-    if not ch.stepped:
-        raise InvalidArgument("s1 needs the extra ray in J")
-    a0 = setup.alpha[ch.i0]
-    c_extra = ch.c[setup.extra_index]
-    u0 = Fraction(c_extra)
-    for i in ch.m_index:
-        if i in ch.c:
-            u0 -= setup.alpha[i] * ch.c[i]
-    u0 /= a0
-    ratios = [setup.alpha[i] / a0 for i in ch.m_index]
-    q = lcm(*[r.denominator for r in ratios])
-    g = gcd(q, *[int(r * q) for r in ratios])
-    step = Fraction(g, q)
-    r0 = u0 - floor_frac(u0 / step) * step
-    eps = 1 - a0 / 2 * (r0 or step)
-    return c_extra + eps
-
-
-@dataclass(frozen=True)
-class StaircaseRegion:
-    """The pulled-back support: an infinite union of shifted dual cones.
-
-    Membership is exact (one ceiling evaluation via the minimal staircase
-    character), and the region is sandwiched between the polyhedra inner
-    and outer.  When the extra ray is not involved the region degenerates
-    to a plain open support and inner == outer.  inner is None when the
-    sandwich hypothesis sum(alpha) <= 1 fails.
-    """
-
-    chart: Chart
-    s1: Fraction | None
-    inner: Polyhedron | None
-    outer: Polyhedron
-
-    def _pairings(self, x) -> dict[int, Fraction]:
-        return {j: pair(x, self.chart.setup.sigma2.b(j)) for j in self.chart.j_prime}
-
-    def _gamma0(self, p: dict[int, Fraction]) -> int:
-        ch = self.chart
-        m0 = tuple(ceil_frac(p[i]) - 1 - ch.c.get(i, 0) for i in ch.m_index)
-        return ch.gamma(m0).t[ch.j_prime.index(ch.i0)]
-
-    def contains(self, x) -> bool:
-        if not self.chart.stepped:
-            return self.outer.contains(x)
-        return self.contains_pairings(self._pairings(x))
-
-    def contains_pairings(self, p) -> bool:
-        """Membership of a point of a stepped region, given as its pairings.
-
-        p[j] is the exact pairing of the point with ray j of sigma2, for at
-        least every j of J'; a sweep that probes many charts at one point
-        pairs it once and decides each chart here.
-        """
-        ch = self.chart
-        for j in ch.j_prime:
-            if j in ch.c and not p[j] > ch.c[j]:
-                return False
-        return p[ch.i0] > self._gamma0(p)
-
-    def _aligned(self, p: dict[int, Fraction]) -> bool:
-        ch = self.chart
-        if any(j in ch.c and p[j] == ch.c[j] for j in ch.j_prime):
-            return True
-        if any(p[i].denominator == 1 for i in ch.m_index):
-            return True
-        if all(p[i] > ch.c[i] for i in ch.m_index if i in ch.c):
-            return p[ch.i0] == self._gamma0(p)
-        return False
-
-
-def fm3_region(setup: ContractionSetup, J, phi) -> StaircaseRegion:
-    """Pull a theta on the cone sigma_J upstairs back to the contracted side.
-
-    The region is built and validated once per chart (``Chart.region``).
-    """
-    return chart(setup, J, phi).region
-
-
-def _pull_region(ch: Chart) -> StaircaseRegion:
-    setup = ch.setup
-    dim = setup.sigma1.dim
-    strict = tuple(
-        (setup.sigma1.b(j), Fraction(cj), True)
-        for j, cj in ch.c.items()
-        if j != setup.extra_index
-    )
-    if not ch.stepped:
-        outer = Polyhedron(dim=dim, constraints=strict)
-        return StaircaseRegion(chart=ch, s1=None, inner=outer, outer=outer)
-
-    extra_b = setup.extra.b
-    outer = Polyhedron(
-        dim=dim, constraints=strict + ((extra_b, Fraction(ch.c[setup.extra_index]), True),)
-    )
-    if setup.discrepancy not in ("<=", "="):
-        return StaircaseRegion(chart=ch, s1=None, inner=None, outer=outer)
-    # inner hyperplane bound only exists under the pull hypothesis
-    s1 = s1_threshold(setup, ch.J, tuple(ch.c.values()))
-    inner = Polyhedron(dim=dim, constraints=strict + ((extra_b, s1, False),))
-    region = StaircaseRegion(chart=ch, s1=s1, inner=inner, outer=outer)
-    _validate_inner(region)
-    return region
-
-
-def _validate_inner(region: StaircaseRegion) -> None:
+def _validate_inner(ch: Chart) -> None:
     # a few exact points of D(c, s1) must land inside the region
-    ch = region.chart
     su = ch.setup
     dim = su.sigma1.dim
     rows = tuple(su.sigma1.b(j) for j in ch.J)
     rhs = [
-        region.s1 if j == su.extra_index else Fraction(cj) + Fraction(1, 2)
+        ch.s1 if j == su.extra_index else Fraction(cj) + Fraction(1, 2)
         for j, cj in ch.c.items()
     ]
     # column k of the inverse pairs to 1 with row k and to 0 with the others
@@ -416,7 +393,7 @@ def _validate_inner(region: StaircaseRegion) -> None:
     for bump in columns:
         points.append(tuple(a + b for a, b in zip(corner, bump)))
     for pt in points:
-        if not region.contains(pt):
+        if not ch.contains(pt):
             raise ValidationError("internal: inner bound escapes the staircase region")
 
 
@@ -425,12 +402,12 @@ def ext_case3(setup: ContractionSetup, pair1, pair2) -> HomResult:
 
     Valid under the discrepancy hypothesis sum(alpha) <= 1, where the pull
     is fully faithful: C[0] exactly on support inclusion upstairs, else a
-    contractible region difference.  Both charts are validated; no region
+    contractible region difference.  Both charts are validated; no bound
     is built.
     """
     if setup.discrepancy not in ("<=", "="):
         raise PreconditionError("pull direction needs discrepancy sum(alpha) <= 1")
-    chart1, chart2 = chart(setup, *pair1), chart(setup, *pair2)
+    chart1, chart2 = fm3_region(setup, *pair1), fm3_region(setup, *pair2)
     # leq upstairs: every ray of the second cone, with a threshold no larger
     if all(j in chart1.c and chart1.c[j] >= c2 for j, c2 in chart2.c.items()):
         return HOM_INCLUSION
@@ -459,9 +436,9 @@ def fm_line_bundle_case3(setup: ContractionSetup, c) -> tuple[int, ...] | None:
 
 def as_pixel_predicate(obj):
     """Membership closure for the raster that refuses boundary-aligned pixels."""
-    if isinstance(obj, StaircaseRegion) and not obj.chart.stepped:
+    if isinstance(obj, Chart) and not obj.stepped:
         obj = obj.outer  # a plain open support, refused as raster_runs refuses it
-    if isinstance(obj, StaircaseRegion):
+    if isinstance(obj, Chart):
         def pred(x):
             p = obj._pairings(x)  # one set of pairings for both tests
             if obj._aligned(p):
@@ -605,8 +582,8 @@ def _step_segments(a, slope, scale, lo, hi):
         yield first, hi, -(-last // scale)
 
 
-def _staircase_spans(region: StaircaseRegion, y0, step, side, scale):
-    """The row spans of a staircase region whose chart holds the extra ray.
+def _staircase_spans(ch: Chart, y0, step, side, scale):
+    """The row spans of the staircase region of a chart that holds the extra ray.
 
     Returns spans(x, hits), the maximal runs of the row at x as a tuple,
     with the same integer scaling as _bounds; the rays, floors, weights and
@@ -636,7 +613,6 @@ def _staircase_spans(region: StaircaseRegion, y0, step, side, scale):
     i0-face pixel: their least is the least aligned pixel of the row, as
     in a walk over every segment.
     """
-    ch = region.chart
     su = ch.setup
     rays, c = {j: su.sigma2.b(j) for j in ch.j_prime}, ch.c
     floors = [(rays[j], c[j] * scale) for j in ch.j_prime if j in c]
@@ -729,12 +705,12 @@ def raster_runs(obj, bbox, step, origin=(0, 0)) -> tuple:
     (difference_contractible).
     """
     (x0, y0), step, side = _grid(bbox, step, origin)
-    if isinstance(obj, StaircaseRegion) and not obj.chart.stepped:
+    if isinstance(obj, Chart) and not obj.stepped:
         obj = obj.outer
     if isinstance(obj, Polyhedron) and obj.dim == 2:
         face = "constraint"
         thresholds = [Fraction(t) for _, t, _ in obj.constraints]
-    elif isinstance(obj, StaircaseRegion) and obj.chart.setup.sigma2.dim == 2:
+    elif isinstance(obj, Chart) and obj.setup.sigma2.dim == 2:
         face = "region face"
         thresholds = []  # staircase thresholds and step heights are integers
     else:

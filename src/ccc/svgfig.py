@@ -168,9 +168,8 @@ def _scene_lagrangian(canvas, data):
         x0 = Fraction(rhs, normal[0])
         if abs(x0) > canvas.box:
             continue
-        direction = fan.v(piece.fiber_cone.ray_indices[0])[0]
-        if piece.fiber_negated:
-            direction = -direction
+        # the fiber is -sigma: the spike points against the ray
+        direction = -fan.v(piece.fiber_cone.ray_indices[0])[0]
         canvas.line((x0, 0), (x0, spike * direction), _SPIKE_STYLE)
 
 

@@ -233,14 +233,13 @@ def sandwich_sweep(setup: ContractionSetup, window: int) -> SandwichReport:
     violations = []
     points = 0
     for J, phi in keys:
-        region = fm3_region(setup, J, phi)
-        ch = region.chart  # every chart holds the extra ray, so it is stepped
-        inner, outer = region.inner, region.outer
+        ch = fm3_region(setup, J, phi)  # every chart holds the extra ray: it is stepped
+        inner, outer = ch.inner, ch.outer
         inner_at = None if inner is None else _columns(inner, column)
         outer_at = _columns(outer, column)
         before = points
         for x, paired, (scale, scaled) in probes:
-            inside = region.contains_pairings(paired)
+            inside = ch.contains_pairings(paired)
             if inside:
                 if not outer.holds(map(paired.__getitem__, outer_at)):
                     violations.append((J, phi, x, "outer-misses"))

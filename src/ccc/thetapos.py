@@ -157,7 +157,6 @@ class LagrangianPiece:
 
     base: Polyhedron
     fiber_cone: Cone
-    fiber_negated: bool
     t: tuple[int, ...]
 
 
@@ -200,9 +199,7 @@ def lambda_skeleton(fan: StackyFan, char_window: int, box: Rational) -> list[Lag
     for theta in window_thetas(fan, char_window):
         base = perp_slice(theta)
         if base.meets_box(box):
-            pieces.append(
-                LagrangianPiece(base=base, fiber_cone=theta.cone, fiber_negated=True, t=theta.t)
-            )
+            pieces.append(LagrangianPiece(base=base, fiber_cone=theta.cone, t=theta.t))
     pieces.sort(key=lambda p: (p.fiber_cone.ray_indices, p.t))
     return pieces
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from importlib import resources
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from ccc.exactlin import pair
 from ccc.stackyfan import WeightedRay, build_contraction, parse_contraction, parse_stacky_fan
 
 
@@ -46,6 +48,31 @@ def discrepancy_setup():
 @pytest.fixture(scope="session")
 def om3():
     return parse_contraction(load_data("contract_om3.json"))
+
+
+def gamma_union(ch, width):
+    """Membership in the union of a chart's shifted cones over an m window.
+
+    m runs over [0, width] on the indices of m_index inside J and over
+    [-width, width] off it; only the Pareto-minimal threshold vectors
+    gamma(m).t are kept.  A point is in the union when its pairing with
+    each ray of J' clears the threshold of one kept vector.
+    """
+    ranges = [range(0, width + 1) if i in ch.c else range(-width, width + 1) for i in ch.m_index]
+    frontier = []
+    for m in itertools.product(*ranges):
+        t = ch.gamma(m).t
+        if any(all(f <= u for f, u in zip(vec, t)) for vec in frontier):
+            continue
+        frontier = [vec for vec in frontier if not all(u <= f for u, f in zip(t, vec))]
+        frontier.append(t)
+    rays = [ch.setup.sigma2.b(j) for j in ch.j_prime]
+
+    def member(x) -> bool:
+        p = [pair(x, b) for b in rays]
+        return any(all(a > t for a, t in zip(p, vec)) for vec in frontier)
+
+    return member
 
 
 def _primitive_vector(draw, lo=-3, hi=3):

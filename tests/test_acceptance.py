@@ -14,10 +14,9 @@ from pathlib import Path
 
 import ccc
 from ccc.cli import run
-from ccc.cohoracle import koszul_euler, q2_member, stalk_euler
+from ccc.cohoracle import koszul_euler, q2_member
 from ccc.fm import (
     as_pixel_predicate,
-    chart,
     ext_case2,
     ext_case3,
     fm3_region,
@@ -34,8 +33,11 @@ from ccc.sweeps import (
     contractibility_sweep,
     hom_oracle_sweep,
     poset_embedding_report,
+    sandwich_sweep,
 )
 from ccc.thetapos import ample_polytope, lambda_skeleton, leq, minkowski_sum, window_thetas
+
+from conftest import gamma_union
 
 DATA = Path(ccc.__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -147,54 +149,16 @@ def test_criterion_05_poset_embedding_and_reversal(p1):
 # -- 6 ------------------------------------------------------------------
 
 
-def _gamma_frontier(setup, J, phi, width):
-    """Pareto-minimal staircase threshold vectors over the m window."""
-    ch = chart(setup, J, phi)
-    ranges = [
-        range(0, width + 1) if i in ch.c else range(-width, width + 1)
-        for i in ch.m_index
-    ]
-    frontier = []
-    for m in itertools.product(*ranges):
-        t = ch.gamma(m).t
-        if any(all(f[k] <= t[k] for k in range(len(t))) for f in frontier):
-            continue
-        frontier = [f for f in frontier if not all(t[k] <= f[k] for k in range(len(t)))]
-        frontier.append(t)
-    return sorted(frontier)
-
-
-def _union_member(frontier, scaled):
-    """Whether weight-scaled pairings clear some threshold vector of the frontier."""
-    return any(all(p > t for p, t in zip(scaled, vec)) for vec in frontier)
-
-
-def _sandwich_sweep(setup):
-    seen = 0
-    points = 0
+def _shifted_cone_union(setup):
+    """Chart.contains against the union of shifted cones, on a 15x15 grid."""
     for J, phi in charts(setup, 3):
-        seen += 1
-        region = fm3_region(setup, J, phi)
-        frontier = _gamma_frontier(setup, J, phi, 12)
-        narrower = _gamma_frontier(setup, J, phi, 11)
-        rays = [(setup.sigma2.b(j), setup.sigma2.weight(j)) for j in region.chart.j_prime]
+        ch = fm3_region(setup, J, phi)
+        union, narrower = gamma_union(ch, 12), gamma_union(ch, 11)
         for a in range(-7, 8):
             for b in range(-7, 8):
                 x = (Fraction(a, 4) + Fraction(1, 16), Fraction(b, 8) + Fraction(1, 32))
-                points += 1
-                inside = region.contains(x)
-                if region.inner is not None and region.inner.contains(x):
-                    assert inside, (J, phi, x, "inner point escaped the region")
-                if inside:
-                    assert region.outer.contains(x), (J, phi, x, "region left the outer bound")
-                assert stalk_euler(setup, J, phi, x) == int(inside), (J, phi, x)
-                scaled = [w * sum(c * v for c, v in zip(x, b)) for b, w in rays]
-                union = _union_member(frontier, scaled)
                 # window saturation: one more shell of shifts changes nothing here
-                assert union == _union_member(narrower, scaled), (J, phi, x)
-                assert union == inside, (J, phi, x)
-    assert seen > 0
-    return points / seen
+                assert union(x) == narrower(x) == ch.contains(x), (J, phi, x)
 
 
 def test_criterion_06_staircase_sandwich_and_stalks(crepant_a1, om3):
@@ -203,8 +167,10 @@ def test_criterion_06_staircase_sandwich_and_stalks(crepant_a1, om3):
         om2_doc = (DATA / "contract_om2.json").read_text()
         assert json.loads(crepant_doc) == json.loads(om2_doc)  # same contraction
         for setup in (crepant_a1, om3):
-            per_chart = _sandwich_sweep(setup)
-            assert per_chart >= 200, per_chart
+            report = sandwich_sweep(setup, 3)
+            assert report.violations == ()
+            assert report.points / report.charts >= 200, report
+            _shifted_cone_union(setup)
 
     _criterion(6, "staircase sandwich, stalk counts and shifted-cone union", 60.0, body)
 
@@ -217,8 +183,7 @@ def test_criterion_07_koszul_euler_matches_membership(crepant_a1, om3):
         for setup in (crepant_a1, om3):
             probes = 0
             for J, phi in charts(setup, 1):
-                region = fm3_region(setup, J, phi)
-                width = len(region.chart.j_prime)
+                width = len(fm3_region(setup, J, phi).j_prime)
                 for q in itertools.product(range(-3, 4), repeat=width):
                     probes += 1
                     value = koszul_euler(setup, J, phi, q)
@@ -285,7 +250,6 @@ def test_criterion_09_skeleton_figure(p13, tmp_path):
             ray = piece.fiber_cone.ray_indices[0]
             v = p13.v(ray)[0]
             base = Fraction(piece.t[0], p13.weight(ray)) / v
-            assert piece.fiber_negated
             (down if v > 0 else up).add(base)
         assert down == {Fraction(k, 3) for k in range(-3, 4)}, down
         assert up == {Fraction(k) for k in (-1, 0, 1)}, up

@@ -1,11 +1,11 @@
 """Brute-force module enumeration against the closed-form routines."""
 
+import copy
 import functools
 import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -31,7 +31,7 @@ from ccc.cohoracle import (
 )
 from ccc.errors import BoundaryPointError, InvalidArgument, WindowTooSmall
 from ccc.exactlin import pair
-from ccc.fm import chart, fm3_region
+from ccc.fm import fm3_region
 from ccc.stackyfan import (
     Cone,
     WeightedRay,
@@ -342,7 +342,7 @@ def test_stalk_euler_matches_region(crepant_a1, om3, discrepancy_setup):
                     p = (Fraction(a, 2) + Fraction(1, 16), Fraction(b, 4) + Fraction(1, 32))
                     pairings = [
                         sum(x * c for x, c in zip(p, setup.sigma2.b(j)))
-                        for j in region.chart.j_prime
+                        for j in region.j_prime
                     ]
                     if any(Fraction(v).denominator == 1 for v in pairings):
                         continue
@@ -380,7 +380,7 @@ def test_integer_euler_counts_match_region_and_q2(data):
     p = data.draw(st.tuples(rational, rational))
     pairings = [
         sum((x * c for x, c in zip(p, setup.sigma2.b(j))), Fraction(0))
-        for j in region.chart.j_prime
+        for j in region.j_prime
     ]
     if any(v.denominator == 1 for v in pairings):
         with pytest.raises(BoundaryPointError):
@@ -432,7 +432,7 @@ def _hoisted(setup, region, x):
         region.contains_pairings(table),
         _from_table(setup, region.inner, table),
         _from_table(setup, region.outer, table),
-        _outcome(stalk_euler_scaled, region.chart, *scaled_pairings(setup.sigma2, x)),
+        _outcome(stalk_euler_scaled, region, *scaled_pairings(setup.sigma2, x)),
     )
 
 
@@ -457,7 +457,7 @@ def test_hoisted_sandwich_route_matches_one_point_entries_on_the_grid(name):
     seen = Counter()
     for J, phi in charts(setup, window):
         region = fm3_region(setup, J, phi)
-        assert region.chart.stepped
+        assert region.stepped
         for x in sandwich_probes(setup.sigma1.dim, window):
             got = _hoisted(setup, region, x)
             assert got == _one_point(setup, J, phi, region, x), (J, phi, x)
@@ -503,7 +503,7 @@ def test_hoisted_sandwich_route_matches_on_random_points(name, monkeypatch):
             assert got == _one_point(setup, J, phi, region, x), (cap, J, phi, x)
             seen[cap, got[3]] += 1
             seen["outer", got[2]] += 1
-            face = _face_point(rng, setup, region.chart)
+            face = _face_point(rng, setup, region)
             got = _hoisted(setup, region, face)
             assert got == _one_point(setup, J, phi, region, face), (cap, J, phi, face)
             assert got[3] is BoundaryPointError, (J, phi, face)
@@ -516,7 +516,7 @@ def test_euler_terms_are_the_scaled_characters(om3):
     setup_3d = parse_contraction(CREPANT_333)
     for setup, window in ((om3, 1), (setup_3d, 0)):
         for J, phi in charts(setup, window):
-            ch = chart(setup, J, phi)
+            ch = fm3_region(setup, J, phi)
             for scale, w in ((1, 1), (16, 4), (32, 2)):
                 floors, subsets = cohoracle._euler_terms(ch, scale, w)
                 ranges = [range(0, w + 1) if i in ch.c else range(-w, w + 1) for i in ch.m_index]
@@ -549,8 +549,7 @@ WINDOW_EDGES = {
 def test_derived_window_edges(crepant_a1, key):
     cap = cohoracle._MAX_WINDOW
     J, phi = key
-    region = fm3_region(crepant_a1, J, phi)
-    ch = region.chart
+    ch = fm3_region(crepant_a1, J, phi)
     assert ch.m_index == (1,) and (1 in ch.c) == (1 in J)
     counts = Counter()
     for e, d in WINDOW_EDGES[key](cap):
@@ -566,7 +565,7 @@ def test_derived_window_edges(crepant_a1, key):
                 # pairings at scale 4: P0 = q0 + 1/4, P1 in (e, e + 1)
                 pairings = {0: 4 * q0 + 1, 1: 4 * e + k}
                 value = stalk_euler_scaled(ch, 4, pairings)
-                inside = region.contains_pairings({j: Fraction(v, 4) for j, v in pairings.items()})
+                inside = ch.contains_pairings({j: Fraction(v, 4) for j, v in pairings.items()})
                 assert value == int(inside), pairings
                 counts["point", value] += 1
                 with pytest.raises(WindowTooSmall):
@@ -578,7 +577,7 @@ def test_derived_window_edges(crepant_a1, key):
 def _stepped_charts(name, outside):
     """The stepped charts that have (or have not) an m axis outside J."""
     setup, window = _sandwich_setup(name)
-    found = [chart(setup, *key) for key in charts(setup, window)]
+    found = [fm3_region(setup, *key) for key in charts(setup, window)]
     return [ch for ch in found if outside == any(i not in ch.c for i in ch.m_index)]
 
 
@@ -628,7 +627,7 @@ def test_sandwich_sweep_three_dimensional_two_step_rays():
     keys = list(charts(setup, 0))
     # every stepped chart steps along two rays, so the term tables run over
     # a two-dimensional m product
-    assert all(len(chart(setup, J, phi).m_index) == 2 for J, phi in keys)
+    assert all(len(fm3_region(setup, J, phi).m_index) == 2 for J, phi in keys)
     report = sandwich_sweep(setup, 0)
     assert (report.charts, report.points, report.violations) == (7, 2401, ())
 
@@ -637,11 +636,18 @@ def _shifted(bound, by):
     return Polyhedron(bound.dim, tuple((n, t + by, s) for n, t, s in bound.constraints))
 
 
-# a region whose outer bound is raised, or whose inner bound is widened, by
+def _with_bound(ch, name, bound):
+    """A copy of the chart that holds the given polyhedron as its bound name."""
+    broken = copy.copy(ch)
+    vars(broken)[name] = bound
+    return broken
+
+
+# a chart whose outer bound is raised, or whose inner bound is widened, by
 # one on every constraint, and the violation each must show
 BROKEN_BOUNDS = {
-    "outer-misses": lambda region: replace(region, outer=_shifted(region.outer, 1)),
-    "inner-escapes": lambda region: replace(region, inner=_shifted(region.inner, -1)),
+    "outer-misses": lambda ch: _with_bound(ch, "outer", _shifted(ch.outer, 1)),
+    "inner-escapes": lambda ch: _with_bound(ch, "inner", _shifted(ch.inner, -1)),
 }
 
 
@@ -676,6 +682,20 @@ def test_sandwich_sweep_reports_broken_bounds_where_one_point_entries_do(
 def test_sandwich_sweep_counts_every_probe_of_the_bundled_contractions(name, window):
     report = sandwich_sweep(_contraction(name), window)
     assert report.points == report.charts * (4 * window + 7) ** 2
+
+
+@pytest.mark.parametrize(
+    "name, windows", [(name, (0, 1, 2)) for name in CONTRACTIONS_2D] + [("crepant_333", (0, 1))]
+)
+def test_sandwich_cap_counts_what_the_sweep_enumerates(name, windows, monkeypatch):
+    # the cap's count restates the shapes of charts and sandwich_probes
+    setup = parse_contraction(CREPANT_333) if name == "crepant_333" else _contraction(name)
+    monkeypatch.setattr(sweeps, "MAX_SANDWICH_PAIRS", 0)
+    for window in windows:
+        probes = sandwich_probes(setup.sigma1.dim, window)
+        enumerated = len(list(charts(setup, window))) * len(probes)
+        with pytest.raises(InvalidArgument, match=rf"would test {enumerated} chart-probe pairs"):
+            sandwich_sweep(setup, window)
 
 
 def test_sandwich_sweep_refuses_past_its_pair_cap_before_building(om3, monkeypatch):

@@ -21,7 +21,6 @@ from ccc.exactlin import ceil_frac, pair
 from ccc.fm import (
     as_pixel_predicate,
     case1_pullback,
-    chart,
     case1_pushforward,
     difference_contractible,
     ext_case2,
@@ -35,10 +34,15 @@ from ccc.fm import (
     raster_contractible_2d,
     raster_pixels,
     raster_runs,
-    s1_threshold,
 )
 from ccc.stackyfan import Cone, build_same_base, parse_contraction, parse_stacky_fan
-from ccc.sweeps import RASTER_ORIGIN, charts, contractibility_sweep, poset_embedding_report
+from ccc.sweeps import (
+    RASTER_ORIGIN,
+    charts,
+    contractibility_sweep,
+    poset_embedding_report,
+    sandwich_sweep,
+)
 from ccc.thetapos import (
     HOM_CONTRACTIBLE_DIFFERENCE,
     HOM_INCLUSION,
@@ -47,7 +51,7 @@ from ccc.thetapos import (
     window_thetas,
 )
 
-from conftest import load_data, planar_contractions
+from conftest import gamma_union, load_data, planar_contractions
 
 
 @pytest.fixture(scope="session")
@@ -320,44 +324,59 @@ def test_extra_threshold_is_the_fraction_ceiling(name):
 
 
 def test_gamma_char_crepant_values(crepant_a1):
-    zero = chart(crepant_a1, (1, 2), (0, 0)).gamma((0,))
+    zero = fm3_region(crepant_a1, (1, 2), (0, 0)).gamma((0,))
     assert zero.cone == Cone((0, 1))
     assert zero.t == (0, 0)
     assert zero.fan == crepant_a1.sigma2
 
-    one = chart(crepant_a1, (1, 2), (0, 0)).gamma((1,))
+    one = fm3_region(crepant_a1, (1, 2), (0, 0)).gamma((1,))
     assert one.t == (-1, 1)
 
     # extra-only J puts ray 1 into K1, so m may be negative there
-    k1_variant = chart(crepant_a1, (2,), (0,)).gamma((-1,))
+    k1_variant = fm3_region(crepant_a1, (2,), (0,)).gamma((-1,))
     assert k1_variant.t == (1, -1)
 
 
 def test_gamma_char_domain_errors(crepant_a1):
     with pytest.raises(InvalidArgument):
-        chart(crepant_a1, (1, 2), (0, 0)).gamma((-1,))  # ray 1 is inside J
+        fm3_region(crepant_a1, (1, 2), (0, 0)).gamma((-1,))  # ray 1 is inside J
     with pytest.raises(InvalidArgument):
-        chart(crepant_a1, (1,), (0,)).gamma((0,))  # extra ray missing
+        fm3_region(crepant_a1, (1,), (0,)).gamma((0,))  # extra ray missing
     with pytest.raises(InvalidArgument):
-        chart(crepant_a1, (0, 1, 2), (0, 0, 0))  # not a cone upstairs
+        fm3_region(crepant_a1, (0, 1, 2), (0, 0, 0))  # not a cone upstairs
 
 
 def test_gamma_monotone_in_m(crepant_a1, om3):
     # raising any m coordinate lowers the i0 staircase height
     for setup in (crepant_a1, om3):
         for m in range(0, 6):
-            lo = chart(setup, (1, 2), (0, 1)).gamma((m,))
-            hi = chart(setup, (1, 2), (0, 1)).gamma((m + 1,))
+            lo = fm3_region(setup, (1, 2), (0, 1)).gamma((m,))
+            hi = fm3_region(setup, (1, 2), (0, 1)).gamma((m + 1,))
             assert hi.t[0] <= lo.t[0]
 
 
+# rays e1, e2, e3 of weight 7 and the extra ray (1,1,1) of weight 2: alpha is
+# 2/7 on each ray, so over D = 7 the block weights (2, 2, 2) share G = 2 and
+# the residue N mod G decides eps
+BLOCK_777 = {
+    "rays": [
+        {"v": [1, 0, 0], "weight": 7},
+        {"v": [0, 1, 0], "weight": 7},
+        {"v": [0, 0, 1], "weight": 7},
+    ],
+    "extra": {"v": [1, 1, 1], "weight": 2},
+}
+
+
 def test_s1_threshold_values(crepant_a1, om3):
-    assert s1_threshold(crepant_a1, (1, 2), (0, 0)) == Fraction(3, 4)
-    assert s1_threshold(crepant_a1, (2,), (0,)) == Fraction(3, 4)
-    assert s1_threshold(om3, (1, 2), (0, 0)) == Fraction(5, 6)
+    assert fm3_region(crepant_a1, (1, 2), (0, 0)).s1 == Fraction(3, 4)
+    assert fm3_region(crepant_a1, (2,), (0,)).s1 == Fraction(3, 4)
+    assert fm3_region(om3, (1, 2), (0, 0)).s1 == Fraction(5, 6)
+    # N = 7 * 1 - 2 * 0 is odd: eps = 1 - 1/14
+    assert fm3_region(parse_contraction(BLOCK_777), (1, 3), (0, 1)).s1 == Fraction(27, 14)
     # eps always lands in (0, 1)
     for phi in itertools.product(range(-3, 4), repeat=2):
-        s1 = s1_threshold(crepant_a1, (1, 2), phi)
+        s1 = fm3_region(crepant_a1, (1, 2), phi).s1
         assert phi[1] < s1 < phi[1] + 1
 
 
@@ -373,36 +392,16 @@ def test_fm3_region_crepant_frozen_points(crepant_a1):
         assert not region.contains(x)
 
 
-def _gamma_union_member(setup, J, phi, x, span=14):
-    i0 = min(set(setup.i_prime) - set(J))
-    ranges = []
-    for i in setup.i_prime:
-        if i == i0:
-            continue
-        ranges.append(range(0, span) if i in set(J) else range(-span, span))
-    ch = chart(setup, J, phi)
-    for m in itertools.product(*ranges):
-        g = ch.gamma(m)
-        ok = all(
-            pair(x, setup.sigma2.b(i)) > tk
-            for i, tk in zip(g.cone.ray_indices, g.t)
-        )
-        if ok:
-            return True
-    return False
-
-
 def test_fm3_region_matches_gamma_union_on_grid(crepant_a1):
     # denominator-4 grid, exactly as advertised; membership is total so
     # boundary-adjacent grid points are fair game
     region = fm3_region(crepant_a1, (1, 2), (0, 0))
+    union = gamma_union(region, 14)
     grid = [Fraction(k, 4) for k in range(-12, 13)]
     for x0 in grid:
         for x1 in grid:
             x = (x0, x1)
-            assert region.contains(x) == _gamma_union_member(
-                crepant_a1, (1, 2), (0, 0), x
-            )
+            assert region.contains(x) == union(x)
 
 
 def test_fm3_region_union_oracle_random_charts(crepant_a1, om3):
@@ -413,11 +412,12 @@ def test_fm3_region_union_oracle_random_charts(crepant_a1, om3):
             for _ in range(2):
                 phi = tuple(rng.randrange(-3, 4) for _ in J)
                 region = fm3_region(setup, J, phi)
+                union = gamma_union(region, 14)
                 for _ in range(80):
                     x = tuple(
                         Fraction(rng.randrange(-256, 256), 64) for _ in range(2)
                     )
-                    assert region.contains(x) == _gamma_union_member(setup, J, phi, x)
+                    assert region.contains(x) == union(x)
 
 
 def test_fm3_region_sandwich_sampled(crepant_a1, om3):
@@ -459,31 +459,46 @@ def test_fm3_region_is_one_region_per_chart(crepant_a1):
 
 
 def test_fm3_region_keeps_no_region_that_failed_validation(crepant_a1, monkeypatch):
-    def refuse(region):
+    def refuse(ch):
         raise ValidationError("refused")
 
-    fm._build_chart.cache_clear()  # fresh charts hold no region yet
+    fm._build_chart.cache_clear()  # fresh charts hold no bound yet
+    ch = fm3_region(crepant_a1, (1, 2), (0, -1))
     monkeypatch.setattr(fm, "_validate_inner", refuse)
     with pytest.raises(ValidationError):
-        fm3_region(crepant_a1, (1, 2), (0, -1))
+        ch.inner
+    assert "inner" not in vars(ch)
     monkeypatch.undo()
-    region = fm3_region(crepant_a1, (1, 2), (0, -1))
-    assert region is chart(crepant_a1, (1, 2), (0, -1)).region
+    assert ch.inner is ch.inner
+    assert ch.inner.constraints[-1] == (crepant_a1.extra.b, ch.s1, False)
 
 
-def test_contractibility_sweep_validates_each_chart_once(crepant_a1, monkeypatch):
-    fm._build_chart.cache_clear()  # fresh charts hold no region yet
+def _count_validations(monkeypatch) -> list:
+    """The charts whose inner bound is validated from now on, in order."""
+    fm._build_chart.cache_clear()  # fresh charts hold no bound yet
     validated = []
     original = fm._validate_inner
 
-    def counted(region):
-        validated.append(region.chart)
-        original(region)
+    def counted(ch):
+        validated.append(ch)
+        original(ch)
 
     monkeypatch.setattr(fm, "_validate_inner", counted)
+    return validated
+
+
+def test_contractibility_sweep_validates_no_chart(crepant_a1, monkeypatch):
+    validated = _count_validations(monkeypatch)
     report = contractibility_sweep(crepant_a1, 1, 6, Fraction(1, 6))
     assert report.pairs > 0
-    assert len(validated) == len(set(validated)) == len(list(charts(crepant_a1, 1))) == 21
+    assert validated == []
+
+
+def test_sandwich_sweep_validates_each_chart_once(crepant_a1, monkeypatch):
+    validated = _count_validations(monkeypatch)
+    report = sandwich_sweep(crepant_a1, 1)
+    assert report.charts == 21
+    assert len(validated) == len(set(validated)) == report.charts
 
 
 def test_ext_case3_gate_and_c0(crepant_a1, om3, discrepancy_setup):
@@ -516,14 +531,13 @@ def test_ext_case3_zero_verdicts(crepant_a1):
         assert ext_case3(crepant_a1, pair1, pair2) is HOM_CONTRACTIBLE_DIFFERENCE
 
 
-def test_ext_case3_builds_no_region(crepant_a1, monkeypatch):
-    def refuse(ch):
-        raise AssertionError(f"ext_case3 built the region of {ch.J}")
-
-    fm._build_chart.cache_clear()  # fresh charts hold no region yet
-    monkeypatch.setattr(fm, "_pull_region", refuse)
-    res = ext_case3(crepant_a1, ((1, 2), (0, 0)), ((1, 2), (0, 1)))
+def test_ext_case3_builds_no_region(crepant_a1):
+    fm._build_chart.cache_clear()  # fresh charts hold no bound yet
+    keys = ((1, 2), (0, 0)), ((1, 2), (0, 1))
+    res = ext_case3(crepant_a1, *keys)
     assert res.reason == "contractible-difference"
+    for key in keys:
+        assert not {"outer", "s1", "inner"} & set(vars(fm3_region(crepant_a1, *key)))
 
 
 def test_fm_line_bundle_case3_and_composites(crepant_a1, discrepancy_setup):
@@ -809,8 +823,8 @@ def test_staircase_walk_matches_predicate_walk_on_every_stepped_chart(
     for setup in (crepant_a1, om3, discrepancy_setup):
         for J, phi in charts(setup, 1):
             region = fm3_region(setup, J, phi)
-            assert region.chart.stepped
-            (k,) = region.chart.m_index
+            assert region.stepped
+            (k,) = region.m_index
             slopes.add(setup.sigma2.b(k)[1])  # the step pairing's slope along a row
             for bbox, step, origin in _WALK_GRIDS:
                 fast = _raster_or_refusal(lambda: raster_runs(region, bbox, step, origin))
@@ -832,8 +846,7 @@ def test_staircase_walk_matches_predicate_walk_on_every_stepped_chart(
 def test_staircase_walk_refuses_where_the_predicate_walk_does(
     crepant_a1, J, phi, center, on_step
 ):
-    region = fm3_region(crepant_a1, J, phi)
-    ch = region.chart
+    ch = fm3_region(crepant_a1, J, phi)
     (k,) = ch.m_index
     p = {j: pair(center, crepant_a1.sigma2.b(j)) for j in ch.j_prime}
     # the first refused center lies on a step line or, off them, on the i0 face
@@ -844,9 +857,9 @@ def test_staircase_walk_refuses_where_the_predicate_walk_does(
         assert p[ch.i0] == ch.gamma((m0,)).t[ch.j_prime.index(ch.i0)]
     grid = _WALK_GRIDS[1]
     with pytest.raises(GridAlignmentError) as fast:
-        raster_runs(region, *grid)
+        raster_runs(ch, *grid)
     with pytest.raises(GridAlignmentError) as slow:
-        raster_pixels(as_pixel_predicate(region), *grid)
+        raster_pixels(as_pixel_predicate(ch), *grid)
     message = f"pixel center {center} aligned with a region face"
     assert str(fast.value) == str(slow.value) == message
 

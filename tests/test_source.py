@@ -20,10 +20,13 @@ finite ``maxsize``, and ``functools.cache`` is not used.
 
 Every top-level ``def`` and ``class`` of the package is also read somewhere
 in the package or the tests, outside its own definition: a dead helper is
-deleted, not kept.
+deleted, not kept.  So is every method of a top-level class, read as
+``.name``; dunders, and names a base class already defines, are called by
+the language or the base, so they are exempt.
 """
 
 import ast
+import importlib
 import sys
 import textwrap
 from pathlib import Path
@@ -178,37 +181,73 @@ def test_guard_flags_each_rule():
         ]
 
 
-def _loads(tree: ast.AST) -> list[str]:
+def _loads(tree: ast.AST, attributes_only: bool = False) -> list[str]:
     """The names a tree reads, as bare names or as attributes."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            found.append(node.id)
+            if not attributes_only:
+                found.append(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             found.append(node.attr)
     return found
 
 
-def _dead_definitions(modules: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
-    """Top-level defs and classes of modules that no tree reads outside themselves.
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
-    Each module is also a reader; a load inside the definition itself, as
-    in a recursive call, does not count.
+
+def _dead_definitions(
+    modules: dict[str, ast.Module], readers: list[ast.Module], inherited=frozenset()
+) -> list[str]:
+    """Top-level defs, classes and methods of modules that no tree reads outside themselves.
+
+    A method counts as read only as an attribute, ``.name``; dunders and
+    the Class.method names of inherited are skipped.  Each module is also
+    a reader; a load inside the definition itself, as in a recursive call,
+    does not count.
     """
     loads: dict[str, int] = {}
+    attributes: dict[str, int] = {}
     for tree in [*modules.values(), *readers]:
         for name in _loads(tree):
             loads[name] = loads.get(name, 0) + 1
+        for name in _loads(tree, attributes_only=True):
+            attributes[name] = attributes.get(name, 0) + 1
     dead = []
     for module, tree in modules.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if node.name in ENTRY_POINTS:
-                continue
-            if loads.get(node.name, 0) == _loads(node).count(node.name):
+            unread = loads.get(node.name, 0) == _loads(node).count(node.name)
+            if unread and node.name not in ENTRY_POINTS:
                 dead.append(f"{module}: {node.name}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef) or _is_dunder(item.name):
+                    continue
+                if f"{node.name}.{item.name}" in inherited:
+                    continue
+                own = _loads(item, attributes_only=True).count(item.name)
+                if attributes.get(item.name, 0) == own:
+                    dead.append(f"{module}: {node.name}.{item.name}")
     return dead
+
+
+def _inherited_methods() -> set[str]:
+    """Class.method of each package class whose name a base class also defines."""
+    found = set()
+    for path in SOURCES:
+        name = "ccc" if path.stem == "__init__" else f"ccc.{path.stem}"
+        module = importlib.import_module(name)
+        for cls in vars(module).values():
+            if not isinstance(cls, type) or cls.__module__ != name:
+                continue
+            for attr in vars(cls):
+                if any(attr in vars(base) for base in cls.__mro__[1:]):
+                    found.add(f"{cls.__name__}.{attr}")
+    return found
 
 
 def _parse(path: Path) -> ast.Module:
@@ -217,7 +256,13 @@ def _parse(path: Path) -> ast.Module:
 
 def test_every_definition_is_read():
     modules = {path.name: _parse(path) for path in SOURCES}
-    assert _dead_definitions(modules, [_parse(path) for path in TESTS]) == []
+    readers = [_parse(path) for path in TESTS]
+    assert _dead_definitions(modules, readers, _inherited_methods()) == []
+
+
+def test_inherited_methods_are_the_overrides():
+    inherited = {name for name in _inherited_methods() if not _is_dunder(name.split(".")[1])}
+    assert inherited == {"_Parser.error", "_Parser.print_help"}
 
 
 def test_dead_definition_rule_flags_unread_names():
@@ -234,4 +279,27 @@ def test_dead_definition_rule_flags_unread_names():
         "m.py: used",
         "m.py: recursive",
         "m.py: Unread",
+    ]
+
+
+def test_dead_definition_rule_flags_unread_methods():
+    module = ast.parse(
+        "class Shape:\n"
+        "    def __init__(self):\n        pass\n"
+        "    def area(self):\n        return self.side()\n"
+        "    def side(self):\n        return 1\n"
+        "    def spin(self):\n        return self.spin()\n"
+        "    def error(self):\n        pass\n"
+        "    def unread(self):\n        pass\n"
+    )
+    # a bare name is not a method read
+    reader = ast.parse("import m\nm.Shape().area()\nunread = 0\nprint(unread)\n")
+    assert _dead_definitions({"m.py": module}, [reader], {"Shape.error"}) == [
+        "m.py: Shape.spin",
+        "m.py: Shape.unread",
+    ]
+    assert _dead_definitions({"m.py": module}, [reader]) == [
+        "m.py: Shape.spin",
+        "m.py: Shape.error",
+        "m.py: Shape.unread",
     ]
