@@ -81,13 +81,6 @@ def emit_report(report: Report, format: str = "json-lines") -> str:
     raise InvalidArgument(f"unknown report format {format!r}")
 
 
-def parse_report(text: str) -> Report:
-    doc = json.loads(text)
-    if set(doc) != {"status", "payload", "witnesses"}:
-        raise InvalidArgument("report document needs status, payload and witnesses")
-    return Report(status=doc["status"], payload=doc["payload"], witnesses=doc["witnesses"])
-
-
 def _load(path: str) -> dict:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))

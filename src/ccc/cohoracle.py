@@ -44,19 +44,6 @@ class CharBox:
             raise InvalidArgument("lattice denominators must be positive")
 
 
-@dataclass(frozen=True)
-class PointSet:
-    """A finite set of rational character points."""
-
-    points: frozenset[RationalVector]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __contains__(self, x) -> bool:
-        return tuple(Fraction(c) for c in x) in self.points
-
-
 def refined_denominator(fan: StackyFan) -> int:
     """Common denominator D with every chart lattice inside (1/D)Z^n."""
     return lcm(*(
@@ -128,8 +115,10 @@ def _refined_scaled(
     return tuple(lows), tuple(highs)
 
 
-def module_points(theta: ThetaIndex, lattice_choice: str, box: CharBox) -> PointSet:
-    """All lattice points of the closed support inside the box.
+def module_points(
+    theta: ThetaIndex, lattice_choice: str, box: CharBox
+) -> frozenset[RationalVector]:
+    """All lattice points of the closed support inside the box, as Fraction tuples.
 
     lattice_choice "natural" enumerates the chart lattice of theta's cone,
     spanned by the inverse columns of the cone basis of its weighted
@@ -150,11 +139,11 @@ def module_points(theta: ThetaIndex, lattice_choice: str, box: CharBox) -> Point
         lows, highs = _refined_scaled(theta, box.bound, box.denominators)
         *lead, _ = (int(box.bound * d) for d in box.denominators)
         heads = itertools.product(*[range(-lim, lim + 1) for lim in lead])
-        return PointSet(points=frozenset(
+        return frozenset(
             tuple(Fraction(kj, d) for kj, d in zip(head + (k,), box.denominators))
             for head, lo, hi in zip(heads, lows, highs)
             for k in range(lo, hi + 1)
-        ))
+        )
     if lattice_choice != "natural":
         raise InvalidArgument(f"unknown lattice choice {lattice_choice!r}")
 
@@ -173,7 +162,7 @@ def module_points(theta: ThetaIndex, lattice_choice: str, box: CharBox) -> Point
             continue
         if all(pair(x, v) >= rhs for v, rhs in thresholds):
             points.add(x)
-    return PointSet(points=frozenset(points))
+    return frozenset(points)
 
 
 def _check_thresholds(theta: ThetaIndex, box: CharBox) -> None:
@@ -230,20 +219,16 @@ def hom_module_oracle(theta1: ThetaIndex, theta2: ThetaIndex, box: CharBox) -> H
     Both thetas pass the threshold guard first; a pair whose second cone
     is not a face of the first is then zero without building either
     support, so a box over _MAX_BOX_POINTS refuses only face pairs.
-    Otherwise both supports are per-line intervals from _refined_scaled
-    and hom_from_supports compares them.
+    Otherwise oracle_support builds both supports, per-line intervals
+    from _refined_scaled, and hom_from_supports compares them.
     """
     if theta1.fan != theta2.fan:
         raise InvalidArgument("theta indices live in different fans")
     for th in (theta1, theta2):
         _check_thresholds(th, box)
-    rays1, rays2 = frozenset(theta1.cone.ray_indices), frozenset(theta2.cone.ray_indices)
-    if not rays2 <= rays1:
+    if not set(theta2.cone.ray_indices) <= set(theta1.cone.ray_indices):
         return HOM_NON_INCLUSION
-    return hom_from_supports(
-        (rays1, *_refined_scaled(theta1, box.bound, box.denominators)),
-        (rays2, *_refined_scaled(theta2, box.bound, box.denominators)),
-    )
+    return hom_from_supports(oracle_support(theta1, box), oracle_support(theta2, box))
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +293,17 @@ def _euler_sum(ch: Chart, pairings, scale: int) -> int:
     return total
 
 
+def _probe_chart(setup: ContractionSetup, J, phi, probe, unstepped: str):
+    """(chart, probe as ints) for a Q2 route; unstepped is the route's refusal."""
+    ch = fm3_region(setup, J, phi)
+    if not ch.stepped:
+        raise InvalidArgument(unstepped)
+    probe = tuple(int(x) for x in probe)
+    if len(probe) != setup.n:
+        raise InvalidArgument("probe must be a character of the contracted chart")
+    return ch, probe
+
+
 def koszul_euler(setup: ContractionSetup, J, phi, probe) -> int:
     """Alternating character count of the pullback resolution at one probe.
 
@@ -318,12 +314,7 @@ def koszul_euler(setup: ContractionSetup, J, phi, probe) -> int:
     q + 1/2 > t, so this is the stalk count at the pairings q_j + 1/2,
     passed to _euler_sum at scale 2 as the integers 2 q_j + 1.
     """
-    ch = fm3_region(setup, J, phi)
-    if not ch.stepped:
-        raise InvalidArgument("the resolution needs the extra ray in J")
-    probe = tuple(int(x) for x in probe)
-    if len(probe) != setup.n:
-        raise InvalidArgument("probe must be a character of the contracted chart")
+    ch, probe = _probe_chart(setup, J, phi, probe, "the resolution needs the extra ray in J")
     return _euler_sum(ch, {j: 2 * probe[j] + 1 for j in ch.j_prime}, 2)
 
 
@@ -343,10 +334,15 @@ def scaled_pairings(fan: StackyFan, p) -> tuple[int, tuple[int, ...]]:
 
 
 def stalk_euler_scaled(ch: Chart, scale: int, pairings) -> int:
-    """stalk_euler on a chart at a point given as scaled_pairings of sigma2.
+    """Euler count of the stalk complex at a point given as scaled_pairings of sigma2.
 
-    The point is on a chart face or a step exactly when a scaled pairing
-    on J' is a multiple of the scale; there the count is undefined.
+    Same alternating sum as koszul_euler but with open support membership
+    of the point in place of character dominance; equals the chart's
+    region indicator at the point.  The pairings come from the point's
+    integer numerators (scaled_pairings), so the count never goes through
+    the region's own pairing.  The point is on a chart face or a step
+    exactly when a scaled pairing on J' is a multiple of the scale; there
+    the count is undefined.
     """
     if not ch.stepped:
         raise InvalidArgument("stalk complexes need the extra ray in J")
@@ -355,33 +351,13 @@ def stalk_euler_scaled(ch: Chart, scale: int, pairings) -> int:
     return _euler_sum(ch, pairings, scale)
 
 
-def stalk_euler(setup: ContractionSetup, J, phi, p) -> int:
-    """Euler count of the stalk complex at a generic rational point.
-
-    Same alternating sum as koszul_euler but with open support membership
-    of the point p in place of character dominance; equals the staircase
-    region indicator at p.  The point is scaled by the lcm of its
-    denominators and its integer numerators are paired with the rays
-    (scaled_pairings), so the count never goes through the region's own
-    pairing.
-    """
-    ch = fm3_region(setup, J, phi)
-    scale, pairings = scaled_pairings(setup.sigma2, p)
-    return stalk_euler_scaled(ch, scale, pairings)
-
-
 def q2_member(setup: ContractionSetup, J, phi, probe) -> bool:
     """Exact Q2 membership of an integer character, via the pinned gamma.
 
     The resolution pins the only gamma(m) that can contain the probe: its
     coordinates on I' - {i0} must match the probe exactly.
     """
-    ch = fm3_region(setup, J, phi)
-    if not ch.stepped:
-        raise InvalidArgument("Q2 membership needs the extra ray in J")
-    probe = tuple(int(x) for x in probe)
-    if len(probe) != setup.n:
-        raise InvalidArgument("probe must be a character of the contracted chart")
+    ch, probe = _probe_chart(setup, J, phi, probe, "Q2 membership needs the extra ray in J")
     if any(probe[i] < ch.c[i] for i in ch.m_index if i in ch.c):
         return False
     g = ch.gamma(tuple(probe[i] - ch.c.get(i, 0) for i in ch.m_index))
@@ -395,10 +371,7 @@ def q2_member_enum(setup: ContractionSetup, J, phi, probe) -> bool:
     coordinatewise dominance with equality off i0, growing the window from
     the probe size so the search is provably exhaustive.
     """
-    ch = fm3_region(setup, J, phi)
-    if not ch.stepped:
-        raise InvalidArgument("Q2 membership needs the extra ray in J")
-    probe = tuple(int(x) for x in probe)
+    ch, probe = _probe_chart(setup, J, phi, probe, "Q2 membership needs the extra ray in J")
     span = 1
     for i in ch.m_index:
         span = max(span, abs(probe[i]) + abs(ch.c.get(i, 0)) + 1)

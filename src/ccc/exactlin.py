@@ -39,13 +39,6 @@ def ceil_frac(x: Fraction | int) -> int:
     return -(-x.numerator // x.denominator)
 
 
-def floor_frac(x: Fraction | int) -> int:
-    """Exact floor of a rational, read like ``ceil_frac``."""
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
-    return x.numerator // x.denominator
-
-
 def pair(x: Sequence[Fraction | int], v: Sequence[int]) -> Fraction:
     """Natural pairing sum(x_i * v_i), exact.
 

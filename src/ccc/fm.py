@@ -469,24 +469,21 @@ def _grid(bbox, step, origin) -> tuple:
     return (-bbox + step / 2 + ox, -bbox + step / 2 + oy), step, int(count)
 
 
-def raster_grid(bbox, step, origin=(0, 0)):
-    """Pixel center coordinates, as one list per axis.
-
-    Centers sit at -bbox + step*(i + 1/2) + origin; the origin shifts the
-    grid so centers stay off constraint lines with non-axis normals.
-    """
-    (x0, y0), step, side = _grid(bbox, step, origin)
-    return [x0 + step * i for i in range(side)], [y0 + step * j for j in range(side)]
-
-
 def raster_pixels(member, bbox, step, origin=(0, 0)) -> tuple:
     """The raster of one membership predicate, walked pixel by pixel.
 
-    Row i holds the maximal half-open runs (start, stop) of the y indices j
-    with member((xs[i], ys[j])).  This walk is the oracle for raster_runs.
+    Pixel centers sit at -bbox + step*(i + 1/2) + origin on each axis; the
+    origin shifts the grid so centers stay off constraint lines with
+    non-axis normals.  Row i holds the maximal half-open runs (start, stop)
+    of the y indices j with member((x_i, y_j)).  This walk is the oracle
+    for raster_runs.
     """
-    xs, ys = raster_grid(bbox, step, origin)
-    return tuple(_merged((j, j + 1) for j, y in enumerate(ys) if member((x, y))) for x in xs)
+    (x0, y0), step, side = _grid(bbox, step, origin)
+    ys = [y0 + step * j for j in range(side)]
+    return tuple(
+        _merged((j, j + 1) for j, y in enumerate(ys) if member((x0 + step * i, y)))
+        for i in range(side)
+    )
 
 
 def _merged(spans) -> tuple:
@@ -803,9 +800,3 @@ def difference_contractible(first, second) -> bool:
         below = here
     return len(parent) - joins == 1
 
-
-def raster_contractible_2d(member_a, member_b, bbox, step, origin=(0, 0)) -> bool:
-    """Contractibility of {A and not B} in a box, walking both predicates."""
-    return difference_contractible(
-        raster_pixels(member_a, bbox, step, origin), raster_pixels(member_b, bbox, step, origin)
-    )

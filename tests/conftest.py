@@ -8,6 +8,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from ccc.exactlin import pair
+from ccc.fm import difference_contractible, raster_pixels
 from ccc.stackyfan import WeightedRay, build_contraction, parse_contraction, parse_stacky_fan
 
 
@@ -73,6 +74,13 @@ def gamma_union(ch, width):
         return any(all(a > t for a, t in zip(p, vec)) for vec in frontier)
 
     return member
+
+
+def raster_contractible_2d(member_a, member_b, bbox, step, origin=(0, 0)) -> bool:
+    """Contractibility of {A and not B} in a box, walking both predicates."""
+    return difference_contractible(
+        raster_pixels(member_a, bbox, step, origin), raster_pixels(member_b, bbox, step, origin)
+    )
 
 
 def _primitive_vector(draw, lo=-3, hi=3):

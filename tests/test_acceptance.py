@@ -24,7 +24,6 @@ from ccc.fm import (
     fm_line_bundle_case1,
     fm_line_bundle_case2,
     fm_line_bundle_case3,
-    raster_contractible_2d,
 )
 from ccc.stackyfan import build_same_base
 from ccc.sweeps import (
@@ -37,7 +36,7 @@ from ccc.sweeps import (
 )
 from ccc.thetapos import ample_polytope, lambda_skeleton, leq, minkowski_sum, window_thetas
 
-from conftest import gamma_union
+from conftest import gamma_union, raster_contractible_2d
 
 DATA = Path(ccc.__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"

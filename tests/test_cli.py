@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ccc
-from ccc.cli import Report, _build_parser, _Help, _verb_path, emit_report, parse_report, run
+from ccc.cli import Report, _build_parser, _Help, _verb_path, emit_report, run
 from ccc.cohoracle import hom_module_oracle, refined_char_box
 from ccc.errors import InvalidArgument
 from ccc.fm import fm_case1, fm_line_bundle_case2
@@ -28,6 +29,15 @@ from ccc.thetapos import (
 )
 
 DATA = Path(ccc.__file__).parent / "data"
+# the benchmark's recorded outcome of each argv it runs, keyed by the argv as JSON
+EXPECTED = Path(__file__).parent.parent / "perfbench" / "expected.json"
+
+
+def parse_report(text: str) -> Report:
+    doc = json.loads(text)
+    if set(doc) != {"status", "payload", "witnesses"}:
+        raise InvalidArgument("report document needs status, payload and witnesses")
+    return Report(status=doc["status"], payload=doc["payload"], witnesses=doc["witnesses"])
 
 
 def invoke(capsys, *argv):
@@ -445,6 +455,28 @@ def test_reports_are_deterministic(capsys):
     second = capsys.readouterr().out
     assert first == second
     assert first.count("\n") == 1  # one line per report
+
+
+def test_benchmark_argvs_replay_their_expected_outcomes(capsys, tmp_path, monkeypatch):
+    """Each recorded argv gives its report, exit code and SVG sha256 in-process.
+
+    The argvs name src/ccc/data relative to the repository root and plot
+    to .perfbench/figure.svg, so they run from a directory holding a link
+    to src/ and an empty .perfbench/; nothing is written under perfbench/.
+    """
+    expected = json.loads(EXPECTED.read_text(encoding="utf-8"))
+    assert expected
+    (tmp_path / "src").symlink_to(Path(ccc.__file__).resolve().parent.parent)
+    figure = tmp_path / ".perfbench" / "figure.svg"
+    figure.parent.mkdir()
+    monkeypatch.chdir(tmp_path)
+    replayed = {}
+    for key in expected:
+        figure.unlink(missing_ok=True)
+        code = run(json.loads(key))
+        digest = hashlib.sha256(figure.read_bytes()).hexdigest() if figure.exists() else None
+        replayed[key] = {"exit": code, "report": capsys.readouterr().out, "svg_sha256": digest}
+    assert replayed == expected
 
 
 def test_pretty_report_parses_to_same_document(capsys):

@@ -26,7 +26,6 @@ from ccc.cohoracle import (
     refined_char_box,
     refined_denominator,
     scaled_pairings,
-    stalk_euler,
     stalk_euler_scaled,
 )
 from ccc.errors import BoundaryPointError, InvalidArgument, WindowTooSmall
@@ -102,7 +101,7 @@ def test_refined_denominator(p1, p13, p112, a1_resolution):
 
 def test_module_points_weighted_ray(p13):
     pts = module_points(theta(p13, (0,), (1,)), "natural", CharBox(2, (1,)))
-    assert pts.points == {
+    assert pts == {
         (Fraction(1, 3),),
         (Fraction(2, 3),),
         (Fraction(1),),
@@ -116,7 +115,7 @@ def test_module_points_weighted_ray(p13):
 
 def test_module_points_zero_cone(p13):
     pts = module_points(theta(p13, (), ()), "natural", CharBox(2, (1,)))
-    assert pts.points == {(Fraction(k),) for k in range(-2, 3)}
+    assert pts == {(Fraction(k),) for k in range(-2, 3)}
 
 
 def test_module_points_outside_box_is_empty(p13):
@@ -129,7 +128,7 @@ def test_module_points_refined_lattice(p13):
     assert box.denominators == (3,)
     ref = module_points(theta(p13, (0,), (1,)), "refined", box)
     nat = module_points(theta(p13, (0,), (1,)), "natural", CharBox(2, (1,)))
-    assert ref.points == nat.points
+    assert ref == nat
     finer = module_points(theta(p13, (0,), (1,)), "refined", CharBox(2, (6,)))
     assert len(finer) == 11  # sixths from 2/6 up to 12/6
 
@@ -157,14 +156,14 @@ def test_natural_points_land_in_refined_lattice(p112):
         th = theta(p112, cone.ray_indices, (1,) * cone.dim)
         nat = module_points(th, "natural", CharBox(3, (1, 1)))
         ref = module_points(th, "refined", box)
-        assert nat.points <= ref.points
+        assert nat <= ref
 
 
 def test_module_points_monotone_under_leq(p13, p112):
     for fan in (p13, p112):
         box = refined_char_box(fan, 4)
         thetas = window_thetas(fan, 2)
-        sets = {th: module_points(th, "refined", box).points for th in thetas}
+        sets = {th: module_points(th, "refined", box) for th in thetas}
         for th1, th2 in itertools.product(thetas, repeat=2):
             if leq(th1, th2):
                 assert sets[th1] <= sets[th2]
@@ -264,8 +263,8 @@ def test_refined_intervals_match_point_filter(data):
         for lo, hi in zip(*_refined_scaled(th, bound, box.denominators)):
             assert -last <= lo <= hi <= last or (lo, hi) == (last + 1, -last - 1)
     ref1, ref2 = _filtered_points(th1, box), _filtered_points(th2, box)
-    assert module_points(th1, "refined", box).points == ref1
-    assert module_points(th2, "refined", box).points == ref2
+    assert module_points(th1, "refined", box) == ref1
+    assert module_points(th2, "refined", box) == ref2
     too_small = any(
         bound <= abs(Fraction(tk, fan.weight(i))) + 1
         for th in (th1, th2)
@@ -297,6 +296,11 @@ def test_koszul_requires_extra_ray(crepant_a1):
         koszul_euler(crepant_a1, (1, 2), (0, 0), (0,))
 
 
+def stalk_euler(setup, J, phi, p):
+    """The stalk count of one chart at one rational point, the way a caller chains it."""
+    return stalk_euler_scaled(fm3_region(setup, J, phi), *scaled_pairings(setup.sigma2, p))
+
+
 def test_koszul_matches_q2_membership(crepant_a1, om3, discrepancy_setup):
     charts = [((1, 2), (0, 0)), ((1, 2), (1, -2)), ((2,), (0,)), ((2,), (-1,)), ((0, 2), (0, 1))]
     for setup in (crepant_a1, om3, discrepancy_setup):
@@ -315,6 +319,13 @@ def test_koszul_window_cap(crepant_a1, monkeypatch):
         koszul_euler(crepant_a1, (1, 2), (0, 0), (0, 9))
     monkeypatch.setattr(cohoracle, "_MAX_WINDOW", 16)
     assert koszul_euler(crepant_a1, (1, 2), (0, 0), (0, 9)) == 1
+
+
+@pytest.mark.parametrize("route", [koszul_euler, q2_member, q2_member_enum])
+@pytest.mark.parametrize("probe", [(0, 0, 5), (0,)], ids=["long", "short"])
+def test_q2_routes_refuse_a_probe_of_the_wrong_length(crepant_a1, route, probe):
+    with pytest.raises(InvalidArgument, match="probe must be a character of the contracted chart"):
+        route(crepant_a1, (1, 2), (0, 0), probe)
 
 
 def test_stalk_euler_values(crepant_a1):

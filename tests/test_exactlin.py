@@ -14,7 +14,6 @@ from ccc.exactlin import (
     ceil_frac,
     cone_basis,
     cone_coefficients,
-    floor_frac,
     lattice_rank,
     linear_feasible,
     pair,
@@ -48,8 +47,6 @@ def test_ceil_div_brackets_the_quotient(p, q):
 @given(rationals)
 def test_ceil_floor_frac_consistency(x):
     assert ceil_frac(x) - 1 < x <= ceil_frac(x)
-    assert floor_frac(x) <= x < floor_frac(x) + 1
-    assert ceil_frac(x) == -floor_frac(-x)
 
 
 def test_pair_examples():

@@ -31,7 +31,6 @@ from ccc.fm import (
     fm_line_bundle_case1,
     fm_line_bundle_case2,
     fm_line_bundle_case3,
-    raster_contractible_2d,
     raster_pixels,
     raster_runs,
 )
@@ -51,7 +50,7 @@ from ccc.thetapos import (
     window_thetas,
 )
 
-from conftest import gamma_union, load_data, planar_contractions
+from conftest import gamma_union, load_data, planar_contractions, raster_contractible_2d
 
 
 @pytest.fixture(scope="session")

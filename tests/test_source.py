@@ -19,10 +19,15 @@ Every ``functools`` cache of the package is bounded: ``lru_cache`` takes a
 finite ``maxsize``, and ``functools.cache`` is not used.
 
 Every top-level ``def`` and ``class`` of the package is also read somewhere
-in the package or the tests, outside its own definition: a dead helper is
-deleted, not kept.  So is every method of a top-level class, read as
-``.name``; dunders, and names a base class already defines, are called by
-the language or the base, so they are exempt.
+in the package, outside its own definition: a dead helper is deleted, not
+kept.  So is every method of a top-level class, read as ``.name``; dunders,
+and names a base class already defines, are called by the language or the
+base, so they are exempt.  Reads from the tests do not count.  The one
+exemption is ``TEST_ROUTES``: the independent routes and paper statements
+that only the tests read, each with the reason it stays in the package.
+Each entry is defined once at the top of the package, read by no package
+code outside itself (else the entry is stale), and read by some test.  A
+wrapper that only chains package calls for the tests lives in the tests.
 """
 
 import ast
@@ -40,6 +45,21 @@ TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 # the console script of pyproject.toml, read by no module
 ENTRY_POINTS = {"main"}
+
+# package definitions that only tests read -> the route or criterion each serves
+TEST_ROUTES = {
+    "as_pixel_predicate": "the Fraction membership closure that raster_runs is checked against",
+    "raster_pixels": "the pixel-by-pixel walk of that closure, the oracle of raster_runs",
+    "koszul_euler": "the Koszul resolution's Euler count, checked against q2_member",
+    "q2_member": "Q2 membership through the pinned gamma, checked against koszul_euler",
+    "q2_member_enum": "Q2 membership by an m-window search, checked against q2_member",
+    "module_points": "the lattice points that the oracle's per-line intervals stand for",
+    "ample_polytope": "the polytope of a bundle and its Q-ampleness, for criterion 10",
+    "minkowski_sum": "the polytope sum whose tensor-product identity criterion 10 checks",
+    "fm_line_bundle_case3": "the pull of a bundle, whose round trip criterion 02 checks",
+    "case1_pullback": "the pullback to the lcm refinement that fm_case1 factors through",
+    "case1_pushforward": "the pushforward from the lcm refinement that fm_case1 factors through",
+}
 
 # integer-only function or Class.method -> the module that defines it
 INTEGER_ONLY = {
@@ -198,18 +218,18 @@ def _is_dunder(name: str) -> bool:
 
 
 def _dead_definitions(
-    modules: dict[str, ast.Module], readers: list[ast.Module], inherited=frozenset()
+    modules: dict[str, ast.Module], exempt=frozenset(), inherited=frozenset()
 ) -> list[str]:
-    """Top-level defs, classes and methods of modules that no tree reads outside themselves.
+    """Top-level defs, classes and methods of modules that no module reads outside themselves.
 
-    A method counts as read only as an attribute, ``.name``; dunders and
-    the Class.method names of inherited are skipped.  Each module is also
-    a reader; a load inside the definition itself, as in a recursive call,
-    does not count.
+    Only the modules are readers; a load inside the definition itself, as
+    in a recursive call, does not count.  A method counts as read only as
+    an attribute, ``.name``; dunders and the Class.method names of
+    inherited are skipped, and so are the top-level names of exempt.
     """
     loads: dict[str, int] = {}
     attributes: dict[str, int] = {}
-    for tree in [*modules.values(), *readers]:
+    for tree in modules.values():
         for name in _loads(tree):
             loads[name] = loads.get(name, 0) + 1
         for name in _loads(tree, attributes_only=True):
@@ -220,7 +240,7 @@ def _dead_definitions(
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             unread = loads.get(node.name, 0) == _loads(node).count(node.name)
-            if unread and node.name not in ENTRY_POINTS:
+            if unread and node.name not in exempt:
                 dead.append(f"{module}: {node.name}")
             if not isinstance(node, ast.ClassDef):
                 continue
@@ -233,6 +253,27 @@ def _dead_definitions(
                 if attributes.get(item.name, 0) == own:
                     dead.append(f"{module}: {node.name}.{item.name}")
     return dead
+
+
+def _stale_routes(routes, modules: dict[str, ast.Module], tests: list[ast.Module]) -> list[str]:
+    """Each route name not defined once at the top of modules, read by them, or unread by tests."""
+    found = []
+    for name in routes:
+        defs = [
+            node
+            for tree in modules.values()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name
+        ]
+        if len(defs) != 1:
+            found.append(f"{name}: defined {len(defs)} times")
+            continue
+        reads = sum(_loads(tree).count(name) for tree in modules.values())
+        if reads != _loads(defs[0]).count(name):
+            found.append(f"{name}: read by the package")
+        if not any(name in _loads(tree) for tree in tests):
+            found.append(f"{name}: read by no test")
+    return found
 
 
 def _inherited_methods() -> set[str]:
@@ -256,8 +297,13 @@ def _parse(path: Path) -> ast.Module:
 
 def test_every_definition_is_read():
     modules = {path.name: _parse(path) for path in SOURCES}
-    readers = [_parse(path) for path in TESTS]
-    assert _dead_definitions(modules, readers, _inherited_methods()) == []
+    assert _dead_definitions(modules, ENTRY_POINTS | set(TEST_ROUTES), _inherited_methods()) == []
+
+
+def test_test_routes_are_defined_once_and_read_only_by_tests():
+    modules = {path.name: _parse(path) for path in SOURCES}
+    tests = [_parse(path) for path in TESTS if path.name != Path(__file__).name]
+    assert _stale_routes(TEST_ROUTES, modules, tests) == []
 
 
 def test_inherited_methods_are_the_overrides():
@@ -273,12 +319,40 @@ def test_dead_definition_rule_flags_unread_names():
         "class Unread:\n    pass\n"
         "def main():\n    pass\n"
     )
-    reader = ast.parse("import m\nm.used()\n")
-    assert _dead_definitions({"m.py": module}, [reader]) == ["m.py: recursive", "m.py: Unread"]
-    assert _dead_definitions({"m.py": module}, []) == [
+    assert _dead_definitions({"m.py": module}, {"main"}) == [
         "m.py: used",
         "m.py: recursive",
         "m.py: Unread",
+    ]
+    caller = ast.parse("import m\ndef run():\n    return m.used()\n")
+    assert _dead_definitions({"m.py": module, "c.py": caller}, {"main", "run"}) == [
+        "m.py: recursive",
+        "m.py: Unread",
+    ]
+
+
+def test_dead_definition_rule_reads_no_test_and_honours_declared_routes():
+    module = ast.parse(
+        "def run():\n    return inner() + stale()\n"
+        "def inner():\n    return 1\n"
+        "def stale():\n    return 2\n"
+        "def helper():\n    return 3\n"
+        "def untested():\n    return 4\n"
+    )
+    test = ast.parse("from m import helper, inner\nhelper()\ninner()\n")
+    # the rule takes no test tree: helper, read only by the test, is flagged
+    # until it is declared
+    assert _dead_definitions({"m.py": module}, {"run"}) == [
+        "m.py: helper",
+        "m.py: untested",
+    ]
+    assert _dead_definitions({"m.py": module}, {"run", "helper", "untested"}) == []
+    routes = {"helper": "", "stale": "", "untested": "", "gone": ""}
+    assert _stale_routes(routes, {"m.py": module}, [test]) == [
+        "stale: read by the package",
+        "stale: read by no test",
+        "untested: read by no test",
+        "gone: defined 0 times",
     ]
 
 
@@ -294,11 +368,12 @@ def test_dead_definition_rule_flags_unread_methods():
     )
     # a bare name is not a method read
     reader = ast.parse("import m\nm.Shape().area()\nunread = 0\nprint(unread)\n")
-    assert _dead_definitions({"m.py": module}, [reader], {"Shape.error"}) == [
+    modules = {"m.py": module, "r.py": reader}
+    assert _dead_definitions(modules, inherited={"Shape.error"}) == [
         "m.py: Shape.spin",
         "m.py: Shape.unread",
     ]
-    assert _dead_definitions({"m.py": module}, [reader]) == [
+    assert _dead_definitions(modules) == [
         "m.py: Shape.spin",
         "m.py: Shape.error",
         "m.py: Shape.unread",
