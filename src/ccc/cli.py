@@ -237,6 +237,8 @@ def _cmd_check_contractibility(args) -> Report:
 
 def _cmd_plot_lagrangian(args) -> Report:
     fan = parse_stacky_fan(_load(args.file))
+    if fan.dim != 1:
+        raise InvalidArgument("lagrangian plots need a one-dimensional fan")
     box = _rational(args.box) if args.box else Fraction(1)
     pieces = lambda_skeleton(fan, args.window, box)
     render_svg("lagrangian", {"fan": fan, "pieces": pieces, "box": box}, args.out)

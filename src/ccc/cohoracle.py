@@ -10,7 +10,6 @@ independent of the fast ones so the two sides can be compared in tests.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
@@ -28,46 +27,12 @@ _MAX_WINDOW = 16
 _MAX_BOX_POINTS = 1 << 18
 
 
-@dataclass(frozen=True)
-class CharBox:
-    """Coordinate box plus the ambient sublattice, one denominator per axis."""
-
-    bound: Fraction
-    denominators: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "bound", Fraction(self.bound))
-        object.__setattr__(self, "denominators", tuple(int(d) for d in self.denominators))
-        if self.bound <= 0:
-            raise InvalidArgument("box bound must be positive")
-        if any(d < 1 for d in self.denominators):
-            raise InvalidArgument("lattice denominators must be positive")
-
-
 def refined_denominator(fan: StackyFan) -> int:
     """Common denominator D with every chart lattice inside (1/D)Z^n."""
     return lcm(*(
         abs(cone_basis(tuple(fan.b(i) for i in cone.ray_indices), fan.dim).det)
         for cone in fan.all_cones
     ))
-
-
-def refined_char_box(fan: StackyFan, bound) -> CharBox:
-    return CharBox(bound=Fraction(bound), denominators=(refined_denominator(fan),) * fan.dim)
-
-
-def _scaled_support_rows(theta: ThetaIndex, denoms):
-    # <x, v_i> >= t_k/r_i over x = k/denoms becomes r_i*<k, w_i> >= t_k*L,
-    # that is <k, w_i> >= ceil(t_k*L / r_i); w_i is split into its leading
-    # coordinates and its last one
-    fan = theta.fan
-    scale = lcm(*denoms) if denoms else 1
-    rows = []
-    for tk, i in zip(theta.t, theta.cone.ray_indices):
-        v = fan.v(i)
-        w = tuple(c * (scale // d) for c, d in zip(v, denoms))
-        rows.append((w[:-1], w[-1], -(-tk * scale // fan.weight(i))))
-    return rows
 
 
 def _check_box(limits, name: str = "oracle box") -> None:
@@ -80,24 +45,29 @@ def _check_box(limits, name: str = "oracle box") -> None:
 
 
 def _refined_scaled(
-    theta: ThetaIndex, bound: Rational, denoms: tuple[int, ...]
+    theta: ThetaIndex, bound: Rational, denominator: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The refined support in the box as one interval of the last coordinate per line.
 
-    Points are integer k with x = k/denoms and |k_j| <= floor(bound * d_j).
-    Returns (lows, highs): for each k' over the leading axes, in
-    itertools.product order, the k_last with (k', k_last) in the support
-    are exactly lows[i] <= k_last <= highs[i].  An empty line is (L+1, -L-1)
-    for L the last limit, so that containment of lines is containment of
-    intervals, empty or not.  The whole box counts against _MAX_BOX_POINTS.
+    Points are integer k with x = k/D, D the denominator, and |k_j| <= L =
+    floor(bound * D).  Returns (lows, highs): for each k' over the leading
+    axes, in itertools.product order, the k_last with (k', k_last) in the
+    support are exactly lows[i] <= k_last <= highs[i].  An empty line is
+    (L+1, -L-1), so that containment of lines is containment of intervals,
+    empty or not.  The whole box counts against _MAX_BOX_POINTS.
     """
-    limits = [bound.numerator * d // bound.denominator for d in denoms]
-    _check_box(limits)
-    *lead, last = limits
-    rows = _scaled_support_rows(theta, denoms)
+    fan = theta.fan
+    limit = bound.numerator * denominator // bound.denominator
+    _check_box([limit] * fan.dim)
+    # <x, v_i> >= t_i/r_i over x = k/D is <k, v_i> >= ceil(t_i*D / r_i); v_i
+    # is split into its leading coordinates and its last one
+    rows = [
+        (fan.v(i)[:-1], fan.v(i)[-1], -(-tk * denominator // fan.weight(i)))
+        for tk, i in zip(theta.t, theta.cone.ray_indices)
+    ]
     lows, highs = [], []
-    for head in itertools.product(*[range(-lim, lim + 1) for lim in lead]):
-        lo, hi = -last, last
+    for head in itertools.product(range(-limit, limit + 1), repeat=fan.dim - 1):
+        lo, hi = -limit, limit
         for w, w_last, least in rows:
             # w_last * k_last >= rest
             rest = least - sum(map(mul, head, w))
@@ -109,47 +79,27 @@ def _refined_scaled(
                 lo = hi + 1
                 break
         if lo > hi:
-            lo, hi = last + 1, -last - 1
+            lo, hi = limit + 1, -limit - 1
         lows.append(lo)
         highs.append(hi)
     return tuple(lows), tuple(highs)
 
 
-def module_points(
-    theta: ThetaIndex, lattice_choice: str, box: CharBox
-) -> frozenset[RationalVector]:
-    """All lattice points of the closed support inside the box, as Fraction tuples.
+def module_points(theta: ThetaIndex, bound: Rational) -> frozenset[RationalVector]:
+    """All chart-lattice points of the closed support in the box |x_j| <= bound.
 
-    lattice_choice "natural" enumerates the chart lattice of theta's cone,
-    spanned by the inverse columns of the cone basis of its weighted
-    generators; "refined" covers the sublattice declared by the box, whose
-    support _refined_scaled holds as one interval per line along the last
-    axis, expanded back to points here.  Either way a box of more than
-    _MAX_BOX_POINTS lattice points is refused.
-    On the natural branch that box is the enumerated one in chart
-    coordinates, wide enough to cover the character box, so the cap counts
-    every point enumerated, kept or not (on p112 cone (1, 2) at bound 6 it
-    enumerates 481 points, of which 169 land in the box), and its refusal
-    names the chart-coordinate box.
+    The chart lattice of theta's cone is spanned by the inverse columns of
+    the cone basis of its weighted generators.  The enumerated box is the
+    one in chart coordinates that covers the character box, so the cap of
+    _MAX_BOX_POINTS counts every point enumerated, kept or not (481 on p112
+    cone (1, 2) at bound 6, of which 169 land in the box).
     """
+    if bound <= 0:
+        raise InvalidArgument("box bound must be positive")
     fan = theta.fan
-    if len(box.denominators) != fan.dim:
-        raise InvalidArgument("box has the wrong dimension")
-    if lattice_choice == "refined":
-        lows, highs = _refined_scaled(theta, box.bound, box.denominators)
-        *lead, _ = (int(box.bound * d) for d in box.denominators)
-        heads = itertools.product(*[range(-lim, lim + 1) for lim in lead])
-        return frozenset(
-            tuple(Fraction(kj, d) for kj, d in zip(head + (k,), box.denominators))
-            for head, lo, hi in zip(heads, lows, highs)
-            for k in range(lo, hi + 1)
-        )
-    if lattice_choice != "natural":
-        raise InvalidArgument(f"unknown lattice choice {lattice_choice!r}")
-
     basis = cone_basis(tuple(fan.b(i) for i in theta.cone.ray_indices), fan.dim)
     columns = list(zip(*basis.inverse))  # x = sum m_i * column_i
-    limits = [int(box.bound * sum(abs(c) for c in row)) for row in basis.rows]
+    limits = [int(bound * sum(abs(c) for c in row)) for row in basis.rows]
     thresholds = [
         (fan.v(i), Fraction(tk, fan.weight(i)))
         for tk, i in zip(theta.t, theta.cone.ray_indices)
@@ -158,26 +108,25 @@ def module_points(
     _check_box(limits, "chart-coordinate box")
     for m in itertools.product(*[range(-lim, lim + 1) for lim in limits]):
         x = tuple(sum(mi * col[j] for mi, col in zip(m, columns)) for j in range(fan.dim))
-        if any(abs(c) > box.bound for c in x):
+        if any(abs(c) > bound for c in x):
             continue
         if all(pair(x, v) >= rhs for v, rhs in thresholds):
             points.add(x)
     return frozenset(points)
 
 
-def _check_thresholds(theta: ThetaIndex, box: CharBox) -> None:
-    """Refuse a box of the wrong dimension or too small for theta's thresholds.
+def _check_thresholds(theta: ThetaIndex, bound: Rational) -> None:
+    """Refuse a bound that is not positive or too small for theta's thresholds.
 
-    The box must strictly dominate every threshold by more than one unit.
+    The bound must strictly dominate every threshold by more than one unit.
     The guard runs on the integers of the bound and the weights: bound
     p/q <= |t/r| + 1 exactly when p*r <= (|t| + r)*q.
     """
-    fan = theta.fan
-    if len(box.denominators) != fan.dim:
-        raise InvalidArgument("box has the wrong dimension")
-    p, q = box.bound.numerator, box.bound.denominator
+    p, q = bound.numerator, bound.denominator
+    if p <= 0:
+        raise InvalidArgument("box bound must be positive")
     for tk, i in zip(theta.t, theta.cone.ray_indices):
-        r = fan.weight(i)
+        r = theta.fan.weight(i)
         if p * r <= (abs(tk) + r) * q:
             raise InvalidArgument("box too small for these thresholds")
 
@@ -186,16 +135,16 @@ def _check_thresholds(theta: ThetaIndex, box: CharBox) -> None:
 OracleSupport = tuple[frozenset[int], tuple[int, ...], tuple[int, ...]]
 
 
-def oracle_support(theta: ThetaIndex, box: CharBox) -> OracleSupport:
+def oracle_support(theta: ThetaIndex, bound: Rational, denominator: int) -> OracleSupport:
     """One theta's side of the module oracle: its cone's ray set and (lows, highs).
 
     Runs the threshold guard, then reads the per-line intervals from
-    _refined_scaled, which refuses a box over _MAX_BOX_POINTS.  A sweep
-    builds this once per theta and compares pairs with hom_from_supports.
+    _refined_scaled on (1/denominator)Z^n, which refuses a box over
+    _MAX_BOX_POINTS.  A sweep builds this once per theta and compares
+    pairs with hom_from_supports.
     """
-    _check_thresholds(theta, box)
-    lows, highs = _refined_scaled(theta, box.bound, box.denominators)
-    return frozenset(theta.cone.ray_indices), lows, highs
+    _check_thresholds(theta, bound)
+    return frozenset(theta.cone.ray_indices), *_refined_scaled(theta, bound, denominator)
 
 
 def hom_from_supports(support1: OracleSupport, support2: OracleSupport) -> HomResult:
@@ -211,24 +160,28 @@ def hom_from_supports(support1: OracleSupport, support2: OracleSupport) -> HomRe
     return HOM_NON_INCLUSION
 
 
-def hom_module_oracle(theta1: ThetaIndex, theta2: ThetaIndex, box: CharBox) -> HomResult:
-    """Hom by comparing truncated character modules in a common lattice.
+def hom_module_oracle(theta1: ThetaIndex, theta2: ThetaIndex, bound: Rational) -> HomResult:
+    """Hom by comparing truncated character modules in the box |x_j| <= bound.
 
     C[0] exactly when the cone of the second is a face of the first and
-    every refined lattice point of the first support lies in the second.
-    Both thetas pass the threshold guard first; a pair whose second cone
-    is not a face of the first is then zero without building either
-    support, so a box over _MAX_BOX_POINTS refuses only face pairs.
-    Otherwise oracle_support builds both supports, per-line intervals
-    from _refined_scaled, and hom_from_supports compares them.
+    every point of (1/D)Z^n, D = refined_denominator, in the first support
+    lies in the second.  Both thetas pass the threshold guard first; a
+    non-face pair is then zero without building either support, so a box
+    over _MAX_BOX_POINTS refuses only face pairs.  Otherwise
+    hom_from_supports compares the two supports' intervals.
     """
     if theta1.fan != theta2.fan:
         raise InvalidArgument("theta indices live in different fans")
     for th in (theta1, theta2):
-        _check_thresholds(th, box)
-    if not set(theta2.cone.ray_indices) <= set(theta1.cone.ray_indices):
+        _check_thresholds(th, bound)
+    rays1, rays2 = frozenset(theta1.cone.ray_indices), frozenset(theta2.cone.ray_indices)
+    if not rays2 <= rays1:
         return HOM_NON_INCLUSION
-    return hom_from_supports(oracle_support(theta1, box), oracle_support(theta2, box))
+    denominator = refined_denominator(theta1.fan)
+    return hom_from_supports(
+        (rays1, *_refined_scaled(theta1, bound, denominator)),
+        (rays2, *_refined_scaled(theta2, bound, denominator)),
+    )
 
 
 # ---------------------------------------------------------------------------

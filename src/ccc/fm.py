@@ -456,6 +456,11 @@ def as_pixel_predicate(obj):
     raise InvalidArgument(f"no pixel predicate for {type(obj).__name__}")
 
 
+# the most pixels per side of a raster grid; the largest grid any test or
+# workload rasterizes has 192 (box 12 at step 1/8)
+MAX_GRID_SIDE = 1 << 12
+
+
 def _grid(bbox, step, origin) -> tuple:
     """The first pixel center, the step and the side count of a checked grid."""
     bbox = Fraction(bbox)
@@ -465,6 +470,10 @@ def _grid(bbox, step, origin) -> tuple:
     count = (2 * bbox) / step
     if count.denominator != 1:
         raise InvalidArgument("the box must hold a whole number of pixels")
+    if count > MAX_GRID_SIDE:
+        raise InvalidArgument(
+            f"the raster grid has {count} pixels per side, over the cap of {MAX_GRID_SIDE}"
+        )
     ox, oy = (Fraction(o) for o in origin)
     return (-bbox + step / 2 + ox, -bbox + step / 2 + oy), step, int(count)
 

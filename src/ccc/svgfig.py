@@ -157,8 +157,6 @@ def _draw_region_2d(canvas, poly, fill):
 
 def _scene_lagrangian(canvas, data):
     fan = data["fan"]
-    if fan.dim != 1:
-        raise InvalidArgument("lagrangian plots need a one-dimensional fan")
     spike = canvas.box / 2
     for piece in data["pieces"]:
         if piece.fiber_cone.dim == 0:

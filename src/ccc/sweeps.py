@@ -17,7 +17,7 @@ from .cohoracle import (
     hom_from_supports,
     hom_module_oracle,
     oracle_support,
-    refined_char_box,
+    refined_denominator,
     scaled_pairings,
     stalk_euler_scaled,
 )
@@ -138,7 +138,7 @@ def hom_oracle_pair(
     """The module oracle's hom for one pair, and its box (default: witness_box)."""
     window = max((abs(t) for th in (th1, th2) for t in th.t), default=0)
     bound = box if box is not None else witness_box(th1.fan, window)
-    return hom_module_oracle(th1, th2, refined_char_box(th1.fan, bound)), bound
+    return hom_module_oracle(th1, th2, bound), bound
 
 
 def hom_oracle_sweep(
@@ -154,8 +154,8 @@ def hom_oracle_sweep(
     """
     thetas = window_thetas(fan, window)
     bound = box if box is not None else witness_box(fan, window)
-    char_box = refined_char_box(fan, bound)
-    keyed = [(th, oracle_support(th, char_box)) for th in thetas]
+    denominator = refined_denominator(fan)
+    keyed = [(th, oracle_support(th, bound, denominator)) for th in thetas]
     disagreements = []
     for (th1, s1), (th2, s2) in itertools.product(keyed, repeat=2):
         fast = hom_constructible(th1, th2)

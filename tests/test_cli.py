@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import ccc
 from ccc.cli import Report, _build_parser, _Help, _verb_path, emit_report, run
-from ccc.cohoracle import hom_module_oracle, refined_char_box
+from ccc.cohoracle import hom_module_oracle
 from ccc.errors import InvalidArgument
 from ccc.fm import fm_case1, fm_line_bundle_case2
 from ccc.stackyfan import parse_contraction, parse_same_base, parse_stacky_fan
@@ -154,9 +155,22 @@ def test_hom_oracle_non_face_pair_skips_the_box_cap(capsys):
     }
 
 
+def test_hom_oracle_refuses_a_nonpositive_box_on_the_zero_cone(capsys):
+    # the zero cone has no thresholds, so the bound is refused before any ray is read
+    argv = ["--theta1", "cone=;t=", "--theta2", "cone=;t=", "--oracle", "--box", "0"]
+    code = run(["hom", str(DATA / "p13.json"), *argv])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        '{"payload":{"error":"box bound must be positive"},'
+        '"status":"invalid-input","witnesses":[]}\n'
+    )
+
+
 @pytest.mark.parametrize(
     "box, error",
     [
+        ("0", "box bound must be positive"),
+        ("-2", "box bound must be positive"),
         ("2", "box too small for these thresholds"),
         ("100000", "the oracle box holds 160000800001 lattice points, over the limit 262144"),
     ],
@@ -178,7 +192,7 @@ def test_check_hom_oracle_reports_disagreements(capsys, monkeypatch):
     assert code == 2
     assert rep.status == "check-failed"
     fan = parse_stacky_fan(json.loads(path.read_text()))
-    box = refined_char_box(fan, witness_box(fan, 1))
+    box = witness_box(fan, 1)
     thetas = window_thetas(fan, 1)
     expected = [
         [format_theta(th1), format_theta(th2), "Zero", "C0"]
@@ -285,6 +299,18 @@ def test_check_contractibility_quick_sweep(capsys):
     )
     assert code == 0
     assert rep.payload["confirmed"] == rep.payload["pairs"] > 0
+
+
+def test_check_contractibility_refuses_a_huge_grid_at_once(capsys):
+    path = str(DATA / "contract_om3.json")
+    argv = ["--window", "1", "--box", "1000000", "--step", "1/1000"]
+    start = time.perf_counter()
+    code, rep = invoke(capsys, "check", "contractibility-2d", path, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert rep.payload == {
+        "error": "the raster grid has 2000000000 pixels per side, over the cap of 4096"
+    }
 
 
 @pytest.mark.parametrize(
@@ -520,6 +546,19 @@ def test_plot_lagrangian_is_deterministic(capsys, tmp_path):
     assert out1.read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("extra", [[], ["--window=-1"], ["--box", "0"], ["--window", "20"]])
+def test_plot_lagrangian_refuses_a_2d_fan_before_the_skeleton(
+    capsys, tmp_path, monkeypatch, extra
+):
+    # the dimension is refused first, so a bad window or box of a 2-D fan
+    # gets the same message and no skeleton is built
+    monkeypatch.setattr("ccc.cli.lambda_skeleton", lambda *args: pytest.fail("skeleton built"))
+    argv = ["plot", "lagrangian", str(DATA / "p112.json"), "-o", str(tmp_path / "x.svg")]
+    code, rep = invoke(capsys, *argv, *extra)
+    assert code == 1
+    assert rep.payload == {"error": "lagrangian plots need a one-dimensional fan"}
+
+
 def test_plot_region_staircase(capsys, tmp_path):
     out = tmp_path / "region.svg"
     code, rep = invoke(
@@ -682,7 +721,7 @@ _VALUES = {
     "--theta1": _THETAS,
     "--theta2": _THETAS,
     "--theta": _THETAS,
-    "--box": st.sampled_from(["3", "1/2", "0", "-2", "7/3", "12", "x", "1/0"]),
+    "--box": st.sampled_from(["3", "1/2", "0", "-2", "7/3", "12", "100000", "x", "1/0"]),
     "--step": st.sampled_from(["1/2", "1", "0", "-1/4", "x"]),
     "--window": st.sampled_from(["-1", "0", "1", "x", ""]),
     "--bundle": _INTS,

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from ccc import cohoracle, sweeps
 from ccc.cohoracle import (
-    CharBox,
     _refined_scaled,
     hom_from_supports,
     hom_module_oracle,
@@ -23,7 +22,6 @@ from ccc.cohoracle import (
     oracle_support,
     q2_member,
     q2_member_enum,
-    refined_char_box,
     refined_denominator,
     scaled_pairings,
     stalk_euler_scaled,
@@ -55,6 +53,17 @@ from conftest import load_data
 
 def theta(fan, cone, t):
     return ThetaIndex(fan=fan, cone=Cone(tuple(cone)), t=tuple(t))
+
+
+def refined_points(th, bound, denominator):
+    """The refined support on (1/denominator)Z^n, expanded from _refined_scaled's intervals."""
+    limit = math.floor(bound * denominator)
+    heads = itertools.product(range(-limit, limit + 1), repeat=th.fan.dim - 1)
+    return frozenset(
+        tuple(Fraction(kj, denominator) for kj in head + (k,))
+        for head, lo, hi in zip(heads, *_refined_scaled(th, bound, denominator))
+        for k in range(lo, hi + 1)
+    )
 
 
 # (refined_denominator, witness_box at window 3) of every bundled fan
@@ -100,7 +109,7 @@ def test_refined_denominator(p1, p13, p112, a1_resolution):
 
 
 def test_module_points_weighted_ray(p13):
-    pts = module_points(theta(p13, (0,), (1,)), "natural", CharBox(2, (1,)))
+    pts = module_points(theta(p13, (0,), (1,)), 2)
     assert pts == {
         (Fraction(1, 3),),
         (Fraction(2, 3),),
@@ -114,56 +123,48 @@ def test_module_points_weighted_ray(p13):
 
 
 def test_module_points_zero_cone(p13):
-    pts = module_points(theta(p13, (), ()), "natural", CharBox(2, (1,)))
+    pts = module_points(theta(p13, (), ()), 2)
     assert pts == {(Fraction(k),) for k in range(-2, 3)}
 
 
 def test_module_points_outside_box_is_empty(p13):
-    pts = module_points(theta(p13, (0,), (7,)), "natural", CharBox(2, (1,)))
+    pts = module_points(theta(p13, (0,), (7,)), 2)
     assert len(pts) == 0
 
 
 def test_module_points_refined_lattice(p13):
-    box = refined_char_box(p13, 2)
-    assert box.denominators == (3,)
-    ref = module_points(theta(p13, (0,), (1,)), "refined", box)
-    nat = module_points(theta(p13, (0,), (1,)), "natural", CharBox(2, (1,)))
+    assert refined_denominator(p13) == 3
+    ref = refined_points(theta(p13, (0,), (1,)), 2, 3)
+    nat = module_points(theta(p13, (0,), (1,)), 2)
     assert ref == nat
-    finer = module_points(theta(p13, (0,), (1,)), "refined", CharBox(2, (6,)))
+    finer = refined_points(theta(p13, (0,), (1,)), 2, 6)
     assert len(finer) == 11  # sixths from 2/6 up to 12/6
 
 
 def test_module_points_natural_box_limit(p13):
     # the zero cone's lattice is Z, so the bound 2^17 gives 2^18 + 1 points
     with pytest.raises(InvalidArgument, match="262145 lattice points"):
-        module_points(theta(p13, (), ()), "natural", CharBox(1 << 17, (1,)))
+        module_points(theta(p13, (), ()), 1 << 17)
 
 
 def test_module_points_rejects_bad_input(p13):
-    with pytest.raises(InvalidArgument):
-        module_points(theta(p13, (0,), (1,)), "chunky", CharBox(2, (1,)))
-    with pytest.raises(InvalidArgument):
-        module_points(theta(p13, (0,), (1,)), "natural", CharBox(2, (1, 1)))
-    with pytest.raises(InvalidArgument):
-        CharBox(0, (1,))
-    with pytest.raises(InvalidArgument):
-        CharBox(2, (0,))
+    for bound in (0, -2):
+        with pytest.raises(InvalidArgument, match="^box bound must be positive$"):
+            module_points(theta(p13, (0,), (1,)), bound)
 
 
 def test_natural_points_land_in_refined_lattice(p112):
-    box = refined_char_box(p112, 3)
     for cone in p112.all_cones:
         th = theta(p112, cone.ray_indices, (1,) * cone.dim)
-        nat = module_points(th, "natural", CharBox(3, (1, 1)))
-        ref = module_points(th, "refined", box)
+        nat = module_points(th, 3)
+        ref = refined_points(th, 3, refined_denominator(p112))
         assert nat <= ref
 
 
 def test_module_points_monotone_under_leq(p13, p112):
     for fan in (p13, p112):
-        box = refined_char_box(fan, 4)
         thetas = window_thetas(fan, 2)
-        sets = {th: module_points(th, "refined", box) for th in thetas}
+        sets = {th: refined_points(th, 4, refined_denominator(fan)) for th in thetas}
         for th1, th2 in itertools.product(thetas, repeat=2):
             if leq(th1, th2):
                 assert sets[th1] <= sets[th2]
@@ -172,12 +173,11 @@ def test_module_points_monotone_under_leq(p13, p112):
 @pytest.mark.parametrize("fixture", ["p1", "p13", "p112", "a1_resolution"])
 def test_hom_oracle_matches_constructible(fixture, request):
     fan = request.getfixturevalue(fixture)
-    box = refined_char_box(fan, 6)
     thetas = window_thetas(fan, 2)
     # the sweep's route: one support per theta, then one comparison per pair
-    keyed = [(th, oracle_support(th, box)) for th in thetas]
+    keyed = [(th, oracle_support(th, 6, refined_denominator(fan))) for th in thetas]
     for (th1, s1), (th2, s2) in itertools.product(keyed, repeat=2):
-        direct = hom_module_oracle(th1, th2, box)
+        direct = hom_module_oracle(th1, th2, 6)
         assert direct == hom_constructible(th1, th2)
         assert hom_from_supports(s1, s2) == direct
 
@@ -185,22 +185,22 @@ def test_hom_oracle_matches_constructible(fixture, request):
 def test_hom_oracle_non_face_pair_skips_the_box_cap(p13):
     # cone 1 is no face of cone 0: the pair is zero before either support
     # is built, so a box over the lattice-point cap refuses only face pairs
-    box = CharBox(100000, (3,))
+    box = 100000
     th1, th2 = theta(p13, (0,), (0,)), theta(p13, (1,), (0,))
     assert hom_module_oracle(th1, th2, box) == HomResult(value="Zero", reason="non-inclusion")
     refusal = "^the oracle box holds 600001 lattice points, over the limit 262144$"
     with pytest.raises(InvalidArgument, match=refusal):
         hom_module_oracle(th1, th1, box)
     with pytest.raises(InvalidArgument, match=refusal):
-        oracle_support(th2, box)
+        oracle_support(th2, box, refined_denominator(p13))
 
 
 def test_hom_oracle_box_guard(p13):
     th1 = theta(p13, (1,), (3,))
     th2 = theta(p13, (1,), (0,))
     with pytest.raises(InvalidArgument):
-        hom_module_oracle(th1, th2, CharBox(4, (3,)))
-    assert hom_module_oracle(th1, th2, CharBox(Fraction(9, 2), (3,))).value == "C0"
+        hom_module_oracle(th1, th2, 4)
+    assert hom_module_oracle(th1, th2, Fraction(9, 2)).value == "C0"
 
 
 def test_hom_oracle_box_guard_on_weighted_ray(p13):
@@ -208,8 +208,8 @@ def test_hom_oracle_box_guard_on_weighted_ray(p13):
     high, low, deep = (theta(p13, (0,), (t,)) for t in (4, -2, -4))
     for pair in ((high, low), (low, high), (deep, low), (low, deep)):
         with pytest.raises(InvalidArgument, match="^box too small for these thresholds$"):
-            hom_module_oracle(*pair, CharBox(Fraction(7, 3), (3,)))
-    box = CharBox(Fraction(7, 3) + Fraction(1, 30), (3,))
+            hom_module_oracle(*pair, Fraction(7, 3))
+    box = Fraction(7, 3) + Fraction(1, 30)
     assert hom_module_oracle(high, low, box).value == "C0"
     assert hom_module_oracle(low, high, box).value == "Zero"
     assert hom_module_oracle(low, deep, box).value == "C0"
@@ -217,7 +217,7 @@ def test_hom_oracle_box_guard_on_weighted_ray(p13):
 
 def test_hom_oracle_rejects_mixed_fans(p1, p13):
     with pytest.raises(InvalidArgument):
-        hom_module_oracle(theta(p1, (0,), (0,)), theta(p13, (0,), (0,)), CharBox(3, (1,)))
+        hom_module_oracle(theta(p1, (0,), (0,)), theta(p13, (0,), (0,)), 3)
 
 
 ORACLE_FANS = ("p1.json", "p13.json", "p112.json", "a1_resolution.json")
@@ -229,18 +229,16 @@ def _window3_thetas(name, weights):
     return window_thetas(build_same_base(fan, weights, weights).fan_r, 3)
 
 
-def _filtered_points(th, box):
-    """The refined support by testing every box point, on integers scaled by L."""
-    fan, denoms = th.fan, box.denominators
-    scale = math.lcm(*denoms)
+def _filtered_points(th, bound, denominator):
+    """The refined support by testing every box point, on integers scaled by the denominator."""
+    fan = th.fan
     rows = [
-        (tuple(c * (scale // d) for c, d in zip(fan.v(i), denoms)), fan.weight(i), tk * scale)
-        for tk, i in zip(th.t, th.cone.ray_indices)
+        (fan.v(i), fan.weight(i), tk * denominator) for tk, i in zip(th.t, th.cone.ray_indices)
     ]
-    limits = [math.floor(box.bound * d) for d in denoms]
+    limit = math.floor(bound * denominator)
     return frozenset(
-        tuple(Fraction(kj, d) for kj, d in zip(k, denoms))
-        for k in itertools.product(*[range(-lim, lim + 1) for lim in limits])
+        tuple(Fraction(kj, denominator) for kj in k)
+        for k in itertools.product(range(-limit, limit + 1), repeat=fan.dim)
         if all(r * sum(a * b for a, b in zip(k, w)) >= rhs for w, r, rhs in rows)
     )
 
@@ -256,15 +254,15 @@ def test_refined_intervals_match_point_filter(data):
     fan = th1.fan
     q = data.draw(st.integers(1, 3))
     bound = Fraction(data.draw(st.integers(1, 7 * q)), q)
-    box = CharBox(bound, data.draw(st.tuples(*[st.integers(1, 4)] * fan.dim)))
-    last = math.floor(bound * box.denominators[-1])
+    denominator = data.draw(st.integers(1, 4))
+    last = math.floor(bound * denominator)
     for th in (th1, th2):
         # every line is a sub-interval of [-L, L] or exactly the empty (L+1, -L-1)
-        for lo, hi in zip(*_refined_scaled(th, bound, box.denominators)):
+        for lo, hi in zip(*_refined_scaled(th, bound, denominator)):
             assert -last <= lo <= hi <= last or (lo, hi) == (last + 1, -last - 1)
-    ref1, ref2 = _filtered_points(th1, box), _filtered_points(th2, box)
-    assert module_points(th1, "refined", box) == ref1
-    assert module_points(th2, "refined", box) == ref2
+    ref1, ref2 = (_filtered_points(th, bound, denominator) for th in (th1, th2))
+    assert refined_points(th1, bound, denominator) == ref1
+    assert refined_points(th2, bound, denominator) == ref2
     too_small = any(
         bound <= abs(Fraction(tk, fan.weight(i))) + 1
         for th in (th1, th2)
@@ -272,11 +270,13 @@ def test_refined_intervals_match_point_filter(data):
     )
     if too_small:
         with pytest.raises(InvalidArgument, match="box too small for these thresholds"):
-            hom_module_oracle(th1, th2, box)
+            hom_module_oracle(th1, th2, bound)
         return
+    # the oracle's pair comparison, on the drawn lattice rather than the fan's
+    supports = [oracle_support(th, bound, denominator) for th in (th1, th2)]
     face = set(th2.cone.ray_indices) <= set(th1.cone.ray_indices)
     expected = "C0" if face and ref1 <= ref2 else "Zero"
-    assert hom_module_oracle(th1, th2, box).value == expected
+    assert hom_from_supports(*supports).value == expected
 
 
 def test_koszul_euler_examples(crepant_a1):

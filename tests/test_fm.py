@@ -615,6 +615,8 @@ def test_raster_bad_grid_arguments():
         raster_contractible_2d(a, a, bbox=0, step=Fraction(1, 2))
     with pytest.raises(InvalidArgument):
         raster_contractible_2d(a, a, bbox=2, step=Fraction(3, 7))
+    with pytest.raises(InvalidArgument, match="^the raster grid has 4098 pixels per side, over"):
+        raster_contractible_2d(a, a, bbox=2049, step=1)
     with pytest.raises(InvalidArgument):
         as_pixel_predicate(42)
 

@@ -18,11 +18,11 @@ top-level function, or a method of a top-level class as ``Class.method``.
 Every ``functools`` cache of the package is bounded: ``lru_cache`` takes a
 finite ``maxsize``, and ``functools.cache`` is not used.
 
-Every top-level ``def`` and ``class`` of the package is also read somewhere
-in the package, outside its own definition: a dead helper is deleted, not
-kept.  So is every method of a top-level class, read as ``.name``; dunders,
-and names a base class already defines, are called by the language or the
-base, so they are exempt.  Reads from the tests do not count.  The one
+Every top-level ``def``, ``class`` and assigned name of the package is also
+read somewhere in the package, outside its own definition: a dead helper or
+constant is deleted, not kept.  So is every method of a top-level class,
+read as ``.name``; dunders, and names a base class already defines, are
+called by the language or the base, so they are exempt.  Reads from the tests do not count.  The one
 exemption is ``TEST_ROUTES``: the independent routes and paper statements
 that only the tests read, each with the reason it stays in the package.
 Each entry is defined once at the top of the package, read by no package
@@ -53,7 +53,7 @@ TEST_ROUTES = {
     "koszul_euler": "the Koszul resolution's Euler count, checked against q2_member",
     "q2_member": "Q2 membership through the pinned gamma, checked against koszul_euler",
     "q2_member_enum": "Q2 membership by an m-window search, checked against q2_member",
-    "module_points": "the lattice points that the oracle's per-line intervals stand for",
+    "module_points": "the chart-lattice points the oracle's refined intervals are checked against",
     "ample_polytope": "the polytope of a bundle and its Q-ampleness, for criterion 10",
     "minkowski_sum": "the polytope sum whose tensor-product identity criterion 10 checks",
     "fm_line_bundle_case3": "the pull of a bundle, whose round trip criterion 02 checks",
@@ -217,10 +217,22 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
+def _bound_names(node: ast.stmt) -> list[str]:
+    """The names a top-level def, class or assignment binds, dunders left out."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if not _is_dunder(name)]
+
+
 def _dead_definitions(
     modules: dict[str, ast.Module], exempt=frozenset(), inherited=frozenset()
 ) -> list[str]:
-    """Top-level defs, classes and methods of modules that no module reads outside themselves.
+    """Top-level defs, classes, constants and methods of modules that no module reads.
 
     Only the modules are readers; a load inside the definition itself, as
     in a recursive call, does not count.  A method counts as read only as
@@ -237,11 +249,10 @@ def _dead_definitions(
     dead = []
     for module, tree in modules.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            unread = loads.get(node.name, 0) == _loads(node).count(node.name)
-            if unread and node.name not in exempt:
-                dead.append(f"{module}: {node.name}")
+            for name in _bound_names(node):
+                unread = loads.get(name, 0) == _loads(node).count(name)
+                if unread and name not in exempt:
+                    dead.append(f"{module}: {name}")
             if not isinstance(node, ast.ClassDef):
                 continue
             for item in node.body:
@@ -313,21 +324,27 @@ def test_inherited_methods_are_the_overrides():
 
 def test_dead_definition_rule_flags_unread_names():
     module = ast.parse(
-        "def used():\n    return helper()\n"
+        "def used():\n    return helper() + CAP\n"
         "def helper():\n    return 1\n"
         "def recursive(n):\n    return recursive(n - 1)\n"
         "class Unread:\n    pass\n"
         "def main():\n    pass\n"
+        "CAP = 4\n__version__ = '1'\nSPARE: int = 2\nLOW, HIGH = 0, 1\nUNREAD = UNREAD\n"
     )
-    assert _dead_definitions({"m.py": module}, {"main"}) == [
+    assert _dead_definitions({"m.py": module}, {"main", "HIGH"}) == [
         "m.py: used",
         "m.py: recursive",
         "m.py: Unread",
+        "m.py: SPARE",
+        "m.py: LOW",
+        "m.py: UNREAD",
     ]
-    caller = ast.parse("import m\ndef run():\n    return m.used()\n")
+    caller = ast.parse("import m\ndef run():\n    return m.used() + m.LOW + m.SPARE\n")
     assert _dead_definitions({"m.py": module, "c.py": caller}, {"main", "run"}) == [
         "m.py: recursive",
         "m.py: Unread",
+        "m.py: HIGH",
+        "m.py: UNREAD",
     ]
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccc.cohoracle import hom_module_oracle, refined_char_box
+from ccc.cohoracle import hom_module_oracle
 from ccc.errors import InvalidArgument, UnsupportedOperation
 from ccc.exactlin import pair
 from ccc.stackyfan import Cone, parse_stacky_fan
@@ -134,7 +134,7 @@ def test_partial_order_axioms(p13, p112):
 @given(st.data())
 def test_leq_matches_threshold_shortcut(p112, data):
     # the module oracle is the independent route; its box holds every witness
-    box = refined_char_box(p112, witness_box(p112, 4))
+    box = witness_box(p112, 4)
     cones = [c.ray_indices for c in p112.all_cones]
     ints = st.integers(min_value=-4, max_value=4)
     c1 = data.draw(st.sampled_from(cones))
