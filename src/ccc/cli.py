@@ -29,7 +29,7 @@ from .stackyfan import (
     parse_same_base,
     parse_stacky_fan,
 )
-from .svgfig import render_svg
+from .svgfig import regions_svg, skeleton_svg
 from .sweeps import (
     contractibility_sweep,
     hom_oracle_pair,
@@ -88,6 +88,13 @@ def _load(path: str) -> dict:
         raise InvalidArgument(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InvalidArgument(f"{path} is not valid JSON: {exc}") from None
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InvalidArgument(f"cannot write {path}: {exc}") from None
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -241,7 +248,7 @@ def _cmd_plot_lagrangian(args) -> Report:
         raise InvalidArgument("lagrangian plots need a one-dimensional fan")
     box = _rational(args.box) if args.box else Fraction(1)
     pieces = lambda_skeleton(fan, args.window, box)
-    render_svg("lagrangian", {"fan": fan, "pieces": pieces, "box": box}, args.out)
+    _write(args.out, skeleton_svg(fan, pieces, box))
     return Report(
         status="ok",
         payload={"scene": "lagrangian", "pieces": len(pieces), "out": args.out},
@@ -259,26 +266,21 @@ def _cmd_plot_region(args) -> Report:
         if setup.sigma2.dim != 2:
             raise InvalidArgument("staircase region plots need a two-dimensional setup")
         ch = fm3_region(setup, _ints(args.J), _ints(args.phi))
-        entries = [{"polyhedron": ch.outer, "fill": "#4682b4"}]
+        regions = [(ch.outer, "#4682b4")]
         if ch.inner is not None:
-            entries.append({"polyhedron": ch.inner, "fill": "#46b482"})
+            regions.append((ch.inner, "#46b482"))
         scene = "region-2d"
-        render_svg(scene, {"regions": entries, "box": box}, args.out)
-        payload = {"scene": scene, "regions": len(entries), "out": args.out}
     elif args.theta:
         fan = parse_stacky_fan(doc)
         theta = parse_theta(fan, args.theta)
         if fan.dim not in (1, 2):
             raise InvalidArgument("region plots support dimensions 1 and 2 only")
+        regions = [(support(theta, open=True), "#4682b4")]
         scene = f"region-{fan.dim}d"
-        render_svg(
-            scene,
-            {"regions": [{"polyhedron": support(theta, open=True)}], "box": box},
-            args.out,
-        )
-        payload = {"scene": scene, "regions": 1, "out": args.out}
     else:
         raise InvalidArgument("plot region needs either --theta or --J with --phi")
+    _write(args.out, regions_svg(regions, box))
+    payload = {"scene": scene, "regions": len(regions), "out": args.out}
     return Report(status="ok", payload=payload, witnesses=[])
 
 

@@ -1,4 +1,4 @@
-"""Deterministic SVG figures: skeleton phase plots and region diagrams.
+"""Deterministic SVG figures: skeleton phase plots and region diagrams, as text.
 
 All geometry stays in exact rationals until the final coordinate strings,
 which are rendered with twelve decimal digits so identical inputs always
@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cmp_to_key
-from pathlib import Path
 
 from .errors import InvalidArgument
 from .exactlin import pair, solve_square
@@ -21,7 +19,6 @@ MARGIN = 40
 
 _AXIS_STYLE = 'stroke="#999999" stroke-width="1"'
 _SPIKE_STYLE = 'stroke="#202020" stroke-width="2"'
-_FILLS = ("#4682b4", "#b44682", "#46b482", "#b48246")
 _EDGE_COLOR = "#1f3d5c"
 
 
@@ -42,6 +39,8 @@ class _Canvas:
         if self.box <= 0:
             raise InvalidArgument("plot box must be positive")
         self.elements: list[str] = []
+        self.line((-self.box, 0), (self.box, 0), _AXIS_STYLE)
+        self.line((0, -self.box), (0, self.box), _AXIS_STYLE)
 
     def to_canvas(self, x, y):
         sx = MARGIN + (Fraction(x) + self.box) / (2 * self.box) * (WIDTH - 2 * MARGIN)
@@ -67,10 +66,6 @@ class _Canvas:
             f'<circle cx="{_dec12(x)}" cy="{_dec12(y)}" r="{radius}" fill="{fill}" stroke="{color}" stroke-width="2"/>'
         )
 
-    def axes(self):
-        self.line((-self.box, 0), (self.box, 0), _AXIS_STYLE)
-        self.line((0, -self.box), (0, self.box), _AXIS_STYLE)
-
     def text(self) -> str:
         head = (
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -85,9 +80,9 @@ def _stroke(strict: bool, color: str) -> str:
     return f'stroke="{color}" stroke-width="2"{dash}'
 
 
-def _interval(poly, box):
-    """Clip a 1d polyhedron to [-box, box]; None when nothing remains."""
-    lo, hi = -box, box
+def _draw_interval(canvas, poly, fill):
+    """A 1d polyhedron clipped to [-box, box], with a dot at each end inside the box."""
+    lo, hi = -canvas.box, canvas.box
     lo_strict = hi_strict = False
     for normal, rhs, strict in poly.canonical():
         a = normal[0]
@@ -95,12 +90,17 @@ def _interval(poly, box):
         if a > 0:
             if bound > lo or (bound == lo and strict):
                 lo, lo_strict = bound, strict
-        else:
-            if bound < hi or (bound == hi and strict):
-                hi, hi_strict = bound, strict
+        elif bound < hi or (bound == hi and strict):
+            hi, hi_strict = bound, strict
     if lo > hi or (lo == hi and (lo_strict or hi_strict)):
-        return None
-    return lo, hi, lo_strict, hi_strict
+        return
+    band = canvas.box / 12
+    canvas.polygon([(lo, -band), (hi, -band), (hi, band), (lo, band)], fill)
+    canvas.line((lo, 0), (hi, 0), _stroke(False, fill))
+    if lo > -canvas.box:
+        canvas.circle((lo, 0), 5, not lo_strict, fill)
+    if hi < canvas.box:
+        canvas.circle((hi, 0), 5, not hi_strict, fill)
 
 
 def _vertices_2d(constraints):
@@ -119,32 +119,17 @@ def _vertices_2d(constraints):
     cx = sum(p[0] for p in pts) / len(pts)
     cy = sum(p[1] for p in pts) / len(pts)
 
-    def half(p):
+    def angle(p):
+        # counterclockwise from +x: the half-plane, then minus the cotangent, rising in each
         dx, dy = p[0] - cx, p[1] - cy
-        return 0 if dy > 0 or (dy == 0 and dx > 0) else 1
+        half = 0 if dy > 0 or (dy == 0 and dx > 0) else 1
+        return half, dy != 0, -dx / dy if dy else 0
 
-    def compare(a, b):
-        ha, hb = half(a), half(b)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cross = (a[0] - cx) * (b[1] - cy) - (a[1] - cy) * (b[0] - cx)
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
-
-    return sorted(pts, key=cmp_to_key(compare))
+    return sorted(pts, key=angle)
 
 
 def _draw_region_2d(canvas, poly, fill):
-    box = canvas.box
-    box_cons = [
-        ((1, 0), -box, False),
-        ((-1, 0), -box, False),
-        ((0, 1), -box, False),
-        ((0, -1), -box, False),
-    ]
+    box_cons = [(unit, -canvas.box, False) for unit in ((1, 0), (-1, 0), (0, 1), (0, -1))]
     cons = list(poly.canonical())
     verts = _vertices_2d(cons + box_cons)
     if len(verts) >= 3:
@@ -155,64 +140,23 @@ def _draw_region_2d(canvas, poly, fill):
             canvas.line(on_line[0], on_line[-1], _stroke(strict, _EDGE_COLOR))
 
 
-def _scene_lagrangian(canvas, data):
-    fan = data["fan"]
+def skeleton_svg(fan, pieces, box) -> str:
+    """The skeleton phase plot: the zero section and one spike per base point."""
+    canvas = _Canvas(box)
     spike = canvas.box / 2
-    for piece in data["pieces"]:
-        if piece.fiber_cone.dim == 0:
+    for piece in pieces:
+        if piece.base is None:
             canvas.line((-canvas.box, 0), (canvas.box, 0), _SPIKE_STYLE)
-            continue
-        normal, rhs, _ = piece.base.canonical()[0]
-        x0 = Fraction(rhs, normal[0])
-        if abs(x0) > canvas.box:
             continue
         # the fiber is -sigma: the spike points against the ray
         direction = -fan.v(piece.fiber_cone.ray_indices[0])[0]
-        canvas.line((x0, 0), (x0, spike * direction), _SPIKE_STYLE)
+        canvas.line((piece.base, 0), (piece.base, spike * direction), _SPIKE_STYLE)
+    return canvas.text()
 
 
-def _scene_region_1d(canvas, data):
-    band = canvas.box / 12
-    for k, entry in enumerate(data["regions"]):
-        poly = entry["polyhedron"]
-        if poly.dim != 1:
-            raise InvalidArgument("region-1d needs one-dimensional polyhedra")
-        clipped = _interval(poly, canvas.box)
-        if clipped is None:
-            continue
-        lo, hi, lo_strict, hi_strict = clipped
-        color = entry.get("fill", _FILLS[k % len(_FILLS)])
-        canvas.polygon([(lo, -band), (hi, -band), (hi, band), (lo, band)], color)
-        canvas.line((lo, 0), (hi, 0), _stroke(False, color))
-        if lo > -canvas.box:
-            canvas.circle((lo, 0), 5, not lo_strict, color)
-        if hi < canvas.box:
-            canvas.circle((hi, 0), 5, not hi_strict, color)
-
-
-def _scene_region_2d(canvas, data):
-    for k, entry in enumerate(data["regions"]):
-        poly = entry["polyhedron"]
-        if poly.dim != 2:
-            raise InvalidArgument("region-2d needs two-dimensional polyhedra")
-        _draw_region_2d(canvas, poly, entry.get("fill", _FILLS[k % len(_FILLS)]))
-
-
-_SCENES = {
-    "lagrangian": _scene_lagrangian,
-    "region-1d": _scene_region_1d,
-    "region-2d": _scene_region_2d,
-}
-
-
-def render_svg(scene: str, data: dict, out_path) -> None:
-    """Render one scene to a deterministic SVG file at out_path."""
-    if scene not in _SCENES:
-        raise InvalidArgument(f"unknown scene {scene!r}")
-    canvas = _Canvas(data.get("box", 1))
-    canvas.axes()
-    _SCENES[scene](canvas, data)
-    try:
-        Path(out_path).write_text(canvas.text(), encoding="utf-8")
-    except OSError as exc:
-        raise InvalidArgument(f"cannot write {out_path}: {exc}") from None
+def regions_svg(regions, box) -> str:
+    """Each (polyhedron, fill) region, drawn as an interval or a polygon by its dimension."""
+    canvas = _Canvas(box)
+    for poly, fill in regions:
+        (_draw_interval if poly.dim == 1 else _draw_region_2d)(canvas, poly, fill)
+    return canvas.text()

@@ -83,6 +83,30 @@ def witness_box(fan: StackyFan, window: int) -> Fraction:
     return window * worst + 2
 
 
+# the most pairs one sweep compares (chart-probe pairs for the sandwich);
+# contract_om3's contractibility sweep at window 10 compares 815 409
+MAX_PAIRS = 1 << 20
+
+
+def _theta_count(fan: StackyFan, window: int) -> int:
+    """How many thetas ``window_thetas`` enumerates, counted from the cones."""
+    return sum((2 * window + 1) ** cone.dim for cone in fan.all_cones)
+
+
+def _chart_count(setup: ContractionSetup, window: int) -> int:
+    """How many charts ``charts`` enumerates, counted from the chart cones."""
+    return sum((2 * window + 1) ** len(J) for J in _chart_cones(setup))
+
+
+def _check_pairs(sweep: str, pairs: int, what: str = "theta pairs") -> None:
+    """Refuse a sweep of more than ``MAX_PAIRS`` pairs, counted before anything is built."""
+    if pairs > MAX_PAIRS:
+        raise InvalidArgument(
+            f"{sweep} sweep would test {pairs} {what}, "
+            f"over the cap of {MAX_PAIRS}; use a smaller window"
+        )
+
+
 @dataclass(frozen=True)
 class FFReport:
     """Outcome of an exhaustive order-embedding sweep on a threshold window."""
@@ -107,6 +131,7 @@ def poset_embedding_report(setup: SameBaseSetup, window: int) -> FFReport:
     when r >= s componentwise.
     """
     check_window(window, least=1)
+    _check_pairs("poset-embedding", _theta_count(setup.fan_s, window) ** 2)
     thetas = window_thetas(setup.fan_s, window)
     images = [fm_case1(setup, th) for th in thetas]
     violations = []
@@ -152,6 +177,8 @@ def hom_oracle_sweep(
     and the lattice-point cap refuse before any pair is compared; each
     pair then compares two prebuilt supports (``hom_from_supports``).
     """
+    check_window(window)
+    _check_pairs("hom-oracle", _theta_count(fan, window) ** 2)
     thetas = window_thetas(fan, window)
     bound = box if box is not None else witness_box(fan, window)
     denominator = refined_denominator(fan)
@@ -175,11 +202,6 @@ class SandwichReport:
     violations: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[Fraction, ...], str], ...]
 
 
-# the most chart-probe pairs one sandwich sweep tests; the 3-D window-1
-# sweep of the crepant blowup of a 3-ray block tests 147 741
-MAX_SANDWICH_PAIRS = 1 << 20
-
-
 def sandwich_probes(dim: int, window: int) -> list[tuple[Fraction, ...]]:
     """The probe grid of sandwich_sweep: axis k at a/2^(k+1) + 1/2^(k+4), |a| <= 2*window + 3."""
     span = 2 * window + 3
@@ -201,7 +223,7 @@ def sandwich_sweep(setup: ContractionSetup, window: int) -> SandwichReport:
     Probes on a region boundary, where the stalk count is undefined, are
     skipped and not counted in ``points``; a chart on which every probe is
     skipped would pass without a single stalk comparison, so it is refused.
-    So is a sweep of more than ``MAX_SANDWICH_PAIRS`` chart-probe pairs,
+    So is a sweep of more than ``MAX_PAIRS`` chart-probe pairs,
     counted before any grid or chart is built.
 
     The grid (``sandwich_probes``) is the same for every chart, so each
@@ -217,12 +239,8 @@ def sandwich_sweep(setup: ContractionSetup, window: int) -> SandwichReport:
     check_window(window)
     dim = setup.sigma1.dim
     # sandwich_probes puts 4 * window + 7 probes on each axis
-    work = sum((2 * window + 1) ** len(J) for J in _chart_cones(setup)) * (4 * window + 7) ** dim
-    if work > MAX_SANDWICH_PAIRS:
-        raise InvalidArgument(
-            f"sandwich sweep would test {work} chart-probe pairs, "
-            f"over the cap of {MAX_SANDWICH_PAIRS}; use a smaller window"
-        )
+    work = _chart_count(setup, window) * (4 * window + 7) ** dim
+    _check_pairs("sandwich", work, "chart-probe pairs")
     keys = list(charts(setup, window))
     rays = setup.sigma1.rays
     column = {ray.b: j for j, ray in enumerate(rays)}
@@ -284,13 +302,16 @@ def contractibility_sweep(
     if setup.sigma2.dim != 2:
         raise InvalidArgument("contractibility rasters need a two-dimensional setup")
     bbox, step = Fraction(bbox), Fraction(step)
-    comparison = setup.discrepancy
+    push, pull = setup.discrepancy in (">=", "="), setup.discrepancy in ("<=", "=")
+    check_window(window)
+    work = push * _theta_count(setup.sigma2, window) ** 2 + pull * _chart_count(setup, window) ** 2
+    _check_pairs("contractibility", work, "key pairs")
     # (witness tag, keys, image of one key, Ext verdict on a key pair)
     directions = []
-    if comparison in (">=", "="):
+    if push:
         thetas = window_thetas(setup.sigma2, window)
         directions.append(("push", thetas, lambda th: fm_case2(setup, th)[0], ext_case2))
-    if comparison in ("<=", "="):
+    if pull:
         keys = list(charts(setup, window))
         directions.append(("pull", keys, lambda key: fm3_region(setup, *key), ext_case3))
     witnesses = []
@@ -307,5 +328,5 @@ def contractibility_sweep(
             if not difference_contractible(rasters[key1], rasters[key2]):
                 witnesses.append((tag, key1, key2))
     return ContractibilityReport(
-        window, bbox, step, comparison, pairs, pairs - len(witnesses), tuple(witnesses)
+        window, bbox, step, setup.discrepancy, pairs, pairs - len(witnesses), tuple(witnesses)
     )

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import floor, gcd
 
 from .errors import InvalidArgument
 from .exactlin import Rational, RationalVector, linear_feasible, pair, solve_square
@@ -75,14 +75,6 @@ class Polyhedron:
     def on_boundary(self, x: RationalVector) -> bool:
         """True when some constraint holds with equality at x."""
         return any(pair(x, normal) == threshold for normal, threshold, _ in self.constraints)
-
-    def meets_box(self, bound: Rational) -> bool:
-        cons = list(self.constraints)
-        for j in range(self.dim):
-            unit = tuple(int(k == j) for k in range(self.dim))
-            cons.append((unit, -bound, False))
-            cons.append((tuple(-c for c in unit), -bound, False))
-        return linear_feasible(cons, self.dim)
 
     def canonical(self) -> tuple[Constraint, ...]:
         """Constraints with primitive normals, deduplicated and sorted."""
@@ -153,22 +145,11 @@ def hom_constructible(theta1: ThetaIndex, theta2: ThetaIndex) -> HomResult:
 
 @dataclass(frozen=True)
 class LagrangianPiece:
-    """One piece base x (-sigma) of the conical Lagrangian skeleton."""
+    """One piece base x (-sigma) of a 1-D skeleton: base t / b_i, or None for the zero section."""
 
-    base: Polyhedron
+    base: Fraction | None
     fiber_cone: Cone
     t: tuple[int, ...]
-
-
-def perp_slice(theta: ThetaIndex) -> Polyhedron:
-    """The affine slice where <x, v_k> = t_k / r_k for every ray of the cone."""
-    cons = []
-    for k, i in enumerate(theta.cone.ray_indices):
-        v = theta.fan.v(i)
-        thr = Fraction(theta.t[k], theta.fan.weight(i))
-        cons.append((v, thr, False))
-        cons.append((tuple(-c for c in v), -thr, False))
-    return Polyhedron(dim=theta.fan.dim, constraints=tuple(cons))
 
 
 def check_window(window: int, least: int = 0) -> None:
@@ -187,20 +168,36 @@ def window_thetas(fan: StackyFan, window: int) -> list[ThetaIndex]:
     ]
 
 
-def lambda_skeleton(fan: StackyFan, char_window: int, box: Rational) -> list[LagrangianPiece]:
-    """All skeleton pieces whose base meets [-box, box]^n.
+# the most pieces one skeleton holds; the default figures draw 11 (p13) and 7 (p1)
+MAX_SKELETON_PIECES = 1 << 12
 
-    Thresholds range over |t_k| <= char_window.  The zero cone contributes
-    the zero-section piece with base all of M_R.
+
+def lambda_skeleton(fan: StackyFan, char_window: int, box: Rational) -> list[LagrangianPiece]:
+    """The zero section and every piece of a 1-D fan with |t| <= char_window and base in the box.
+
+    Ray i's piece at threshold t has the base point t / b_i, and |b_i| = r_i,
+    so it lies in the box exactly when |t| <= box * r_i.  The pieces come in
+    (cone, t) order; more than ``MAX_SKELETON_PIECES`` are refused, counted first.
     """
     if char_window < 0 or box <= 0:
         raise InvalidArgument("char_window and box must be positive")
-    pieces = []
-    for theta in window_thetas(fan, char_window):
-        base = perp_slice(theta)
-        if base.meets_box(box):
-            pieces.append(LagrangianPiece(base=base, fiber_cone=theta.cone, t=theta.t))
-    pieces.sort(key=lambda p: (p.fiber_cone.ray_indices, p.t))
+    reach = {
+        cone: min(char_window, floor(box * fan.weight(cone.ray_indices[0])))
+        for cone in fan.all_cones
+        if cone.dim
+    }
+    count = 1 + sum(2 * r + 1 for r in reach.values())
+    if count > MAX_SKELETON_PIECES:
+        raise InvalidArgument(
+            f"the skeleton has {count} pieces, over the cap of {MAX_SKELETON_PIECES}; "
+            "use a smaller window or box"
+        )
+    pieces = [LagrangianPiece(base=None, fiber_cone=Cone(()), t=())]
+    for cone, r in reach.items():
+        (b,) = fan.b(cone.ray_indices[0])
+        pieces += [
+            LagrangianPiece(base=Fraction(t, b), fiber_cone=cone, t=(t,)) for t in range(-r, r + 1)
+        ]
     return pieces
 
 

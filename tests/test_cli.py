@@ -546,6 +546,35 @@ def test_plot_lagrangian_is_deterministic(capsys, tmp_path):
     assert out1.read_text().startswith("<svg")
 
 
+# figures that neither the golden skeleton nor perfbench/expected.json pins:
+# 1-D supports, an unstepped staircase chart and non-default skeletons
+_PINNED_FIGURES = [
+    (["region", "p13.json", "--theta", "cone=0;t=1"], "region-1d", 1,
+     "72e0bdfeac900f9f2fffb6bd58cbbd5d9b455a6afe1d1f97383721e9caeb2b73"),
+    (["region", "p13.json", "--theta", "cone=;t=", "--box", "1/2"], "region-1d", 1,
+     "cc42cc7ff4604705491cb30882bcaa21db769e23c2a2e4e916920ba5d044c51a"),
+    (["region", "contract_om3.json", "--J", "0", "--phi", "2"], "region-2d", 2,
+     "726fe39dcd88750115ebe038108cd9d70e29729d1508c4fad1cc3cfdd886f49b"),
+    (["lagrangian", "p13.json", "--window", "0"], "lagrangian", 3,
+     "eae5668eab256ce93bebbefc5ba0ca96f54a4ac7a20386eec30c106f4273b1a4"),
+    (["lagrangian", "p13.json", "--window", "6", "--box", "7/3"], "lagrangian", 19,
+     "c364162160b65c6dc5dd50ba7cd56e061e44f8579d557a4cf1cbdc2fa957c627"),
+    (["lagrangian", "p1.json", "--box", "1/3"], "lagrangian", 3,
+     "eae5668eab256ce93bebbefc5ba0ca96f54a4ac7a20386eec30c106f4273b1a4"),
+]
+
+
+@pytest.mark.parametrize("argv, scene, count, digest", _PINNED_FIGURES)
+def test_plot_figures_keep_their_bytes(capsys, tmp_path, argv, scene, count, digest):
+    out = tmp_path / "figure.svg"
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    code, rep = invoke(capsys, "plot", *argv, "-o", str(out))
+    assert code == 0
+    noun = "pieces" if scene == "lagrangian" else "regions"
+    assert rep.payload == {"scene": scene, noun: count, "out": str(out)}
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("extra", [[], ["--window=-1"], ["--box", "0"], ["--window", "20"]])
 def test_plot_lagrangian_refuses_a_2d_fan_before_the_skeleton(
     capsys, tmp_path, monkeypatch, extra
@@ -716,14 +745,15 @@ _THETAS = st.sampled_from([
 _INTS = st.lists(st.integers(-2, 3), max_size=3).map(
     lambda xs: ",".join(map(str, xs))
 ) | st.sampled_from(["a", "1,,2"])
-# windows stop at 1, so that every sweep stays well under a second
+# small windows keep every sweep well under a second; the huge one must be
+# refused by a pair or piece cap, or bounded by the box, before anything is built
 _VALUES = {
     "--theta1": _THETAS,
     "--theta2": _THETAS,
     "--theta": _THETAS,
     "--box": st.sampled_from(["3", "1/2", "0", "-2", "7/3", "12", "100000", "x", "1/0"]),
     "--step": st.sampled_from(["1/2", "1", "0", "-1/4", "x"]),
-    "--window": st.sampled_from(["-1", "0", "1", "x", ""]),
+    "--window": st.sampled_from(["-1", "0", "1", "100000", "x", ""]),
     "--bundle": _INTS,
     "--J": _INTS,
     "--phi": _INTS,

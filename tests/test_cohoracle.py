@@ -5,6 +5,7 @@ import functools
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -701,12 +702,85 @@ def test_sandwich_sweep_counts_every_probe_of_the_bundled_contractions(name, win
 def test_sandwich_cap_counts_what_the_sweep_enumerates(name, windows, monkeypatch):
     # the cap's count restates the shapes of charts and sandwich_probes
     setup = parse_contraction(CREPANT_333) if name == "crepant_333" else _contraction(name)
-    monkeypatch.setattr(sweeps, "MAX_SANDWICH_PAIRS", 0)
+    monkeypatch.setattr(sweeps, "MAX_PAIRS", 0)
     for window in windows:
         probes = sandwich_probes(setup.sigma1.dim, window)
         enumerated = len(list(charts(setup, window))) * len(probes)
         with pytest.raises(InvalidArgument, match=rf"would test {enumerated} chart-probe pairs"):
             sandwich_sweep(setup, window)
+
+
+def _counting(monkeypatch, *names):
+    """Wrap each named sweeps function so that its calls are counted in one Counter."""
+    calls = Counter()
+    for name in names:
+        def counted(*args, _f=getattr(sweeps, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(sweeps, name, counted)
+    return calls
+
+
+def _refused_count(sweep, *args) -> int:
+    # with the cap at 0 every sweep refuses, and its message gives its count
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweeps, "MAX_PAIRS", 0)
+        with pytest.raises(InvalidArgument) as refusal:
+            sweep(*args)
+    return int(re.match(r"[\w-]+ sweep would test (\d+) ", str(refusal.value)).group(1))
+
+
+@pytest.mark.parametrize("window", [0, 1, 2])
+@pytest.mark.parametrize("name", ["p1.json", "p13.json", "p112.json", "a1_resolution.json"])
+def test_hom_oracle_cap_counts_the_pairs_the_sweep_compares(name, window, monkeypatch):
+    fan = parse_stacky_fan(load_data(name))
+    counted = _refused_count(sweeps.hom_oracle_sweep, fan, window)
+    calls = _counting(monkeypatch, "hom_from_supports")
+    sweeps.hom_oracle_sweep(fan, window)
+    assert counted == calls["hom_from_supports"] == len(window_thetas(fan, window)) ** 2
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+@pytest.mark.parametrize("name", ["samebase_p12_p13.json", "samebase_rev.json"])
+def test_poset_cap_counts_the_pairs_the_sweep_compares(name, window, monkeypatch):
+    setup = parse_same_base(load_data(name))
+    counted = _refused_count(sweeps.poset_embedding_report, setup, window)
+    calls = _counting(monkeypatch, "leq")
+    sweeps.poset_embedding_report(setup, window)
+    assert 2 * counted == calls["leq"]  # each pair is compared before and after
+
+
+@pytest.mark.parametrize("window", [0, 1])
+@pytest.mark.parametrize("name", CONTRACTIONS_2D)
+def test_contractibility_cap_counts_the_pairs_the_sweep_compares(name, window, monkeypatch):
+    # push and pull each add the square of their key count
+    setup = _contraction(name)
+    args = (setup, window, Fraction(2), Fraction(1, 2))
+    counted = _refused_count(sweeps.contractibility_sweep, *args)
+    calls = _counting(monkeypatch, "ext_case2", "ext_case3")
+    sweeps.contractibility_sweep(*args)
+    assert counted == calls["ext_case2"] + calls["ext_case3"]
+    assert (calls["ext_case2"] > 0) == (setup.discrepancy in (">=", "="))
+    assert (calls["ext_case3"] > 0) == (setup.discrepancy in ("<=", "="))
+
+
+@pytest.mark.parametrize("message, sweep, args", [
+    ("hom-oracle sweep would test \\d{19,} theta pairs", sweeps.hom_oracle_sweep,
+     lambda: (parse_stacky_fan(load_data("p112.json")), 20000)),
+    ("poset-embedding sweep would test \\d{10,} theta pairs", sweeps.poset_embedding_report,
+     lambda: (parse_same_base(load_data("samebase_p12_p13.json")), 20000)),
+    ("contractibility sweep would test \\d{19,} key pairs", sweeps.contractibility_sweep,
+     lambda: (parse_contraction(load_data("contract_om3.json")), 20000, Fraction(6), Fraction(1, 4))),
+])
+def test_pair_sweeps_refuse_a_huge_window_before_building(message, sweep, args, monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("built a key, support or raster past the cap")
+
+    args = args()
+    for built in ("window_thetas", "charts", "oracle_support", "witness_box", "raster_runs"):
+        monkeypatch.setattr(sweeps, built, unbuilt)
+    with pytest.raises(InvalidArgument, match=rf"^{message}, over the cap of 1048576; use a"):
+        sweep(*args)
 
 
 def test_sandwich_sweep_refuses_past_its_pair_cap_before_building(om3, monkeypatch):
@@ -720,8 +794,8 @@ def test_sandwich_sweep_refuses_past_its_pair_cap_before_building(om3, monkeypat
         with pytest.raises(InvalidArgument, match=r"test \d{20,} chart-probe pairs, over the cap"):
             sandwich_sweep(om3, 10**5)
     # om3 at window 0 is 3 charts of 7^2 probes: 147 pairs, refused at 146
-    monkeypatch.setattr(sweeps, "MAX_SANDWICH_PAIRS", 147)
+    monkeypatch.setattr(sweeps, "MAX_PAIRS", 147)
     assert sandwich_sweep(om3, 0).points == 147
-    monkeypatch.setattr(sweeps, "MAX_SANDWICH_PAIRS", 146)
+    monkeypatch.setattr(sweeps, "MAX_PAIRS", 146)
     with pytest.raises(InvalidArgument, match=r"test 147 chart-probe pairs, over the cap of 146"):
         sandwich_sweep(om3, 0)

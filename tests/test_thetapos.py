@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccc import thetapos
 from ccc.cohoracle import hom_module_oracle
 from ccc.errors import InvalidArgument, UnsupportedOperation
-from ccc.exactlin import pair
 from ccc.stackyfan import Cone, parse_stacky_fan
 from ccc.sweeps import witness_box
 from ccc.thetapos import (
-    perp_slice,
     HomResult,
     Polyhedron,
     ThetaIndex,
@@ -182,47 +181,49 @@ def test_hom_result_invariant():
         HomResult(value="Zero", reason="inclusion")
 
 
-def _base_points_1d(piece):
-    # a perp slice in 1D is a single rational point
-    (normal, threshold, _), *_ = piece.base.constraints
-    return threshold / normal[0]
-
-
 def test_lambda_skeleton_p13(p13):
     pieces = lambda_skeleton(p13, char_window=3, box=1)
-    down = sorted(_base_points_1d(p) for p in pieces if p.fiber_cone.ray_indices == (0,))
-    up = sorted(_base_points_1d(p) for p in pieces if p.fiber_cone.ray_indices == (1,))
+    down = sorted(p.base for p in pieces if p.fiber_cone.ray_indices == (0,))
+    up = sorted(p.base for p in pieces if p.fiber_cone.ray_indices == (1,))
     assert down == [F(k, 3) for k in range(-3, 4)]
     assert up == [F(-1), F(0), F(1)]
     zero = [p for p in pieces if p.fiber_cone.ray_indices == ()]
     assert len(zero) == 1
-    assert zero[0].base.constraints == ()
+    assert zero[0].base is None
 
 
 def test_lambda_skeleton_p1(p1):
     pieces = lambda_skeleton(p1, char_window=1, box=1)
     for p in pieces:
         if p.fiber_cone.dim == 1:
-            assert _base_points_1d(p).denominator == 1
+            assert p.base.denominator == 1
 
 
-def test_lambda_skeleton_piece_bases_cover_support_faces(p112):
-    # sampled points on a support face satisfy the matching piece's base slice
-    th = theta(p112, (0, 1), (1, -2))
-    sup = support(th)
-    grid = [F(k, 2) for k in range(-12, 13)]
-    for tau in ((0,), (1,)):
-        k = th.cone.ray_indices.index(tau[0])
-        restricted = ThetaIndex(fan=p112, cone=Cone(tau), t=(th.t[k],))
-        base = perp_slice(restricted)
-        hits = 0
-        for x in itertools.product(grid, repeat=2):
-            if not sup.contains(x):
-                continue
-            if pair(x, p112.v(tau[0])) == F(th.t[k], p112.weight(tau[0])):
-                hits += 1
-                assert base.contains(x)
-        assert hits > 0
+def test_lambda_skeleton_is_read_off_the_thresholds(p13, monkeypatch):
+    # each base is t / b_i, in (cone, t) order, with no feasibility test; past
+    # the box the window adds no piece, so a huge window costs what a small one does
+    monkeypatch.setattr(thetapos, "linear_feasible", lambda *args: pytest.fail("LP solved"))
+    pieces = lambda_skeleton(p13, char_window=10**7, box=F(7, 3))
+    assert pieces == lambda_skeleton(p13, char_window=7, box=F(7, 3))
+    assert [(p.fiber_cone.ray_indices, p.t) for p in pieces] == sorted(
+        (p.fiber_cone.ray_indices, p.t) for p in pieces
+    )
+    for p in pieces[1:]:
+        (i,) = p.fiber_cone.ray_indices
+        assert p.base * p13.b(i)[0] == p.t[0] and abs(p.base) <= F(7, 3)
+    assert len(pieces) == 1 + 15 + 5
+
+
+def test_lambda_skeleton_refuses_past_its_piece_cap(p13, monkeypatch):
+    # p13 at window 3 and box 1 has 1 + 7 + 3 = 11 pieces
+    monkeypatch.setattr(thetapos, "MAX_SKELETON_PIECES", 11)
+    assert len(lambda_skeleton(p13, 3, 1)) == 11
+    monkeypatch.setattr(thetapos, "MAX_SKELETON_PIECES", 10)
+    with pytest.raises(InvalidArgument, match=r"^the skeleton has 11 pieces, over the cap of 10;"):
+        lambda_skeleton(p13, 3, 1)
+    monkeypatch.undo()
+    with pytest.raises(InvalidArgument, match=r"has 400003 pieces, over the cap of 4096"):
+        lambda_skeleton(p13, 10**5, 10**5)
 
 
 def test_ample_polytope_p13(p13):
