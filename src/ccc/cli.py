@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import CCCError, InvalidArgument
 from .fm import (
@@ -49,8 +49,7 @@ from .thetapos import (
 _EXIT = {"ok": 0, "invalid-input": 1, "check-failed": 2}
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     status: str
     payload: object
     witnesses: list
@@ -63,7 +62,8 @@ def _jsonable(x):
         return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
+    # exactly list and tuple: a named tuple is a value of the package, not a list
+    if type(x) in (list, tuple):
         return [_jsonable(v) for v in x]
     raise InvalidArgument(f"cannot serialize {type(x).__name__} into a report")
 
@@ -122,7 +122,7 @@ def _poly_json(poly) -> dict:
 
 def _check_report(sweep, witnesses, **counts) -> Report:
     """Payload: the sweep's fields but its witness tuple, plus counts; ok iff no witnesses."""
-    payload = {k: v for k, v in vars(sweep).items() if not isinstance(v, tuple)}
+    payload = {k: v for k, v in sweep._asdict().items() if not isinstance(v, tuple)}
     status = "check-failed" if witnesses else "ok"
     return Report(status=status, payload=payload | counts, witnesses=sorted(witnesses))
 

@@ -8,11 +8,10 @@ anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvalidArgument
 
@@ -108,8 +107,7 @@ def lattice_rank(matrix: Sequence[Sequence[int]]) -> int:
     return len(pivots)
 
 
-@dataclass(frozen=True)
-class ConeBasis:
+class ConeBasis(NamedTuple):
     """Cone generators completed to a basis, with its exact inverse and determinant.
 
     ``inverse`` is the matrix whose columns are the dual basis: the chart

@@ -13,7 +13,6 @@ decides contractibility of planar region differences.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
@@ -182,7 +181,6 @@ def ext_case2(setup: ContractionSetup, theta1: ThetaIndex, theta2: ThetaIndex) -
 # Case 3: pulling back along the contraction
 
 
-@dataclass(frozen=True, eq=False)
 class Chart:
     """One chart (J, phi) over sigma1 and its pullback, the staircase region.
 
@@ -199,13 +197,10 @@ class Chart:
     is None when the sandwich hypothesis sum(alpha) <= 1 fails.
     """
 
-    setup: ContractionSetup
-    J: tuple[int, ...]
-    c: dict[int, int]
-    i0: int
-    j_prime: tuple[int, ...]
-    m_index: tuple[int, ...]
-    _characters: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, setup: ContractionSetup, J, c, i0, j_prime, m_index):
+        self.setup, self.J, self.c, self.i0 = setup, J, c, i0
+        self.j_prime, self.m_index = j_prime, m_index
+        self._characters = {}
 
     @property
     def stepped(self) -> bool:

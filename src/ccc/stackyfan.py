@@ -9,10 +9,11 @@ always contains the zero cone ().
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from typing import NamedTuple
 
 from .errors import InvalidArgument, ValidationError
 from .exactlin import (
@@ -29,36 +30,34 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
-class WeightedRay:
-    """A primitive lattice direction v together with a positive weight."""
+class WeightedRay(namedtuple("WeightedRay", "v weight")):
+    """A primitive lattice direction v together with a positive weight.
 
-    v: LatticeVector
-    weight: int
-    # the weighted generator weight * v, kept once; it is derived, so it
-    # takes no part in equality, hashing or repr
-    b: LatticeVector = field(init=False, compare=False, repr=False)
+    The weighted generator b = weight * v is kept once, in the instance
+    dict; it is derived, so it takes no part in equality, hashing or repr.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "v", tuple(int(c) for c in self.v))
-        if not is_primitive(self.v):
-            raise ValidationError(f"ray {self.v} is not primitive")
-        if not _is_int(self.weight) or self.weight < 1:
-            raise ValidationError(f"ray weight {self.weight!r} must be a positive integer")
-        object.__setattr__(self, "b", tuple(self.weight * c for c in self.v))
+    def __new__(cls, v: LatticeVector, weight: int):
+        v = tuple(int(c) for c in v)
+        if not is_primitive(v):
+            raise ValidationError(f"ray {v} is not primitive")
+        if not _is_int(weight) or weight < 1:
+            raise ValidationError(f"ray weight {weight!r} must be a positive integer")
+        self = super().__new__(cls, v, weight)
+        self.b = tuple(weight * c for c in v)
+        return self
 
 
-@dataclass(frozen=True, order=True)
-class Cone:
-    """A simplicial cone, named by the sorted indices of its rays."""
+class Cone(namedtuple("Cone", "ray_indices")):
+    """A simplicial cone, named by the sorted indices of its rays; ordered by them."""
 
-    ray_indices: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        idx = tuple(sorted(self.ray_indices))
+    def __new__(cls, ray_indices: tuple[int, ...]):
+        idx = tuple(sorted(ray_indices))
         if len(set(idx)) != len(idx):
-            raise ValidationError(f"repeated ray index in cone {self.ray_indices}")
-        object.__setattr__(self, "ray_indices", idx)
+            raise ValidationError(f"repeated ray index in cone {ray_indices}")
+        return super().__new__(cls, idx)
 
     @property
     def dim(self) -> int:
@@ -74,14 +73,15 @@ def faces(sigma: Cone) -> list[Cone]:
     return out
 
 
-@dataclass(frozen=True)
-class StackyFan:
+class StackyFan(NamedTuple):
     """A validated stacky fan: weighted rays plus a simplicial fan on them."""
 
     dim: int
     rays: tuple[WeightedRay, ...]
     max_cones: tuple[Cone, ...]
-    all_cones: tuple[Cone, ...] = field(default=())
+    all_cones: tuple[Cone, ...] = ()
+    # the tuple hash, bound by name so that perfbench's tracer can count it
+    __hash__ = tuple.__hash__
 
     def v(self, i: int) -> LatticeVector:
         return self.rays[i].v
@@ -242,23 +242,14 @@ def is_complete(fan: StackyFan) -> bool:
     return len(seen) == len(fan.max_cones)
 
 
-@dataclass(frozen=True)
-class SameBaseSetup:
+class SameBaseSetup(namedtuple("SameBaseSetup", "base r s t m n fan_r fan_s fan_t")):
     """Two weightings r, s of one base fan, refined by t_i = lcm(r_i, s_i).
 
     The discrepancy comparison is derived on first use and, like that of
-    ContractionSetup, takes no part in equality, hashing or repr.
+    ContractionSetup, takes no part in equality, hashing or repr.  The
+    fields are base (a StackyFan), the weight tuples r, s, t, m = t / r and
+    n = t / s, and the reweighted fans fan_r, fan_s and fan_t.
     """
-
-    base: StackyFan
-    r: tuple[int, ...]
-    s: tuple[int, ...]
-    t: tuple[int, ...]
-    m: tuple[int, ...]  # t_i / r_i
-    n: tuple[int, ...]  # t_i / s_i
-    fan_r: StackyFan
-    fan_s: StackyFan
-    fan_t: StackyFan
 
     @cached_property
     def discrepancy(self) -> str:
@@ -302,8 +293,9 @@ def build_same_base(fan: StackyFan, r, s) -> SameBaseSetup:
     )
 
 
-@dataclass(frozen=True)
-class ContractionSetup:
+class ContractionSetup(
+    namedtuple("ContractionSetup", "n n_prime extra alpha perm sigma1 sigma2")
+):
     """Data of a weighted-blowup contraction.
 
     The extra ray v_{n+1} = sum a_i v_i (a_i > 0 for i < n_prime after
@@ -314,25 +306,18 @@ class ContractionSetup:
 
     The discrepancy comparison and the integer block weights are derived
     once, on first use; like the kept hash they live outside the fields,
-    so they take no part in equality, hashing or repr.
+    so they take no part in equality, hashing or repr.  perm maps each new
+    index to its index in the input ray list.
     """
 
-    n: int
-    n_prime: int
-    extra: WeightedRay
-    alpha: tuple[Fraction, ...]
-    perm: tuple[int, ...]  # new index -> index in the input ray list
-    sigma1: StackyFan
-    sigma2: StackyFan
-
-    def __hash__(self) -> int:
+    @cached_property
+    def _hash(self) -> int:
         # the hash of the fields walks both fans, and every chart lookup
         # hashes the setup, so it is computed once and kept
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash(tuple(getattr(self, f.name) for f in fields(self)))
-            object.__setattr__(self, "_hash", cached)
-        return cached
+        return tuple.__hash__(self)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @cached_property
     def discrepancy(self) -> str:

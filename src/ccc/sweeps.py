@@ -10,8 +10,9 @@ the only enumerators.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cohoracle import (
     hom_from_supports,
@@ -107,20 +108,20 @@ def _check_pairs(sweep: str, pairs: int, what: str = "theta pairs") -> None:
         )
 
 
-@dataclass(frozen=True)
-class FFReport:
-    """Outcome of an exhaustive order-embedding sweep on a threshold window."""
+class FFReport(namedtuple("FFReport", "window pairs_checked violations verdict")):
+    """Outcome of an exhaustive order-embedding sweep on a threshold window.
 
-    window: int
-    pairs_checked: int
-    violations: tuple[tuple[ThetaIndex, ThetaIndex, str], ...]
-    verdict: str
+    Violations are (theta1, theta2, "forward" or "backward").
+    """
 
-    def __post_init__(self):
-        if self.verdict not in ("embedding", "violated"):
-            raise InvalidArgument(f"bad verdict {self.verdict!r}")
-        if (self.verdict == "embedding") != (len(self.violations) == 0):
+    __slots__ = ()
+
+    def __new__(cls, window: int, pairs_checked: int, violations: tuple, verdict: str):
+        if verdict not in ("embedding", "violated"):
+            raise InvalidArgument(f"bad verdict {verdict!r}")
+        if (verdict == "embedding") != (len(violations) == 0):
             raise InvalidArgument("verdict must be embedding exactly when no violations")
+        return super().__new__(cls, window, pairs_checked, violations, verdict)
 
 
 def poset_embedding_report(setup: SameBaseSetup, window: int) -> FFReport:
@@ -147,8 +148,7 @@ def poset_embedding_report(setup: SameBaseSetup, window: int) -> FFReport:
     return FFReport(window, len(thetas) ** 2, tuple(violations), verdict)
 
 
-@dataclass(frozen=True)
-class HomOracleReport:
+class HomOracleReport(NamedTuple):
     """Disagreements are (theta1, theta2, rule value, oracle value)."""
 
     window: int
@@ -192,8 +192,7 @@ def hom_oracle_sweep(
     return HomOracleReport(window, bound, len(thetas) ** 2, tuple(disagreements))
 
 
-@dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(NamedTuple):
     """Violations are (J, phi, point, kind): inner-escapes, outer-misses or stalk-mismatch."""
 
     window: int
@@ -278,8 +277,7 @@ def sandwich_sweep(setup: ContractionSetup, window: int) -> SandwichReport:
     return SandwichReport(window, len(keys), points, tuple(violations))
 
 
-@dataclass(frozen=True)
-class ContractibilityReport:
+class ContractibilityReport(NamedTuple):
     """Witnesses are (direction, key1, key2): push keys are thetas, pull keys charts."""
 
     window: int

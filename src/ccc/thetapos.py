@@ -9,32 +9,29 @@ drives every hom computation downstream.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import floor, gcd
+from typing import NamedTuple
 
 from .errors import InvalidArgument
 from .exactlin import Rational, RationalVector, linear_feasible, pair, solve_square
 from .stackyfan import Cone, StackyFan
 
 
-@dataclass(frozen=True)
-class ThetaIndex:
-    """A cone of a fan plus one integer threshold per ray of the cone."""
+class ThetaIndex(namedtuple("ThetaIndex", "fan cone t")):
+    """A cone of a StackyFan plus one integer threshold per ray of the cone."""
 
-    fan: StackyFan
-    cone: Cone
-    t: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", tuple(int(x) for x in self.t))
-        if not self.fan.has_cone(self.cone):
-            raise InvalidArgument(f"cone {self.cone.ray_indices} is not in the fan")
-        if len(self.t) != self.cone.dim:
+    def __new__(cls, fan: StackyFan, cone: Cone, t: tuple[int, ...]):
+        t = tuple(int(x) for x in t)
+        if not fan.has_cone(cone):
+            raise InvalidArgument(f"cone {cone.ray_indices} is not in the fan")
+        if len(t) != cone.dim:
             raise InvalidArgument(
-                f"theta has {len(self.t)} thresholds for a {self.cone.dim}-dimensional cone"
+                f"theta has {len(t)} thresholds for a {cone.dim}-dimensional cone"
             )
+        return super().__new__(cls, fan, cone, t)
 
     @cached_property
     def thresholds(self) -> dict[int, int]:
@@ -50,8 +47,7 @@ class ThetaIndex:
 Constraint = tuple[tuple[int, ...], Rational, bool]
 
 
-@dataclass(frozen=True)
-class Polyhedron:
+class Polyhedron(NamedTuple):
     """Finitely many closed or open half-space constraints in M_R."""
 
     dim: int
@@ -116,20 +112,19 @@ def leq(theta1: ThetaIndex, theta2: ThetaIndex) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class HomResult:
-    """Outcome of a hom computation between two theta indices."""
+class HomResult(namedtuple("HomResult", "value reason")):
+    """Outcome of a hom computation between two theta indices: value "C0" or "Zero"."""
 
-    value: str  # "C0" or "Zero"
-    reason: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.value not in ("C0", "Zero"):
-            raise InvalidArgument(f"bad hom value {self.value!r}")
-        if self.reason not in ("inclusion", "non-inclusion", "contractible-difference"):
-            raise InvalidArgument(f"bad hom reason {self.reason!r}")
-        if (self.value == "C0") != (self.reason == "inclusion"):
+    def __new__(cls, value: str, reason: str):
+        if value not in ("C0", "Zero"):
+            raise InvalidArgument(f"bad hom value {value!r}")
+        if reason not in ("inclusion", "non-inclusion", "contractible-difference"):
+            raise InvalidArgument(f"bad hom reason {reason!r}")
+        if (value == "C0") != (reason == "inclusion"):
             raise InvalidArgument("C0 exactly when the reason is inclusion")
+        return super().__new__(cls, value, reason)
 
 
 # the hom results, shared by every route that returns one
@@ -143,8 +138,7 @@ def hom_constructible(theta1: ThetaIndex, theta2: ThetaIndex) -> HomResult:
     return HOM_INCLUSION if leq(theta1, theta2) else HOM_NON_INCLUSION
 
 
-@dataclass(frozen=True)
-class LagrangianPiece:
+class LagrangianPiece(NamedTuple):
     """One piece base x (-sigma) of a 1-D skeleton: base t / b_i, or None for the zero section."""
 
     base: Fraction | None

@@ -19,8 +19,8 @@ from ccc.cli import Report, _build_parser, _Help, _verb_path, emit_report, run
 from ccc.cohoracle import hom_module_oracle
 from ccc.errors import InvalidArgument
 from ccc.fm import fm_case1, fm_line_bundle_case2
-from ccc.stackyfan import parse_contraction, parse_same_base, parse_stacky_fan
-from ccc.sweeps import witness_box
+from ccc.stackyfan import Cone, parse_contraction, parse_same_base, parse_stacky_fan
+from ccc.sweeps import poset_embedding_report, witness_box
 from ccc.thetapos import (
     HOM_NON_INCLUSION,
     format_theta,
@@ -226,7 +226,7 @@ def test_contract_pull_reports_rationals_as_strings(capsys):
     )
     assert code == 0
     assert rep.payload["s1"] == "3/4"
-    text = emit_report(Report(**rep.__dict__))
+    text = emit_report(Report(**rep._asdict()))
     assert "0.75" not in text
 
 
@@ -531,6 +531,24 @@ def test_emit_parse_roundtrip():
         emit_report(rep, format="yaml")
     with pytest.raises(InvalidArgument):
         parse_report('{"status": "ok"}')
+
+
+def _package_values():
+    fan = parse_stacky_fan(json.loads((DATA / "p13.json").read_text()))
+    same_base = parse_same_base(json.loads((DATA / "samebase_rev.json").read_text()))
+    return [parse_theta(fan, "cone=0;t=1"), Cone((0,)), poset_embedding_report(same_base, 1)]
+
+
+@pytest.mark.parametrize("value", _package_values(), ids=lambda v: type(v).__name__)
+def test_report_refuses_a_package_value(value):
+    # only plain lists and tuples serialize as JSON lists; a stray package
+    # value is refused by name, wherever it sits in the report
+    for payload in (value, {"key": value}, [1, (2, value)]):
+        with pytest.raises(InvalidArgument) as caught:
+            emit_report(Report(status="ok", payload=payload, witnesses=[]))
+        assert str(caught.value) == f"cannot serialize {type(value).__name__} into a report"
+    with pytest.raises(InvalidArgument):
+        emit_report(Report(status="ok", payload={}, witnesses=[value]))
 
 
 def test_plot_lagrangian_is_deterministic(capsys, tmp_path):

@@ -15,6 +15,12 @@ hold no true division (a stray ``/`` on ints yields a float that the
 float-literal rule cannot see) and no ``Fraction``.  A rule names a
 top-level function, or a method of a top-level class as ``Class.method``.
 
+No module of the package imports ``dataclasses``, ``inspect``, ``ast`` or
+``dis``, and a fresh ``import ccc.cli`` is checked to leave none of them
+loaded.  ``dataclasses`` pulls in the other three, and each decorated
+class ``exec``s its generated methods at import, which bytecode caching
+cannot spare: every cold ``ccc`` job would pay about 30 ms for it.
+
 Every ``functools`` cache of the package is bounded: ``lru_cache`` takes a
 finite ``maxsize``, and ``functools.cache`` is not used.
 
@@ -32,6 +38,8 @@ wrapper that only chains package calls for the tests lives in the tests.
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 import textwrap
 from pathlib import Path
@@ -60,6 +68,9 @@ TEST_ROUTES = {
     "case1_pullback": "the pullback to the lcm refinement that fm_case1 factors through",
     "case1_pushforward": "the pushforward from the lcm refinement that fm_case1 factors through",
 }
+
+# stdlib modules whose import cost a cold ``ccc`` start does not pay
+COLD_START_FREE = ("dataclasses", "inspect", "ast", "dis")
 
 # integer-only function or Class.method -> the module that defines it
 INTEGER_ONLY = {
@@ -131,6 +142,8 @@ def _violations(tree: ast.AST) -> list[str]:
         for name in names:
             if name.split(".")[0] not in sys.stdlib_module_names:
                 found.append(f"line {node.lineno}: imports {name}")
+            elif name.split(".")[0] in COLD_START_FREE:
+                found.append(f"line {node.lineno}: imports {name}, paid by every cold start")
         if isinstance(node, ast.Constant) and isinstance(node.value, float):
             found.append(f"line {node.lineno}: float literal {node.value!r}")
         if (
@@ -189,6 +202,12 @@ def test_guard_flags_each_rule():
         "line 6: unbounded cache",
         "line 7: unbounded cache",
     ]
+    slow = ast.parse("import dataclasses\nfrom dataclasses import dataclass\nimport os, inspect\n")
+    assert _violations(slow) == [
+        "line 1: imports dataclasses, paid by every cold start",
+        "line 2: imports dataclasses, paid by every cold start",
+        "line 3: imports inspect, paid by every cold start",
+    ]
     for name in INTEGER_ONLY:
         owner, _, func = name.rpartition(".")
         source = f"def {func}(a, b):\n    return Fraction(a) / b\n"
@@ -199,6 +218,20 @@ def test_guard_flags_each_rule():
             f"line {line}: true division in {name}",
             f"line {line}: Fraction in {name}",
         ]
+
+
+def test_cold_import_loads_no_generated_class_machinery():
+    # a fresh interpreter with its site, as a `ccc` job starts
+    code = "import sys, ccc.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(ccc.__file__).parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *COLD_START_FREE],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "[]\n"
 
 
 def _loads(tree: ast.AST, attributes_only: bool = False) -> list[str]:
