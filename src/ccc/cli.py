@@ -8,11 +8,12 @@ so identical inputs give byte-identical output.
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .errors import CCCError, InvalidArgument
@@ -86,8 +87,12 @@ def _load(path: str) -> dict:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise InvalidArgument(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidArgument(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InvalidArgument(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InvalidArgument(f"{path} nests too deeply to read") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -288,24 +293,18 @@ def _cmd_plot_region(args) -> Report:
 
 
 class _Help(Exception):
-    """-h or --help at any level: the parser's help text, for an ok report."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise InvalidArgument(message)
-
-    def print_help(self, file=None):
-        raise _Help(self.format_help())
+    """-h or --help at any level: the help text of that level, for an ok report."""
 
 
 def _arg(*flags, **options) -> tuple:
     return flags, options
 
 
-# The verb tree, declared once for the parser builder and the path picker.
-# A group is (help, {name: node}); a leaf is (help, handler, arguments), where
-# an argument is an _arg or a list of them forming a required one-of group.
+# The verb tree, the one declaration of the command line.  A group is
+# (help, {name: node}); a leaf is (help, handler, arguments), where an
+# argument is an _arg or a list of them forming a required one-of group.
+# An _arg takes argparse's option words: required, default, type=int,
+# action="store_true" and help.
 _VERB_TREE = {
     "validate": ("parse and validate a stacky fan file", _cmd_validate, [_arg("file")]),
     "hom": ("hom between two theta indices", _cmd_hom, [
@@ -372,64 +371,237 @@ _VERB_TREE = {
     }),
 }
 
+_DESCRIPTION = "Exact toric orbifold kernel"
+_PRETTY = _arg("--pretty", action="store_true", help="indent the JSON report")
+_HELP = _arg("-h", "--help", action="help", help="show this help and exit")
+_FLAG_ACTIONS = ("help", "store_true")  # arguments that take no value
+_VERB_DESTS = ("verb", "subverb")  # the field a group's choice fills, by depth
 
-def _verb_path(argv) -> tuple[str, ...] | None:
-    """The leaf verb that argv names after any leading --pretty, else None.
 
-    Only an exact (verb,) or (verb, subverb) right there counts.  Help at
-    the top or middle level, a missing or unknown verb, and every other
-    argv give None: those are the argvs whose report can list sibling
-    verbs, so they get the whole tree.
+def _arguments(path, node) -> list:
+    """A level's arguments after -h: --pretty at the top, none in a group, a leaf's own."""
+    if isinstance(node[1], dict):
+        return [] if path else [_PRETTY]
+    return node[2]
+
+
+def _dest(flags) -> str:
+    """The field an argument fills: its first long flag's name, or its own name."""
+    long = [flag for flag in flags if flag.startswith("--")]
+    return (long or flags)[0].lstrip("-").replace("-", "_")
+
+
+def _refusal(flags, message: str) -> InvalidArgument:
+    return InvalidArgument(f"argument {'/'.join(flags)}: {message}")
+
+
+def _classify(token: str, options: dict):
+    """How a level reads token: "A" for a value, else (argument, flag, attached value).
+
+    The argument is None for an unknown option, the attached value None
+    when the token carries none.
     """
-    i = 0
-    while i < len(argv) and argv[i] == "--pretty":
-        i += 1
-    path, tree = (), _VERB_TREE
-    for token in argv[i : i + 2]:
-        node = tree.get(token)
-        if node is None:
-            return None
-        path += (token,)
-        if not isinstance(node[1], dict):
-            return path
-        tree = node[1]
+    if not token.startswith("-"):
+        return "A"
+    if token in options:
+        return options[token], token, None
+    if len(token) == 1:
+        return "A"
+    flag, eq, value = token.partition("=")
+    if eq and flag in options:
+        return options[flag], flag, value
+    if token[1] != "-" and token[:2] in options:
+        return options[token[:2]], token[:2], token[2:]
+    if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token:  # argparse's negative number
+        return "A"
+    return None, token, None
+
+
+def _read_level(tokens, path, node, fields, extras):
+    """Read one level of argv into fields: the top or a group up to its verb, or a leaf.
+
+    Returns the verb a group names and the tokens after it, or None at a
+    leaf.  An unknown option, or a value no argument takes, goes to extras.
+    """
+    group = node[1] if isinstance(node[1], dict) else None
+    arguments = _arguments(path, node)
+    one_of = [flags for arg in arguments if isinstance(arg, list) for flags, _ in arg]
+    declared = [_HELP]
+    for arg in arguments:
+        declared += arg if isinstance(arg, list) else [arg]
+    options = {flag: arg for arg in declared for flag in arg[0] if flag.startswith("-")}
+    positional = next((arg for arg in declared if arg[0][0] not in options), None)
+    for flags, opts in declared[1:]:
+        default = False if opts.get("action") == "store_true" else None
+        fields[_dest(flags)] = opts.get("default", default)
+    if group is None:
+        fields["handler"] = node[1]
+    else:
+        dest = _VERB_DESTS[len(path)]
+        fields[dest] = None
+    kinds = []
+    for i, token in enumerate(tokens):
+        if token == "--":  # every later token is a value
+            kinds += ["-"] + ["A"] * (len(tokens) - i - 1)
+            break
+        kinds.append(_classify(token, options))
+    seen = set()
+
+    def take(arg, value):
+        flags, opts = arg
+        seen.add(flags)
+        if opts.get("action") == "help":
+            raise _Help(_help(path, node))
+        if opts.get("action") == "store_true":
+            value = True
+        elif "type" in opts:
+            try:
+                value = opts["type"](value)
+            except (TypeError, ValueError):
+                name = opts["type"].__name__
+                raise _refusal(flags, f"invalid {name} value: {value!r}") from None
+        for other in one_of if flags in one_of else ():
+            if other != flags and other in seen:
+                raise _refusal(flags, f"not allowed with argument {'/'.join(other)}")
+        fields[_dest(flags)] = value
+
+    i, n = 0, len(tokens)
+    while i < n:
+        kind = kinds[i]
+        if isinstance(kind, str):
+            # the positional, with a "--" just before it or just after it
+            at = i + (kind == "-")
+            if at == n or (group is None and positional[0] in seen):
+                extras.append(tokens[i])
+                i += 1
+            elif group is None:
+                take(positional, tokens[at])
+                i = at + 1 + (at + 1 < n and kinds[at + 1] == "-")
+            elif tokens[i] in group:
+                fields[dest] = tokens[i]
+                return tokens[i], tokens[i + 1 :]
+            else:
+                choices = ", ".join(map(repr, group))
+                raise InvalidArgument(
+                    f"argument {dest}: invalid choice: {tokens[i]!r} (choose from {choices})"
+                )
+            continue
+        arg, flag, attached = kind
+        if arg is None:
+            extras.append(tokens[i])
+            i += 1
+            continue
+        taken = []
+        while True:
+            flags, opts = arg
+            takes_value = opts.get("action") not in _FLAG_ACTIONS
+            if attached is None:
+                if not takes_value:
+                    taken.append((arg, None))
+                    i += 1
+                elif i + 1 < n and kinds[i + 1] == "A":
+                    taken.append((arg, tokens[i + 1]))
+                    i += 2
+                else:
+                    raise _refusal(flags, "expected one argument")
+                break
+            if takes_value:
+                taken.append((arg, attached))
+                i += 1
+                break
+            # -hXY is -h then -XY; a long flag or -h= takes no attached value
+            if flag[1] == "-" or not attached or "-" + attached[0] not in options:
+                raise _refusal(flags, f"ignored explicit argument {attached!r}")
+            taken.append((arg, None))
+            flag = "-" + attached[0]
+            arg, attached = options[flag], attached[1:] or None
+        for arg, value in taken:
+            take(arg, value)
+    if group is not None:
+        raise InvalidArgument(f"the following arguments are required: {dest}")
+    missing = [
+        "/".join(flags)
+        for flags, opts in declared
+        if flags not in seen and (opts.get("required") or flags == positional[0])
+    ]
+    if missing:
+        raise InvalidArgument(f"the following arguments are required: {', '.join(missing)}")
+    if one_of and not seen.intersection(one_of):
+        names = " ".join("/".join(flags) for flags in one_of)
+        raise InvalidArgument(f"one of the arguments {names} is required")
     return None
 
 
-def _add_verbs(parser, tree: dict, dests: tuple[str, ...], path) -> None:
-    """Subparsers for the nodes of tree, or for the one node path names."""
-    sub = parser.add_subparsers(dest=dests[0], required=True)
+def _parse(argv) -> SimpleNamespace:
+    """The fields argv names, read off _VERB_TREE by argparse's rules and refusals.
+
+    The top, a group and a leaf each read their own options in argv order,
+    and one positional: a group's verb, which takes every token after it,
+    or a leaf's file.  No option is abbreviated.  `--name=value` and
+    `-ovalue` carry their value; a token that starts with "-" is a value
+    only as a negative number or with a space in it; every token after
+    `--` is a value.  A bad value, and -h, count where they stand in argv;
+    a missing argument, and then unrecognized ones, only at the end.
+    """
+    fields, extras = {}, []
+    path, node, tokens = (), (_DESCRIPTION, _VERB_TREE), list(argv)
+    while (chosen := _read_level(tokens, path, node, fields, extras)) is not None:
+        name, tokens = chosen
+        path, node = path + (name,), node[1][name]
+    if extras:
+        raise InvalidArgument(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**fields)
+
+
+def _metavar(flags, opts) -> str:
+    """The value an option takes, as help shows it: " WINDOW", or "" if it takes none."""
+    if flags[0].startswith("-") and opts.get("action") not in _FLAG_ACTIONS:
+        return " " + _dest(flags).upper()
+    return ""
+
+
+def _usage(arg, required=False) -> str:
+    """An argument as a usage line shows it: file, [--box BOX], -o OUT, (a | b)."""
+    if isinstance(arg, list):
+        return "(" + " | ".join(_usage(member, required=True) for member in arg) + ")"
+    flags, opts = arg
+    word = flags[0] + _metavar(flags, opts)
+    if required or opts.get("required") or not flags[0].startswith("-"):
+        return word
+    return f"[{word}]"
+
+
+def _verb_rows(tree: dict, indent: str = ""):
     for name, node in tree.items():
-        if path and name != path[0]:
-            continue
-        p = sub.add_parser(name, help=node[0])
+        yield indent + name, node[0]
         if isinstance(node[1], dict):
-            _add_verbs(p, node[1], dests[1:], path[1:] if path else None)
-            continue
-        _, handler, arguments = node
-        for arg in arguments:
-            if isinstance(arg, list):
-                group = p.add_mutually_exclusive_group(required=True)
-                for flags, options in arg:
-                    group.add_argument(*flags, **options)
-            else:
-                p.add_argument(*arg[0], **arg[1])
-        p.set_defaults(handler=handler)
+            yield from _verb_rows(node[1], indent + "  ")
 
 
-def _build_parser(path=None) -> _Parser:
-    """The parser for the leaf verb path names, or for the whole tree."""
-    # no abbreviations: run() reads --pretty off argv verbatim, before parsing
-    parser = _Parser(prog="ccc", description="Exact toric orbifold kernel", allow_abbrev=False)
-    parser.add_argument("--pretty", action="store_true", help="indent the JSON report")
-    _add_verbs(parser, _VERB_TREE, ("verb", "subverb"), path)
-    return parser
+def _help(path, node) -> str:
+    """The help of one level: usage, what it does, its arguments, and every verb below it."""
+    arguments = _arguments(path, node)
+    usage = ["usage: ccc", *path, *map(_usage, [_HELP, *arguments])]
+    rows = []
+    for arg in [_HELP, *arguments]:
+        for flags, opts in arg if isinstance(arg, list) else [arg]:
+            text = opts.get("help", "")
+            if "default" in opts:
+                text += f" (default {opts['default']})"
+            rows.append((", ".join(flags) + _metavar(flags, opts), text.strip()))
+    if isinstance(node[1], dict):
+        usage.append("{" + ",".join(node[1]) + "} ...")
+        rows += _verb_rows(node[1])
+    width = max(len(label) for label, _ in rows) + 2
+    lines = [" ".join(usage), "", node[0], ""]
+    lines += [f"  {label:<{width}}{text}".rstrip() for label, text in rows]
+    return "\n".join(lines) + "\n"
 
 
 def run(argv) -> int:
     fmt = "pretty" if "--pretty" in argv else "json-lines"
     try:
-        args = _build_parser(_verb_path(argv)).parse_args(argv)
+        args = _parse(argv)
         report = args.handler(args)
     except _Help as exc:
         report = Report(status="ok", payload={"help": str(exc)}, witnesses=[])

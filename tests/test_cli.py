@@ -15,7 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ccc
-from ccc.cli import Report, _build_parser, _Help, _verb_path, emit_report, run
+from ccc.cli import (
+    _DESCRIPTION,
+    _PRETTY,
+    _VERB_TREE,
+    Report,
+    _Help,
+    _parse,
+    emit_report,
+    run,
+)
 from ccc.cohoracle import hom_module_oracle
 from ccc.errors import InvalidArgument
 from ccc.fm import fm_case1, fm_line_bundle_case2
@@ -422,20 +431,26 @@ _GHOST = {**_FAN, "rays": [{"v": [1]}, {"v": [-1]}, {"v": [1]}]}
              "--theta2", "cone=0;t=0", "--oracle"],
             None,
         ),
+        (["validate"], b"\xff\xfe{}"),
+        (["validate"], b"[" * 100000),
     ],
     ids=[
         "cone-not-a-list", "rays-not-a-list", "v-not-a-list", "v-not-integers",
         "cone-not-integers", "extra-not-an-object", "ray-not-an-object",
         "weights-not-a-list", "ray-in-no-cone", "dim-boolean", "weight-boolean",
         "extra-weight-boolean", "weights-r-boolean", "weights-s-boolean",
-        "unwritable-figure", "oracle-box-too-large",
+        "unwritable-figure", "oracle-box-too-large", "not-utf8", "nested-too-deep",
     ],
 )
 def test_malformed_input_is_invalid_input(capsys, tmp_path, argv, doc):
+    # doc is a JSON value to write, raw bytes to write as they are, or None
     argv = [arg.replace("{missing}", str(tmp_path / "missing" / "x.svg")) for arg in argv]
-    if doc is not None:
-        path = tmp_path / "doc.json"
+    path = tmp_path / "doc.json"
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    elif doc is not None:
         path.write_text(json.dumps(doc), encoding="utf-8")
+    if doc is not None:
         argv.append(str(path))
     code = run(argv)
     lines = capsys.readouterr().out.splitlines()
@@ -444,6 +459,8 @@ def test_malformed_input_is_invalid_input(capsys, tmp_path, argv, doc):
     rep = parse_report(lines[0])
     assert rep.status == "invalid-input"
     assert rep.payload["error"]
+    if isinstance(doc, bytes):
+        assert str(path) in rep.payload["error"]
 
 
 @pytest.mark.parametrize(
@@ -688,72 +705,278 @@ _VERBS = {
 }
 
 
-def _parsed(parser, argv):
-    """The namespace argv parses to, or the refusal or help text it gets."""
+class _ReferenceHelp(Exception):
+    """The reference parser's -h or --help."""
+
+
+class _Reference(argparse.ArgumentParser):
+    def error(self, message):
+        raise InvalidArgument(message)
+
+    def print_help(self, file=None):
+        raise _ReferenceHelp(self.format_help())
+
+
+def _add_verbs(parser, tree: dict, dests: tuple[str, ...]) -> None:
+    sub = parser.add_subparsers(dest=dests[0], required=True)
+    for name, node in tree.items():
+        p = sub.add_parser(name, help=node[0], allow_abbrev=False)
+        if isinstance(node[1], dict):
+            _add_verbs(p, node[1], dests[1:])
+            continue
+        _, handler, arguments = node
+        for arg in arguments:
+            if isinstance(arg, list):
+                group = p.add_mutually_exclusive_group(required=True)
+                for flags, options in arg:
+                    group.add_argument(*flags, **options)
+            else:
+                p.add_argument(*arg[0], **arg[1])
+        p.set_defaults(handler=handler)
+
+
+def _reference_parser() -> _Reference:
+    """The verb tree as argparse reads it, with no abbreviations at any level."""
+    parser = _Reference(prog="ccc", description=_DESCRIPTION, allow_abbrev=False)
+    parser.add_argument(*_PRETTY[0], **_PRETTY[1])
+    _add_verbs(parser, _VERB_TREE, ("verb", "subverb"))
+    return parser
+
+
+_REFERENCE = _reference_parser()
+
+
+def _outcome(argv):
+    """What the ccc parser makes of argv: its fields, its refusal, or help."""
     try:
-        return vars(parser.parse_args(argv))
-    except (InvalidArgument, _Help) as exc:
-        return type(exc).__name__, str(exc)
+        return "fields", vars(_parse(argv))
+    except InvalidArgument as exc:
+        return "refused", str(exc)
+    except _Help:
+        return "help", None
 
 
-def assert_filtered_parse_matches(argv):
-    """The parser built for argv's verb path parses argv as the whole tree does."""
-    assert _parsed(_build_parser(_verb_path(argv)), argv) == _parsed(_build_parser(), argv)
+def _reference_outcome(argv):
+    try:
+        return "fields", vars(_REFERENCE.parse_args(argv))
+    except InvalidArgument as exc:
+        return "refused", str(exc)
+    except _ReferenceHelp:
+        return "help", None
 
 
-def _leaves(parser, prefix=()):
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for name, child in action.choices.items():
-                yield from _leaves(child, prefix + (name,))
-            return
-    yield prefix
+def assert_parse_matches_reference(argv):
+    """argv gives the fields and handler, the refusal or the help that argparse gives."""
+    assert _outcome(list(argv)) == _reference_outcome(list(argv))
 
 
-def test_every_leaf_is_a_path_the_picker_selects():
-    leaves = set(_leaves(_build_parser()))
-    assert leaves == set(_VERBS)
-    for leaf in leaves:
-        assert _verb_path([*leaf, "f.json"]) == leaf
-        assert _verb_path(["--pretty", *leaf]) == leaf
-        assert set(_leaves(_build_parser(leaf))) == {leaf}
+def _tree_paths(tree=_VERB_TREE, prefix=()):
+    """Every verb path of the tree, groups and leaves, each group before its verbs."""
+    for name, node in tree.items():
+        yield prefix + (name,)
+        if isinstance(node[1], dict):
+            yield from _tree_paths(node[1], prefix + (name,))
+
+
+def _node(path):
+    node = ("", _VERB_TREE)
+    for name in path:
+        node = node[1][name]
+    return node
+
+
+_LEAVES = [path for path in _tree_paths() if not isinstance(_node(path)[1], dict)]
+
+
+def _leaf_arguments(path) -> list[tuple[str, ...]]:
+    """The flags of each argument of a leaf, one-of groups flattened."""
+    return [
+        flags for arg in _node(path)[2] for flags, _ in (arg if isinstance(arg, list) else [arg])
+    ]
+
+
+def _leaf_flags(path) -> list[str]:
+    return [flag for flags in _leaf_arguments(path) for flag in flags]
+
+
+def test_fuzzed_verbs_are_the_leaves_of_the_tree():
+    assert sorted(_VERBS) == sorted(_LEAVES)
+    for path in _LEAVES:
+        options = {flags[0] for flags in _leaf_arguments(path) if flags[0].startswith("-")}
+        assert set(_VERBS[path]) == options
 
 
 @pytest.mark.parametrize("verb", sorted(_VERBS))
-def test_filtered_parser_matches_whole_tree_per_leaf(verb):
+def test_parser_matches_reference_per_leaf(verb):
     path = str(DATA / "p13.json")
     for argv in (
         [*verb, path],
         [*verb, "-h"],
         [*verb, path, "--help", "--window", "x"],
+        [*verb, path, "--window", "x", "--help"],
         ["--pretty", *verb, path, *_VERBS[verb][:1], "1"],
+        [*verb, path, *_VERBS[verb][-1:], "-1"],
+        [*verb, path, *_VERBS[verb][-1:], "-1,1"],
+        [*verb, path, *(f"{flag}=-1,1" for flag in _VERBS[verb])],
         [*verb, path, "--pretty", "--bogus"],
+        [*verb, "--", path],
+        [*verb, path, "--"],
+        [*verb, path, "--", "x"],
+        [*verb, "--", "--", path],
+        [*verb, "-h=", path],
+        [*verb, "-hx", path],
+        [*verb, path, "-ho", "x.svg"],
+        [*verb, path, "-ox.svg", "--oracle=x"],
         [*verb],
     ):
-        assert_filtered_parse_matches(argv)
+        assert_parse_matches_reference(argv)
 
 
-@pytest.mark.parametrize("argv, path", [
-    ([], None),
-    (["-h"], None),
-    (["--pretty", "--help"], None),
-    (["check"], None),
-    (["check", "-h"], None),
-    (["fm", "--help"], None),
-    (["check", "bogus"], None),
-    (["bogus", "validate"], None),
-    (["check", "--pretty", "hom-oracle", "F"], None),
-    (["--", "validate", "F"], None),
-    (["--pretty", "--pretty", "hom", "F", "--theta1", "cone=0;t=1", "--theta2", "cone=;t="],
-     ("hom",)),
-    (["validate", "-h"], ("validate",)),
-    (["check", "hom-oracle", "-h"], ("check", "hom-oracle")),
-    (["plot", "region", "F", "--help"], ("plot", "region")),
+@pytest.mark.parametrize("argv", [
+    [],
+    ["-h"],
+    ["--pretty", "--help"],
+    ["--help=x"],
+    ["--pretty=x", "validate", "F"],
+    ["-hx"],
+    ["check"],
+    ["check", "-h"],
+    ["fm", "--help"],
+    ["check", "bogus"],
+    ["check", "bogus", "-h"],
+    ["check", "--bogus"],
+    ["check", "--window", "2", "hom-oracle", "F"],
+    ["bogus", "validate"],
+    ["check", "--pretty", "hom-oracle", "F"],
+    ["--", "validate", "F"],
+    ["--"],
+    ["check", "--"],
+    ["--bogus", "validate", "F"],
+    ["--pretty", "--pretty", "hom", "F", "--theta1", "cone=0;t=1", "--theta2", "cone=;t="],
+    ["hom", "F", "--theta1=cone=0;t=1", "--theta2", "cone=;t=", "--oracle", "--oracle"],
+    ["hom", "F", "--theta1", "-1 1", "--theta2", "-.5", "--box", "-2"],
+    ["hom", "F", "--theta1", "-1\n", "--theta2", "-1.", "--box", "-"],
+    ["hom", "F", "--theta1", "", "--theta2", "--", "--box", "1"],
+    ["validate", "-h"],
+    ["validate", "F", "G", "--", "H"],
+    ["check", "hom-oracle", "-h"],
+    ["check", "hom-oracle", "F", "--window", " 3 "],
+    ["check", "hom-oracle", "F", "--window", "\u0663", "--window=-2"],
+    ["check", "hom-oracle", "F", "--window", "4", "--box="],
+    ["check", "hom-oracle", "F", "--win", "2"],
+    ["check", "hom-oracle", "F", "--window"],
+    ["fm", "same-base", "F", "--bundle", "1", "--bundle", "2"],
+    ["fm", "same-base", "F", "--theta", "t", "--bundle", "1"],
+    ["fm", "same-base", "F", "--bundle", "1", "--theta", "t", "-h"],
+    ["fm", "same-base", "F", "-h", "--bundle", "1", "--theta", "t"],
+    ["fm", "contract-pull", "F", "--J", "1", "--phi", "-1,1"],
+    ["fm", "contract-pull", "F", "--J", "1", "--phi=-1,1", "--J=2"],
+    ["plot", "region", "F", "--help"],
+    ["plot", "region", "F", "-o=x.svg", "--theta", "t"],
+    ["plot", "region", "F", "-ox.svg", "-o", "y.svg"],
+    ["plot", "region", "F", "-o"],
+    ["plot", "lagrangian", "-o", "F", "x.svg"],
+    ["plot", "lagrangian", "F", "-hox.svg"],
+    ["plot", "lagrangian", "F", "-oh"],
+    ["plot", "lagrangian", "F", "--out", "x.svg", "-h=x"],
 ])
-def test_filtered_parser_matches_whole_tree_pinned(argv, path):
+def test_parser_matches_reference_pinned(argv):
     argv = [str(DATA / "p13.json") if a == "F" else a for a in argv]
-    assert _verb_path(argv) == path
-    assert_filtered_parse_matches(argv)
+    assert_parse_matches_reference(argv)
+
+
+# one token pool per fuzzed argv: every verb and flag, and the forms argparse reads
+# specially (attached values, joined short flags, "--", negative numbers, spaces)
+_TOKENS = sorted({name for path in _tree_paths() for name in path} | {
+    flag for path in _LEAVES for flag in _leaf_flags(path)
+} | {
+    "--pretty", "-h", "--help", "--", "-", "", "x", "F", "1", "-1", "-1,1", "-.5", "-1.",
+    "a b", "-1\n", "-ofile", "-o=x", "-ho", "-hx", "-h=", "--help=x", "--pretty=", "--oracle=",
+    "--oracle=x", "--window=2", "--window=x", "--win", "--win=2", "--bundle=1", "--J=-1",
+    "--out=", "-x", "--bogus", "--theta1=t",
+})
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.sampled_from(_TOKENS), max_size=2),
+    st.sampled_from([(), *_tree_paths()]),
+    st.lists(st.sampled_from(_TOKENS), max_size=8),
+)
+def test_parser_matches_reference_on_any_tokens(before, path, after):
+    assert_parse_matches_reference([*before, *path, *after])
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["hom", "F"], "the following arguments are required: --theta1, --theta2"),
+    (["check", "hom-oracle", "F", "--window", "x"], "argument --window: invalid int value: 'x'"),
+    (["fm", "same-base", "F"], "one of the arguments --bundle --theta is required"),
+    (
+        ["fm", "same-base", "F", "--bundle", "1,1", "--theta", "cone=0;t=1"],
+        "argument --theta: not allowed with argument --bundle",
+    ),
+    (["validate", "F", "b"], "unrecognized arguments: b"),
+    (
+        ["check", "bogus"],
+        "argument subverb: invalid choice: 'bogus' (choose from 'poset-embedding', "
+        "'hom-oracle', 'case3-sandwich', 'contractibility-2d')",
+    ),
+    (["check"], "the following arguments are required: subverb"),
+    (
+        ["fm", "contract-pull", "F", "--J", "1,2", "--phi", "-1,0"],
+        "argument --phi: expected one argument",
+    ),
+])
+def test_refusal_messages_keep_their_wording(capsys, argv, error):
+    argv = [str(DATA / "contract_crepant_a1.json") if a == "F" else a for a in argv]
+    code, rep = invoke(capsys, *argv)
+    assert code == 1
+    assert rep.payload == {"error": error}
+
+
+@pytest.mark.parametrize("argv, rest", [
+    (["check", "hom-oracle", "p112.json", "--win", "2"], "--win 2"),
+    (["check", "hom-oracle", "p112.json", "--window=2", "--bo", "3"], "--bo 3"),
+    (["hom", "p13.json", "--theta1", "cone=;t=", "--theta2", "cone=;t=", "--orac"], "--orac"),
+    (["fm", "same-base", "samebase_p12_p13.json", "--theta", "cone=0;t=2", "--bund=3,0"],
+     "--bund=3,0"),
+    (["plot", "lagrangian", "p13.json", "-o", "x.svg", "--wind", "3"], "--wind 3"),
+])
+def test_abbreviated_options_are_refused_below_the_top(capsys, argv, rest):
+    # argparse's subparsers took --win for --window; no level takes an abbreviation now
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    code, rep = invoke(capsys, *argv)
+    assert code == 1
+    assert rep.payload["error"].endswith(f"unrecognized arguments: {rest}")
+    assert _reference_outcome(argv)[0] == "refused"
+
+
+def _help_text(capsys, *argv) -> str:
+    code, rep = invoke(capsys, *argv, "--help")
+    assert code == 0
+    return rep.payload["help"]
+
+
+@pytest.mark.parametrize("path", _LEAVES, ids=" ".join)
+def test_leaf_help_lists_every_option(capsys, path):
+    text = _help_text(capsys, *path)
+    assert text.startswith(f"usage: ccc {' '.join(path)} [-h] file")
+    assert _node(path)[0] in text
+    for flag in _leaf_flags(path):
+        assert re.search(rf"(^|[\s\[(]){re.escape(flag)}\b", text), flag
+
+
+def test_top_and_group_help_list_every_verb_below_them(capsys):
+    top = _help_text(capsys)
+    assert top.startswith("usage: ccc [-h] [--pretty] ")
+    assert _DESCRIPTION in top and "--pretty" in top
+    for path in _tree_paths():
+        assert re.search(rf"^ +{re.escape(path[-1])} +{re.escape(_node(path)[0])}$", top, re.M)
+        if isinstance(_node(path)[1], dict):
+            text = _help_text(capsys, *path)
+            assert text.startswith(f"usage: ccc {path[0]} [-h] ")
+            for name, node in _node(path)[1].items():
+                assert re.search(rf"^ +{re.escape(name)} +{re.escape(node[0])}$", text, re.M)
 
 
 _THETAS = st.sampled_from([
@@ -824,7 +1047,7 @@ def test_run_gives_one_report_for_any_argv(tmp_path_factory, data):
             argv.append(data.draw(_VALUES[flag]))
     if data.draw(st.booleans()):
         argv.insert(data.draw(st.integers(0, len(argv))), "--pretty")
-    assert_filtered_parse_matches(argv)
+    assert_parse_matches_reference(argv)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = run(argv)

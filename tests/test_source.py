@@ -15,11 +15,15 @@ hold no true division (a stray ``/`` on ints yields a float that the
 float-literal rule cannot see) and no ``Fraction``.  A rule names a
 top-level function, or a method of a top-level class as ``Class.method``.
 
-No module of the package imports ``dataclasses``, ``inspect``, ``ast`` or
-``dis``, and a fresh ``import ccc.cli`` is checked to leave none of them
-loaded.  ``dataclasses`` pulls in the other three, and each decorated
-class ``exec``s its generated methods at import, which bytecode caching
-cannot spare: every cold ``ccc`` job would pay about 30 ms for it.
+No module of the package imports ``dataclasses``, ``inspect``, ``ast``,
+``dis``, ``argparse``, ``gettext`` or ``locale``, and a fresh interpreter
+that imports ``ccc.cli`` and runs one argv of every leaf verb is checked to
+leave none of them loaded, so a lazy import cannot move the cost into the
+timed call either.  ``dataclasses`` pulls in the next three, and each
+decorated class ``exec``s its generated methods at import, which bytecode
+caching cannot spare: every cold ``ccc`` job would pay about 30 ms for it.
+``argparse`` pulls in ``gettext``, whose first message imports ``locale``:
+about 3 ms of import and 3 ms of first use per job.
 
 Every ``functools`` cache of the package is bounded: ``lru_cache`` takes a
 finite ``maxsize``, and ``functools.cache`` is not used.
@@ -38,6 +42,7 @@ wrapper that only chains package calls for the tests lives in the tests.
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -70,7 +75,7 @@ TEST_ROUTES = {
 }
 
 # stdlib modules whose import cost a cold ``ccc`` start does not pay
-COLD_START_FREE = ("dataclasses", "inspect", "ast", "dis")
+COLD_START_FREE = ("dataclasses", "inspect", "ast", "dis", "argparse", "gettext", "locale")
 
 # integer-only function or Class.method -> the module that defines it
 INTEGER_ONLY = {
@@ -202,11 +207,15 @@ def test_guard_flags_each_rule():
         "line 6: unbounded cache",
         "line 7: unbounded cache",
     ]
-    slow = ast.parse("import dataclasses\nfrom dataclasses import dataclass\nimport os, inspect\n")
+    slow = ast.parse(
+        "import dataclasses\nfrom dataclasses import dataclass\nimport os, inspect\n"
+        "def parse():\n    import argparse\n"
+    )
     assert _violations(slow) == [
         "line 1: imports dataclasses, paid by every cold start",
         "line 2: imports dataclasses, paid by every cold start",
         "line 3: imports inspect, paid by every cold start",
+        "line 5: imports argparse, paid by every cold start",
     ]
     for name in INTEGER_ONLY:
         owner, _, func = name.rpartition(".")
@@ -220,18 +229,59 @@ def test_guard_flags_each_rule():
         ]
 
 
-def test_cold_import_loads_no_generated_class_machinery():
-    # a fresh interpreter with its site, as a `ccc` job starts
-    code = "import sys, ccc.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+# one valid argv per leaf verb; "{out}" is a figure path in a scratch directory
+COLD_ARGVS = {
+    ("validate",): ["p13.json"],
+    ("hom",): ["p13.json", "--theta1", "cone=0;t=1", "--theta2", "cone=0;t=0", "--oracle"],
+    ("fm", "same-base"): ["samebase_p12_p13.json", "--bundle", "3,0"],
+    ("fm", "contract-push"): ["contract_crepant_a1.json", "--theta", "cone=0;t=1"],
+    ("fm", "contract-pull"): ["contract_crepant_a1.json", "--J", "1,2", "--phi=-1,0"],
+    ("check", "poset-embedding"): ["samebase_p12_p13.json", "--window", "1"],
+    ("check", "hom-oracle"): ["p13.json", "--window", "1"],
+    ("check", "case3-sandwich"): ["contract_om3.json", "--window", "0"],
+    ("check", "contractibility-2d"): ["contract_crepant_a1.json", "--window", "0"],
+    ("plot", "lagrangian"): ["p13.json", "-o", "{out}"],
+    ("plot", "region"): ["p112.json", "--theta", "cone=0,1;t=1,0", "-o", "{out}"],
+}
+
+
+def _leaf_paths(tree: dict, prefix=()):
+    for name, node in tree.items():
+        if isinstance(node[1], dict):
+            yield from _leaf_paths(node[1], prefix + (name,))
+        else:
+            yield prefix + (name,)
+
+
+def test_cold_import_loads_no_generated_class_machinery(tmp_path):
+    # a fresh interpreter with its site, as a `ccc` job starts: import, then
+    # one run of every leaf verb, so a lazy import inside a verb shows too
+    from ccc.cli import _VERB_TREE
+
+    assert sorted(COLD_ARGVS) == sorted(_leaf_paths(_VERB_TREE))
+    data = Path(ccc.__file__).parent / "data"
+    out = str(tmp_path / "figure.svg")
+    argvs = [
+        [*path, str(data / args[0]), *(a.replace("{out}", out) for a in args[1:])]
+        for path, args in COLD_ARGVS.items()
+    ]
+    code = (
+        "import io, json, sys\n"
+        "import ccc.cli\n"
+        "stdout, sys.stdout = sys.stdout, io.StringIO()\n"
+        "codes = [ccc.cli.run(argv) for argv in json.loads(sys.argv[1])]\n"
+        "sys.stdout = stdout\n"
+        "print(codes, sorted(set(sys.argv[2:]) & set(sys.modules)))\n"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(ccc.__file__).parent.parent)}
     done = subprocess.run(
-        [sys.executable, "-c", code, *COLD_START_FREE],
+        [sys.executable, "-c", code, json.dumps(argvs), *COLD_START_FREE],
         env=env,
         capture_output=True,
         text=True,
         check=True,
     )
-    assert done.stdout == "[]\n"
+    assert done.stdout == f"{[0] * len(argvs)} []\n"
 
 
 def _loads(tree: ast.AST, attributes_only: bool = False) -> list[str]:
@@ -352,7 +402,7 @@ def test_test_routes_are_defined_once_and_read_only_by_tests():
 
 def test_inherited_methods_are_the_overrides():
     inherited = {name for name in _inherited_methods() if not _is_dunder(name.split(".")[1])}
-    assert inherited == {"_Parser.error", "_Parser.print_help"}
+    assert inherited == set()
 
 
 def test_dead_definition_rule_flags_unread_names():
