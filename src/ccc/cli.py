@@ -240,8 +240,8 @@ def _cmd_check_contractibility(args) -> Report:
     rep = contractibility_sweep(
         setup,
         args.window,
-        bbox=_rational(args.box) if args.box else Fraction(6),
-        step=_rational(args.step) if args.step else Fraction(1, 4),
+        bbox=_rational(args.box) if args.box else None,
+        step=_rational(args.step) if args.step else None,
     )
     witnesses = [[tag, *_sweep_key(k1), *_sweep_key(k2)] for tag, k1, k2 in rep.witnesses]
     return _check_report(rep, witnesses)
@@ -599,9 +599,12 @@ def _help(path, node) -> str:
 
 
 def run(argv) -> int:
-    fmt = "pretty" if "--pretty" in argv else "json-lines"
+    # the format is the parsed top-level flag: a refusal or help prints one line
+    fmt = "json-lines"
     try:
         args = _parse(argv)
+        if args.pretty:
+            fmt = "pretty"
         report = args.handler(args)
     except _Help as exc:
         report = Report(status="ok", payload={"help": str(exc)}, witnesses=[])

@@ -451,8 +451,8 @@ def as_pixel_predicate(obj):
     raise InvalidArgument(f"no pixel predicate for {type(obj).__name__}")
 
 
-# the most pixels per side of a raster grid; the largest grid any test or
-# workload rasterizes has 192 (box 12 at step 1/8)
+# the most pixels per side of a raster grid; the largest default grid of a
+# bundled setup, contract_om3's at window 10 (box 42, step 1/6), has 504
 MAX_GRID_SIDE = 1 << 12
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .cohoracle import (
@@ -43,10 +44,6 @@ from .thetapos import (
     leq,
     window_thetas,
 )
-
-# grid offset keeping raster pixel centers off every constraint line of the
-# bundled setups, including the diagonal ones a half-step grid would hit
-RASTER_ORIGIN = (Fraction(1, 64), Fraction(1, 128))
 
 
 def _chart_cones(setup: ContractionSetup):
@@ -289,21 +286,79 @@ class ContractibilityReport(NamedTuple):
     witnesses: tuple[tuple, ...]
 
 
+def raster_origin(setup: ContractionSetup, bbox, step) -> tuple[Fraction, Fraction]:
+    """The grid offset o = (1/(QWM), 1/(QWM^2)) that puts no pixel center on a line.
+
+    Q is the common denominator of the first pixel center -bbox + step/2
+    and the step, W the lcm of the ray weights and M one more than the
+    largest |coordinate| of any weighted ray b; sigma1 holds every ray.
+
+    Every line a contractibility raster tests is <x, n> = p/w with n a ray
+    v or b of sigma1, so |n_0|, |n_1| < M, and w a ray weight, so w | W:
+    the push images are supports, <x, v_i> > t/r_i, and the pull images
+    have floors, step lines and faces <x, b_j> = integer.  A center c has
+    Qc integral.  Multiplying <c + o, n> = p/w by QWM^2 gives
+    n_0 M + n_1 = M^2 (QpW/w - W<Qc, n>), a multiple k M^2; as
+    |n_0 M + n_1| <= M^2 - 1, k = 0, so n_1 = 0 mod M, hence n_1 = 0 and
+    then n_0 = 0, which no ray is.  So no center is refused for alignment.
+    """
+    bbox, step = Fraction(bbox), Fraction(step)
+    q = lcm((step / 2 - bbox).denominator, step.denominator)
+    rays = setup.sigma1.rays
+    w = lcm(*(ray.weight for ray in rays))
+    m = 1 + max(abs(c) for ray in rays for c in ray.b)
+    return Fraction(1, q * w * m), Fraction(1, q * w * m * m)
+
+
 def contractibility_sweep(
-    setup: ContractionSetup, window: int, bbox: Fraction, step: Fraction
+    setup: ContractionSetup,
+    window: int,
+    bbox: Fraction | None = None,
+    step: Fraction | None = None,
 ) -> ContractibilityReport:
     """Rasterize every contractible-difference Ext verdict of the valid directions.
 
     Push runs when sum(alpha) >= 1 and pull when sum(alpha) <= 1.  A pair
     is confirmed when the pixel difference of its two images is contractible.
+
+    The grid is worked out from the setup where it is not given.  The box
+    defaults to the larger ``witness_box`` of sigma1 and sigma2 at the
+    window, and the step to 1/(2D), D the lcm of their
+    ``refined_denominator``s.  Every line the raster tests is
+    <x, b> = integer for a weighted ray b (``raster_origin``), and in the
+    plane any two rays of sigma1 span a cone of sigma1 or of sigma2, so
+    every vertex of one image, or of two overlaid, lies on (1/D)Z^2.  So
+    does the box, whose basis inverses have denominators dividing D: the
+    default box holds a whole number of pixels, and every vertex is a
+    pixel corner, up to the origin.  The origin is always
+    ``raster_origin``, so no center lies on a line.
+
+    What the grid does not guarantee.  Near a vertex where two faces of
+    an image meet at a narrow angle (a support wedge, or the tip of a
+    staircase step), the image is thinner than a pixel: its rows there
+    are runs that touch only at a corner, which ``difference_contractible``
+    joins, or pixels cut off from the rest.  Either can close a false
+    cycle or split a difference.  Halving the step keeps the vertex on a
+    pixel corner, so the artifact stays.  The box is not proved to hold
+    every feature either, and the box edge can cut a piece off a
+    difference: a box twice the default can change the witnesses.  So a
+    witness is a failed raster check, not proof that the Ext verdict is
+    wrong (ROADMAP item 4); a box or step given coarser than the defaults
+    can report more such witnesses.
     """
     if setup.sigma2.dim != 2:
         raise InvalidArgument("contractibility rasters need a two-dimensional setup")
-    bbox, step = Fraction(bbox), Fraction(step)
     push, pull = setup.discrepancy in (">=", "="), setup.discrepancy in ("<=", "=")
     check_window(window)
     work = push * _theta_count(setup.sigma2, window) ** 2 + pull * _chart_count(setup, window) ** 2
     _check_pairs("contractibility", work, "key pairs")
+    fans = (setup.sigma1, setup.sigma2)
+    if bbox is None:
+        bbox = max(witness_box(fan, window) for fan in fans)
+    if step is None:
+        step = Fraction(1, 2 * lcm(*map(refined_denominator, fans)))
+    bbox, step = Fraction(bbox), Fraction(step)
+    origin = raster_origin(setup, bbox, step)
     # (witness tag, keys, image of one key, Ext verdict on a key pair)
     directions = []
     if push:
@@ -315,9 +370,7 @@ def contractibility_sweep(
     witnesses = []
     pairs = 0
     for tag, keys, image, ext in directions:
-        rasters = {
-            key: raster_runs(image(key), bbox, step, origin=RASTER_ORIGIN) for key in keys
-        }
+        rasters = {key: raster_runs(image(key), bbox, step, origin) for key in keys}
         for key1, key2 in itertools.product(keys, repeat=2):
             verdict = ext(setup, key1, key2)
             if verdict.value != "Zero" or verdict.reason != "contractible-difference":

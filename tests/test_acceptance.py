@@ -27,11 +27,11 @@ from ccc.fm import (
 )
 from ccc.stackyfan import build_same_base
 from ccc.sweeps import (
-    RASTER_ORIGIN,
     charts,
     contractibility_sweep,
     hom_oracle_sweep,
     poset_embedding_report,
+    raster_origin,
     sandwich_sweep,
 )
 from ccc.thetapos import ample_polytope, lambda_skeleton, leq, minkowski_sum, window_thetas
@@ -220,7 +220,7 @@ def _contractibility_sweep(setup, comparison):
         as_pixel_predicate(second),
         bbox,
         step,
-        origin=RASTER_ORIGIN,
+        origin=raster_origin(setup, bbox, step),
     )
     return report.confirmed
 

@@ -310,6 +310,29 @@ def test_check_contractibility_quick_sweep(capsys):
     assert rep.payload["confirmed"] == rep.payload["pairs"] > 0
 
 
+@pytest.mark.parametrize("name, discrepancy, pairs, bbox, step", [
+    ("contract_om3.json", "<=", 2410, 10, "1/6"),
+    ("contract_om2.json", "=", 3265, 8, "1/4"),
+    ("contract_crepant_a1.json", "=", 3265, 8, "1/4"),
+])
+def test_check_contractibility_default_grid_confirms_every_pair_at_window_2(
+    capsys, name, discrepancy, pairs, bbox, step
+):
+    # box 6 and step 1/4 at every window confirmed only 2236, 3200 and 3200
+    start = time.perf_counter()
+    code, rep = invoke(capsys, "check", "contractibility-2d", str(DATA / name), "--window", "2")
+    assert time.perf_counter() - start < 3  # about 0.2 s on two cores
+    assert code == 0
+    assert rep.payload == {
+        "bbox": bbox,
+        "confirmed": pairs,
+        "discrepancy": discrepancy,
+        "pairs": pairs,
+        "step": step,
+        "window": 2,
+    }
+
+
 def test_check_contractibility_refuses_a_huge_grid_at_once(capsys):
     path = str(DATA / "contract_om3.json")
     argv = ["--window", "1", "--box", "1000000", "--step", "1/1000"]
@@ -529,8 +552,26 @@ def test_pretty_report_parses_to_same_document(capsys):
     assert plain == pretty
 
 
+def test_pretty_is_the_parsed_top_level_flag(capsys):
+    path = str(DATA / "p13.json")
+    # the leaf takes no --pretty, so it is refused, in one line
+    assert run(["validate", path, "--pretty"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert parse_report(out).payload == {"error": "unrecognized arguments: --pretty"}
+    # after "--" it is the file name, not the flag
+    assert run(["validate", "--", "--pretty"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert parse_report(out).payload["error"].startswith("cannot read --pretty")
+    assert run(["--pretty", "validate", path]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") > 1
+    assert parse_report(out).status == "ok"
+
+
 def test_abbreviated_pretty_is_refused(capsys):
-    # the report format is read off argv verbatim, so the parser takes no abbreviation
+    # no level takes an abbreviation, so --pret is refused like any unknown option
     code = run(["--pret", "validate", str(DATA / "p13.json")])
     lines = capsys.readouterr().out.splitlines()
     assert code == 1
@@ -1048,6 +1089,8 @@ def test_run_gives_one_report_for_any_argv(tmp_path_factory, data):
     if data.draw(st.booleans()):
         argv.insert(data.draw(st.integers(0, len(argv))), "--pretty")
     assert_parse_matches_reference(argv)
+    kind, fields = _reference_outcome(argv)
+    pretty = kind == "fields" and fields["pretty"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = run(argv)
@@ -1055,5 +1098,5 @@ def test_run_gives_one_report_for_any_argv(tmp_path_factory, data):
     assert code in (0, 1, 2)
     rep = parse_report(text)
     assert {"ok": 0, "invalid-input": 1, "check-failed": 2}[rep.status] == code
-    if "--pretty" not in argv:
-        assert text.count("\n") == 1
+    # one line exactly when the accepted argv has no top-level --pretty
+    assert (text.count("\n") == 1) == (not pretty)

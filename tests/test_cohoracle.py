@@ -39,7 +39,7 @@ from ccc.stackyfan import (
     parse_same_base,
     parse_stacky_fan,
 )
-from ccc.sweeps import charts, sandwich_probes, sandwich_sweep, witness_box
+from ccc.sweeps import charts, hom_oracle_sweep, sandwich_probes, sandwich_sweep, witness_box
 from ccc.thetapos import (
     HomResult,
     Polyhedron,
@@ -49,7 +49,7 @@ from ccc.thetapos import (
     window_thetas,
 )
 
-from conftest import load_data
+from conftest import load_data, planar_contractions
 
 
 def theta(fan, cone, t):
@@ -107,6 +107,36 @@ def test_refined_denominator(p1, p13, p112, a1_resolution):
     blowup = build_contraction(rays, WeightedRay((1, 1, 0), 1))
     assert (refined_denominator(blowup.sigma1), witness_box(blowup.sigma1, 3)) == (2, 8)
     assert (refined_denominator(blowup.sigma2), witness_box(blowup.sigma2, 3)) == (4, 5)
+
+
+def test_witness_box_holds_every_witness_on_generated_fans():
+    """At window 1 the oracle at its default box agrees with the rule on both fans.
+
+    witness_box is a bound no proof covers, so it is checked on sigma1 and
+    sigma2 of generated contractions.  A sweep that the 2^18-point cap
+    refuses is counted, and its message is checked against the box it was
+    given.  About half the sweeps get past the cap; at least a fifth must.
+    """
+    outcomes = Counter()
+
+    @given(setup=planar_contractions())
+    @settings(max_examples=100, deadline=None, database=None)
+    def check(setup):
+        for fan in (setup.sigma1, setup.sigma2):
+            try:
+                report = hom_oracle_sweep(fan, 1)
+            except InvalidArgument as exc:
+                points = (2 * math.floor(witness_box(fan, 1) * refined_denominator(fan)) + 1) ** 2
+                assert str(exc) == (
+                    f"the oracle box holds {points} lattice points, over the limit {1 << 18}"
+                )
+                outcomes["refused"] += 1
+                continue
+            assert report.disagreements == (), report.disagreements
+            outcomes["agreed"] += 1
+
+    check()
+    assert 5 * outcomes["agreed"] >= outcomes.total(), outcomes
 
 
 def test_module_points_weighted_ray(p13):
@@ -771,13 +801,19 @@ def test_contractibility_cap_counts_the_pairs_the_sweep_compares(name, window, m
      lambda: (parse_same_base(load_data("samebase_p12_p13.json")), 20000)),
     ("contractibility sweep would test \\d{19,} key pairs", sweeps.contractibility_sweep,
      lambda: (parse_contraction(load_data("contract_om3.json")), 20000, Fraction(6), Fraction(1, 4))),
+    # with no box or step, the derived grid is not worked out either
+    ("contractibility sweep would test \\d{19,} key pairs", sweeps.contractibility_sweep,
+     lambda: (parse_contraction(load_data("contract_om3.json")), 20000)),
 ])
 def test_pair_sweeps_refuse_a_huge_window_before_building(message, sweep, args, monkeypatch):
     def unbuilt(*args):
         raise AssertionError("built a key, support or raster past the cap")
 
     args = args()
-    for built in ("window_thetas", "charts", "oracle_support", "witness_box", "raster_runs"):
+    for built in (
+        "window_thetas", "charts", "oracle_support", "witness_box", "refined_denominator",
+        "raster_origin", "raster_runs",
+    ):
         monkeypatch.setattr(sweeps, built, unbuilt)
     with pytest.raises(InvalidArgument, match=rf"^{message}, over the cap of 1048576; use a"):
         sweep(*args)
