@@ -9,6 +9,7 @@ so identical inputs give byte-identical output.
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -18,6 +19,7 @@ from typing import NamedTuple
 
 from .errors import CCCError, InvalidArgument
 from .fm import (
+    chart_theta,
     fm3_region,
     fm_case1,
     fm_case2,
@@ -39,7 +41,6 @@ from .sweeps import (
     sandwich_sweep,
 )
 from .thetapos import (
-    ThetaIndex,
     format_theta,
     hom_constructible,
     lambda_skeleton,
@@ -93,6 +94,8 @@ def _load(path: str) -> dict:
         raise InvalidArgument(f"{path} is not valid JSON: {exc}") from None
     except RecursionError:
         raise InvalidArgument(f"{path} nests too deeply to read") from None
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise InvalidArgument(f"{path} holds a number too long to read: {exc}") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -132,12 +135,11 @@ def _check_report(sweep, witnesses, **counts) -> Report:
     return Report(status=status, payload=payload | counts, witnesses=sorted(witnesses))
 
 
-def _sweep_key(key) -> list:
-    # a theta prints as its string form, a staircase chart as J and phi
-    if isinstance(key, ThetaIndex):
+def _sweep_key(tag: str, key) -> list:
+    # a theta to push prints as its string form, a chart theta to pull as J and phi
+    if tag == "push":
         return [format_theta(key)]
-    J, phi = key
-    return [list(J), list(phi)]
+    return [list(key.cone.ray_indices), list(key.t)]
 
 
 # --- command handlers -------------------------------------------------------
@@ -196,7 +198,7 @@ def _cmd_fm_contract_push(args) -> Report:
 
 def _cmd_fm_contract_pull(args) -> Report:
     setup = parse_contraction(_load(args.file))
-    ch = fm3_region(setup, _ints(args.J), _ints(args.phi))
+    ch = fm3_region(setup, chart_theta(setup, _ints(args.J), _ints(args.phi)))
     payload = {
         "J": list(ch.J),
         "j_prime": list(ch.j_prime),
@@ -231,7 +233,7 @@ def _cmd_check_hom_oracle(args) -> Report:
 def _cmd_check_sandwich(args) -> Report:
     setup = parse_contraction(_load(args.file))
     rep = sandwich_sweep(setup, args.window)
-    witnesses = [[list(J), list(phi), list(x), kind] for J, phi, x, kind in rep.violations]
+    witnesses = [[*_sweep_key("pull", key), list(x), kind] for key, x, kind in rep.violations]
     return _check_report(rep, witnesses, violations=len(witnesses))
 
 
@@ -243,7 +245,7 @@ def _cmd_check_contractibility(args) -> Report:
         bbox=_rational(args.box) if args.box else None,
         step=_rational(args.step) if args.step else None,
     )
-    witnesses = [[tag, *_sweep_key(k1), *_sweep_key(k2)] for tag, k1, k2 in rep.witnesses]
+    witnesses = [[tag, *_sweep_key(tag, k1), *_sweep_key(tag, k2)] for tag, k1, k2 in rep.witnesses]
     return _check_report(rep, witnesses)
 
 
@@ -270,7 +272,7 @@ def _cmd_plot_region(args) -> Report:
         setup = parse_contraction(doc)
         if setup.sigma2.dim != 2:
             raise InvalidArgument("staircase region plots need a two-dimensional setup")
-        ch = fm3_region(setup, _ints(args.J), _ints(args.phi))
+        ch = fm3_region(setup, chart_theta(setup, _ints(args.J), _ints(args.phi)))
         regions = [(ch.outer, "#4682b4")]
         if ch.inner is not None:
             regions.append((ch.inner, "#46b482"))
@@ -615,7 +617,16 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed stdout fails here, inside the try
+    except BrokenPipeError:
+        # no report reached the reader, so none is claimed.  Python flushes
+        # stdout again at exit; devnull takes that flush, so nothing is
+        # written on stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = _EXIT["invalid-input"]
+    sys.exit(code)
 
 
 if __name__ == "__main__":

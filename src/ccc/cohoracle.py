@@ -246,9 +246,9 @@ def _euler_sum(ch: Chart, pairings, scale: int) -> int:
     return total
 
 
-def _probe_chart(setup: ContractionSetup, J, phi, probe, unstepped: str):
+def _probe_chart(setup: ContractionSetup, theta: ThetaIndex, probe, unstepped: str):
     """(chart, probe as ints) for a Q2 route; unstepped is the route's refusal."""
-    ch = fm3_region(setup, J, phi)
+    ch = fm3_region(setup, theta)
     if not ch.stepped:
         raise InvalidArgument(unstepped)
     probe = tuple(int(x) for x in probe)
@@ -257,7 +257,7 @@ def _probe_chart(setup: ContractionSetup, J, phi, probe, unstepped: str):
     return ch, probe
 
 
-def koszul_euler(setup: ContractionSetup, J, phi, probe) -> int:
+def koszul_euler(setup: ContractionSetup, theta: ThetaIndex, probe) -> int:
     """Alternating character count of the pullback resolution at one probe.
 
     Terms are the shifted modules f_{gamma(m) + sum_S b*} B2 over subsets
@@ -267,7 +267,7 @@ def koszul_euler(setup: ContractionSetup, J, phi, probe) -> int:
     q + 1/2 > t, so this is the stalk count at the pairings q_j + 1/2,
     passed to _euler_sum at scale 2 as the integers 2 q_j + 1.
     """
-    ch, probe = _probe_chart(setup, J, phi, probe, "the resolution needs the extra ray in J")
+    ch, probe = _probe_chart(setup, theta, probe, "the resolution needs the extra ray in J")
     return _euler_sum(ch, {j: 2 * probe[j] + 1 for j in ch.j_prime}, 2)
 
 
@@ -304,27 +304,27 @@ def stalk_euler_scaled(ch: Chart, scale: int, pairings) -> int:
     return _euler_sum(ch, pairings, scale)
 
 
-def q2_member(setup: ContractionSetup, J, phi, probe) -> bool:
+def q2_member(setup: ContractionSetup, theta: ThetaIndex, probe) -> bool:
     """Exact Q2 membership of an integer character, via the pinned gamma.
 
     The resolution pins the only gamma(m) that can contain the probe: its
     coordinates on I' - {i0} must match the probe exactly.
     """
-    ch, probe = _probe_chart(setup, J, phi, probe, "Q2 membership needs the extra ray in J")
+    ch, probe = _probe_chart(setup, theta, probe, "Q2 membership needs the extra ray in J")
     if any(probe[i] < ch.c[i] for i in ch.m_index if i in ch.c):
         return False
     g = ch.gamma(tuple(probe[i] - ch.c.get(i, 0) for i in ch.m_index))
     return all(probe[j] >= tk for j, tk in zip(ch.j_prime, g.t))
 
 
-def q2_member_enum(setup: ContractionSetup, J, phi, probe) -> bool:
+def q2_member_enum(setup: ContractionSetup, theta: ThetaIndex, probe) -> bool:
     """Q2 membership by unioning over an m window wide enough for the probe.
 
     Independent of q2_member: enumerates characters gamma(m) and asks for
     coordinatewise dominance with equality off i0, growing the window from
     the probe size so the search is provably exhaustive.
     """
-    ch, probe = _probe_chart(setup, J, phi, probe, "Q2 membership needs the extra ray in J")
+    ch, probe = _probe_chart(setup, theta, probe, "Q2 membership needs the extra ray in J")
     span = 1
     for i in ch.m_index:
         span = max(span, abs(probe[i]) + abs(ch.c.get(i, 0)) + 1)

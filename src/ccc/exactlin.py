@@ -153,27 +153,6 @@ def solve_square(rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fractio
     return [mat[i][n] for i in range(n)]
 
 
-def cone_coefficients(
-    target: Sequence[Fraction | int], generators: Sequence[Sequence[int]]
-) -> list[Fraction] | None:
-    """Unique coefficients of target over independent generators, or None off-span.
-
-    One reduction of [generators^T | target]: a generator column without a
-    pivot means dependence, a pivot in the target column means off-span.
-    """
-    n = len(generators)
-    if any(len(g) != len(target) for g in generators):
-        raise InvalidArgument("cone_coefficients needs generators of the target's length")
-    mat, pivots, _ = _rref(
-        [[Fraction(g[i]) for g in generators] + [Fraction(c)] for i, c in enumerate(target)]
-    )
-    if pivots[:n] != list(range(n)):
-        raise InvalidArgument("cone_coefficients requires independent generators")
-    if n in pivots:
-        return None
-    return [mat[k][n] for k in range(n)]
-
-
 Constraint = tuple[tuple[Fraction, ...], Fraction, bool]
 # (coeffs, rhs, strict) encodes sum(coeffs * x) >= rhs, or > rhs when strict.
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, lcm
 
 from .errors import (
@@ -33,6 +33,7 @@ from .stackyfan import (
     Cone,
     ContractionSetup,
     SameBaseSetup,
+    StackyFan,
     is_complete,
     j_image,
 )
@@ -106,6 +107,13 @@ def fm_line_bundle_case1(setup: SameBaseSetup, c) -> tuple[int, ...]:
 # Case 2: pushing along a divisorial contraction
 
 
+def _check_fan(fan: StackyFan, name: str, *thetas: ThetaIndex) -> None:
+    """Refuse a theta that does not live in the fan; name says which fan of the setup it is."""
+    for th in thetas:
+        if th.fan is not fan and th.fan != fan:
+            raise InvalidArgument(f"theta does not live in the {name} fan")
+
+
 def _extra_threshold(setup: ContractionSetup, t: dict[int, int]) -> int:
     """The threshold ceil(sum alpha_i t_i) over the extra ray; t maps ray i to t_i.
 
@@ -125,8 +133,7 @@ def fm_case2(setup: ContractionSetup, theta: ThetaIndex) -> tuple[Polyhedron, li
     image is resolved by the terms on the cones (sigma - S) + extra ray,
     one per nonempty S inside the subdivided block.
     """
-    if theta.fan is not setup.sigma2 and theta.fan != setup.sigma2:
-        raise InvalidArgument("theta does not live in the contracted fan")
+    _check_fan(setup.sigma2, "contracted", theta)
     sigma = theta.cone
     image = support(theta, open=True)
     iset = set(setup.i_prime)
@@ -171,9 +178,7 @@ def ext_case2(setup: ContractionSetup, theta1: ThetaIndex, theta2: ThetaIndex) -
     """
     if setup.discrepancy not in (">=", "="):
         raise PreconditionError("push direction needs discrepancy sum(alpha) >= 1")
-    for th in (theta1, theta2):
-        if th.fan is not setup.sigma2 and th.fan != setup.sigma2:
-            raise InvalidArgument("theta does not live in the contracted fan")
+    _check_fan(setup.sigma2, "contracted", theta1, theta2)
     return HOM_INCLUSION if leq(theta1, theta2) else HOM_CONTRACTIBLE_DIFFERENCE
 
 
@@ -182,12 +187,12 @@ def ext_case2(setup: ContractionSetup, theta1: ThetaIndex, theta2: ThetaIndex) -
 
 
 class Chart:
-    """One chart (J, phi) over sigma1 and its pullback, the staircase region.
+    """The pullback of a theta of sigma1, the staircase region, as its chart.
 
-    c maps each index of J to its threshold, i0 is the least index of the
-    subdivided block outside J, m_index holds the rest of the block in
-    increasing order, and j_prime indexes the contracted cone sigma_{J'}.
-    Charts come from ``fm3_region``, which validates and memoizes them.
+    J is the theta's cone, c its thresholds (``ThetaIndex.thresholds``),
+    i0 the least index of the subdivided block outside J, m_index the rest
+    of the block in increasing order, and j_prime indexes the contracted
+    cone sigma_{J'}.  Charts come from ``fm3_region``, a new one per call.
 
     The region is an infinite union of shifted dual cones with exact
     membership (one ceiling evaluation via the minimal staircase character
@@ -216,7 +221,7 @@ class Chart:
 
     @cached_property
     def outer(self) -> Polyhedron:
-        """The open support of the theta (J, phi) upstairs; it holds the region."""
+        """The open support of the theta upstairs; it holds the region."""
         su = self.setup
         constraints = self._floors()
         if self.stepped:
@@ -335,38 +340,31 @@ class Chart:
         return False
 
 
-def fm3_region(setup: ContractionSetup, J, phi) -> Chart:
-    """Pull a theta on the cone sigma_J upstairs back to the contracted side.
+def fm3_region(setup: ContractionSetup, theta: ThetaIndex) -> Chart:
+    """Pull a theta of sigma1 back to the contracted side: its chart.
 
-    The pullback is the chart (J, phi) itself, memoized; J need not be
-    sorted.
+    A cone of sigma1 misses some index of the subdivided block, so i0
+    exists.
     """
-    return _build_chart(setup, tuple(J), tuple(phi))
+    _check_fan(setup.sigma1, "subdivided", theta)
+    J, c = theta.cone.ray_indices, theta.thresholds
+    i0 = min(i for i in setup.i_prime if i not in c)
+    m_index = tuple(i for i in setup.i_prime if i != i0)
+    return Chart(setup=setup, J=J, c=c, i0=i0, j_prime=j_image(setup, J), m_index=m_index)
 
 
-@lru_cache(maxsize=1 << 10)
-def _build_chart(setup: ContractionSetup, J: tuple, phi: tuple) -> Chart:
-    J = tuple(int(j) for j in J)
-    if len(set(J)) != len(J):
-        raise InvalidArgument("repeated index in J")
-    if any(j < 0 or j > setup.extra_index for j in J):
-        raise InvalidArgument("J indices out of range")
-    iset = set(setup.i_prime)
-    if iset <= set(J):
-        raise InvalidArgument("J contains the whole subdivided block: not a cone upstairs")
-    phi = tuple(int(x) for x in phi)
+def chart_theta(setup: ContractionSetup, J, phi) -> ThetaIndex:
+    """The theta of sigma1 on the cone J with threshold phi[k] on ray J[k].
+
+    J comes in any order, as ``--J`` gives it.  ``Cone`` refuses a repeated
+    index, and ``ThetaIndex`` a J that is no cone of sigma1: an index out
+    of range, or the whole subdivided block.
+    """
+    J, phi = tuple(J), tuple(phi)
     if len(phi) != len(J):
         raise InvalidArgument("phi must have one threshold per index of J")
-    c = dict(sorted(zip(J, phi)))
-    i0 = min(iset - set(J))
-    return Chart(
-        setup=setup,
-        J=tuple(c),
-        c=c,
-        i0=i0,
-        j_prime=j_image(setup, J),
-        m_index=tuple(i for i in setup.i_prime if i != i0),
-    )
+    cone, thresholds = Cone(J), dict(zip(J, phi))
+    return ThetaIndex(fan=setup.sigma1, cone=cone, t=tuple(thresholds[j] for j in cone.ray_indices))
 
 
 def _validate_inner(ch: Chart) -> None:
@@ -392,21 +390,17 @@ def _validate_inner(ch: Chart) -> None:
             raise ValidationError("internal: inner bound escapes the staircase region")
 
 
-def ext_case3(setup: ContractionSetup, pair1, pair2) -> HomResult:
-    """Hom after pulling two (J, phi) supports back to the contracted side.
+def ext_case3(setup: ContractionSetup, theta1: ThetaIndex, theta2: ThetaIndex) -> HomResult:
+    """Hom after pulling two thetas of sigma1 back to the contracted side.
 
     Valid under the discrepancy hypothesis sum(alpha) <= 1, where the pull
-    is fully faithful: C[0] exactly on support inclusion upstairs, else a
-    contractible region difference.  Both charts are validated; no bound
-    is built.
+    is fully faithful: C[0] exactly on support inclusion upstairs (``leq``),
+    else a contractible region difference.  No chart is built.
     """
     if setup.discrepancy not in ("<=", "="):
         raise PreconditionError("pull direction needs discrepancy sum(alpha) <= 1")
-    chart1, chart2 = fm3_region(setup, *pair1), fm3_region(setup, *pair2)
-    # leq upstairs: every ray of the second cone, with a threshold no larger
-    if all(j in chart1.c and chart1.c[j] >= c2 for j, c2 in chart2.c.items()):
-        return HOM_INCLUSION
-    return HOM_CONTRACTIBLE_DIFFERENCE
+    _check_fan(setup.sigma1, "subdivided", theta1, theta2)
+    return HOM_INCLUSION if leq(theta1, theta2) else HOM_CONTRACTIBLE_DIFFERENCE
 
 
 def fm_line_bundle_case3(setup: ContractionSetup, c) -> tuple[int, ...] | None:

@@ -18,10 +18,10 @@ from typing import NamedTuple
 from .errors import InvalidArgument, ValidationError
 from .exactlin import (
     LatticeVector,
-    cone_coefficients,
     is_primitive,
     lattice_rank,
     linear_feasible,
+    solve_square,
 )
 
 
@@ -305,19 +305,10 @@ class ContractionSetup(
     sigma1 the subdivided one; perm records the reindexing.
 
     The discrepancy comparison and the integer block weights are derived
-    once, on first use; like the kept hash they live outside the fields,
-    so they take no part in equality, hashing or repr.  perm maps each new
-    index to its index in the input ray list.
+    once, on first use; they live outside the fields, so they take no part
+    in equality, hashing or repr.  perm maps each new index to its index in
+    the input ray list.
     """
-
-    @cached_property
-    def _hash(self) -> int:
-        # the hash of the fields walks both fans, and every chart lookup
-        # hashes the setup, so it is computed once and kept
-        return tuple.__hash__(self)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @cached_property
     def discrepancy(self) -> str:
@@ -367,8 +358,9 @@ def build_contraction(rays, extra: WeightedRay) -> ContractionSetup:
     if len(extra.v) != dim:
         raise InvalidArgument("extra ray has wrong dimension")
 
-    a_full = cone_coefficients(extra.v, [r.v for r in rays])
-    if a_full is None or any(c < 0 for c in a_full):
+    # the rays are a basis, so extra.v has unique coefficients over them
+    a_full = solve_square(list(zip(*(r.v for r in rays))), extra.v)
+    if any(c < 0 for c in a_full):
         raise InvalidArgument("extra ray is not in the nonnegative span of the rays")
     positive = [i for i, c in enumerate(a_full) if c > 0]
     if len(positive) < 2:

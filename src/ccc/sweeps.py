@@ -3,8 +3,9 @@
 Each sweep checks a closed-form rule against an independent route on
 every theta or staircase chart with thresholds in [-window, window], and
 returns a frozen report of what it checked and where the routes
-disagreed.  The chart enumerator here and ``thetapos.window_thetas`` are
-the only enumerators.
+disagreed.  ``thetapos.window_thetas`` is the one enumerator: a chart is
+a theta of sigma1, and ``charts`` keeps the window thetas of sigma1 whose
+cone holds the extra ray.
 """
 
 from __future__ import annotations
@@ -46,22 +47,10 @@ from .thetapos import (
 )
 
 
-def _chart_cones(setup: ContractionSetup):
-    """Each J of ``charts``: the extra ray plus free rays short of all of I'."""
-    free = list(range(setup.n))
-    for size in range(len(free) + 1):
-        for rest in itertools.combinations(free, size):
-            J = tuple(sorted(rest + (setup.extra_index,)))
-            if not set(setup.i_prime) <= set(J):
-                yield J
-
-
-def charts(setup: ContractionSetup, window: int):
-    """All (J, phi) with the extra ray in J, in deterministic order."""
-    check_window(window)
-    for J in _chart_cones(setup):
-        for phi in itertools.product(range(-window, window + 1), repeat=len(J)):
-            yield J, phi
+def charts(setup: ContractionSetup, window: int) -> list[ThetaIndex]:
+    """The window thetas of sigma1 whose cone holds the extra ray: the stepped charts."""
+    extra = setup.extra_index
+    return [th for th in window_thetas(setup.sigma1, window) if extra in th.cone.ray_indices]
 
 
 def witness_box(fan: StackyFan, window: int) -> Fraction:
@@ -92,8 +81,12 @@ def _theta_count(fan: StackyFan, window: int) -> int:
 
 
 def _chart_count(setup: ContractionSetup, window: int) -> int:
-    """How many charts ``charts`` enumerates, counted from the chart cones."""
-    return sum((2 * window + 1) ** len(J) for J in _chart_cones(setup))
+    """How many charts ``charts`` enumerates, counted from the sigma1 cones."""
+    return sum(
+        (2 * window + 1) ** cone.dim
+        for cone in setup.sigma1.all_cones
+        if setup.extra_index in cone.ray_indices
+    )
 
 
 def _check_pairs(sweep: str, pairs: int, what: str = "theta pairs") -> None:
@@ -190,12 +183,12 @@ def hom_oracle_sweep(
 
 
 class SandwichReport(NamedTuple):
-    """Violations are (J, phi, point, kind): inner-escapes, outer-misses or stalk-mismatch."""
+    """Violations are (chart theta, point, kind): inner-escapes, outer-misses or stalk-mismatch."""
 
     window: int
     charts: int
     points: int
-    violations: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[Fraction, ...], str], ...]
+    violations: tuple[tuple[ThetaIndex, tuple[Fraction, ...], str], ...]
 
 
 def sandwich_probes(dim: int, window: int) -> list[tuple[Fraction, ...]]:
@@ -237,7 +230,7 @@ def sandwich_sweep(setup: ContractionSetup, window: int) -> SandwichReport:
     # sandwich_probes puts 4 * window + 7 probes on each axis
     work = _chart_count(setup, window) * (4 * window + 7) ** dim
     _check_pairs("sandwich", work, "chart-probe pairs")
-    keys = list(charts(setup, window))
+    keys = charts(setup, window)
     rays = setup.sigma1.rays
     column = {ray.b: j for j, ray in enumerate(rays)}
     probes = [
@@ -246,8 +239,8 @@ def sandwich_sweep(setup: ContractionSetup, window: int) -> SandwichReport:
     ]
     violations = []
     points = 0
-    for J, phi in keys:
-        ch = fm3_region(setup, J, phi)  # every chart holds the extra ray: it is stepped
+    for key in keys:
+        ch = fm3_region(setup, key)  # every chart holds the extra ray: it is stepped
         inner, outer = ch.inner, ch.outer
         inner_at = None if inner is None else _columns(inner, column)
         outer_at = _columns(outer, column)
@@ -256,26 +249,27 @@ def sandwich_sweep(setup: ContractionSetup, window: int) -> SandwichReport:
             inside = ch.contains_pairings(paired)
             if inside:
                 if not outer.holds(map(paired.__getitem__, outer_at)):
-                    violations.append((J, phi, x, "outer-misses"))
+                    violations.append((key, x, "outer-misses"))
             elif inner is not None and inner.holds(map(paired.__getitem__, inner_at)):
-                violations.append((J, phi, x, "inner-escapes"))
+                violations.append((key, x, "inner-escapes"))
             try:
                 euler = stalk_euler_scaled(ch, scale, scaled)
             except BoundaryPointError:
                 continue
             points += 1
             if euler != int(inside):
-                violations.append((J, phi, x, "stalk-mismatch"))
+                violations.append((key, x, "stalk-mismatch"))
         if points == before:
             raise InvalidArgument(
-                f"chart J={J} phi={phi}: every probe pairs integrally with a chart ray, "
+                f"chart J={key.cone.ray_indices} phi={key.t}: "
+                "every probe pairs integrally with a chart ray, "
                 "so no stalk count is compared"
             )
     return SandwichReport(window, len(keys), points, tuple(violations))
 
 
 class ContractibilityReport(NamedTuple):
-    """Witnesses are (direction, key1, key2): push keys are thetas, pull keys charts."""
+    """Witnesses are (direction, key1, key2): thetas of sigma2 to push, of sigma1 to pull."""
 
     window: int
     bbox: Fraction
@@ -365,18 +359,18 @@ def contractibility_sweep(
         thetas = window_thetas(setup.sigma2, window)
         directions.append(("push", thetas, lambda th: fm_case2(setup, th)[0], ext_case2))
     if pull:
-        keys = list(charts(setup, window))
-        directions.append(("pull", keys, lambda key: fm3_region(setup, *key), ext_case3))
+        stepped = charts(setup, window)
+        directions.append(("pull", stepped, lambda th: fm3_region(setup, th), ext_case3))
     witnesses = []
     pairs = 0
     for tag, keys, image, ext in directions:
-        rasters = {key: raster_runs(image(key), bbox, step, origin) for key in keys}
-        for key1, key2 in itertools.product(keys, repeat=2):
+        rastered = [(key, raster_runs(image(key), bbox, step, origin)) for key in keys]
+        for (key1, raster1), (key2, raster2) in itertools.product(rastered, repeat=2):
             verdict = ext(setup, key1, key2)
             if verdict.value != "Zero" or verdict.reason != "contractible-difference":
                 continue
             pairs += 1
-            if not difference_contractible(rasters[key1], rasters[key2]):
+            if not difference_contractible(raster1, raster2):
                 witnesses.append((tag, key1, key2))
     return ContractibilityReport(
         window, bbox, step, setup.discrepancy, pairs, pairs - len(witnesses), tuple(witnesses)

@@ -8,7 +8,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from ccc.exactlin import pair
-from ccc.fm import difference_contractible, raster_pixels
+from ccc.fm import chart_theta, difference_contractible, fm3_region, raster_pixels
 from ccc.stackyfan import WeightedRay, build_contraction, parse_contraction, parse_stacky_fan
 
 
@@ -49,6 +49,11 @@ def discrepancy_setup():
 @pytest.fixture(scope="session")
 def om3():
     return parse_contraction(load_data("contract_om3.json"))
+
+
+def pulled(setup, J, phi):
+    """The chart of the sigma1 theta with threshold phi[k] on ray J[k]."""
+    return fm3_region(setup, chart_theta(setup, J, phi))
 
 
 def gamma_union(ch, width):

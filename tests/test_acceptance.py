@@ -150,14 +150,14 @@ def test_criterion_05_poset_embedding_and_reversal(p1):
 
 def _shifted_cone_union(setup):
     """Chart.contains against the union of shifted cones, on a 15x15 grid."""
-    for J, phi in charts(setup, 3):
-        ch = fm3_region(setup, J, phi)
+    for key in charts(setup, 3):
+        ch = fm3_region(setup, key)
         union, narrower = gamma_union(ch, 12), gamma_union(ch, 11)
         for a in range(-7, 8):
             for b in range(-7, 8):
                 x = (Fraction(a, 4) + Fraction(1, 16), Fraction(b, 8) + Fraction(1, 32))
                 # window saturation: one more shell of shifts changes nothing here
-                assert union(x) == narrower(x) == ch.contains(x), (J, phi, x)
+                assert union(x) == narrower(x) == ch.contains(x), (key, x)
 
 
 def test_criterion_06_staircase_sandwich_and_stalks(crepant_a1, om3):
@@ -181,13 +181,13 @@ def test_criterion_07_koszul_euler_matches_membership(crepant_a1, om3):
     def body():
         for setup in (crepant_a1, om3):
             probes = 0
-            for J, phi in charts(setup, 1):
-                width = len(fm3_region(setup, J, phi).j_prime)
+            for key in charts(setup, 1):
+                width = len(fm3_region(setup, key).j_prime)
                 for q in itertools.product(range(-3, 4), repeat=width):
                     probes += 1
-                    value = koszul_euler(setup, J, phi, q)
-                    assert value in (0, 1), (J, phi, q, value)
-                    assert (value == 1) == q2_member(setup, J, phi, q), (J, phi, q)
+                    value = koszul_euler(setup, key, q)
+                    assert value in (0, 1), (key, q, value)
+                    assert (value == 1) == q2_member(setup, key, q), (key, q)
             assert probes >= 200, probes
 
     _criterion(7, "Koszul Euler counts are pushforward membership", 60.0, body)
@@ -202,9 +202,9 @@ def _first_zero_pair(setup, comparison):
         pairs = itertools.product(window_thetas(setup.sigma2, 1), repeat=2)
         th1, th2 = next(p for p in pairs if ext_case2(setup, *p).value == "Zero")
         return fm_case2(setup, th1)[0], fm_case2(setup, th2)[0]
-    pairs = itertools.product(list(charts(setup, 1)), repeat=2)
+    pairs = itertools.product(charts(setup, 1), repeat=2)
     k1, k2 = next(p for p in pairs if ext_case3(setup, *p).value == "Zero")
-    return fm3_region(setup, *k1), fm3_region(setup, *k2)
+    return fm3_region(setup, k1), fm3_region(setup, k2)
 
 
 def _contractibility_sweep(setup, comparison):

@@ -5,7 +5,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -456,6 +459,8 @@ _GHOST = {**_FAN, "rays": [{"v": [1]}, {"v": [-1]}, {"v": [1]}]}
         ),
         (["validate"], b"\xff\xfe{}"),
         (["validate"], b"[" * 100000),
+        # past Python's 4300-digit limit for reading an integer
+        (["validate"], b'{"dim":1,"rays":[{"v":[' + b"9" * 5000 + b']}],"max_cones":[[0]]}'),
     ],
     ids=[
         "cone-not-a-list", "rays-not-a-list", "v-not-a-list", "v-not-integers",
@@ -463,6 +468,7 @@ _GHOST = {**_FAN, "rays": [{"v": [1]}, {"v": [-1]}, {"v": [1]}]}
         "weights-not-a-list", "ray-in-no-cone", "dim-boolean", "weight-boolean",
         "extra-weight-boolean", "weights-r-boolean", "weights-s-boolean",
         "unwritable-figure", "oracle-box-too-large", "not-utf8", "nested-too-deep",
+        "integer-too-long",
     ],
 )
 def test_malformed_input_is_invalid_input(capsys, tmp_path, argv, doc):
@@ -484,6 +490,35 @@ def test_malformed_input_is_invalid_input(capsys, tmp_path, argv, doc):
     assert rep.payload["error"]
     if isinstance(doc, bytes):
         assert str(path) in rep.payload["error"]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "p13.json"], ["check", "case3-sandwich", "contract_om3.json", "--window", "0"]],
+    ids=["validate", "check"],
+)
+def test_closed_stdout_exits_1_and_writes_nothing_on_stderr(argv, unbuffered):
+    # a pipe with no reader: the report's write, or the flush at exit when
+    # stdout is buffered, fails with EPIPE
+    read, write = os.pipe()
+    os.close(read)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(ccc.__file__).parent.parent)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "ccc.cli", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 @pytest.mark.parametrize(
@@ -638,6 +673,29 @@ _PINNED_FIGURES = [
     (["lagrangian", "p1.json", "--box", "1/3"], "lagrangian", 3,
      "eae5668eab256ce93bebbefc5ba0ca96f54a4ac7a20386eec30c106f4273b1a4"),
 ]
+
+
+# sha256 of the `check contractibility-2d --window 1` report when every raster
+# check fails, so that every contractible-difference pair, push and pull, is a
+# witness: the Ext pair sets and their [J, phi] and theta bytes
+_EXT_PAIR_DIGESTS = {
+    "contract_crepant_a1.json": "dd77c141c88039756758d4dc283f535f07b690147d61ff66aaeb1310db305fde",
+    "contract_discrepancy.json": "6efc989fe0ba449441d25d7070234394e78d068abb35cba06cf93fcbce304f5d",
+    "contract_om2.json": "dd77c141c88039756758d4dc283f535f07b690147d61ff66aaeb1310db305fde",
+    "contract_om3.json": "40d2b5859d124b74999ef250894d5fe447d8be0ae393212f61424af7913f0cb0",
+}
+
+
+@pytest.mark.parametrize("name, digest", sorted(_EXT_PAIR_DIGESTS.items()))
+def test_ext_pair_sets_keep_their_witness_bytes(capsys, monkeypatch, name, digest):
+    monkeypatch.setattr("ccc.sweeps.difference_contractible", lambda first, second: False)
+    code = run(["check", "contractibility-2d", str(DATA / name), "--window", "1"])
+    out = capsys.readouterr().out
+    rep = parse_report(out)
+    assert code == 2
+    assert rep.payload["confirmed"] == 0
+    assert len(rep.witnesses) == rep.payload["pairs"] > 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv, scene, count, digest", _PINNED_FIGURES)
@@ -966,6 +1024,18 @@ def test_parser_matches_reference_on_any_tokens(before, path, after):
     (
         ["fm", "contract-pull", "F", "--J", "1,2", "--phi", "-1,0"],
         "argument --phi: expected one argument",
+    ),
+    # a --J that names no cone of sigma1, refused by Cone and ThetaIndex
+    (["fm", "contract-pull", "F", "--J", "1,1", "--phi=0,0"], "repeated ray index in cone (1, 1)"),
+    (["fm", "contract-pull", "F", "--J", "1,3", "--phi=0,0"], "cone (1, 3) is not in the fan"),
+    (["fm", "contract-pull", "F", "--J=-1,2", "--phi=0,0"], "cone (-1, 2) is not in the fan"),
+    (
+        ["plot", "region", "F", "--J", "0,1", "--phi=0,0", "-o", "unwritten.svg"],
+        "cone (0, 1) is not in the fan",
+    ),
+    (
+        ["fm", "contract-pull", "F", "--J", "1,2", "--phi", "0"],
+        "phi must have one threshold per index of J",
     ),
 ])
 def test_refusal_messages_keep_their_wording(capsys, argv, error):

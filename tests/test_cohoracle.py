@@ -29,7 +29,7 @@ from ccc.cohoracle import (
 )
 from ccc.errors import BoundaryPointError, InvalidArgument, WindowTooSmall
 from ccc.exactlin import pair
-from ccc.fm import fm3_region
+from ccc.fm import chart_theta, fm3_region
 from ccc.stackyfan import (
     Cone,
     WeightedRay,
@@ -311,73 +311,77 @@ def test_refined_intervals_match_point_filter(data):
 
 
 def test_koszul_euler_examples(crepant_a1):
-    J, phi = (1, 2), (0, 0)
-    assert koszul_euler(crepant_a1, J, phi, (0, 0)) == 1
-    assert koszul_euler(crepant_a1, J, phi, (-1, 0)) == 0
-    assert koszul_euler(crepant_a1, J, phi, (-1, 1)) == 1
-    assert koszul_euler(crepant_a1, J, phi, (-5, 0)) == 0
+    key = chart_theta(crepant_a1, (1, 2), (0, 0))
+    assert koszul_euler(crepant_a1, key, (0, 0)) == 1
+    assert koszul_euler(crepant_a1, key, (-1, 0)) == 0
+    assert koszul_euler(crepant_a1, key, (-1, 1)) == 1
+    assert koszul_euler(crepant_a1, key, (-5, 0)) == 0
     # pinned m = 5 needs a window of at least 5, summed as 8
-    assert koszul_euler(crepant_a1, J, phi, (0, 5)) == 1
+    assert koszul_euler(crepant_a1, key, (0, 5)) == 1
 
 
 def test_koszul_requires_extra_ray(crepant_a1):
     with pytest.raises(InvalidArgument):
-        koszul_euler(crepant_a1, (1,), (0,), (0, 0))
+        koszul_euler(crepant_a1, chart_theta(crepant_a1, (1,), (0,)), (0, 0))
     with pytest.raises(InvalidArgument):
-        koszul_euler(crepant_a1, (1, 2), (0, 0), (0,))
+        koszul_euler(crepant_a1, chart_theta(crepant_a1, (1, 2), (0, 0)), (0,))
 
 
-def stalk_euler(setup, J, phi, p):
+def stalk_euler(setup, key, p):
     """The stalk count of one chart at one rational point, the way a caller chains it."""
-    return stalk_euler_scaled(fm3_region(setup, J, phi), *scaled_pairings(setup.sigma2, p))
+    return stalk_euler_scaled(fm3_region(setup, key), *scaled_pairings(setup.sigma2, p))
 
 
 def test_koszul_matches_q2_membership(crepant_a1, om3, discrepancy_setup):
     charts = [((1, 2), (0, 0)), ((1, 2), (1, -2)), ((2,), (0,)), ((2,), (-1,)), ((0, 2), (0, 1))]
     for setup in (crepant_a1, om3, discrepancy_setup):
         for J, phi in charts:
+            key = chart_theta(setup, J, phi)
             for probe in itertools.product(range(-4, 5), repeat=2):
-                k = koszul_euler(setup, J, phi, probe)
+                k = koszul_euler(setup, key, probe)
                 assert k in (0, 1)
-                member = q2_member(setup, J, phi, probe)
+                member = q2_member(setup, key, probe)
                 assert bool(k) == member
-                assert q2_member_enum(setup, J, phi, probe) == member
+                assert q2_member_enum(setup, key, probe) == member
 
 
 def test_koszul_window_cap(crepant_a1, monkeypatch):
+    key = chart_theta(crepant_a1, (1, 2), (0, 0))
     monkeypatch.setattr(cohoracle, "_MAX_WINDOW", 4)
     with pytest.raises(WindowTooSmall):
-        koszul_euler(crepant_a1, (1, 2), (0, 0), (0, 9))
+        koszul_euler(crepant_a1, key, (0, 9))
     monkeypatch.setattr(cohoracle, "_MAX_WINDOW", 16)
-    assert koszul_euler(crepant_a1, (1, 2), (0, 0), (0, 9)) == 1
+    assert koszul_euler(crepant_a1, key, (0, 9)) == 1
 
 
 @pytest.mark.parametrize("route", [koszul_euler, q2_member, q2_member_enum])
 @pytest.mark.parametrize("probe", [(0, 0, 5), (0,)], ids=["long", "short"])
 def test_q2_routes_refuse_a_probe_of_the_wrong_length(crepant_a1, route, probe):
     with pytest.raises(InvalidArgument, match="probe must be a character of the contracted chart"):
-        route(crepant_a1, (1, 2), (0, 0), probe)
+        route(crepant_a1, chart_theta(crepant_a1, (1, 2), (0, 0)), probe)
 
 
 def test_stalk_euler_values(crepant_a1):
-    J, phi = (1, 2), (0, 0)
-    assert stalk_euler(crepant_a1, J, phi, (Fraction(1, 2), Fraction(-3, 8))) == 1
-    assert stalk_euler(crepant_a1, J, phi, (Fraction(1, 2), Fraction(5, 16))) == 0
-    assert stalk_euler(crepant_a1, J, phi, (Fraction(-1, 2), Fraction(-9, 8))) == 1
+    key = chart_theta(crepant_a1, (1, 2), (0, 0))
+    assert stalk_euler(crepant_a1, key, (Fraction(1, 2), Fraction(-3, 8))) == 1
+    assert stalk_euler(crepant_a1, key, (Fraction(1, 2), Fraction(5, 16))) == 0
+    assert stalk_euler(crepant_a1, key, (Fraction(-1, 2), Fraction(-9, 8))) == 1
 
 
 def test_stalk_euler_boundary_guard(crepant_a1):
     with pytest.raises(BoundaryPointError):
-        stalk_euler(crepant_a1, (1, 2), (0, 0), (1, Fraction(1, 3)))
+        stalk_euler(crepant_a1, chart_theta(crepant_a1, (1, 2), (0, 0)), (1, Fraction(1, 3)))
     with pytest.raises(InvalidArgument):
-        stalk_euler(crepant_a1, (0,), (0,), (Fraction(1, 2), Fraction(1, 4)))
+        unstepped = chart_theta(crepant_a1, (0,), (0,))
+        stalk_euler(crepant_a1, unstepped, (Fraction(1, 2), Fraction(1, 4)))
 
 
 def test_stalk_euler_matches_region(crepant_a1, om3, discrepancy_setup):
     charts = [((1, 2), (0, 0)), ((1, 2), (-1, 1)), ((2,), (0,)), ((0, 2), (1, 0))]
     for setup in (crepant_a1, om3, discrepancy_setup):
         for J, phi in charts:
-            region = fm3_region(setup, J, phi)
+            key = chart_theta(setup, J, phi)
+            region = fm3_region(setup, key)
             checked = 0
             for a in range(-5, 6):
                 for b in range(-5, 6):
@@ -389,7 +393,7 @@ def test_stalk_euler_matches_region(crepant_a1, om3, discrepancy_setup):
                     if any(Fraction(v).denominator == 1 for v in pairings):
                         continue
                     checked += 1
-                    assert stalk_euler(setup, J, phi, p) == int(region.contains(p))
+                    assert stalk_euler(setup, key, p) == int(region.contains(p))
             assert checked > 80
 
 
@@ -416,8 +420,8 @@ def _rational(denominator):
 @given(st.data())
 def test_integer_euler_counts_match_region_and_q2(data):
     setup = _contraction(data.draw(st.sampled_from(CONTRACTIONS_2D)))
-    J, phi = data.draw(st.sampled_from(list(charts(setup, 2))))
-    region = fm3_region(setup, J, phi)
+    key = data.draw(st.sampled_from(charts(setup, 2)))
+    region = fm3_region(setup, key)
     rational = st.integers(1, 12).flatmap(_rational)
     p = data.draw(st.tuples(rational, rational))
     pairings = [
@@ -426,11 +430,11 @@ def test_integer_euler_counts_match_region_and_q2(data):
     ]
     if any(v.denominator == 1 for v in pairings):
         with pytest.raises(BoundaryPointError):
-            stalk_euler(setup, J, phi, p)
+            stalk_euler(setup, key, p)
     else:
-        assert stalk_euler(setup, J, phi, p) == int(region.contains(p))
+        assert stalk_euler(setup, key, p) == int(region.contains(p))
     probe = data.draw(st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
-    assert koszul_euler(setup, J, phi, probe) == int(q2_member(setup, J, phi, probe))
+    assert koszul_euler(setup, key, probe) == int(q2_member(setup, key, probe))
 
 
 # ---------------------------------------------------------------------------
@@ -478,12 +482,12 @@ def _hoisted(setup, region, x):
     )
 
 
-def _one_point(setup, J, phi, region, x):
+def _one_point(setup, key, region, x):
     return (
         region.contains(x),
         None if region.inner is None else region.inner.contains(x),
         region.outer.contains(x),
-        _outcome(stalk_euler, setup, J, phi, x),
+        _outcome(stalk_euler, setup, key, x),
     )
 
 
@@ -497,13 +501,13 @@ def _sandwich_setup(name):
 def test_hoisted_sandwich_route_matches_one_point_entries_on_the_grid(name):
     setup, window = _sandwich_setup(name)
     seen = Counter()
-    for J, phi in charts(setup, window):
-        region = fm3_region(setup, J, phi)
+    for key in charts(setup, window):
+        region = fm3_region(setup, key)
         assert region.stepped
         for x in sandwich_probes(setup.sigma1.dim, window):
             got = _hoisted(setup, region, x)
-            assert got == _one_point(setup, J, phi, region, x), (J, phi, x)
-            assert got[3] == int(got[0]), (J, phi, x)
+            assert got == _one_point(setup, key, region, x), (key, x)
+            assert got[3] == int(got[0]), (key, x)
             seen[got[3]] += 1
             # both bounds are decided on every probe, on either side of them
             seen["outer", got[2]] += 1
@@ -531,24 +535,24 @@ def _face_point(rng, setup, ch):
 @pytest.mark.parametrize("name", SANDWICH_2D)
 def test_hoisted_sandwich_route_matches_on_random_points(name, monkeypatch):
     setup = _contraction(name)
-    keys = list(charts(setup, 1))
+    keys = charts(setup, 1)
     rng = random.Random(name)
     seen = Counter()
     # at the cap 1 the m window cannot double, so far points stop stabilizing
     for cap in (16, 1):
         monkeypatch.setattr(cohoracle, "_MAX_WINDOW", cap)
         for _ in range(200):
-            J, phi = rng.choice(keys)
-            region = fm3_region(setup, J, phi)
+            key = rng.choice(keys)
+            region = fm3_region(setup, key)
             x = _random_point(rng, setup.sigma1.dim)
             got = _hoisted(setup, region, x)
-            assert got == _one_point(setup, J, phi, region, x), (cap, J, phi, x)
+            assert got == _one_point(setup, key, region, x), (cap, key, x)
             seen[cap, got[3]] += 1
             seen["outer", got[2]] += 1
             face = _face_point(rng, setup, region)
             got = _hoisted(setup, region, face)
-            assert got == _one_point(setup, J, phi, region, face), (cap, J, phi, face)
-            assert got[3] is BoundaryPointError, (J, phi, face)
+            assert got == _one_point(setup, key, region, face), (cap, key, face)
+            assert got[3] is BoundaryPointError, (key, face)
     assert seen[16, 0] and seen[16, 1]
     assert seen[1, WindowTooSmall] > 0
     assert seen["outer", False] and seen["outer", True]
@@ -557,15 +561,15 @@ def test_hoisted_sandwich_route_matches_on_random_points(name, monkeypatch):
 def test_euler_terms_are_the_scaled_characters(om3):
     setup_3d = parse_contraction(CREPANT_333)
     for setup, window in ((om3, 1), (setup_3d, 0)):
-        for J, phi in charts(setup, window):
-            ch = fm3_region(setup, J, phi)
+        for key in charts(setup, window):
+            ch = fm3_region(setup, key)
             for scale, w in ((1, 1), (16, 4), (32, 2)):
                 floors, subsets = cohoracle._euler_terms(ch, scale, w)
                 ranges = [range(0, w + 1) if i in ch.c else range(-w, w + 1) for i in ch.m_index]
                 ms = list(itertools.product(*ranges))
                 assert len(floors) == len(ms)
                 for m, f in zip(ms, floors):
-                    assert f == tuple(scale * t for t in ch.gamma(m).t), (J, phi, m)
+                    assert f == tuple(scale * t for t in ch.gamma(m).t), (key, m)
                 assert len(subsets) == 2 ** len(ch.m_index)
                 assert len(set(bumps for bumps, _ in subsets)) == len(subsets)
                 for bumps, sign in subsets:
@@ -591,18 +595,19 @@ WINDOW_EDGES = {
 def test_derived_window_edges(crepant_a1, key):
     cap = cohoracle._MAX_WINDOW
     J, phi = key
-    ch = fm3_region(crepant_a1, J, phi)
+    chart = chart_theta(crepant_a1, J, phi)
+    ch = fm3_region(crepant_a1, chart)
     assert ch.m_index == (1,) and (1 in ch.c) == (1 in J)
     counts = Counter()
     for e, d in WINDOW_EDGES[key](cap):
         for q0 in range(-3 * cap, 3 * cap):
             # an integer probe pairs as q + 1/2, so q1 = e sits in the band
             probe = (q0, e)
-            value = koszul_euler(crepant_a1, J, phi, probe)
-            assert value == int(q2_member(crepant_a1, J, phi, probe)), probe
+            value = koszul_euler(crepant_a1, chart, probe)
+            assert value == int(q2_member(crepant_a1, chart, probe)), probe
             counts["probe", value] += 1
             with pytest.raises(WindowTooSmall):
-                koszul_euler(crepant_a1, J, phi, (q0, e + d))
+                koszul_euler(crepant_a1, chart, (q0, e + d))
             for k in (1, 2, 3):
                 # pairings at scale 4: P0 = q0 + 1/4, P1 in (e, e + 1)
                 pairings = {0: 4 * q0 + 1, 1: 4 * e + k}
@@ -619,7 +624,7 @@ def test_derived_window_edges(crepant_a1, key):
 def _stepped_charts(name, outside):
     """The stepped charts that have (or have not) an m axis outside J."""
     setup, window = _sandwich_setup(name)
-    found = [fm3_region(setup, *key) for key in charts(setup, window)]
+    found = [fm3_region(setup, key) for key in charts(setup, window)]
     return [ch for ch in found if outside == any(i not in ch.c for i in ch.m_index)]
 
 
@@ -666,10 +671,10 @@ def test_stalk_count_is_the_sum_over_the_cap_window(data):
 def test_sandwich_sweep_three_dimensional_two_step_rays():
     setup = parse_contraction(CREPANT_333)
     assert setup.discrepancy == "="
-    keys = list(charts(setup, 0))
+    keys = charts(setup, 0)
     # every stepped chart steps along two rays, so the term tables run over
     # a two-dimensional m product
-    assert all(len(fm3_region(setup, J, phi).m_index) == 2 for J, phi in keys)
+    assert all(len(fm3_region(setup, key).m_index) == 2 for key in keys)
     report = sandwich_sweep(setup, 0)
     assert (report.charts, report.points, report.violations) == (7, 2401, ())
 
@@ -703,17 +708,17 @@ def test_sandwich_sweep_reports_broken_bounds_where_one_point_entries_do(
 ):
     setup = _contraction(name)
     broken = BROKEN_BOUNDS[kind]
-    monkeypatch.setattr(sweeps, "fm3_region", lambda *key: broken(fm3_region(*key)))
+    monkeypatch.setattr(sweeps, "fm3_region", lambda *args: broken(fm3_region(*args)))
     expected = []
-    for J, phi in charts(setup, 1):
-        region = broken(fm3_region(setup, J, phi))
+    for key in charts(setup, 1):
+        region = broken(fm3_region(setup, key))
         for x in sandwich_probes(setup.sigma1.dim, 1):
             inside = region.contains(x)
             if not inside and region.inner is not None and region.inner.contains(x):
-                expected.append((J, phi, x, "inner-escapes"))
+                expected.append((key, x, "inner-escapes"))
             if inside and not region.outer.contains(x):
-                expected.append((J, phi, x, "outer-misses"))
-    assert expected and {v[3] for v in expected} == {kind}
+                expected.append((key, x, "outer-misses"))
+    assert expected and {v[2] for v in expected} == {kind}
     report = sandwich_sweep(setup, 1)
     assert report.violations == tuple(expected)
     assert report.points == report.charts * 11**2
@@ -735,7 +740,7 @@ def test_sandwich_cap_counts_what_the_sweep_enumerates(name, windows, monkeypatc
     monkeypatch.setattr(sweeps, "MAX_PAIRS", 0)
     for window in windows:
         probes = sandwich_probes(setup.sigma1.dim, window)
-        enumerated = len(list(charts(setup, window))) * len(probes)
+        enumerated = len(charts(setup, window)) * len(probes)
         with pytest.raises(InvalidArgument, match=rf"would test {enumerated} chart-probe pairs"):
             sandwich_sweep(setup, window)
 

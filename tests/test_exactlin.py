@@ -13,10 +13,10 @@ from ccc.exactlin import (
     ceil_div,
     ceil_frac,
     cone_basis,
-    cone_coefficients,
     lattice_rank,
     linear_feasible,
     pair,
+    solve_square,
 )
 
 F = Fraction
@@ -84,15 +84,22 @@ def test_pair_matches_fraction_sum(case):
     assert value == sum((Fraction(a) * b for a, b in zip(x, v)), Fraction(0))
 
 
+def cone_coefficients(target, generators):
+    """The coefficients of target over n independent generators of length n.
+
+    build_contraction's route: solve_square on the generators as columns.
+    """
+    return solve_square(list(zip(*generators)), target)
+
+
 def test_cone_coefficients_examples():
     assert cone_coefficients((1, 1), [(1, 0), (0, 1)]) == [F(1), F(1)]
     assert cone_coefficients((0, -1), [(1, 0), (-1, -2)]) == [F(1, 2), F(1, 2)]
     assert cone_coefficients((-1, 0), [(1, 0), (0, 1)]) == [F(-1), F(0)]
 
 
-def test_cone_coefficients_off_span_and_dependence():
-    assert cone_coefficients((0, 0, 1), [(1, 0, 0), (0, 1, 0)]) is None
-    with pytest.raises(InvalidArgument):
+def test_solve_square_refuses_dependent_generators():
+    with pytest.raises(InvalidArgument, match="^matrix is singular$"):
         cone_coefficients((1, 1), [(1, 0), (-1, 0)])
 
 

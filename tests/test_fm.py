@@ -25,6 +25,7 @@ from ccc.fm import (
     as_pixel_predicate,
     case1_pullback,
     case1_pushforward,
+    chart_theta,
     difference_contractible,
     ext_case2,
     ext_case3,
@@ -61,7 +62,7 @@ from ccc.thetapos import (
     window_thetas,
 )
 
-from conftest import gamma_union, load_data, planar_contractions, raster_contractible_2d
+from conftest import gamma_union, load_data, planar_contractions, pulled, raster_contractible_2d
 
 
 @pytest.fixture(scope="session")
@@ -335,34 +336,34 @@ def test_extra_threshold_is_the_fraction_ceiling(name):
 
 
 def test_gamma_char_crepant_values(crepant_a1):
-    zero = fm3_region(crepant_a1, (1, 2), (0, 0)).gamma((0,))
+    zero = pulled(crepant_a1, (1, 2), (0, 0)).gamma((0,))
     assert zero.cone == Cone((0, 1))
     assert zero.t == (0, 0)
     assert zero.fan == crepant_a1.sigma2
 
-    one = fm3_region(crepant_a1, (1, 2), (0, 0)).gamma((1,))
+    one = pulled(crepant_a1, (1, 2), (0, 0)).gamma((1,))
     assert one.t == (-1, 1)
 
     # extra-only J puts ray 1 into K1, so m may be negative there
-    k1_variant = fm3_region(crepant_a1, (2,), (0,)).gamma((-1,))
+    k1_variant = pulled(crepant_a1, (2,), (0,)).gamma((-1,))
     assert k1_variant.t == (1, -1)
 
 
 def test_gamma_char_domain_errors(crepant_a1):
     with pytest.raises(InvalidArgument):
-        fm3_region(crepant_a1, (1, 2), (0, 0)).gamma((-1,))  # ray 1 is inside J
+        pulled(crepant_a1, (1, 2), (0, 0)).gamma((-1,))  # ray 1 is inside J
     with pytest.raises(InvalidArgument):
-        fm3_region(crepant_a1, (1,), (0,)).gamma((0,))  # extra ray missing
+        pulled(crepant_a1, (1,), (0,)).gamma((0,))  # extra ray missing
     with pytest.raises(InvalidArgument):
-        fm3_region(crepant_a1, (0, 1, 2), (0, 0, 0))  # not a cone upstairs
+        pulled(crepant_a1, (0, 1, 2), (0, 0, 0))  # not a cone upstairs
 
 
 def test_gamma_monotone_in_m(crepant_a1, om3):
     # raising any m coordinate lowers the i0 staircase height
     for setup in (crepant_a1, om3):
         for m in range(0, 6):
-            lo = fm3_region(setup, (1, 2), (0, 1)).gamma((m,))
-            hi = fm3_region(setup, (1, 2), (0, 1)).gamma((m + 1,))
+            lo = pulled(setup, (1, 2), (0, 1)).gamma((m,))
+            hi = pulled(setup, (1, 2), (0, 1)).gamma((m + 1,))
             assert hi.t[0] <= lo.t[0]
 
 
@@ -380,19 +381,19 @@ BLOCK_777 = {
 
 
 def test_s1_threshold_values(crepant_a1, om3):
-    assert fm3_region(crepant_a1, (1, 2), (0, 0)).s1 == Fraction(3, 4)
-    assert fm3_region(crepant_a1, (2,), (0,)).s1 == Fraction(3, 4)
-    assert fm3_region(om3, (1, 2), (0, 0)).s1 == Fraction(5, 6)
+    assert pulled(crepant_a1, (1, 2), (0, 0)).s1 == Fraction(3, 4)
+    assert pulled(crepant_a1, (2,), (0,)).s1 == Fraction(3, 4)
+    assert pulled(om3, (1, 2), (0, 0)).s1 == Fraction(5, 6)
     # N = 7 * 1 - 2 * 0 is odd: eps = 1 - 1/14
-    assert fm3_region(parse_contraction(BLOCK_777), (1, 3), (0, 1)).s1 == Fraction(27, 14)
+    assert pulled(parse_contraction(BLOCK_777), (1, 3), (0, 1)).s1 == Fraction(27, 14)
     # eps always lands in (0, 1)
     for phi in itertools.product(range(-3, 4), repeat=2):
-        s1 = fm3_region(crepant_a1, (1, 2), phi).s1
+        s1 = pulled(crepant_a1, (1, 2), phi).s1
         assert phi[1] < s1 < phi[1] + 1
 
 
 def test_fm3_region_crepant_frozen_points(crepant_a1):
-    region = fm3_region(crepant_a1, (1, 2), (0, 0))
+    region = pulled(crepant_a1, (1, 2), (0, 0))
     assert region.s1 == Fraction(3, 4)
     # pairings: p0 = x0, p1 = -x0 - 2x1, p2 = -x1; staircase over (p0, p1)
     inside = [(Fraction(1, 2), Fraction(-3, 8)), (Fraction(-1, 2), Fraction(-9, 8))]
@@ -406,7 +407,7 @@ def test_fm3_region_crepant_frozen_points(crepant_a1):
 def test_fm3_region_matches_gamma_union_on_grid(crepant_a1):
     # denominator-4 grid, exactly as advertised; membership is total so
     # boundary-adjacent grid points are fair game
-    region = fm3_region(crepant_a1, (1, 2), (0, 0))
+    region = pulled(crepant_a1, (1, 2), (0, 0))
     union = gamma_union(region, 14)
     grid = [Fraction(k, 4) for k in range(-12, 13)]
     for x0 in grid:
@@ -422,7 +423,7 @@ def test_fm3_region_union_oracle_random_charts(crepant_a1, om3):
         for J, _ in charts:
             for _ in range(2):
                 phi = tuple(rng.randrange(-3, 4) for _ in J)
-                region = fm3_region(setup, J, phi)
+                region = pulled(setup, J, phi)
                 union = gamma_union(region, 14)
                 for _ in range(80):
                     x = tuple(
@@ -436,7 +437,7 @@ def test_fm3_region_sandwich_sampled(crepant_a1, om3):
     for setup in (crepant_a1, om3):
         for J in ((1, 2), (2,), (0, 2)):
             phi = tuple(rng.randrange(-2, 3) for _ in J)
-            region = fm3_region(setup, J, phi)
+            region = pulled(setup, J, phi)
             assert region.inner is not None
             for _ in range(150):
                 x = tuple(Fraction(rng.randrange(-512, 512), 128) for _ in range(2))
@@ -447,7 +448,7 @@ def test_fm3_region_sandwich_sampled(crepant_a1, om3):
 
 
 def test_fm3_region_without_extra_ray(crepant_a1):
-    region = fm3_region(crepant_a1, (0,), (1,))
+    region = pulled(crepant_a1, (0,), (1,))
     assert region.s1 is None
     assert region.inner == region.outer
     assert region.contains((Fraction(3, 2), Fraction(0)))
@@ -457,24 +458,18 @@ def test_fm3_region_without_extra_ray(crepant_a1):
 
 
 def test_fm3_region_skips_inner_when_hypothesis_fails(discrepancy_setup):
-    region = fm3_region(discrepancy_setup, (1, 2), (0, 0))
+    region = pulled(discrepancy_setup, (1, 2), (0, 0))
     assert region.s1 is None
     assert region.inner is None
     # membership itself is hypothesis-free
     assert isinstance(region.contains((Fraction(5, 4), Fraction(7, 8))), bool)
 
 
-def test_fm3_region_is_one_region_per_chart(crepant_a1):
-    J, phi = (1, 2), (0, -1)
-    assert fm3_region(crepant_a1, J, phi) is fm3_region(crepant_a1, list(J), list(phi))
-
-
 def test_fm3_region_keeps_no_region_that_failed_validation(crepant_a1, monkeypatch):
     def refuse(ch):
         raise ValidationError("refused")
 
-    fm._build_chart.cache_clear()  # fresh charts hold no bound yet
-    ch = fm3_region(crepant_a1, (1, 2), (0, -1))
+    ch = pulled(crepant_a1, (1, 2), (0, -1))
     monkeypatch.setattr(fm, "_validate_inner", refuse)
     with pytest.raises(ValidationError):
         ch.inner
@@ -486,7 +481,6 @@ def test_fm3_region_keeps_no_region_that_failed_validation(crepant_a1, monkeypat
 
 def _count_validations(monkeypatch) -> list:
     """The charts whose inner bound is validated from now on, in order."""
-    fm._build_chart.cache_clear()  # fresh charts hold no bound yet
     validated = []
     original = fm._validate_inner
 
@@ -512,27 +506,42 @@ def test_sandwich_sweep_validates_each_chart_once(crepant_a1, monkeypatch):
     assert len(validated) == len(set(validated)) == report.charts
 
 
+def _ext_case3(setup, key1, key2):
+    """ext_case3 on two (J, phi) keys, each the sigma1 theta it names."""
+    return ext_case3(setup, chart_theta(setup, *key1), chart_theta(setup, *key2))
+
+
 def test_ext_case3_gate_and_c0(crepant_a1, om3, discrepancy_setup):
     with pytest.raises(PreconditionError):
-        ext_case3(discrepancy_setup, ((1, 2), (0, 0)), ((1, 2), (0, 0)))
+        _ext_case3(discrepancy_setup, ((1, 2), (0, 0)), ((1, 2), (0, 0)))
 
     for setup in (crepant_a1, om3):
-        same = ext_case3(setup, ((1, 2), (0, 0)), ((1, 2), (0, 0)))
+        same = _ext_case3(setup, ((1, 2), (0, 0)), ((1, 2), (0, 0)))
         assert same.value == "C0"
-        nested = ext_case3(setup, ((1, 2), (1, 2)), ((2,), (0,)))
+        nested = _ext_case3(setup, ((1, 2), (1, 2)), ((2,), (0,)))
         assert nested.value == "C0"
+
+
+def test_ext_case3_refuses_a_theta_of_another_fan(crepant_a1):
+    upstairs = chart_theta(crepant_a1, (1, 2), (0, 0))
+    downstairs = theta(crepant_a1.sigma2, (0, 1), (0, 0))
+    for pair1, pair2 in ((upstairs, downstairs), (downstairs, upstairs)):
+        with pytest.raises(InvalidArgument, match="^theta does not live in the subdivided fan$"):
+            ext_case3(crepant_a1, pair1, pair2)
+    with pytest.raises(InvalidArgument, match="^theta does not live in the subdivided fan$"):
+        fm3_region(crepant_a1, downstairs)
 
 
 def test_ext_case3_zero_verdicts(crepant_a1):
     # threshold failure on the extra ray
-    res = ext_case3(crepant_a1, ((1, 2), (0, 0)), ((1, 2), (0, 1)))
+    res = _ext_case3(crepant_a1, ((1, 2), (0, 0)), ((1, 2), (0, 1)))
     assert res.value == "Zero"
     assert res.reason == "contractible-difference"
     assert res is HOM_CONTRACTIBLE_DIFFERENCE
-    assert ext_case3(crepant_a1, ((1, 2), (0, 1)), ((1, 2), (0, 0))) is HOM_INCLUSION
+    assert _ext_case3(crepant_a1, ((1, 2), (0, 1)), ((1, 2), (0, 0))) is HOM_INCLUSION
     grid = (6, Fraction(1, 4), raster_origin(crepant_a1, 6, Fraction(1, 4)))
     first, second = (
-        raster_runs(fm3_region(crepant_a1, *key), *grid)
+        raster_runs(pulled(crepant_a1, *key), *grid)
         for key in (((1, 2), (0, 0)), ((1, 2), (0, 1)))
     )
     assert any(next(fm._row_minus(row, cut), None) for row, cut in zip(first, second))
@@ -540,16 +549,16 @@ def test_ext_case3_zero_verdicts(crepant_a1):
 
     # missing ray, no extra involvement on either side: Zero both ways
     for pair1, pair2 in ((((0,), (0,)), ((1,), (0,))), (((1,), (0,)), ((0,), (0,)))):
-        assert ext_case3(crepant_a1, pair1, pair2) is HOM_CONTRACTIBLE_DIFFERENCE
+        assert _ext_case3(crepant_a1, pair1, pair2) is HOM_CONTRACTIBLE_DIFFERENCE
 
 
-def test_ext_case3_builds_no_region(crepant_a1):
-    fm._build_chart.cache_clear()  # fresh charts hold no bound yet
-    keys = ((1, 2), (0, 0)), ((1, 2), (0, 1))
-    res = ext_case3(crepant_a1, *keys)
+def test_ext_case3_builds_no_region(crepant_a1, monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("built a chart for an Ext verdict")
+
+    monkeypatch.setattr(fm, "Chart", unbuilt)
+    res = _ext_case3(crepant_a1, ((1, 2), (0, 0)), ((1, 2), (0, 1)))
     assert res.reason == "contractible-difference"
-    for key in keys:
-        assert not {"outer", "s1", "inner"} & set(vars(fm3_region(crepant_a1, *key)))
 
 
 def test_fm_line_bundle_case3_and_composites(crepant_a1, discrepancy_setup):
@@ -635,8 +644,8 @@ def test_raster_bad_grid_arguments():
 
 
 def test_raster_confirms_case3_difference(crepant_a1):
-    r1 = fm3_region(crepant_a1, (1, 2), (0, 0))
-    r2 = fm3_region(crepant_a1, (1, 2), (0, 1))
+    r1 = pulled(crepant_a1, (1, 2), (0, 0))
+    r2 = pulled(crepant_a1, (1, 2), (0, 1))
     assert raster_contractible_2d(
         as_pixel_predicate(r1),
         as_pixel_predicate(r2),
@@ -670,10 +679,10 @@ def test_raster_runs_matches_predicate_walk(crepant_a1, om3, discrepancy_setup):
         for t0 in range(-1, 2):
             th = theta(su.sigma2, (0, 1), (t0, 1))
             objs.append((su, fm_case2(su, th)[0]))
-    objs.append((crepant_a1, fm3_region(crepant_a1, (1, 2), (-1, 1))))
-    objs.append((crepant_a1, fm3_region(crepant_a1, (0, 2), (-1, 1))))
-    objs.append((crepant_a1, fm3_region(crepant_a1, (2,), (0,))))  # extra-only chart
-    objs.append((om3, fm3_region(om3, (1, 2), (1, 0))))
+    objs.append((crepant_a1, pulled(crepant_a1, (1, 2), (-1, 1))))
+    objs.append((crepant_a1, pulled(crepant_a1, (0, 2), (-1, 1))))
+    objs.append((crepant_a1, pulled(crepant_a1, (2,), (0,))))  # extra-only chart
+    objs.append((om3, pulled(om3, (1, 2), (1, 0))))
     for su, obj in objs:
         origin = raster_origin(su, 3, Fraction(1, 4))
         fast = raster_runs(obj, 3, Fraction(1, 4), origin=origin)
@@ -684,7 +693,7 @@ def test_raster_runs_matches_predicate_walk(crepant_a1, om3, discrepancy_setup):
 def test_raster_runs_refuses_aligned_grid(crepant_a1):
     push, _ = fm_case2(crepant_a1, theta(crepant_a1.sigma2, (0, 1), (0, 0)))
     # a chart without the extra ray pulls back to its plain open support
-    pull = fm3_region(crepant_a1, (0,), (0,))
+    pull = pulled(crepant_a1, (0,), (0,))
     for image in (push, pull):
         # centers -2 + 1/8 + 1/8 + k/4 hit x0 = 0 exactly
         with pytest.raises(GridAlignmentError) as fast:
@@ -765,7 +774,7 @@ def test_raster_runs_equal_predicate_walk_on_staircase_images(
 ):
     setup = request.getfixturevalue(name)
     if pull:
-        obj = fm3_region(setup, *data.draw(st.sampled_from(list(charts(setup, 2)))))
+        obj = fm3_region(setup, data.draw(st.sampled_from(charts(setup, 2))))
     else:
         th = data.draw(st.sampled_from(window_thetas(setup.sigma2, 2)))
         obj = fm_case2(setup, th)[0]
@@ -791,10 +800,10 @@ def test_raster_runs_equal_predicate_walk_on_generated_contractions(
     # random bases, weights in all three discrepancy regimes, and extra rays
     # on the first axis, where the staircase's weighted form is constant
     # along a row
-    keys = data.draw(st.lists(st.sampled_from(list(charts(setup, 2))), min_size=1, max_size=4))
+    keys = data.draw(st.lists(st.sampled_from(charts(setup, 2)), min_size=1, max_size=4))
     thetas = data.draw(st.lists(st.sampled_from(window_thetas(setup.sigma2, 2)), max_size=2))
     step = Fraction(1, pixels_per_unit)
-    for obj in [fm3_region(setup, *key) for key in keys] + [fm_case2(setup, th)[0] for th in thetas]:
+    for obj in [fm3_region(setup, key) for key in keys] + [fm_case2(setup, th)[0] for th in thetas]:
         fast = _raster_or_refusal(lambda: raster_runs(obj, bbox, step, origin))
         slow = _raster_or_refusal(
             lambda: raster_pixels(as_pixel_predicate(obj), bbox, step, origin)
@@ -931,8 +940,8 @@ def test_staircase_walk_matches_predicate_walk_on_every_stepped_chart(
 ):
     slopes = set()
     for setup in (crepant_a1, om3, discrepancy_setup):
-        for J, phi in charts(setup, 1):
-            region = fm3_region(setup, J, phi)
+        for key in charts(setup, 1):
+            region = fm3_region(setup, key)
             assert region.stepped
             (k,) = region.m_index
             slopes.add(setup.sigma2.b(k)[1])  # the step pairing's slope along a row
@@ -942,7 +951,7 @@ def test_staircase_walk_matches_predicate_walk_on_every_stepped_chart(
                 slow = _raster_or_refusal(
                     lambda: raster_pixels(as_pixel_predicate(region), bbox, step, origin)
                 )
-                assert fast == slow, (J, phi, bbox, step, origin)
+                assert fast == slow, (key, bbox, step, origin)
     assert {(s > 0) - (s < 0) for s in slopes} == {-1, 0, 1}
 
 
@@ -957,7 +966,7 @@ def test_staircase_walk_matches_predicate_walk_on_every_stepped_chart(
 def test_staircase_walk_refuses_where_the_predicate_walk_does(
     crepant_a1, J, phi, center, on_step
 ):
-    ch = fm3_region(crepant_a1, J, phi)
+    ch = pulled(crepant_a1, J, phi)
     (k,) = ch.m_index
     p = {j: pair(center, crepant_a1.sigma2.b(j)) for j in ch.j_prime}
     # the first refused center lies on a step line or, off them, on the i0 face
@@ -1055,7 +1064,7 @@ def test_difference_contractible_skips_shared_repeated_rows(first, second, picks
 
 def test_raster_runs_shares_equal_consecutive_rows(crepant_a1):
     origin = raster_origin(crepant_a1, 6, Fraction(1, 6))
-    rows = raster_runs(fm3_region(crepant_a1, (2,), (0,)), 6, Fraction(1, 6), origin=origin)
+    rows = raster_runs(pulled(crepant_a1, (2,), (0,)), 6, Fraction(1, 6), origin=origin)
     consecutive = list(zip(rows, rows[1:]))
     assert sum(a == b and a != () for a, b in consecutive) > 20
     assert all((a == b) == (a is b) for a, b in consecutive)

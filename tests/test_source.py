@@ -26,7 +26,10 @@ caching cannot spare: every cold ``ccc`` job would pay about 30 ms for it.
 about 3 ms of import and 3 ms of first use per job.
 
 Every ``functools`` cache of the package is bounded: ``lru_cache`` takes a
-finite ``maxsize``, and ``functools.cache`` is not used.
+finite ``maxsize``, and ``functools.cache`` is not used.  Each module-level
+cache is declared in ``DECLARED_CACHES`` with the traffic it serves, so a
+cache that serves none is deleted rather than kept: an undeclared cache
+fails, and so does a declared name that is no longer a cache.
 
 Every top-level ``def``, ``class`` and assigned name of the package is also
 read somewhere in the package, outside its own definition: a dead helper or
@@ -72,6 +75,14 @@ TEST_ROUTES = {
     "fm_line_bundle_case3": "the pull of a bundle, whose round trip criterion 02 checks",
     "case1_pullback": "the pullback to the lcm refinement that fm_case1 factors through",
     "case1_pushforward": "the pushforward from the lcm refinement that fm_case1 factors through",
+}
+
+# module-level functools caches of the package -> the traffic each serves
+DECLARED_CACHES = {
+    "cone_basis": "one basis per cone, read by witness_box, refined_denominator, "
+    "module_points and _validate_inner for every cone or theta of a sweep",
+    "_euler_terms": "the scaled gamma floors of one chart, scale and m window, "
+    "read by every stalk and Koszul count on that chart",
 }
 
 # stdlib modules whose import cost a cold ``ccc`` start does not pay
@@ -161,6 +172,43 @@ def _violations(tree: ast.AST) -> list[str]:
         if name in INTEGER_ONLY:
             found += _integer_violations(name, node)
     return found
+
+
+def _cache_call(node: ast.AST) -> bool:
+    """Whether node is lru_cache or cache, bare, as a functools attribute, or called."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in ("lru_cache", "cache")
+
+
+def _module_caches(tree: ast.Module) -> list[str]:
+    """The top-level names bound to a functools cache: decorated defs and wrapped values."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and any(map(_cache_call, node.decorator_list)):
+            found.append(node.name)
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            if _cache_call(node.value.func):
+                found += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return found
+
+
+def test_module_caches_are_the_declared_ones():
+    found = [name for path in SOURCES for name in _module_caches(_parse(path))]
+    assert sorted(found) == sorted(DECLARED_CACHES)
+
+
+def test_cache_rule_finds_every_form():
+    tree = ast.parse(
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=64)\ndef a():\n    pass\n"
+        "@functools.lru_cache(8)\ndef b():\n    pass\n"
+        "@cache\ndef c():\n    pass\n"
+        "@property\ndef plain():\n    pass\n"
+        "d = functools.lru_cache(4)(len)\ne = cache(len)\nf = len\n"
+    )
+    assert _module_caches(tree) == ["a", "b", "c", "d", "e"]
 
 
 def test_sources_found():
