@@ -41,6 +41,7 @@ from .sweeps import (
     sandwich_sweep,
 )
 from .thetapos import (
+    format_int,
     format_theta,
     hom_constructible,
     lambda_skeleton,
@@ -58,10 +59,15 @@ class Report(NamedTuple):
 
 
 def _jsonable(x):
-    if isinstance(x, bool) or x is None or isinstance(x, (int, str)):
+    if isinstance(x, bool) or x is None or isinstance(x, str):
+        return x
+    if isinstance(x, int):
+        format_int(x)  # refuses an integer that json could not write
         return x
     if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        if x.denominator == 1:
+            return _jsonable(x.numerator)
+        return f"{format_int(x.numerator)}/{format_int(x.denominator)}"
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     # exactly list and tuple: a named tuple is a value of the package, not a list
@@ -602,17 +608,19 @@ def _help(path, node) -> str:
 
 def run(argv) -> int:
     # the format is the parsed top-level flag: a refusal or help prints one line
-    fmt = "json-lines"
+    fmt, text = "json-lines", None
     try:
         args = _parse(argv)
         if args.pretty:
             fmt = "pretty"
         report = args.handler(args)
+        # written inside the try, so that a refusal to write it is a report too
+        text = emit_report(report, fmt)
     except _Help as exc:
         report = Report(status="ok", payload={"help": str(exc)}, witnesses=[])
     except CCCError as exc:
         report = Report(status="invalid-input", payload={"error": str(exc)}, witnesses=[])
-    print(emit_report(report, fmt))
+    print(text if text is not None else emit_report(report, fmt))
     return _EXIT[report.status]
 
 

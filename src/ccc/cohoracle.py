@@ -13,7 +13,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
-from operator import gt, le, mul
+from operator import gt, mul
 
 from .errors import BoundaryPointError, InvalidArgument, WindowTooSmall
 from .exactlin import Rational, RationalVector, cone_basis, pair
@@ -131,31 +131,68 @@ def _check_thresholds(theta: ThetaIndex, bound: Rational) -> None:
             raise InvalidArgument("box too small for these thresholds")
 
 
-# a theta's oracle support: the ray set of its cone and (lows, highs) of _refined_scaled
-OracleSupport = tuple[frozenset[int], tuple[int, ...], tuple[int, ...]]
+# a theta's oracle support: the ray set of its cone, and the packed lanes
+# of its refined intervals with their guard mask (_pack_lanes)
+OracleSupport = tuple[frozenset[int], int, int]
+
+
+def _pack_lanes(lows, highs, limit: int) -> tuple[int, int]:
+    """(packed, guard): the intervals of one support as guarded lanes of one integer.
+
+    Every lane value v of (*lows, *(-h for h in highs)) lies in [-L, L+1],
+    L = limit, the empty line (L+1, -L-1) included.  packed holds v + L in
+    a lane of w = (2L+1).bit_length() + 1 bits per value, the first value
+    in the highest lane, so the top bit of each lane is a zero guard bit;
+    guard has exactly those top bits set.
+    """
+    width = (2 * limit + 1).bit_length() + 1
+    packed = 0
+    for v in lows:
+        packed = packed << width | v + limit
+    for h in highs:
+        packed = packed << width | limit - h
+    # the top bit of each of the 2 * len(lows) lanes: a repunit in base 2^w
+    ones = ((1 << width * 2 * len(lows)) - 1) // ((1 << width) - 1)
+    return packed, ones << width - 1
 
 
 def oracle_support(theta: ThetaIndex, bound: Rational, denominator: int) -> OracleSupport:
-    """One theta's side of the module oracle: its cone's ray set and (lows, highs).
+    """One theta's side of the module oracle: (rays, packed, guard).
 
-    Runs the threshold guard, then reads the per-line intervals from
-    _refined_scaled on (1/denominator)Z^n, which refuses a box over
-    _MAX_BOX_POINTS.  A sweep builds this once per theta and compares
-    pairs with hom_from_supports.
+    Runs the threshold guard, then reads the per-line intervals (lows,
+    highs) from _refined_scaled on (1/denominator)Z^n, which refuses a box
+    over _MAX_BOX_POINTS, and packs them into one guarded integer with
+    _pack_lanes at L = floor(bound * denominator).  A sweep builds this
+    once per theta and compares pairs with hom_from_supports.
     """
     _check_thresholds(theta, bound)
-    return frozenset(theta.cone.ray_indices), *_refined_scaled(theta, bound, denominator)
+    limit = bound.numerator * denominator // bound.denominator
+    packed, guard = _pack_lanes(*_refined_scaled(theta, bound, denominator), limit)
+    return frozenset(theta.cone.ray_indices), packed, guard
 
 
 def hom_from_supports(support1: OracleSupport, support2: OracleSupport) -> HomResult:
     """Hom from two oracle supports: the face test, then interval containment.
 
     C[0] when the second cone is a face of the first and, on every line,
-    the first support's interval lies in the second's; otherwise zero.
+    the first support's interval lies in the second's (lo2 <= lo1 and
+    hi1 <= hi2); otherwise zero.  Both are one test on the lanes of
+    _pack_lanes: setting every guard bit of packed1 and subtracting
+    packed2 gives, in a lane of w bits, 2^(w-1) + (v1 + L) - (v2 + L),
+    where both v + L lie in [0, 2L+1] and so below 2^(w-1).  That lies in
+    [1, 2^w - 1], so no borrow crosses a lane, and the lane's guard bit
+    survives exactly when v1 >= v2: lo1 >= lo2 on a lows lane, and
+    -hi1 >= -hi2 on a highs lane.  Two supports of different lane layouts
+    (unequal guards: another line count or lane width) are refused rather
+    than compared.  Equal guards do not prove one bound: on a 1-D fan, two
+    bounds whose 2L+1 have one bit length share a guard, so both supports
+    must come from one bound and denominator, as in every caller.
     """
-    rays1, lo1, hi1 = support1
-    rays2, lo2, hi2 = support2
-    if rays2 <= rays1 and all(map(le, lo2, lo1)) and all(map(le, hi1, hi2)):
+    rays1, packed1, guard = support1
+    rays2, packed2, guard2 = support2
+    if guard != guard2:
+        raise InvalidArgument("the two oracle supports have different lane layouts")
+    if rays2 <= rays1 and ((packed1 | guard) - packed2) & guard == guard:
         return HOM_INCLUSION
     return HOM_NON_INCLUSION
 
@@ -167,20 +204,18 @@ def hom_module_oracle(theta1: ThetaIndex, theta2: ThetaIndex, bound: Rational) -
     every point of (1/D)Z^n, D = refined_denominator, in the first support
     lies in the second.  Both thetas pass the threshold guard first; a
     non-face pair is then zero without building either support, so a box
-    over _MAX_BOX_POINTS refuses only face pairs.  Otherwise
-    hom_from_supports compares the two supports' intervals.
+    over _MAX_BOX_POINTS refuses only face pairs.  Otherwise both
+    oracle_supports are built and compared by hom_from_supports.
     """
     if theta1.fan != theta2.fan:
         raise InvalidArgument("theta indices live in different fans")
     for th in (theta1, theta2):
         _check_thresholds(th, bound)
-    rays1, rays2 = frozenset(theta1.cone.ray_indices), frozenset(theta2.cone.ray_indices)
-    if not rays2 <= rays1:
+    if not set(theta2.cone.ray_indices) <= set(theta1.cone.ray_indices):
         return HOM_NON_INCLUSION
     denominator = refined_denominator(theta1.fan)
     return hom_from_supports(
-        (rays1, *_refined_scaled(theta1, bound, denominator)),
-        (rays2, *_refined_scaled(theta2, bound, denominator)),
+        oracle_support(theta1, bound, denominator), oracle_support(theta2, bound, denominator)
     )
 
 

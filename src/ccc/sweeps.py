@@ -164,8 +164,9 @@ def hom_oracle_sweep(
     The oracle box defaults to ``witness_box``, large enough that every
     support non-inclusion in the window shows inside it.  Each theta's
     ``oracle_support`` is built once, in window order, so the box guard
-    and the lattice-point cap refuse before any pair is compared; each
-    pair then compares two prebuilt supports (``hom_from_supports``).
+    and the lattice-point cap refuse before any pair is compared.  A
+    support is one guarded integer, so each pair's containment on every
+    line is one subtraction and one mask test (``hom_from_supports``).
     """
     check_window(window)
     _check_pairs("hom-oracle", _theta_count(fan, window) ** 2)
@@ -174,11 +175,12 @@ def hom_oracle_sweep(
     denominator = refined_denominator(fan)
     keyed = [(th, oracle_support(th, bound, denominator)) for th in thetas]
     disagreements = []
-    for (th1, s1), (th2, s2) in itertools.product(keyed, repeat=2):
-        fast = hom_constructible(th1, th2)
-        slow = hom_from_supports(s1, s2)
-        if fast.value != slow.value:
-            disagreements.append((th1, th2, fast.value, slow.value))
+    for th1, s1 in keyed:
+        for th2, s2 in keyed:
+            fast = hom_constructible(th1, th2)
+            slow = hom_from_supports(s1, s2)
+            if fast.value != slow.value:
+                disagreements.append((th1, th2, fast.value, slow.value))
     return HomOracleReport(window, bound, len(thetas) ** 2, tuple(disagreements))
 
 

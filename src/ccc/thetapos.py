@@ -9,6 +9,7 @@ drives every hom computation downstream.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
@@ -278,7 +279,19 @@ def parse_theta(fan: StackyFan, text: str) -> ThetaIndex:
     return ThetaIndex(fan=fan, cone=Cone(indices), t=t)
 
 
+def format_int(n: int) -> str:
+    """n in decimal, refused past Python's digit limit for integer strings."""
+    try:
+        return str(n)
+    except ValueError:  # the only ValueError str(int) raises
+        limit = sys.get_int_max_str_digits()
+        raise InvalidArgument(
+            f"an integer of the report has more than {limit} digits, "
+            "Python's limit for integer strings"
+        ) from None
+
+
 def format_theta(theta: ThetaIndex) -> str:
     cone_part = ",".join(str(i) for i in theta.cone.ray_indices)
-    t_part = ",".join(str(x) for x in theta.t)
+    t_part = ",".join(map(format_int, theta.t))
     return f"cone={cone_part};t={t_part}"

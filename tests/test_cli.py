@@ -492,6 +492,37 @@ def test_malformed_input_is_invalid_input(capsys, tmp_path, argv, doc):
         assert str(path) in rep.payload["error"]
 
 
+# 3000 nines: under Python's 4300-digit limit for reading an integer, but
+# an extra weight this long gives report integers of about 6000 digits
+_NINES = "9" * 3000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fm", "contract-push", "--theta", f"cone=0,1;t={_NINES},0"],
+        ["fm", "contract-push", "--bundle", f"{_NINES},{_NINES}"],
+    ],
+    ids=["theta", "bundle"],
+)
+def test_report_integer_past_the_digit_limit_is_invalid_input(capsys, tmp_path, argv):
+    # the theta goes through format_theta, the bundle through the report's ints
+    path = tmp_path / "doc.json"
+    path.write_text(f'{{"rays": [{{"v": [1, 0]}}, {{"v": [0, 1]}}], '
+                    f'"extra": {{"v": [1, 1], "weight": {_NINES}}}}}', encoding="utf-8")
+    code = run([*argv, str(path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert len(lines) == 1
+    rep = parse_report(lines[0])
+    assert rep.status == "invalid-input"
+    limit = sys.get_int_max_str_digits()
+    assert rep.payload == {
+        "error": f"an integer of the report has more than {limit} digits, "
+        "Python's limit for integer strings"
+    }
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "argv",
@@ -695,6 +726,33 @@ def test_ext_pair_sets_keep_their_witness_bytes(capsys, monkeypatch, name, diges
     assert code == 2
     assert rep.payload["confirmed"] == 0
     assert len(rep.witnesses) == rep.payload["pairs"] > 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of oracle reports that perfbench/expected.json does not pin: every
+# bundled plain fan at window 3, and two single pairs, one at its own box
+_ORACLE_DIGESTS = [
+    (["check", "hom-oracle", "p1.json", "--window", "3"],
+     "55e3c5a55c75f84e0d60b3b7c99bc663deeb4d8e5ba94bad29210213e3a51c93"),
+    (["check", "hom-oracle", "p13.json", "--window", "3"],
+     "55e3c5a55c75f84e0d60b3b7c99bc663deeb4d8e5ba94bad29210213e3a51c93"),
+    (["check", "hom-oracle", "p112.json", "--window", "3"],
+     "509f906ede6ae9b514d19ac46a49c83ea0e2007b6a90003f0b763a5c8666717b"),
+    (["check", "hom-oracle", "a1_resolution.json", "--window", "3"],
+     "eca1045eba577fbc60cf9a4df83152e3f8ed7fa435c0ceb604f46e2a949387d4"),
+    (["hom", "p112.json", "--theta1", "cone=0,1;t=2,-1", "--theta2", "cone=1;t=-2", "--oracle"],
+     "2b7168492650ce61fbf717ab2e9ae34f66c2e623b1d1fe24bc22b9e8db170b9d"),
+    (["hom", "a1_resolution.json", "--theta1", "cone=1,2;t=0,1", "--theta2", "cone=1,2;t=1,1",
+      "--oracle", "--box", "7/2"],
+     "de7a04d8f500ffd19546de1fe177e9c63ece90f987a52e718c2d1428321a798f"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _ORACLE_DIGESTS)
+def test_oracle_reports_keep_their_bytes(capsys, argv, digest):
+    code = run([str(DATA / a) if a.endswith(".json") else a for a in argv])
+    out = capsys.readouterr().out
+    assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from ccc import cohoracle, sweeps
 from ccc.cohoracle import (
+    _pack_lanes,
     _refined_scaled,
     hom_from_supports,
     hom_module_oracle,
@@ -308,6 +309,60 @@ def test_refined_intervals_match_point_filter(data):
     face = set(th2.cone.ray_indices) <= set(th1.cone.ray_indices)
     expected = "C0" if face and ref1 <= ref2 else "Zero"
     assert hom_from_supports(*supports).value == expected
+
+
+@st.composite
+def _lines(draw, limit, count):
+    """count intervals of [-limit, limit], the empty (L+1, -L-1) among them, ends at the edges."""
+    end = st.one_of(st.sampled_from([-limit, limit]), st.integers(-limit, limit))
+    empty = (limit + 1, -limit - 1)
+    line = st.one_of(st.just(empty), st.tuples(end, end).map(sorted).map(tuple))
+    return draw(st.lists(line, min_size=count, max_size=count))
+
+
+# L at the lane-width edges, where 2L+1 is all ones (2^k - 1) or one past (2^k)
+_LIMITS = st.one_of(
+    st.integers(0, 40),
+    st.integers(0, 20).flatmap(lambda k: st.sampled_from([(1 << k) - 1, 1 << k])),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_packed_containment_is_lanewise_containment(data):
+    limit = data.draw(_LIMITS)
+    count = data.draw(st.integers(1, 6))
+    first, second = (data.draw(_lines(limit, count)) for _ in range(2))
+    rays1, rays2 = (frozenset(data.draw(st.sets(st.integers(0, 1)))) for _ in range(2))
+    supports = []
+    for rays, lines in ((rays1, first), (rays2, second)):
+        lows, highs = zip(*lines)
+        packed, guard = _pack_lanes(lows, highs, limit)
+        # every guard bit is a zero bit of packed, over 2 * count lanes
+        assert packed & guard == 0
+        assert bin(guard).count("1") == 2 * count
+        supports.append((rays, packed, guard))
+    inside = all(lo2 <= lo1 and hi1 <= hi2 for (lo1, hi1), (lo2, hi2) in zip(first, second))
+    expected = "C0" if rays2 <= rays1 and inside else "Zero"
+    assert hom_from_supports(*supports).value == expected
+
+
+@pytest.mark.parametrize(
+    "name, bounds", [("p112", (6, 11)), ("p13", (5, 6))], ids=["line-count", "lane-width"]
+)
+def test_hom_from_supports_refuses_two_layouts(name, bounds, request):
+    # two bounds give supports of different line counts (p112) or lane
+    # widths (p13, L = 15 and 18), which no one comparison can read
+    fan = request.getfixturevalue(name)
+    th = theta(fan, (0,), (0,))
+    denominator = refined_denominator(fan)
+    small, large = (oracle_support(th, bound, denominator) for bound in bounds)
+    for pair in ((small, large), (large, small)):
+        with pytest.raises(
+            InvalidArgument, match="^the two oracle supports have different lane layouts$"
+        ):
+            hom_from_supports(*pair)
+    assert hom_from_supports(large, large).value == "C0"
 
 
 def test_koszul_euler_examples(crepant_a1):
