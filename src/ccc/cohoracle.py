@@ -10,6 +10,7 @@ independent of the fast ones so the two sides can be compared in tests.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
@@ -131,70 +132,65 @@ def _check_thresholds(theta: ThetaIndex, bound: Rational) -> None:
             raise InvalidArgument("box too small for these thresholds")
 
 
-# a theta's oracle support: the ray set of its cone, and the packed lanes
-# of its refined intervals with their guard mask (_pack_lanes)
-OracleSupport = tuple[frozenset[int], int, int]
+def _lane_order(supports, limit: int) -> Callable[[int, int], HomResult]:
+    """oracle_order's packing and pair test, on (rays, lows, highs) supports at L = limit.
 
-
-def _pack_lanes(lows, highs, limit: int) -> tuple[int, int]:
-    """(packed, guard): the intervals of one support as guarded lanes of one integer.
-
-    Every lane value v of (*lows, *(-h for h in highs)) lies in [-L, L+1],
-    L = limit, the empty line (L+1, -L-1) included.  packed holds v + L in
-    a lane of w = (2L+1).bit_length() + 1 bits per value, the first value
-    in the highest lane, so the top bit of each lane is a zero guard bit;
-    guard has exactly those top bits set.
+    Lane strings are formatted once per value seen and joined into one
+    int() per support, linear in the lane count.  The guard takes its lane
+    count from the first support, which has passed the box cap.
     """
     width = (2 * limit + 1).bit_length() + 1
-    packed = 0
-    for v in lows:
-        packed = packed << width | v + limit
-    for h in highs:
-        packed = packed << width | limit - h
-    # the top bit of each of the 2 * len(lows) lanes: a repunit in base 2^w
-    ones = ((1 << width * 2 * len(lows)) - 1) // ((1 << width) - 1)
-    return packed, ones << width - 1
+    spec = f"0{width}b"
+    strings = {}  # lane value v -> v + limit in w bits
+    packed = []
+    for rays, lows, highs in supports:
+        values = (*lows, *(-h for h in highs))
+        strings.update((v, format(v + limit, spec)) for v in set(values).difference(strings))
+        if not packed:
+            guard = int(("1" + "0" * (width - 1)) * len(values), 2)
+        packed.append((rays, int("".join(map(strings.__getitem__, values)), 2)))
+
+    def contains(i: int, j: int) -> HomResult:
+        rays1, packed1 = packed[i]
+        rays2, packed2 = packed[j]
+        if rays2 <= rays1 and ((packed1 | guard) - packed2) & guard == guard:
+            return HOM_INCLUSION
+        return HOM_NON_INCLUSION
+
+    return contains
 
 
-def oracle_support(theta: ThetaIndex, bound: Rational, denominator: int) -> OracleSupport:
-    """One theta's side of the module oracle: (rays, packed, guard).
+def oracle_order(
+    fan: StackyFan, thetas: Iterable[ThetaIndex], bound: Rational
+) -> Callable[[int, int], HomResult]:
+    """Hom between thetas of the fan by support containment in one box.
 
-    Runs the threshold guard, then reads the per-line intervals (lows,
-    highs) from _refined_scaled on (1/denominator)Z^n, which refuses a box
-    over _MAX_BOX_POINTS, and packs them into one guarded integer with
-    _pack_lanes at L = floor(bound * denominator).  A sweep builds this
-    once per theta and compares pairs with hom_from_supports.
+    D = refined_denominator(fan), L = floor(bound * D) and the lane width
+    are worked out once.  Each theta in turn passes the threshold guard,
+    then _refined_scaled reads its line intervals (lows, highs) on
+    (1/D)Z^n, refusing a box over _MAX_BOX_POINTS, and they are packed
+    into one integer: each lane value v of (*lows, *(-h for h in highs))
+    lies in [-L, L+1] and is held as v + L in w = (2L+1).bit_length() + 1
+    bits, the first value highest, so each lane's top bit is a zero guard
+    bit.  The guard has exactly those bits set.
+
+    Returns contains(i, j), the Hom from thetas[i] to thetas[j]: C[0] when
+    the j-th cone is a face of the i-th and each line's i-th interval lies
+    in its j-th (lo_j <= lo_i and hi_i <= hi_j), else zero.  Setting every
+    guard bit of packed_i and subtracting packed_j gives, in a lane,
+    2^(w-1) + (v_i + L) - (v_j + L) with both v + L in [0, 2L+1], so below
+    2^(w-1).  That lies in [1, 2^w - 1], so no borrow crosses a lane, and
+    the guard bit survives exactly when v_i >= v_j.  Supports never leave
+    the call, so every pair it compares shares one box and lane layout.
     """
-    _check_thresholds(theta, bound)
-    limit = bound.numerator * denominator // bound.denominator
-    packed, guard = _pack_lanes(*_refined_scaled(theta, bound, denominator), limit)
-    return frozenset(theta.cone.ray_indices), packed, guard
+    denominator = refined_denominator(fan)
 
+    def supports():
+        for theta in thetas:
+            _check_thresholds(theta, bound)
+            yield frozenset(theta.cone.ray_indices), *_refined_scaled(theta, bound, denominator)
 
-def hom_from_supports(support1: OracleSupport, support2: OracleSupport) -> HomResult:
-    """Hom from two oracle supports: the face test, then interval containment.
-
-    C[0] when the second cone is a face of the first and, on every line,
-    the first support's interval lies in the second's (lo2 <= lo1 and
-    hi1 <= hi2); otherwise zero.  Both are one test on the lanes of
-    _pack_lanes: setting every guard bit of packed1 and subtracting
-    packed2 gives, in a lane of w bits, 2^(w-1) + (v1 + L) - (v2 + L),
-    where both v + L lie in [0, 2L+1] and so below 2^(w-1).  That lies in
-    [1, 2^w - 1], so no borrow crosses a lane, and the lane's guard bit
-    survives exactly when v1 >= v2: lo1 >= lo2 on a lows lane, and
-    -hi1 >= -hi2 on a highs lane.  Two supports of different lane layouts
-    (unequal guards: another line count or lane width) are refused rather
-    than compared.  Equal guards do not prove one bound: on a 1-D fan, two
-    bounds whose 2L+1 have one bit length share a guard, so both supports
-    must come from one bound and denominator, as in every caller.
-    """
-    rays1, packed1, guard = support1
-    rays2, packed2, guard2 = support2
-    if guard != guard2:
-        raise InvalidArgument("the two oracle supports have different lane layouts")
-    if rays2 <= rays1 and ((packed1 | guard) - packed2) & guard == guard:
-        return HOM_INCLUSION
-    return HOM_NON_INCLUSION
+    return _lane_order(supports(), bound.numerator * denominator // bound.denominator)
 
 
 def hom_module_oracle(theta1: ThetaIndex, theta2: ThetaIndex, bound: Rational) -> HomResult:
@@ -204,8 +200,8 @@ def hom_module_oracle(theta1: ThetaIndex, theta2: ThetaIndex, bound: Rational) -
     every point of (1/D)Z^n, D = refined_denominator, in the first support
     lies in the second.  Both thetas pass the threshold guard first; a
     non-face pair is then zero without building either support, so a box
-    over _MAX_BOX_POINTS refuses only face pairs.  Otherwise both
-    oracle_supports are built and compared by hom_from_supports.
+    over _MAX_BOX_POINTS refuses only face pairs.  Otherwise the pair is
+    compared by a two-theta oracle_order.
     """
     if theta1.fan != theta2.fan:
         raise InvalidArgument("theta indices live in different fans")
@@ -213,10 +209,7 @@ def hom_module_oracle(theta1: ThetaIndex, theta2: ThetaIndex, bound: Rational) -
         _check_thresholds(th, bound)
     if not set(theta2.cone.ray_indices) <= set(theta1.cone.ray_indices):
         return HOM_NON_INCLUSION
-    denominator = refined_denominator(theta1.fan)
-    return hom_from_supports(
-        oracle_support(theta1, bound, denominator), oracle_support(theta2, bound, denominator)
-    )
+    return oracle_order(theta1.fan, (theta1, theta2), bound)(0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,8 @@ from math import lcm
 from typing import NamedTuple
 
 from .cohoracle import (
-    hom_from_supports,
     hom_module_oracle,
-    oracle_support,
+    oracle_order,
     refined_denominator,
     scaled_pairings,
     stalk_euler_scaled,
@@ -162,23 +161,21 @@ def hom_oracle_sweep(
     """Compare the hom rule with the module oracle on every window theta pair.
 
     The oracle box defaults to ``witness_box``, large enough that every
-    support non-inclusion in the window shows inside it.  Each theta's
-    ``oracle_support`` is built once, in window order, so the box guard
-    and the lattice-point cap refuse before any pair is compared.  A
-    support is one guarded integer, so each pair's containment on every
-    line is one subtraction and one mask test (``hom_from_supports``).
+    support non-inclusion in the window shows inside it.  One
+    ``oracle_order`` call reads every theta's support, in window order, so
+    the box guard and the lattice-point cap refuse before any pair is
+    compared; each pair is then one test by index.
     """
     check_window(window)
     _check_pairs("hom-oracle", _theta_count(fan, window) ** 2)
     thetas = window_thetas(fan, window)
     bound = box if box is not None else witness_box(fan, window)
-    denominator = refined_denominator(fan)
-    keyed = [(th, oracle_support(th, bound, denominator)) for th in thetas]
+    contains = oracle_order(fan, thetas, bound)
     disagreements = []
-    for th1, s1 in keyed:
-        for th2, s2 in keyed:
+    for i, th1 in enumerate(thetas):
+        for j, th2 in enumerate(thetas):
             fast = hom_constructible(th1, th2)
-            slow = hom_from_supports(s1, s2)
+            slow = contains(i, j)
             if fast.value != slow.value:
                 disagreements.append((th1, th2, fast.value, slow.value))
     return HomOracleReport(window, bound, len(thetas) ** 2, tuple(disagreements))

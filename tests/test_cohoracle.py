@@ -4,6 +4,7 @@ import copy
 import functools
 import itertools
 import math
+import operator
 import random
 import re
 from collections import Counter
@@ -15,13 +16,12 @@ from hypothesis import strategies as st
 
 from ccc import cohoracle, sweeps
 from ccc.cohoracle import (
-    _pack_lanes,
+    _lane_order,
     _refined_scaled,
-    hom_from_supports,
     hom_module_oracle,
     koszul_euler,
     module_points,
-    oracle_support,
+    oracle_order,
     q2_member,
     q2_member_enum,
     refined_denominator,
@@ -206,12 +206,12 @@ def test_module_points_monotone_under_leq(p13, p112):
 def test_hom_oracle_matches_constructible(fixture, request):
     fan = request.getfixturevalue(fixture)
     thetas = window_thetas(fan, 2)
-    # the sweep's route: one support per theta, then one comparison per pair
-    keyed = [(th, oracle_support(th, 6, refined_denominator(fan))) for th in thetas]
-    for (th1, s1), (th2, s2) in itertools.product(keyed, repeat=2):
+    # the sweep's route: one call for the box, then one test per pair by index
+    contains = oracle_order(fan, thetas, 6)
+    for (i, th1), (j, th2) in itertools.product(enumerate(thetas), repeat=2):
         direct = hom_module_oracle(th1, th2, 6)
         assert direct == hom_constructible(th1, th2)
-        assert hom_from_supports(s1, s2) == direct
+        assert contains(i, j) == direct
 
 
 def test_hom_oracle_non_face_pair_skips_the_box_cap(p13):
@@ -224,7 +224,7 @@ def test_hom_oracle_non_face_pair_skips_the_box_cap(p13):
     with pytest.raises(InvalidArgument, match=refusal):
         hom_module_oracle(th1, th1, box)
     with pytest.raises(InvalidArgument, match=refusal):
-        oracle_support(th2, box, refined_denominator(p13))
+        oracle_order(p13, [th2], box)
 
 
 def test_hom_oracle_box_guard(p13):
@@ -304,11 +304,14 @@ def test_refined_intervals_match_point_filter(data):
         with pytest.raises(InvalidArgument, match="box too small for these thresholds"):
             hom_module_oracle(th1, th2, bound)
         return
-    # the oracle's pair comparison, on the drawn lattice rather than the fan's
-    supports = [oracle_support(th, bound, denominator) for th in (th1, th2)]
+    # the oracle's pair test, on the drawn lattice rather than the fan's
+    supports = [
+        (frozenset(th.cone.ray_indices), *_refined_scaled(th, bound, denominator))
+        for th in (th1, th2)
+    ]
     face = set(th2.cone.ray_indices) <= set(th1.cone.ray_indices)
     expected = "C0" if face and ref1 <= ref2 else "Zero"
-    assert hom_from_supports(*supports).value == expected
+    assert _lane_order(supports, last)(0, 1).value == expected
 
 
 @st.composite
@@ -327,42 +330,58 @@ _LIMITS = st.one_of(
 )
 
 
+def _lanewise(first, second):
+    """Hom from the first (rays, lows, highs) support to the second, line by line."""
+    (rays1, lows1, highs1), (rays2, lows2, highs2) = first, second
+    inside = all(map(operator.le, lows2, lows1)) and all(map(operator.le, highs1, highs2))
+    return "C0" if rays2 <= rays1 and inside else "Zero"
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_packed_containment_is_lanewise_containment(data):
     limit = data.draw(_LIMITS)
     count = data.draw(st.integers(1, 6))
-    first, second = (data.draw(_lines(limit, count)) for _ in range(2))
-    rays1, rays2 = (frozenset(data.draw(st.sets(st.integers(0, 1)))) for _ in range(2))
-    supports = []
-    for rays, lines in ((rays1, first), (rays2, second)):
-        lows, highs = zip(*lines)
-        packed, guard = _pack_lanes(lows, highs, limit)
-        # every guard bit is a zero bit of packed, over 2 * count lanes
-        assert packed & guard == 0
-        assert bin(guard).count("1") == 2 * count
-        supports.append((rays, packed, guard))
-    inside = all(lo2 <= lo1 and hi1 <= hi2 for (lo1, hi1), (lo2, hi2) in zip(first, second))
-    expected = "C0" if rays2 <= rays1 and inside else "Zero"
-    assert hom_from_supports(*supports).value == expected
+    supports = [
+        (frozenset(data.draw(st.sets(st.integers(0, 1)))), *zip(*data.draw(_lines(limit, count))))
+        for _ in range(2)
+    ]
+    contains = _lane_order(supports, limit)
+    for i, j in itertools.product(range(2), repeat=2):
+        assert contains(i, j).value == _lanewise(supports[i], supports[j])
 
 
-@pytest.mark.parametrize(
-    "name, bounds", [("p112", (6, 11)), ("p13", (5, 6))], ids=["line-count", "lane-width"]
-)
-def test_hom_from_supports_refuses_two_layouts(name, bounds, request):
-    # two bounds give supports of different line counts (p112) or lane
-    # widths (p13, L = 15 and 18), which no one comparison can read
-    fan = request.getfixturevalue(name)
-    th = theta(fan, (0,), (0,))
-    denominator = refined_denominator(fan)
-    small, large = (oracle_support(th, bound, denominator) for bound in bounds)
-    for pair in ((small, large), (large, small)):
-        with pytest.raises(
-            InvalidArgument, match="^the two oracle supports have different lane layouts$"
-        ):
-            hom_from_supports(*pair)
-    assert hom_from_supports(large, large).value == "C0"
+# rays e1, e2, e3 and -(e1+e2+e3), D = 1: at bound 31 the box holds 63^3
+# points, under the cap, so every support has 3969 lines, 7938 lanes
+P3 = {
+    "dim": 3,
+    "rays": [{"v": list(v)} for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))],
+    "max_cones": [list(cone) for cone in itertools.combinations(range(4), 3)],
+}
+
+
+def test_large_3d_supports_pack_lane_for_lane():
+    fan = parse_stacky_fan(P3)
+    cones = [((0, 1), (1, -2)), ((0, 1), (1, -1)), ((0,), (1,)), ((), ())]
+    thetas = [theta(fan, cone, t) for cone, t in cones]
+    supports = [(frozenset(th.cone.ray_indices), *_refined_scaled(th, 31, 1)) for th in thetas]
+    assert {len(lows) for _, lows, _ in supports} == {3969}
+    contains = oracle_order(fan, thetas, 31)
+    for i, j in itertools.product(range(len(thetas)), repeat=2):
+        assert contains(i, j).value == _lanewise(supports[i], supports[j])
+        assert contains(i, j) == hom_constructible(thetas[i], thetas[j])
+    # one lane of the first support moved by one, at both ends and the
+    # middle of each half: the packed test turns exactly as the lanes do
+    for half, k, step in itertools.product((1, 2), (0, 1984, 3968), (-1, 1)):
+        moved = list(supports[0])
+        values = list(moved[half])
+        # a lows value stays in [-L, L+1], a highs value in [-L-1, L]
+        values[k] = min(max(values[k] + step, -31 - (half == 2)), 32 - (half == 2))
+        moved[half] = tuple(values)
+        pair = (supports[0], tuple(moved))
+        contains = _lane_order(pair, 31)
+        for i, j in itertools.product(range(2), repeat=2):
+            assert contains(i, j).value == _lanewise(pair[i], pair[j])
 
 
 def test_koszul_euler_examples(crepant_a1):
@@ -825,9 +844,22 @@ def _refused_count(sweep, *args) -> int:
 def test_hom_oracle_cap_counts_the_pairs_the_sweep_compares(name, window, monkeypatch):
     fan = parse_stacky_fan(load_data(name))
     counted = _refused_count(sweeps.hom_oracle_sweep, fan, window)
-    calls = _counting(monkeypatch, "hom_from_supports")
+    compared = Counter()
+
+    def counting_order(*args):
+        contains = cohoracle.oracle_order(*args)
+
+        def tallied(i, j):
+            compared[i, j] += 1
+            return contains(i, j)
+
+        return tallied
+
+    monkeypatch.setattr(sweeps, "oracle_order", counting_order)
     sweeps.hom_oracle_sweep(fan, window)
-    assert counted == calls["hom_from_supports"] == len(window_thetas(fan, window)) ** 2
+    # every ordered pair is compared once
+    assert counted == sum(compared.values()) == len(window_thetas(fan, window)) ** 2
+    assert set(compared.values()) == {1}
 
 
 @pytest.mark.parametrize("window", [1, 2, 3])
@@ -871,7 +903,7 @@ def test_pair_sweeps_refuse_a_huge_window_before_building(message, sweep, args, 
 
     args = args()
     for built in (
-        "window_thetas", "charts", "oracle_support", "witness_box", "refined_denominator",
+        "window_thetas", "charts", "oracle_order", "witness_box", "refined_denominator",
         "raster_origin", "raster_runs",
     ):
         monkeypatch.setattr(sweeps, built, unbuilt)

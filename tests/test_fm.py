@@ -44,6 +44,7 @@ from ccc.stackyfan import (
     build_contraction,
     build_same_base,
     parse_contraction,
+    parse_same_base,
     parse_stacky_fan,
 )
 from ccc.sweeps import (
@@ -59,6 +60,7 @@ from ccc.thetapos import (
     HOM_INCLUSION,
     Polyhedron,
     ThetaIndex,
+    leq,
     window_thetas,
 )
 
@@ -114,6 +116,16 @@ def test_fm_case1_factors_through_refinement(p12_to_p13, p13_to_p12):
                 direct = fm_case1(setup, th)
                 routed = case1_pushforward(setup, case1_pullback(setup, th))
                 assert direct == routed
+
+
+@pytest.mark.parametrize("name", ["samebase_p12_p13.json", "samebase_rev.json"])
+def test_case1_pullback_is_an_order_embedding(name):
+    # leq on fan_s is leq on the lcm refinement after the pullback, both ways
+    setup = parse_same_base(load_data(name))
+    thetas = window_thetas(setup.fan_s, 4)
+    pulled_back = [case1_pullback(setup, th) for th in thetas]
+    for (a, fa), (b, fb) in itertools.product(zip(thetas, pulled_back), repeat=2):
+        assert leq(a, b) == leq(fa, fb), (a, b)
 
 
 @given(

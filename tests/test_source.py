@@ -9,11 +9,12 @@ primitive rows ``exactlin._primitive``, the stalk and Koszul count
 ``cohoracle._euler_sum``, its term tables ``cohoracle._euler_terms`` and
 scaled entry ``cohoracle.stalk_euler_scaled``, the refined module
 intervals ``cohoracle._refined_scaled``, the oracle box guard
-``cohoracle._check_thresholds`` with the per-theta ``oracle_support``, its
-lane packing ``cohoracle._pack_lanes`` and the pair test
-``cohoracle.hom_from_supports`` run on integers scaled by one common denominator, so their bodies also
-hold no true division (a stray ``/`` on ints yields a float that the
-float-literal rule cannot see) and no ``Fraction``.  A rule names a
+``cohoracle._check_thresholds``, and the per-box ``cohoracle.oracle_order``
+with its lane packing and pair test ``cohoracle._lane_order`` run on
+integers scaled by one common denominator, so their bodies, nested
+``def``s included, also hold no true division (a stray ``/`` on ints
+yields a float that the float-literal rule cannot see) and no
+``Fraction``.  A rule names a
 top-level function, or a method of a top-level class as ``Class.method``.
 
 No module of the package imports ``dataclasses``, ``inspect``, ``ast``,
@@ -104,9 +105,8 @@ INTEGER_ONLY = {
     "stalk_euler_scaled": "cohoracle.py",
     "_refined_scaled": "cohoracle.py",
     "_check_thresholds": "cohoracle.py",
-    "oracle_support": "cohoracle.py",
-    "_pack_lanes": "cohoracle.py",
-    "hom_from_supports": "cohoracle.py",
+    "oracle_order": "cohoracle.py",
+    "_lane_order": "cohoracle.py",
 }
 
 
