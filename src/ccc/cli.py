@@ -118,7 +118,10 @@ def _ints(text: str) -> tuple[int, ...]:
         raise InvalidArgument(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _rational(text: str) -> Fraction:
+def _rational(text: str | None, default: Fraction | None = None) -> Fraction | None:
+    """The rational an option gives, or default when it is not given; an empty value is refused."""
+    if text is None:
+        return default
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -163,6 +166,8 @@ def _cmd_validate(args) -> Report:
 
 
 def _cmd_hom(args) -> Report:
+    if args.box is not None and not args.oracle:
+        raise InvalidArgument("--box is the oracle's box bound: it needs --oracle")
     fan = parse_stacky_fan(_load(args.file))
     th1 = parse_theta(fan, args.theta1)
     th2 = parse_theta(fan, args.theta2)
@@ -170,7 +175,7 @@ def _cmd_hom(args) -> Report:
     payload = {"value": res.value, "reason": res.reason}
     status, witnesses = "ok", []
     if args.oracle:
-        oracle, bound = hom_oracle_pair(th1, th2, _rational(args.box) if args.box else None)
+        oracle, bound = hom_oracle_pair(th1, th2, _rational(args.box))
         payload["oracle"] = {"value": oracle.value, "reason": oracle.reason, "box": bound}
         if oracle.value != res.value:
             status = "check-failed"
@@ -228,7 +233,7 @@ def _cmd_check_poset(args) -> Report:
 
 def _cmd_check_hom_oracle(args) -> Report:
     fan = parse_stacky_fan(_load(args.file))
-    rep = hom_oracle_sweep(fan, args.window, _rational(args.box) if args.box else None)
+    rep = hom_oracle_sweep(fan, args.window, _rational(args.box))
     witnesses = [
         [format_theta(th1), format_theta(th2), fast, slow]
         for th1, th2, fast, slow in rep.disagreements
@@ -246,10 +251,7 @@ def _cmd_check_sandwich(args) -> Report:
 def _cmd_check_contractibility(args) -> Report:
     setup = parse_contraction(_load(args.file))
     rep = contractibility_sweep(
-        setup,
-        args.window,
-        bbox=_rational(args.box) if args.box else None,
-        step=_rational(args.step) if args.step else None,
+        setup, args.window, bbox=_rational(args.box), step=_rational(args.step)
     )
     witnesses = [[tag, *_sweep_key(tag, k1), *_sweep_key(tag, k2)] for tag, k1, k2 in rep.witnesses]
     return _check_report(rep, witnesses)
@@ -259,7 +261,7 @@ def _cmd_plot_lagrangian(args) -> Report:
     fan = parse_stacky_fan(_load(args.file))
     if fan.dim != 1:
         raise InvalidArgument("lagrangian plots need a one-dimensional fan")
-    box = _rational(args.box) if args.box else Fraction(1)
+    box = _rational(args.box, Fraction(1))
     pieces = lambda_skeleton(fan, args.window, box)
     _write(args.out, skeleton_svg(fan, pieces, box))
     return Report(
@@ -271,10 +273,12 @@ def _cmd_plot_lagrangian(args) -> Report:
 
 def _cmd_plot_region(args) -> Report:
     doc = _load(args.file)
-    box = _rational(args.box) if args.box else Fraction(6)
-    if args.J or args.phi:
-        if not (args.J and args.phi):
+    box = _rational(args.box, Fraction(6))
+    if args.J is not None or args.phi is not None:
+        if args.J is None or args.phi is None:
             raise InvalidArgument("staircase plots need both --J and --phi")
+        if args.theta is not None:
+            raise InvalidArgument("plot region takes either --theta or --J with --phi, not both")
         setup = parse_contraction(doc)
         if setup.sigma2.dim != 2:
             raise InvalidArgument("staircase region plots need a two-dimensional setup")
@@ -283,7 +287,7 @@ def _cmd_plot_region(args) -> Report:
         if ch.inner is not None:
             regions.append((ch.inner, "#46b482"))
         scene = "region-2d"
-    elif args.theta:
+    elif args.theta is not None:
         fan = parse_stacky_fan(doc)
         theta = parse_theta(fan, args.theta)
         if fan.dim not in (1, 2):

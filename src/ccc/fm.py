@@ -146,7 +146,7 @@ def fm_case2(setup: ContractionSetup, theta: ThetaIndex) -> tuple[Polyhedron, li
     image = Polyhedron(dim=image.dim, constraints=image.constraints + (extra_con,))
 
     terms = []
-    for size in range(1, setup.n_prime + 1):
+    for size in range(1, len(setup.i_prime) + 1):
         for removed in itertools.combinations(setup.i_prime, size):
             cone = Cone(tuple(
                 i for i in sigma.ray_indices + (setup.extra_index,) if i not in removed

@@ -245,22 +245,9 @@ def is_complete(fan: StackyFan) -> bool:
 class SameBaseSetup(namedtuple("SameBaseSetup", "base r s t m n fan_r fan_s fan_t")):
     """Two weightings r, s of one base fan, refined by t_i = lcm(r_i, s_i).
 
-    The discrepancy comparison is derived on first use and, like that of
-    ContractionSetup, takes no part in equality, hashing or repr.  The
-    fields are base (a StackyFan), the weight tuples r, s, t, m = t / r and
-    n = t / s, and the reweighted fans fan_r, fan_s and fan_t.
+    The fields are base (a StackyFan), the weight tuples r, s, t, m = t / r
+    and n = t / s, and the reweighted fans fan_r, fan_s and fan_t.
     """
-
-    @cached_property
-    def discrepancy(self) -> str:
-        """r compared with s componentwise: ">=", "<=", "=" or "incomparable"."""
-        ge = all(a >= b for a, b in zip(self.r, self.s))
-        le = all(a <= b for a, b in zip(self.r, self.s))
-        if ge and le:
-            return "="
-        if ge:
-            return ">="
-        return "<=" if le else "incomparable"
 
 
 def _reweight(fan: StackyFan, weights) -> StackyFan:
@@ -293,21 +280,20 @@ def build_same_base(fan: StackyFan, r, s) -> SameBaseSetup:
     )
 
 
-class ContractionSetup(
-    namedtuple("ContractionSetup", "n n_prime extra alpha perm sigma1 sigma2")
-):
+class ContractionSetup(namedtuple("ContractionSetup", "n extra alpha sigma1 sigma2")):
     """Data of a weighted-blowup contraction.
 
-    The extra ray v_{n+1} = sum a_i v_i (a_i > 0 for i < n_prime after
-    reindexing) subdivides the cone on the first n_prime rays, and
-    alpha_i = r_{n+1} a_i / r_i writes its weighted generator in the block:
-    b_{n+1} = sum alpha_i b_i.  sigma2 is the fan of the contracted model,
-    sigma1 the subdivided one; perm records the reindexing.
+    Rays keep the order of the input list, and the extra ray
+    v_{n+1} = sum a_i v_i (all a_i >= 0) is appended as ray index n.  The
+    block I' of the rays with a_i > 0 may sit anywhere in the list.
+    alpha_i = r_{n+1} a_i / r_i, one entry per ray of sigma2 and 0 off the
+    block, writes its weighted generator as b_{n+1} = sum alpha_i b_i.
+    sigma2 is the fan of the contracted model, sigma1 its subdivision by
+    the extra ray: one maximal cone per block ray, dropping that ray.
 
-    The discrepancy comparison and the integer block weights are derived
-    once, on first use; they live outside the fields, so they take no part
-    in equality, hashing or repr.  perm maps each new index to its index in
-    the input ray list.
+    The discrepancy comparison, the integer block weights and the block
+    are derived once, on first use; they live outside the fields, so they
+    take no part in equality, hashing or repr.
     """
 
     @cached_property
@@ -328,16 +314,18 @@ class ContractionSetup(
     def extra_index(self) -> int:
         return self.n
 
-    @property
+    @cached_property
     def i_prime(self) -> tuple[int, ...]:
-        return tuple(range(self.n_prime))
+        """The block I': the rays the extra ray involves, in increasing order."""
+        return tuple(i for i, a in enumerate(self.alpha) if a)
 
 
 def build_contraction(rays, extra: WeightedRay) -> ContractionSetup:
     """Construct the contraction setup from n independent rays and one extra.
 
     The extra ray must be a positive combination of at least two of the input
-    rays; inputs are reindexed so those carry the leading indices.
+    rays, in any positions; the rays keep their order and the extra ray is
+    appended as ray n.
 
     Raises:
         InvalidArgument: extra ray outside the open span, or degenerate
@@ -362,26 +350,19 @@ def build_contraction(rays, extra: WeightedRay) -> ContractionSetup:
     a_full = solve_square(list(zip(*(r.v for r in rays))), extra.v)
     if any(c < 0 for c in a_full):
         raise InvalidArgument("extra ray is not in the nonnegative span of the rays")
-    positive = [i for i, c in enumerate(a_full) if c > 0]
-    if len(positive) < 2:
+    block = [i for i, c in enumerate(a_full) if c > 0]
+    if len(block) < 2:
         raise InvalidArgument("extra ray must involve at least two rays")
-    perm = tuple(positive + [i for i, c in enumerate(a_full) if c == 0])
-    rays = tuple(rays[i] for i in perm)
-    n_prime = len(positive)
-    alpha = tuple(
-        Fraction(extra.weight, rays[k].weight) * a_full[i] for k, i in enumerate(positive)
-    )
+    alpha = tuple(Fraction(extra.weight, ray.weight) * a for ray, a in zip(rays, a_full))
     # b_{n+1} = sum alpha_i b_i must hold on the nose
-    rhs = tuple(sum(alpha[i] * rays[i].b[k] for i in range(n_prime)) for k in range(dim))
+    rhs = tuple(sum(a * ray.b[k] for a, ray in zip(alpha, rays)) for k in range(dim))
     if extra.b != rhs:
         raise ValidationError("internal: weighted extra ray does not recombine")
 
     sigma2 = make_fan(dim, rays, [tuple(range(n))])
-    max1 = [tuple(j for j in range(n + 1) if j != i) for i in range(n_prime)]
+    max1 = [tuple(j for j in range(n + 1) if j != i) for i in block]
     sigma1 = make_fan(dim, rays + (extra,), max1)
-    return ContractionSetup(
-        n=n, n_prime=n_prime, extra=extra, alpha=alpha, perm=perm, sigma1=sigma1, sigma2=sigma2
-    )
+    return ContractionSetup(n=n, extra=extra, alpha=alpha, sigma1=sigma1, sigma2=sigma2)
 
 
 def parse_contraction(data: dict) -> ContractionSetup:

@@ -174,8 +174,9 @@ def lambda_skeleton(fan: StackyFan, char_window: int, box: Rational) -> list[Lag
     so it lies in the box exactly when |t| <= box * r_i.  The pieces come in
     (cone, t) order; more than ``MAX_SKELETON_PIECES`` are refused, counted first.
     """
-    if char_window < 0 or box <= 0:
-        raise InvalidArgument("char_window and box must be positive")
+    check_window(char_window)
+    if box <= 0:
+        raise InvalidArgument("box must be positive")
     reach = {
         cone: min(char_window, floor(box * fan.weight(cone.ray_indices[0])))
         for cone in fan.all_cones

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -778,6 +779,84 @@ def test_plot_lagrangian_refuses_a_2d_fan_before_the_skeleton(
     code, rep = invoke(capsys, *argv, *extra)
     assert code == 1
     assert rep.payload == {"error": "lagrangian plots need a one-dimensional fan"}
+
+
+@pytest.mark.parametrize("window, box, error", [
+    ("-1", "1", "window must be >= 0"),
+    ("0", "0", "box must be positive"),
+    ("0", "-1/2", "box must be positive"),
+])
+def test_plot_lagrangian_refuses_a_bad_window_or_box(capsys, tmp_path, window, box, error):
+    argv = ["plot", "lagrangian", str(DATA / "p13.json"), "-o", str(tmp_path / "x.svg")]
+    code, rep = invoke(capsys, *argv, f"--window={window}", f"--box={box}")
+    assert code == 1
+    assert rep.payload == {"error": error}
+    assert invoke(capsys, *argv, "--window", "0")[0] == 0  # window 0 draws the zero section
+
+
+RATIONAL_ERROR = "expected a rational like 3 or 1/8, got ''"
+INTS_ERROR = "expected comma-separated integers, got ''"
+HOM_ARGV = ["hom", "p13.json", "--theta1", "cone=0;t=1", "--theta2", "cone=0;t=0"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["check", "contractibility-2d", "contract_om3.json", "--box=", "--step=1/6"], RATIONAL_ERROR),
+    (["check", "contractibility-2d", "contract_om3.json", "--step="], RATIONAL_ERROR),
+    (["check", "hom-oracle", "p13.json", "--box="], RATIONAL_ERROR),
+    ([*HOM_ARGV, "--oracle", "--box="], RATIONAL_ERROR),
+    (["plot", "lagrangian", "p13.json", "--box=", "-o"], RATIONAL_ERROR),
+    (["plot", "region", "p112.json", "--theta", "cone=0,1;t=1,0", "--box=", "-o"], RATIONAL_ERROR),
+    (["plot", "region", "contract_crepant_a1.json", "--J=", "--phi", "0,0", "-o"], INTS_ERROR),
+    (["plot", "region", "contract_crepant_a1.json", "--J", "1,2", "--phi=", "-o"], INTS_ERROR),
+    # an option the verb would not read
+    ([*HOM_ARGV, "--box", "abc"], "--box is the oracle's box bound: it needs --oracle"),
+    (
+        ["plot", "region", "contract_crepant_a1.json", "--J", "1,2", "--phi", "0,0",
+         "--theta", "garbage", "-o"],
+        "plot region takes either --theta or --J with --phi, not both",
+    ),
+])
+def test_an_empty_or_unread_option_is_refused(capsys, tmp_path, argv, error):
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    if argv[-1] == "-o":
+        argv.append(str(tmp_path / "x.svg"))
+    code, rep = invoke(capsys, *argv)
+    assert code == 1
+    assert rep.payload == {"error": error}
+    assert not (tmp_path / "x.svg").exists()
+
+
+def _readme_cli_lines() -> list[str]:
+    """Every `ccc ...` line of the README's CLI code block."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("ccc ")]
+
+
+def test_readme_cli_block_shows_every_verb():
+    leaves = set()
+    for verb, node in _VERB_TREE.items():
+        leaves |= {(verb, sub) for sub in node[1]} if isinstance(node[1], dict) else {(verb,)}
+    shown = set()
+    for line in _readme_cli_lines():
+        words = shlex.split(line)[1:]
+        shown.add(tuple(words[: 1 + isinstance(_VERB_TREE[words[0]][1], dict)]))
+    assert shown == leaves
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch, line):
+    # run from a scratch directory: data paths point into the package, -o into the directory
+    monkeypatch.chdir(tmp_path)
+    argv = shlex.split(line)[1:]
+    argv = [str(DATA / Path(a).name) if a.startswith("src/ccc/data/") else a for a in argv]
+    if "-o" in argv:
+        at = argv.index("-o") + 1
+        argv[at] = str(tmp_path / argv[at])
+    code = run(argv)
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert parse_report(out).status == "ok" and code == 0
 
 
 def test_plot_region_staircase(capsys, tmp_path):

@@ -338,9 +338,105 @@ def test_ext_case2_gap_pair_verdicts(crepant_a1):
 )
 def test_extra_threshold_is_the_fraction_ceiling(name):
     setup = parse_contraction(load_data(name))
-    for t in itertools.product(range(-4, 5), repeat=setup.n_prime):
-        expected = math.ceil(sum(a * ti for a, ti in zip(setup.alpha, t)))
+    for t in itertools.product(range(-4, 5), repeat=len(setup.i_prime)):
+        expected = math.ceil(sum(setup.alpha[i] * ti for i, ti in zip(setup.i_prime, t)))
         assert fm._extra_threshold(setup, dict(zip(setup.i_prime, t))) == expected
+
+
+# rays e1, e2, e3 and the extra ray (1, 0, 1): the block is rays 0 and 2
+BLOCK_APART = {
+    "rays": [{"v": [1, 0, 0]}, {"v": [0, 1, 0]}, {"v": [0, 0, 1]}],
+    "extra": {"v": [1, 0, 1]},
+}
+
+
+def test_push_reads_the_block_where_the_document_puts_it():
+    setup = parse_contraction(BLOCK_APART)
+    assert fm_line_bundle_case2(setup, (1, 2, 3)) == (1, 2, 3, 4)  # 4 = c1 + c3
+    assert setup.i_prime == (0, 2)
+    image, terms = fm_case2(setup, theta(setup.sigma2, (0, 1, 2), (1, 5, 2)))
+    assert ((1, 0, 1), 3, True) in image.constraints
+    assert {(term.cone.ray_indices, term.t) for term in terms} == {
+        ((1, 2, 3), (5, 2, 3)),
+        ((0, 1, 3), (1, 5, 3)),
+        ((1, 3), (5, 3)),
+    }
+
+
+def _seeded_3d_contractions(seed, count):
+    """(document, block) pairs: a 3-D basis whose extra ray involves two rays, in any positions."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        vs = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(3)]
+        det = (
+            vs[0][0] * (vs[1][1] * vs[2][2] - vs[1][2] * vs[2][1])
+            - vs[0][1] * (vs[1][0] * vs[2][2] - vs[1][2] * vs[2][0])
+            + vs[0][2] * (vs[1][0] * vs[2][1] - vs[1][1] * vs[2][0])
+        )
+        if det == 0 or any(math.gcd(*v) != 1 for v in vs):
+            continue
+        block = tuple(sorted(rng.sample(range(3), 2)))
+        c = {i: rng.randint(1, 3) for i in block}
+        e = tuple(sum(c[i] * vs[i][k] for i in block) for k in range(3))
+        g = math.gcd(*e)
+        out.append((
+            {
+                "rays": [{"v": list(v), "weight": rng.randint(1, 3)} for v in vs],
+                "extra": {"v": [x // g for x in e], "weight": rng.randint(1, 3)},
+            },
+            block,
+        ))
+    return out
+
+
+RELABELED = [(BLOCK_APART, (0, 2)), *_seeded_3d_contractions(20261020, 6)]
+
+
+def _block_first(doc, block):
+    """The order of a copy that lists the block first (its ray k is ray order[k]), and the copy."""
+    order = [*block, *(i for i in range(len(doc["rays"])) if i not in block)]
+    return order, {"rays": [doc["rays"][i] for i in order], "extra": doc["extra"]}
+
+
+@pytest.mark.parametrize("doc, block", RELABELED, ids=range(len(RELABELED)))
+def test_contraction_verdicts_do_not_depend_on_the_ray_order(doc, block):
+    order, copy = _block_first(doc, block)
+    to = {i: k for k, i in enumerate(order)} | {3: 3}  # the copy's index of each ray
+    first, second = parse_contraction(doc), parse_contraction(copy)
+    assert (first.i_prime, second.i_prime) == (block, (0, 1))
+
+    def moved(th, fan):
+        thresholds = {to[i]: t for i, t in th.thresholds.items()}
+        cone = Cone(tuple(thresholds))
+        return ThetaIndex(fan=fan, cone=cone, t=tuple(thresholds[i] for i in cone.ray_indices))
+
+    for c in itertools.product(range(-2, 3), repeat=3):
+        image = fm_line_bundle_case2(first, c)
+        relabeled = fm_line_bundle_case2(second, tuple(c[i] for i in order))
+        assert relabeled == (*(image[i] for i in order), image[3])
+    for th in window_thetas(first.sigma2, 1):
+        image, terms = fm_case2(first, th)
+        image2, terms2 = fm_case2(second, moved(th, second.sigma2))
+        assert set(image.constraints) == set(image2.constraints)
+        assert {moved(term, second.sigma1) for term in terms} == set(terms2)
+    for key in charts(first, 1):
+        ch, ch2 = fm3_region(first, key), fm3_region(second, moved(key, second.sigma1))
+        assert set(ch.outer.constraints) == set(ch2.outer.constraints)
+        assert ch.s1 == ch2.s1
+        if ch.inner is None:
+            assert ch2.inner is None
+        else:
+            assert set(ch.inner.constraints) == set(ch2.inner.constraints)
+    report = sandwich_sweep(first, 0)
+    assert report.points and not report.violations
+    assert sandwich_sweep(second, 0) == report
+
+
+def test_sandwich_at_window_1_does_not_depend_on_the_ray_order():
+    report = sandwich_sweep(parse_contraction(BLOCK_APART), 1)
+    assert (report.charts, report.points, report.violations) == (84, 111804, ())
+    assert sandwich_sweep(parse_contraction(_block_first(BLOCK_APART, (0, 2))[1]), 1) == report
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Each value class compares, hashes and prints by its fields alone: it hashes
 to the hash of the tuple of its compared fields, two parses of one document
 compare equal, and its repr reads ``Name(field=value, ...)``.  Derived and
-kept values (``WeightedRay.b``, ``ThetaIndex.thresholds``, the setups'
-``discrepancy`` and ``scaled_alpha``) take no part.  Construction keeps
-its validation and its exact messages.
+kept values (``WeightedRay.b``, ``ThetaIndex.thresholds``, and the
+``discrepancy``, ``scaled_alpha`` and ``i_prime`` of a contraction setup)
+take no part.  Construction keeps its validation and its exact messages.
 """
 
 from fractions import Fraction
@@ -55,7 +55,7 @@ VALUES = {
         lambda: parse_same_base(load_data("samebase_rev.json")),
     ),
     "ContractionSetup": (
-        ("n", "n_prime", "extra", "alpha", "perm", "sigma1", "sigma2"),
+        ("n", "extra", "alpha", "sigma1", "sigma2"),
         lambda: parse_contraction(load_data("contract_om3.json")),
     ),
     "ThetaIndex": (("fan", "cone", "t"), _theta),
