@@ -12,17 +12,17 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Iterable
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm, prod
-from operator import gt, mul
+from operator import mul
 
-from .errors import BoundaryPointError, InvalidArgument, WindowTooSmall
+from .errors import InvalidArgument, WindowTooSmall
 from .exactlin import Rational, RationalVector, cone_basis, pair
 from .fm import Chart, fm3_region
 from .stackyfan import ContractionSetup, StackyFan
 from .thetapos import HOM_INCLUSION, HOM_NON_INCLUSION, HomResult, ThetaIndex
 
-# _euler_sum refuses a point whose m window would pass this cap
+# stalk_euler refuses a point whose m window would pass this cap; a batch
+# of points is summed over one window, the least that covers every point
 _MAX_WINDOW = 16
 # refined oracle boxes enumerate at most this many lattice points
 _MAX_BOX_POINTS = 1 << 18
@@ -216,9 +216,8 @@ def hom_module_oracle(theta1: ThetaIndex, theta2: ThetaIndex, bound: Rational) -
 # Koszul resolution and stalk Euler counts for the contraction pullback
 
 
-@lru_cache(maxsize=1 << 10)
 def _euler_terms(ch: Chart, scale: int, w: int):
-    """The terms of _euler_sum that do not depend on the point, built once.
+    """The terms of stalk_euler that do not depend on the points.
 
     Returns (floors, subsets) for the chart at this scale and m window w:
     floors[k] is scale * gamma(m).t on J' for the k-th m of the window, in
@@ -239,39 +238,112 @@ def _euler_terms(ch: Chart, scale: int, w: int):
     return floors, subsets
 
 
-def _euler_sum(ch: Chart, pairings, scale: int) -> int:
-    """Alternating count over m and subsets S of m_index, over the point's m window.
+def stalk_euler(ch: Chart, scale: int, points) -> list[int | None]:
+    """Euler counts of the chart's stalk complexes at many points of one scale.
 
-    pairings[j] is scale times the pairing of the point with ray j of J',
-    an integer, so every test below is on integers.  The (m, S) term is
-    (-1)^|S| when pairings[j] > scale * (gamma(m)_j + [j in S]) for every
-    j of J'.  Any term surviving the alternating sum pins every m
-    coordinate to one rung determined by the pairings, so with
-    P_i = pairings[i] / scale a window w holds every such term once
-    w >= ceil(P_i) - c_i - 1 on each axis i inside J, and w >= ceil(P_i) - 1
-    and w >= -floor(P_i) on each axis outside J.  The least such w >= 1 is
-    rounded up to a power of two, so that each chart keeps few tables, and
-    a w past _MAX_WINDOW is refused.
-    The scaled floors and subset bumps of each window come from
-    _euler_terms, once per chart, scale and window.
+    points[k][j] is scale times the pairing of the k-th point with ray j of
+    sigma2 (``scaled_pairings``), an integer, for at least every j of J',
+    so every test below is on integers.  A point with a pairing on J' that
+    is a multiple of the scale lies on a chart face or a step, where the
+    count is undefined: its entry is None.  Every other point, a live one,
+    gets the alternating count over the (m, S) terms of ``_euler_terms``,
+    m in an m window and S a subset of m_index: with v_j = points[k][j],
+    f = scale * gamma(m) and b_j = scale * [j in S], the term adds
+    (-1)^|S| when v_j > f_j + b_j on every j of J'.  The count equals the
+    chart's region indicator at the point, and never goes through the
+    region's own pairing.
+
+    One window gives every live point its own count.  For a fixed m the
+    bumps raise only floors on m_index, and v_k > f_k + scale implies
+    v_k > f_k, so the S-sum factors as
+    [v > f(m)] * prod_k (1 - [v_k > f_k(m) + scale]) over k in m_index.
+    As f_k(m) = scale * (c_k + m_k), with c_k = 0 off J, each factor
+    vanishes unless m_k = ceil(P_k) - 1 - c_k, P_k = v_k / scale: only the
+    point's rung contributes, so every window holding that rung gives the
+    same count, 0 or 1.  Off a face ceil(P_k) - 1 = floor(P_k), so the rung
+    lies in window w once w >= floor(P_k) - c_k on each axis inside J (a
+    rung below 0 there is in no window and counts 0) and
+    w >= |floor(P_k)| on each axis outside J; the least such w >= 1 is the
+    point's need.  The first live point, in order, that needs a window past
+    _MAX_WINDOW is refused with WindowTooSmall.  Otherwise the window
+    summed is the greatest live need.
+
+    Each term is tested on every point at once, one lane of `width` bits
+    per point, the first point highest; a face point's lane is computed
+    and not read.  On ray j, with lo and hi the least and greatest v_j, a
+    lane holds v_j - lo below its guard bit 2^g, g = (hi - lo).bit_length()
+    on the widest ray, so v_j - lo < 2^g.  A floor F = f_j + b_j is read as
+    q = F + 1 - lo clamped to [0, hi - lo + 1], which changes no test as
+    every v_j lies in [lo, hi], and q <= 2^g.  Setting every guard bit and
+    subtracting q from every lane leaves 2^g + (v_j - lo) - q in the lane,
+    in [0, 2^(g+1) - 1], so no borrow crosses a lane and the guard bit
+    survives exactly when v_j > F.  The guard bits left on every ray of J'
+    mark the lanes the term survives at.  Shifted down to the foot of each
+    lane, they are added to one tally with the term's sign.  The tally
+    starts each lane at 2^(width-1), and a lane moves by at most
+    T = len(floors) * len(subsets) either way; width exceeds both g and
+    T.bit_length(), so T < 2^(width-1), every lane stays in
+    [1, 2^width - 1] and no tally carries or borrows out of its lane.  A
+    floor that no lane clears is skipped with its subsets, which only
+    raise it.
     """
-    need = 1
+    if not ch.stepped:
+        raise InvalidArgument("stalk complexes need the extra ray in J")
+    columns = [[p[j] for p in points] for j in ch.j_prime]
+    # a product of residues is zero exactly on a chart face
+    residues = [1] * len(points)
+    for col in columns:
+        residues = [r * (v % scale) for r, v in zip(residues, col)]
+    needs = [1] * len(points)
     for i in ch.m_index:
-        # ceil(P_i) - 1 and -floor(P_i)
-        top, bottom = -(-pairings[i] // scale) - 1, -(pairings[i] // scale)
-        need = max(need, top - ch.c[i]) if i in ch.c else max(need, top, bottom)
+        col = columns[ch.j_prime.index(i)]
+        if i in ch.c:
+            axis = [v // scale - ch.c[i] for v in col]
+        else:
+            axis = [abs(v // scale) for v in col]
+        needs = list(map(max, needs, axis))
+    needs = [own for own, r in zip(needs, residues) if r]
+    if not needs:
+        return [None] * len(points)
+    need = max(needs)
     if need > _MAX_WINDOW:
+        need = next(own for own in needs if own > _MAX_WINDOW)
         raise WindowTooSmall(f"the point needs an m window of {need}, over the cap {_MAX_WINDOW}")
-    floors, subsets = _euler_terms(ch, scale, min(1 << (need - 1).bit_length(), _MAX_WINDOW))
-    values = [pairings[j] for j in ch.j_prime]
-    total = 0
+    floors, subsets = _euler_terms(ch, scale, need)
+    lows = [min(col) for col in columns]
+    # the clamp's top, hi - lo + 1, on each ray
+    tops = [max(col) - lo + 1 for col, lo in zip(columns, lows)]
+    g = (max(tops) - 1).bit_length()
+    width = max(g, (len(floors) * len(subsets)).bit_length()) + 1
+    spec = f"0{width}b"
+    ones = int(("0" * (width - 1) + "1") * len(points), 2)
+    guard = ones << g
+    rays = []
+    for col, lo, top in zip(columns, lows, tops):
+        strings = {v: format(v - lo, spec) for v in set(col)}
+        rays.append((int("".join(map(strings.__getitem__, col)), 2) | guard, lo, top))
+
+    def survivors(floor, bumps):
+        mask = guard
+        for (high, lo, top), f, b in zip(rays, floor, bumps):
+            mask &= high - min(max(f + b + 1 - lo, 0), top) * ones
+            if not mask:
+                break
+        return mask >> g
+
+    bias = 1 << (width - 1)
+    tally = bias * ones
+    zero = subsets[0][0]  # the bumps of the empty S, which comes first
     for f in floors:
-        if not all(map(gt, values, f)):
+        if not survivors(f, zero):
             continue  # bumps only raise the floors, so no term of this m survives
         for bumps, sign in subsets:
-            if all(v > a + b for v, a, b in zip(values, f, bumps)):
-                total += sign
-    return total
+            tally += sign * survivors(f, bumps)
+    tally = format(tally, f"0{len(points) * width}b")
+    return [
+        int(tally[start:start + width], 2) - bias if r else None
+        for start, r in zip(range(0, len(tally), width), residues)
+    ]
 
 
 def _probe_chart(setup: ContractionSetup, theta: ThetaIndex, probe, unstepped: str):
@@ -279,6 +351,8 @@ def _probe_chart(setup: ContractionSetup, theta: ThetaIndex, probe, unstepped: s
     ch = fm3_region(setup, theta)
     if not ch.stepped:
         raise InvalidArgument(unstepped)
+    if any(int(x) != x for x in probe):
+        raise InvalidArgument("probe must be an integer character")
     probe = tuple(int(x) for x in probe)
     if len(probe) != setup.n:
         raise InvalidArgument("probe must be a character of the contracted chart")
@@ -293,43 +367,31 @@ def koszul_euler(setup: ContractionSetup, theta: ThetaIndex, probe) -> int:
     chart.  The sum telescopes to the Q2-membership indicator, so the
     return value is always 0 or 1.  For integers q >= t exactly when
     q + 1/2 > t, so this is the stalk count at the pairings q_j + 1/2,
-    passed to _euler_sum at scale 2 as the integers 2 q_j + 1.
+    passed to stalk_euler as one point of scale 2, the integers 2 q_j + 1;
+    none of them is even, so the point is never on a chart face.
     """
     ch, probe = _probe_chart(setup, theta, probe, "the resolution needs the extra ray in J")
-    return _euler_sum(ch, {j: 2 * probe[j] + 1 for j in ch.j_prime}, 2)
+    return stalk_euler(ch, 2, [{j: 2 * probe[j] + 1 for j in ch.j_prime}])[0]
 
 
-def scaled_pairings(fan: StackyFan, p) -> tuple[int, tuple[int, ...]]:
-    """A rational point as (scale, pairings) for the stalk count.
+def scaled_pairings(fan: StackyFan, points) -> tuple[int, list[tuple[int, ...]]]:
+    """Rational points as (scale, pairings) for stalk_euler, at one common scale.
 
-    scale is the lcm of the denominators of p, and pairings[j] is scale
-    times the pairing of p with the weighted generator of ray j of the fan,
-    paired on the integer numerators of the scaled point.
+    scale is the lcm of the denominators of every coordinate of every
+    point, and pairings[k][j] is scale times the pairing of the k-th point
+    with the weighted generator of ray j of the fan, paired on the integer
+    numerators of the scaled point.
     """
-    p = tuple(Fraction(c) for c in p)
-    if len(p) != fan.dim:
+    points = [tuple(Fraction(c) for c in p) for p in points]
+    if any(len(p) != fan.dim for p in points):
         raise InvalidArgument("point has the wrong dimension")
-    scale = lcm(*(c.denominator for c in p))
-    scaled = [c.numerator * (scale // c.denominator) for c in p]
-    return scale, tuple(sum(map(mul, scaled, ray.b)) for ray in fan.rays)
-
-
-def stalk_euler_scaled(ch: Chart, scale: int, pairings) -> int:
-    """Euler count of the stalk complex at a point given as scaled_pairings of sigma2.
-
-    Same alternating sum as koszul_euler but with open support membership
-    of the point in place of character dominance; equals the chart's
-    region indicator at the point.  The pairings come from the point's
-    integer numerators (scaled_pairings), so the count never goes through
-    the region's own pairing.  The point is on a chart face or a step
-    exactly when a scaled pairing on J' is a multiple of the scale; there
-    the count is undefined.
-    """
-    if not ch.stepped:
-        raise InvalidArgument("stalk complexes need the extra ray in J")
-    if any(pairings[j] % scale == 0 for j in ch.j_prime):
-        raise BoundaryPointError("point pairs integrally with a chart ray")
-    return _euler_sum(ch, pairings, scale)
+    scale = lcm(*(c.denominator for p in points for c in p))
+    rays = [ray.b for ray in fan.rays]
+    pairings = []
+    for p in points:
+        scaled = [c.numerator * (scale // c.denominator) for c in p]
+        pairings.append(tuple(sum(map(mul, scaled, b)) for b in rays))
+    return scale, pairings
 
 
 def q2_member(setup: ContractionSetup, theta: ThetaIndex, probe) -> bool:

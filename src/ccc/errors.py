@@ -29,9 +29,5 @@ class WindowTooSmall(CCCError):
     """A truncated enumeration failed to stabilize within the allowed window growth."""
 
 
-class BoundaryPointError(CCCError):
-    """A probe point lies exactly on a constraint boundary where open/closed differ."""
-
-
 class GridAlignmentError(CCCError):
     """A raster pixel center hit a constraint boundary; choose a different step."""

@@ -284,6 +284,8 @@ class Chart:
             return self._characters[key]
         if not self.stepped:
             raise InvalidArgument("gamma characters need the extra ray in J")
+        if any(int(x) != x for x in key):
+            raise InvalidArgument("m must be integral")
         m = tuple(int(x) for x in key)
         if len(m) != len(self.m_index):
             raise InvalidArgument("m must be indexed by I' minus the chosen i0")

@@ -21,9 +21,9 @@ from .cohoracle import (
     oracle_order,
     refined_denominator,
     scaled_pairings,
-    stalk_euler_scaled,
+    stalk_euler,
 )
-from .errors import BoundaryPointError, InvalidArgument
+from .errors import InvalidArgument, WindowTooSmall
 from .exactlin import cone_basis, pair
 from .fm import (
     difference_contractible,
@@ -221,8 +221,13 @@ def sandwich_sweep(setup: ContractionSetup, window: int) -> SandwichReport:
     of the inner and outer bounds is one of those rays (b_{n+1} is the
     extra normal of both), so each chart maps its bounds' normals to ray
     indices once and both bounds are decided from the same table
-    (``Polyhedron.holds``).  The stalk route scales the probe to integers
-    (``scaled_pairings``); neither route's table is derived from the other.
+    (``Polyhedron.holds``).  The stalk route scales every probe to
+    integers at one scale, 2^(dim+3) (``scaled_pairings``), and counts the
+    stalks of a whole chart in one ``stalk_euler`` call, over one m window
+    that covers every probe off the chart's faces; neither route's table is
+    derived from the other.  A probe that needs an m window past the cap is
+    refused with the chart named, the first such chart and probe in sweep
+    order.
     """
     check_window(window)
     dim = setup.sigma1.dim
@@ -232,10 +237,9 @@ def sandwich_sweep(setup: ContractionSetup, window: int) -> SandwichReport:
     keys = charts(setup, window)
     rays = setup.sigma1.rays
     column = {ray.b: j for j, ray in enumerate(rays)}
-    probes = [
-        (x, tuple(pair(x, ray.b) for ray in rays), scaled_pairings(setup.sigma2, x))
-        for x in sandwich_probes(dim, window)
-    ]
+    grid = sandwich_probes(dim, window)
+    probes = [(x, tuple(pair(x, ray.b) for ray in rays)) for x in grid]
+    scale, scaled = scaled_pairings(setup.sigma2, grid)
     violations = []
     points = 0
     for key in keys:
@@ -243,18 +247,20 @@ def sandwich_sweep(setup: ContractionSetup, window: int) -> SandwichReport:
         inner, outer = ch.inner, ch.outer
         inner_at = None if inner is None else _columns(inner, column)
         outer_at = _columns(outer, column)
+        try:
+            stalks = stalk_euler(ch, scale, scaled)
+        except WindowTooSmall as exc:
+            raise WindowTooSmall(f"chart J={key.cone.ray_indices} phi={key.t}: {exc}") from None
         before = points
-        for x, paired, (scale, scaled) in probes:
+        for (x, paired), euler in zip(probes, stalks):
             inside = ch.contains_pairings(paired)
             if inside:
                 if not outer.holds(map(paired.__getitem__, outer_at)):
                     violations.append((key, x, "outer-misses"))
             elif inner is not None and inner.holds(map(paired.__getitem__, inner_at)):
                 violations.append((key, x, "inner-escapes"))
-            try:
-                euler = stalk_euler_scaled(ch, scale, scaled)
-            except BoundaryPointError:
-                continue
+            if euler is None:
+                continue  # on a chart face, where the stalk count is undefined
             points += 1
             if euler != int(inside):
                 violations.append((key, x, "stalk-mismatch"))

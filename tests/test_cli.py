@@ -411,9 +411,20 @@ def test_check_sandwich_refuses_a_huge_window_at_once(capsys):
     }
 
 
+def test_check_sandwich_names_the_chart_of_a_point_past_the_window_cap(capsys):
+    # the first chart and point in sweep order whose m window passes 16
+    path = str(DATA / "contract_om3.json")
+    code, rep = invoke(capsys, "check", "case3-sandwich", path, "--window", "4")
+    assert code == 1
+    assert rep.status == "invalid-input"
+    assert rep.payload == {
+        "error": "chart J=(1, 2) phi=(-4, -4): the point needs an m window of 17, over the cap 16"
+    }
+
+
 def test_check_sandwich_witness_points_are_rational_strings(capsys, monkeypatch):
     # a stalk count no region membership can equal: every probe is a witness
-    monkeypatch.setattr("ccc.sweeps.stalk_euler_scaled", lambda *args: 2)
+    monkeypatch.setattr("ccc.sweeps.stalk_euler", lambda ch, scale, points: [2] * len(points))
     path = str(DATA / "contract_om3.json")
     code, rep = invoke(capsys, "check", "case3-sandwich", path, "--window", "0")
     assert code == 2

@@ -26,9 +26,9 @@ from ccc.cohoracle import (
     q2_member_enum,
     refined_denominator,
     scaled_pairings,
-    stalk_euler_scaled,
+    stalk_euler,
 )
-from ccc.errors import BoundaryPointError, InvalidArgument, WindowTooSmall
+from ccc.errors import InvalidArgument, WindowTooSmall
 from ccc.exactlin import pair
 from ccc.fm import chart_theta, fm3_region
 from ccc.stackyfan import (
@@ -390,8 +390,18 @@ def test_koszul_euler_examples(crepant_a1):
     assert koszul_euler(crepant_a1, key, (-1, 0)) == 0
     assert koszul_euler(crepant_a1, key, (-1, 1)) == 1
     assert koszul_euler(crepant_a1, key, (-5, 0)) == 0
-    # pinned m = 5 needs a window of at least 5, summed as 8
+    # pinned m = 5 needs a window of at least 5
     assert koszul_euler(crepant_a1, key, (0, 5)) == 1
+
+
+@pytest.mark.parametrize("route", [koszul_euler, q2_member, q2_member_enum])
+def test_q2_routes_refuse_a_non_integral_probe(crepant_a1, route):
+    # int() would read (-1/2, 0) as (0, 0), which is a member
+    key = chart_theta(crepant_a1, (1, 2), (0, 0))
+    assert route(crepant_a1, key, (0, 0))
+    with pytest.raises(InvalidArgument, match="probe must be an integer character"):
+        route(crepant_a1, key, (Fraction(-1, 2), 0))
+    assert route(crepant_a1, key, (Fraction(0), Fraction(4, 2)))
 
 
 def test_koszul_requires_extra_ray(crepant_a1):
@@ -401,9 +411,10 @@ def test_koszul_requires_extra_ray(crepant_a1):
         koszul_euler(crepant_a1, chart_theta(crepant_a1, (1, 2), (0, 0)), (0,))
 
 
-def stalk_euler(setup, key, p):
-    """The stalk count of one chart at one rational point, the way a caller chains it."""
-    return stalk_euler_scaled(fm3_region(setup, key), *scaled_pairings(setup.sigma2, p))
+def stalk_at(setup, key, p):
+    """The stalk count of one chart at one rational point, as a batch of one."""
+    scale, pairings = scaled_pairings(setup.sigma2, [p])
+    return stalk_euler(fm3_region(setup, key), scale, pairings)[0]
 
 
 def test_koszul_matches_q2_membership(crepant_a1, om3, discrepancy_setup):
@@ -437,17 +448,17 @@ def test_q2_routes_refuse_a_probe_of_the_wrong_length(crepant_a1, route, probe):
 
 def test_stalk_euler_values(crepant_a1):
     key = chart_theta(crepant_a1, (1, 2), (0, 0))
-    assert stalk_euler(crepant_a1, key, (Fraction(1, 2), Fraction(-3, 8))) == 1
-    assert stalk_euler(crepant_a1, key, (Fraction(1, 2), Fraction(5, 16))) == 0
-    assert stalk_euler(crepant_a1, key, (Fraction(-1, 2), Fraction(-9, 8))) == 1
+    assert stalk_at(crepant_a1, key, (Fraction(1, 2), Fraction(-3, 8))) == 1
+    assert stalk_at(crepant_a1, key, (Fraction(1, 2), Fraction(5, 16))) == 0
+    assert stalk_at(crepant_a1, key, (Fraction(-1, 2), Fraction(-9, 8))) == 1
 
 
 def test_stalk_euler_boundary_guard(crepant_a1):
-    with pytest.raises(BoundaryPointError):
-        stalk_euler(crepant_a1, chart_theta(crepant_a1, (1, 2), (0, 0)), (1, Fraction(1, 3)))
+    # a point on a chart face has no count
+    assert stalk_at(crepant_a1, chart_theta(crepant_a1, (1, 2), (0, 0)), (1, Fraction(1, 3))) is None
     with pytest.raises(InvalidArgument):
         unstepped = chart_theta(crepant_a1, (0,), (0,))
-        stalk_euler(crepant_a1, unstepped, (Fraction(1, 2), Fraction(1, 4)))
+        stalk_at(crepant_a1, unstepped, (Fraction(1, 2), Fraction(1, 4)))
 
 
 def test_stalk_euler_matches_region(crepant_a1, om3, discrepancy_setup):
@@ -467,7 +478,7 @@ def test_stalk_euler_matches_region(crepant_a1, om3, discrepancy_setup):
                     if any(Fraction(v).denominator == 1 for v in pairings):
                         continue
                     checked += 1
-                    assert stalk_euler(setup, key, p) == int(region.contains(p))
+                    assert stalk_at(setup, key, p) == int(region.contains(p))
             assert checked > 80
 
 
@@ -490,6 +501,18 @@ def _rational(denominator):
     )
 
 
+def _past_cap(ch, scale, pairings, cap):
+    """Whether a point off the chart faces needs an m window past the cap, read rung by rung.
+
+    pairings[j] is scale times the point's pairing with ray j of J'.
+    """
+    return any(
+        pairings[i] > scale * (ch.c[i] + cap + 1) if i in ch.c
+        else not -cap * scale <= pairings[i] <= (cap + 1) * scale
+        for i in ch.m_index
+    )
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_integer_euler_counts_match_region_and_q2(data):
@@ -498,15 +521,17 @@ def test_integer_euler_counts_match_region_and_q2(data):
     region = fm3_region(setup, key)
     rational = st.integers(1, 12).flatmap(_rational)
     p = data.draw(st.tuples(rational, rational))
-    pairings = [
-        sum((x * c for x, c in zip(p, setup.sigma2.b(j))), Fraction(0))
+    pairings = {
+        j: sum((x * c for x, c in zip(p, setup.sigma2.b(j))), Fraction(0))
         for j in region.j_prime
-    ]
-    if any(v.denominator == 1 for v in pairings):
-        with pytest.raises(BoundaryPointError):
-            stalk_euler(setup, key, p)
+    }
+    if any(v.denominator == 1 for v in pairings.values()):
+        assert stalk_at(setup, key, p) is None
+    elif _past_cap(region, 1, pairings, cohoracle._MAX_WINDOW):
+        with pytest.raises(WindowTooSmall):
+            stalk_at(setup, key, p)
     else:
-        assert stalk_euler(setup, key, p) == int(region.contains(p))
+        assert stalk_at(setup, key, p) == int(region.contains(p))
     probe = data.draw(st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
     assert koszul_euler(setup, key, probe) == int(q2_member(setup, key, probe))
 
@@ -532,8 +557,16 @@ def _outcome(route, *args):
     """The route's value, or the class of the error it raised."""
     try:
         return route(*args)
-    except (BoundaryPointError, WindowTooSmall) as exc:
+    except WindowTooSmall as exc:
         return type(exc)
+
+
+def _stalks(region, scale, scaled):
+    """A batch's counts, or the class of the error it raised once per point."""
+    try:
+        return stalk_euler(region, scale, scaled)
+    except WindowTooSmall:
+        return [WindowTooSmall] * len(scaled)
 
 
 def _from_table(setup, bound, table):
@@ -544,15 +577,15 @@ def _from_table(setup, bound, table):
     return bound.holds(table[column[normal]] for normal, _, _ in bound.constraints)
 
 
-def _hoisted(setup, region, x):
-    # what sandwich_sweep does per probe: one table per route, then the chart;
-    # the region and both bounds read the one exact table over sigma1
+def _hoisted(setup, region, x, stalk):
+    # what sandwich_sweep does per probe: one table for the region route,
+    # read by the region and both bounds, beside the chart batch's stalk count
     table = tuple(pair(x, ray.b) for ray in setup.sigma1.rays)
     return (
         region.contains_pairings(table),
         _from_table(setup, region.inner, table),
         _from_table(setup, region.outer, table),
-        _outcome(stalk_euler_scaled, region, *scaled_pairings(setup.sigma2, x)),
+        stalk,
     )
 
 
@@ -561,7 +594,7 @@ def _one_point(setup, key, region, x):
         region.contains(x),
         None if region.inner is None else region.inner.contains(x),
         region.outer.contains(x),
-        _outcome(stalk_euler, setup, key, x),
+        _outcome(stalk_at, setup, key, x),
     )
 
 
@@ -574,12 +607,14 @@ def _sandwich_setup(name):
 @pytest.mark.parametrize("name", [*SANDWICH_2D, "crepant_333"])
 def test_hoisted_sandwich_route_matches_one_point_entries_on_the_grid(name):
     setup, window = _sandwich_setup(name)
+    grid = sandwich_probes(setup.sigma1.dim, window)
+    scale, scaled = scaled_pairings(setup.sigma2, grid)
     seen = Counter()
     for key in charts(setup, window):
         region = fm3_region(setup, key)
         assert region.stepped
-        for x in sandwich_probes(setup.sigma1.dim, window):
-            got = _hoisted(setup, region, x)
+        for x, stalk in zip(grid, _stalks(region, scale, scaled)):
+            got = _hoisted(setup, region, x, stalk)
             assert got == _one_point(setup, key, region, x), (key, x)
             assert got[3] == int(got[0]), (key, x)
             seen[got[3]] += 1
@@ -619,14 +654,15 @@ def test_hoisted_sandwich_route_matches_on_random_points(name, monkeypatch):
             key = rng.choice(keys)
             region = fm3_region(setup, key)
             x = _random_point(rng, setup.sigma1.dim)
-            got = _hoisted(setup, region, x)
+            got = _hoisted(setup, region, x, _stalks(region, *scaled_pairings(setup.sigma2, [x]))[0])
             assert got == _one_point(setup, key, region, x), (cap, key, x)
             seen[cap, got[3]] += 1
             seen["outer", got[2]] += 1
             face = _face_point(rng, setup, region)
-            got = _hoisted(setup, region, face)
+            stalk = _stalks(region, *scaled_pairings(setup.sigma2, [face]))[0]
+            got = _hoisted(setup, region, face, stalk)
             assert got == _one_point(setup, key, region, face), (cap, key, face)
-            assert got[3] is BoundaryPointError, (key, face)
+            assert got[3] is None, (key, face)
     assert seen[16, 0] and seen[16, 1]
     assert seen[1, WindowTooSmall] > 0
     assert seen["outer", False] and seen["outer", True]
@@ -685,12 +721,12 @@ def test_derived_window_edges(crepant_a1, key):
             for k in (1, 2, 3):
                 # pairings at scale 4: P0 = q0 + 1/4, P1 in (e, e + 1)
                 pairings = {0: 4 * q0 + 1, 1: 4 * e + k}
-                value = stalk_euler_scaled(ch, 4, pairings)
+                value = stalk_euler(ch, 4, [pairings])[0]
                 inside = ch.contains_pairings({j: Fraction(v, 4) for j, v in pairings.items()})
                 assert value == int(inside), pairings
                 counts["point", value] += 1
                 with pytest.raises(WindowTooSmall):
-                    stalk_euler_scaled(ch, 4, {0: 4 * q0 + 1, 1: 4 * (e + d) + k})
+                    stalk_euler(ch, 4, [{0: 4 * q0 + 1, 1: 4 * (e + d) + k}])
     assert set(counts) == {("probe", 0), ("probe", 1), ("point", 0), ("point", 1)}
 
 
@@ -705,7 +741,7 @@ def _stepped_charts(name, outside):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_stalk_count_is_the_sum_over_the_cap_window(data):
-    """stalk_euler_scaled against the alternating sum over the cap's tables.
+    """stalk_euler on one point against the alternating sum over the cap's tables.
 
     A point the count refuses is one whose pairing, on some m axis, still
     clears the last rung of the cap window, read rung by rung.
@@ -730,16 +766,113 @@ def test_stalk_count_is_the_sum_over_the_cap_window(data):
         for bumps, sign in subsets
         if all(v > a + b for v, a, b in zip(values, f, bumps))
     )
-    past_cap = any(
-        pairings[i] > scale * (ch.c[i] + cap + 1) if i in ch.c
-        else not -cap * scale <= pairings[i] <= (cap + 1) * scale
-        for i in ch.m_index
-    )
-    if past_cap:
+    if _past_cap(ch, scale, pairings, cap):
         with pytest.raises(WindowTooSmall):
-            stalk_euler_scaled(ch, scale, pairings)
+            stalk_euler(ch, scale, [pairings])
     else:
-        assert stalk_euler_scaled(ch, scale, pairings) == direct
+        assert stalk_euler(ch, scale, [pairings]) == [direct]
+
+
+def _alone(ch, scale, point):
+    """One point's count as a batch of one, or the WindowTooSmall it raised."""
+    try:
+        return stalk_euler(ch, scale, [point])[0]
+    except WindowTooSmall as exc:
+        return exc
+
+
+@st.composite
+def _stalk_point(draw, ch, scale, need):
+    """Scaled pairings on J' of a point off the chart faces that needs window `need`.
+
+    Each m axis takes a rung that needs at most `need`, one of them exactly
+    `need`; i0 and the other rays of J' sit within two rungs of the floor
+    that the point's gamma(m) puts there, so both counts show.
+    """
+    cap_axis = draw(st.sampled_from(ch.m_index))
+    rungs = {}
+    for i in ch.m_index:
+        if i in ch.c:
+            low, high = ch.c[i] - 2, ch.c[i] + need
+            rung = high if i == cap_axis else draw(st.integers(low, high))
+        else:
+            rung = draw(st.sampled_from([-need, need])) if i == cap_axis else draw(
+                st.integers(-need, need)
+            )
+        rungs[i] = rung
+    m = tuple(max(rungs[i] - ch.c.get(i, 0), 0) if i in ch.c else rungs[i] for i in ch.m_index)
+    floor = dict(zip(ch.j_prime, ch.gamma(m).t))
+    point = {}
+    for j in ch.j_prime:
+        rung = rungs[j] if j in rungs else floor[j] + draw(st.integers(-2, 1))
+        point[j] = rung * scale + draw(st.integers(1, scale - 1))
+    return point
+
+
+def _on_a_face(data, ch, scale, point):
+    # the same point moved onto a chart face: one pairing a multiple of the scale
+    j = data.draw(st.sampled_from(ch.j_prime))
+    return {**point, j: point[j] - point[j] % scale}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_a_batch_counts_each_point_as_it_would_alone(data):
+    """One stalk_euler call on many points against a call per point.
+
+    The batch mixes points that need windows from 1 to the cap, so one
+    window serves points of every need, with face points, which count
+    None, interleaved.  A batch that holds a point past the cap refuses with the
+    message of the first such point, in order, and a face point past the
+    cap is no refusal.
+    """
+    cap = cohoracle._MAX_WINDOW
+    name = data.draw(st.sampled_from([*CONTRACTIONS_2D, "crepant_333"]))
+    setup, window = _sandwich_setup(name)
+    ch = fm3_region(setup, data.draw(st.sampled_from(charts(setup, window))))
+    scale = data.draw(st.integers(2, 8))
+    needs = data.draw(st.lists(st.integers(1, cap), min_size=1, max_size=24))
+    points = [data.draw(_stalk_point(ch, scale, need)) for need in needs]
+    for k in data.draw(st.lists(st.integers(0, len(points)), max_size=8)):
+        # a face point, some of them past the cap
+        away = data.draw(_stalk_point(ch, scale, data.draw(st.integers(1, cap + 4))))
+        points.insert(k, _on_a_face(data, ch, scale, away))
+    past = data.draw(st.lists(st.integers(0, len(points)), max_size=3))
+    for k in past:
+        points.insert(k, data.draw(_stalk_point(ch, scale, data.draw(st.integers(cap + 1, cap + 4)))))
+    alone = [_alone(ch, scale, p) for p in points]
+    refusals = [str(a) for a in alone if isinstance(a, WindowTooSmall)]
+    assert len(refusals) == len(past)
+    if refusals:
+        with pytest.raises(WindowTooSmall) as refusal:
+            stalk_euler(ch, scale, points)
+        assert str(refusal.value) == refusals[0]
+        return
+    assert stalk_euler(ch, scale, points) == alone
+    for p, count in zip(points, alone):
+        on_face = any(v % scale == 0 for v in p.values())
+        assert (count is None) == on_face
+        if not on_face:
+            exact = {j: Fraction(v, scale) for j, v in p.items()}
+            assert count == int(ch.contains_pairings(exact)), p
+
+
+@pytest.mark.parametrize("cap", [1, 2, 4])
+@pytest.mark.parametrize("name", SANDWICH_2D)
+def test_sandwich_refusal_names_the_first_chart_and_point_past_the_cap(name, cap, monkeypatch):
+    # each probe alone, chart by chart and probe by probe in sweep order
+    setup = _contraction(name)
+    monkeypatch.setattr(cohoracle, "_MAX_WINDOW", cap)
+    scale, scaled = scaled_pairings(setup.sigma2, sandwich_probes(setup.sigma1.dim, 1))
+    key, expected = next(
+        (key, str(count))
+        for key, ch in ((key, fm3_region(setup, key)) for key in charts(setup, 1))
+        for count in (_alone(ch, scale, p) for p in scaled)
+        if isinstance(count, WindowTooSmall)
+    )
+    with pytest.raises(WindowTooSmall) as refusal:
+        sandwich_sweep(setup, 1)
+    assert str(refusal.value) == f"chart J={key.cone.ray_indices} phi={key.t}: {expected}"
 
 
 def test_sandwich_sweep_three_dimensional_two_step_rays():
@@ -798,11 +931,16 @@ def test_sandwich_sweep_reports_broken_bounds_where_one_point_entries_do(
     assert report.points == report.charts * 11**2
 
 
-@pytest.mark.parametrize("window", [0, 1])
+# (charts, points) of the sandwich sweep at windows 0, 1 and 2, none violated
+SANDWICH_REPORTS = {0: (3, 147), 1: (21, 2541), 2: (55, 12375)}
+
+
+@pytest.mark.parametrize("window", SANDWICH_REPORTS)
 @pytest.mark.parametrize("name", CONTRACTIONS_2D)
 def test_sandwich_sweep_counts_every_probe_of_the_bundled_contractions(name, window):
     report = sandwich_sweep(_contraction(name), window)
     assert report.points == report.charts * (4 * window + 7) ** 2
+    assert (report.charts, report.points, report.violations) == (*SANDWICH_REPORTS[window], ())
 
 
 @pytest.mark.parametrize(

@@ -466,6 +466,15 @@ def test_gamma_char_domain_errors(crepant_a1):
         pulled(crepant_a1, (0, 1, 2), (0, 0, 0))  # not a cone upstairs
 
 
+@pytest.mark.parametrize("m", [(Fraction(-1, 2),), (Fraction(1, 2),), (0.5,)])
+def test_gamma_refuses_a_non_integral_m(crepant_a1, m):
+    # int() would read -1/2 as 0, a rung that m >= 0 inside J allows
+    ch = pulled(crepant_a1, (1, 2), (0, 0))
+    with pytest.raises(InvalidArgument, match="m must be integral"):
+        ch.gamma(m)
+    assert ch.gamma((Fraction(2),)) == ch.gamma((2,))
+
+
 def test_gamma_monotone_in_m(crepant_a1, om3):
     # raising any m coordinate lowers the i0 staircase height
     for setup in (crepant_a1, om3):

@@ -5,9 +5,9 @@ The raster bounds ``fm._bounds``, ``fm._step_segments``,
 ``fm._first_step_hit``, the staircase heights ``fm.Chart.gamma`` and the
 extra threshold ``fm._extra_threshold``, the
 Fourier-Motzkin elimination ``exactlin.linear_feasible`` with its
-primitive rows ``exactlin._primitive``, the stalk and Koszul count
-``cohoracle._euler_sum``, its term tables ``cohoracle._euler_terms`` and
-scaled entry ``cohoracle.stalk_euler_scaled``, the refined module
+primitive rows ``exactlin._primitive``, the lane-packed stalk and Koszul
+counts ``cohoracle.stalk_euler`` with their term tables
+``cohoracle._euler_terms``, the refined module
 intervals ``cohoracle._refined_scaled``, the oracle box guard
 ``cohoracle._check_thresholds``, and the per-box ``cohoracle.oracle_order``
 with its lane packing and pair test ``cohoracle._lane_order`` run on
@@ -83,8 +83,6 @@ TEST_ROUTES = {
 DECLARED_CACHES = {
     "cone_basis": "one basis per cone, read by witness_box, refined_denominator, "
     "module_points and _validate_inner for every cone or theta of a sweep",
-    "_euler_terms": "the scaled gamma floors of one chart, scale and m window, "
-    "read by every stalk and Koszul count on that chart",
 }
 
 # stdlib modules whose import cost a cold ``ccc`` start does not pay
@@ -100,9 +98,8 @@ INTEGER_ONLY = {
     "Chart.gamma": "fm.py",
     "linear_feasible": "exactlin.py",
     "_primitive": "exactlin.py",
-    "_euler_sum": "cohoracle.py",
+    "stalk_euler": "cohoracle.py",
     "_euler_terms": "cohoracle.py",
-    "stalk_euler_scaled": "cohoracle.py",
     "_refined_scaled": "cohoracle.py",
     "_check_thresholds": "cohoracle.py",
     "oracle_order": "cohoracle.py",
