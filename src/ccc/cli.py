@@ -166,8 +166,6 @@ def _cmd_validate(args) -> Report:
 
 
 def _cmd_hom(args) -> Report:
-    if args.box is not None and not args.oracle:
-        raise InvalidArgument("--box is the oracle's box bound: it needs --oracle")
     fan = parse_stacky_fan(_load(args.file))
     th1 = parse_theta(fan, args.theta1)
     th2 = parse_theta(fan, args.theta2)
@@ -175,7 +173,7 @@ def _cmd_hom(args) -> Report:
     payload = {"value": res.value, "reason": res.reason}
     status, witnesses = "ok", []
     if args.oracle:
-        oracle, bound = hom_oracle_pair(th1, th2, _rational(args.box))
+        oracle, bound = hom_oracle_pair(th1, th2)
         payload["oracle"] = {"value": oracle.value, "reason": oracle.reason, "box": bound}
         if oracle.value != res.value:
             status = "check-failed"
@@ -233,7 +231,7 @@ def _cmd_check_poset(args) -> Report:
 
 def _cmd_check_hom_oracle(args) -> Report:
     fan = parse_stacky_fan(_load(args.file))
-    rep = hom_oracle_sweep(fan, args.window, _rational(args.box))
+    rep = hom_oracle_sweep(fan, args.window)
     witnesses = [
         [format_theta(th1), format_theta(th2), fast, slow]
         for th1, th2, fast, slow in rep.disagreements
@@ -324,7 +322,6 @@ _VERB_TREE = {
         _arg("--theta1", required=True),
         _arg("--theta2", required=True),
         _arg("--oracle", action="store_true", help="also run the module oracle"),
-        _arg("--box", help="oracle box bound (rational)"),
     ]),
     "fm": ("apply a transform", {
         "same-base": ("weight-change transform, s to r", _cmd_fm_same_base, [
@@ -352,7 +349,6 @@ _VERB_TREE = {
         "hom-oracle": ("hom agreement against the module oracle", _cmd_check_hom_oracle, [
             _arg("file"),
             _arg("--window", type=int, default=2),
-            _arg("--box"),
         ]),
         "case3-sandwich": ("staircase sandwich and stalk agreement", _cmd_check_sandwich, [
             _arg("file"),

@@ -74,17 +74,16 @@ def witness_box(fan: StackyFan, window: int) -> Fraction:
 MAX_PAIRS = 1 << 20
 
 
-def _theta_count(fan: StackyFan, window: int) -> int:
-    """How many thetas ``window_thetas`` enumerates, counted from the cones."""
-    return sum((2 * window + 1) ** cone.dim for cone in fan.all_cones)
+def _key_count(fan: StackyFan, window: int, ray: int | None = None) -> int:
+    """How many window thetas of the fan hold ray (any, for None), counted from the cones.
 
-
-def _chart_count(setup: ContractionSetup, window: int) -> int:
-    """How many charts ``charts`` enumerates, counted from the sigma1 cones."""
+    With no ray this is what ``window_thetas`` enumerates; with sigma1 and
+    the extra ray, what ``charts`` does.
+    """
     return sum(
         (2 * window + 1) ** cone.dim
-        for cone in setup.sigma1.all_cones
-        if setup.extra_index in cone.ray_indices
+        for cone in fan.all_cones
+        if ray is None or ray in cone.ray_indices
     )
 
 
@@ -121,7 +120,7 @@ def poset_embedding_report(setup: SameBaseSetup, window: int) -> FFReport:
     when r >= s componentwise.
     """
     check_window(window, least=1)
-    _check_pairs("poset-embedding", _theta_count(setup.fan_s, window) ** 2)
+    _check_pairs("poset-embedding", _key_count(setup.fan_s, window) ** 2)
     thetas = window_thetas(setup.fan_s, window)
     images = [fm_case1(setup, th) for th in thetas]
     violations = []
@@ -146,30 +145,32 @@ class HomOracleReport(NamedTuple):
     disagreements: tuple[tuple[ThetaIndex, ThetaIndex, str, str], ...]
 
 
-def hom_oracle_pair(
-    th1: ThetaIndex, th2: ThetaIndex, box: Fraction | None = None
-) -> tuple[HomResult, Fraction]:
-    """The module oracle's hom for one pair, and its box (default: witness_box)."""
+def hom_oracle_pair(th1: ThetaIndex, th2: ThetaIndex) -> tuple[HomResult, Fraction]:
+    """The module oracle's hom for one pair, and the box it was read in.
+
+    The box is always ``witness_box`` of the pair's window, the largest
+    |threshold| of the two, and is never given.  It is at least |t| + 2 for
+    every threshold t, so the oracle's threshold guard always holds; the
+    lattice-point cap still refuses a box too large to enumerate.
+    """
     window = max((abs(t) for th in (th1, th2) for t in th.t), default=0)
-    bound = box if box is not None else witness_box(th1.fan, window)
+    bound = witness_box(th1.fan, window)
     return hom_module_oracle(th1, th2, bound), bound
 
 
-def hom_oracle_sweep(
-    fan: StackyFan, window: int, box: Fraction | None = None
-) -> HomOracleReport:
+def hom_oracle_sweep(fan: StackyFan, window: int) -> HomOracleReport:
     """Compare the hom rule with the module oracle on every window theta pair.
 
-    The oracle box defaults to ``witness_box``, large enough that every
-    support non-inclusion in the window shows inside it.  One
-    ``oracle_order`` call reads every theta's support, in window order, so
-    the box guard and the lattice-point cap refuse before any pair is
+    The oracle box is always ``witness_box`` of the window, large enough
+    that every support non-inclusion in the window shows inside it, and
+    never given.  One ``oracle_order`` call reads every theta's support, in
+    window order, so the lattice-point cap refuses before any pair is
     compared; each pair is then one test by index.
     """
     check_window(window)
-    _check_pairs("hom-oracle", _theta_count(fan, window) ** 2)
+    _check_pairs("hom-oracle", _key_count(fan, window) ** 2)
     thetas = window_thetas(fan, window)
-    bound = box if box is not None else witness_box(fan, window)
+    bound = witness_box(fan, window)
     contains = oracle_order(fan, thetas, bound)
     disagreements = []
     for i, th1 in enumerate(thetas):
@@ -232,7 +233,7 @@ def sandwich_sweep(setup: ContractionSetup, window: int) -> SandwichReport:
     check_window(window)
     dim = setup.sigma1.dim
     # sandwich_probes puts 4 * window + 7 probes on each axis
-    work = _chart_count(setup, window) * (4 * window + 7) ** dim
+    work = _key_count(setup.sigma1, window, setup.extra_index) * (4 * window + 7) ** dim
     _check_pairs("sandwich", work, "chart-probe pairs")
     keys = charts(setup, window)
     rays = setup.sigma1.rays
@@ -349,7 +350,8 @@ def contractibility_sweep(
         raise InvalidArgument("contractibility rasters need a two-dimensional setup")
     push, pull = setup.discrepancy in (">=", "="), setup.discrepancy in ("<=", "=")
     check_window(window)
-    work = push * _theta_count(setup.sigma2, window) ** 2 + pull * _chart_count(setup, window) ** 2
+    work = push * _key_count(setup.sigma2, window) ** 2
+    work += pull * _key_count(setup.sigma1, window, setup.extra_index) ** 2
     _check_pairs("contractibility", work, "key pairs")
     fans = (setup.sigma1, setup.sigma2)
     if bbox is None:

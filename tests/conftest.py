@@ -56,13 +56,11 @@ def pulled(setup, J, phi):
     return fm3_region(setup, chart_theta(setup, J, phi))
 
 
-def gamma_union(ch, width):
-    """Membership in the union of a chart's shifted cones over an m window.
+def gamma_frontier(ch, width) -> list[tuple[int, ...]]:
+    """The Pareto-minimal threshold vectors gamma(m).t of a chart over an m window.
 
     m runs over [0, width] on the indices of m_index inside J and over
-    [-width, width] off it; only the Pareto-minimal threshold vectors
-    gamma(m).t are kept.  A point is in the union when its pairing with
-    each ray of J' clears the threshold of one kept vector.
+    [-width, width] off it.  Each vector lists a threshold per ray of J'.
     """
     ranges = [range(0, width + 1) if i in ch.c else range(-width, width + 1) for i in ch.m_index]
     frontier = []
@@ -72,6 +70,16 @@ def gamma_union(ch, width):
             continue
         frontier = [vec for vec in frontier if not all(u <= f for u, f in zip(t, vec))]
         frontier.append(t)
+    return frontier
+
+
+def gamma_union(ch, width):
+    """Membership in the union of a chart's shifted cones over an m window.
+
+    A point is in the union when its pairing with each ray of J' clears
+    the threshold of one vector of ``gamma_frontier``.
+    """
+    frontier = gamma_frontier(ch, width)
     rays = [ch.setup.sigma2.b(j) for j in ch.j_prime]
 
     def member(x) -> bool:

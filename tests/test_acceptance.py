@@ -36,7 +36,7 @@ from ccc.sweeps import (
 )
 from ccc.thetapos import ample_polytope, lambda_skeleton, leq, minkowski_sum, window_thetas
 
-from conftest import gamma_union, raster_contractible_2d
+from conftest import gamma_frontier, raster_contractible_2d
 
 DATA = Path(ccc.__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -149,15 +149,31 @@ def test_criterion_05_poset_embedding_and_reversal(p1):
 
 
 def _shifted_cone_union(setup):
-    """Chart.contains against the union of shifted cones, on a 15x15 grid."""
+    """Chart.contains against the union of shifted cones, on a 15x15 grid.
+
+    The grid point x = (a/4 + 1/16, b/8 + 1/32) scales by 32 to the
+    integers (8a + 2, 4b + 1), so each point is paired with the sigma2 rays
+    once per setup, on integers, and compared with every chart's
+    ``gamma_frontier`` scaled by 32.
+    """
+    rays = [setup.sigma2.b(j) for j in range(len(setup.sigma2.rays))]
+    grid = []
+    for a, b in itertools.product(range(-7, 8), repeat=2):
+        x = (Fraction(a, 4) + Fraction(1, 16), Fraction(b, 8) + Fraction(1, 32))
+        grid.append((x, [(8 * a + 2) * v[0] + (4 * b + 1) * v[1] for v in rays]))
+
+    def member(frontier, paired):
+        return any(all(p > t for p, t in zip(paired, vec)) for vec in frontier)
+
     for key in charts(setup, 3):
         ch = fm3_region(setup, key)
-        union, narrower = gamma_union(ch, 12), gamma_union(ch, 11)
-        for a in range(-7, 8):
-            for b in range(-7, 8):
-                x = (Fraction(a, 4) + Fraction(1, 16), Fraction(b, 8) + Fraction(1, 32))
-                # window saturation: one more shell of shifts changes nothing here
-                assert union(x) == narrower(x) == ch.contains(x), (key, x)
+        union, narrower = (
+            [[32 * t for t in vec] for vec in gamma_frontier(ch, width)] for width in (12, 11)
+        )
+        for x, scaled in grid:
+            paired = [scaled[j] for j in ch.j_prime]
+            # window saturation: one more shell of shifts changes nothing here
+            assert member(union, paired) == member(narrower, paired) == ch.contains(x), (key, x)
 
 
 def test_criterion_06_staircase_sandwich_and_stalks(crepant_a1, om3):

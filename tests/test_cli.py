@@ -139,62 +139,54 @@ def test_hom_oracle_agrees(capsys):
 
 
 def test_hom_oracle_box_guard(capsys):
-    code, rep = invoke(
-        capsys,
-        "hom",
-        str(DATA / "p13.json"),
-        "--theta1",
-        "cone=1;t=3",
-        "--theta2",
-        "cone=1;t=0",
-        "--oracle",
-        "--box",
-        "2",
-    )
+    # the derived box of thresholds up to 300 is 902, too many points to enumerate
+    argv = ["--theta1", "cone=0,2;t=300,0", "--theta2", "cone=2;t=0", "--oracle"]
+    code = run(["hom", str(DATA / "p112.json"), *argv])
     assert code == 1
-    assert "box" in rep.payload["error"]
+    assert capsys.readouterr().out == (
+        '{"payload":{"error":"the oracle box holds 13024881 lattice points, '
+        'over the limit 262144"},"status":"invalid-input","witnesses":[]}\n'
+    )
 
 
 def test_hom_oracle_non_face_pair_skips_the_box_cap(capsys):
-    path = str(DATA / "p13.json")
-    argv = ["hom", path, "--theta1", "cone=0;t=0", "--oracle", "--box", "100000"]
-    code, rep = invoke(capsys, *argv, "--theta2", "cone=1;t=0")
+    path = str(DATA / "p112.json")
+    argv = ["hom", path, "--theta1", "cone=2;t=300", "--theta2", "cone=0,2;t=0,0", "--oracle"]
+    code, rep = invoke(capsys, *argv)
     assert code == 0
-    assert rep.payload["oracle"] == {"value": "Zero", "reason": "non-inclusion", "box": 100000}
-    code, rep = invoke(capsys, *argv, "--theta2", "cone=0;t=0")
+    assert rep.payload["oracle"] == {"value": "Zero", "reason": "non-inclusion", "box": 902}
+    # the other order is a face pair, whose supports the same box cannot hold
+    argv = ["hom", path, "--theta1", "cone=0,2;t=0,0", "--theta2", "cone=2;t=300", "--oracle"]
+    code, rep = invoke(capsys, *argv)
     assert code == 1
     assert rep.payload == {
-        "error": "the oracle box holds 600001 lattice points, over the limit 262144"
+        "error": "the oracle box holds 13024881 lattice points, over the limit 262144"
     }
 
 
-def test_hom_oracle_refuses_a_nonpositive_box_on_the_zero_cone(capsys):
-    # the zero cone has no thresholds, so the bound is refused before any ray is read
-    argv = ["--theta1", "cone=;t=", "--theta2", "cone=;t=", "--oracle", "--box", "0"]
-    code = run(["hom", str(DATA / "p13.json"), *argv])
-    assert code == 1
+# each argv once set a box below the derived one and reported false
+# disagreements; the box is no longer an option, and the derived one agrees
+_BOXED_ORACLE_ARGVS = [
+    (["check", "hom-oracle", "p112.json", "--window", "2"], "4"),
+    (["check", "hom-oracle", "a1_resolution.json", "--window", "2"], "5"),
+    (["hom", "a1_resolution.json", "--theta1", "cone=1,2;t=-1,2", "--theta2", "cone=1,2;t=0,-1",
+      "--oracle"], "4"),
+]
+
+
+@pytest.mark.parametrize("argv, box", _BOXED_ORACLE_ARGVS)
+def test_the_oracle_box_is_not_an_option(capsys, argv, box):
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    assert run([*argv, "--box", box]) == 1
     assert capsys.readouterr().out == (
-        '{"payload":{"error":"box bound must be positive"},'
+        '{"payload":{"error":"unrecognized arguments: --box ' + box + '"},'
         '"status":"invalid-input","witnesses":[]}\n'
     )
-
-
-@pytest.mark.parametrize(
-    "box, error",
-    [
-        ("0", "box bound must be positive"),
-        ("-2", "box bound must be positive"),
-        ("2", "box too small for these thresholds"),
-        ("100000", "the oracle box holds 160000800001 lattice points, over the limit 262144"),
-    ],
-)
-def test_check_hom_oracle_refusal_bytes(capsys, box, error):
-    path = str(DATA / "p112.json")
-    code = run(["check", "hom-oracle", path, "--window", "2", "--box", box])
-    assert code == 1
-    assert capsys.readouterr().out == (
-        '{"payload":{"error":"' + error + '"},"status":"invalid-input","witnesses":[]}\n'
-    )
+    code, rep = invoke(capsys, *argv)
+    assert code == 0
+    assert rep.status == "ok"
+    oracle = rep.payload.get("oracle", rep.payload)
+    assert oracle["box"] == 8  # witness_box at window 2
 
 
 def test_check_hom_oracle_reports_disagreements(capsys, monkeypatch):
@@ -742,7 +734,7 @@ def test_ext_pair_sets_keep_their_witness_bytes(capsys, monkeypatch, name, diges
 
 
 # sha256 of oracle reports that perfbench/expected.json does not pin: every
-# bundled plain fan at window 3, and two single pairs, one at its own box
+# bundled plain fan at window 3, and two single pairs
 _ORACLE_DIGESTS = [
     (["check", "hom-oracle", "p1.json", "--window", "3"],
      "55e3c5a55c75f84e0d60b3b7c99bc663deeb4d8e5ba94bad29210213e3a51c93"),
@@ -755,8 +747,8 @@ _ORACLE_DIGESTS = [
     (["hom", "p112.json", "--theta1", "cone=0,1;t=2,-1", "--theta2", "cone=1;t=-2", "--oracle"],
      "2b7168492650ce61fbf717ab2e9ae34f66c2e623b1d1fe24bc22b9e8db170b9d"),
     (["hom", "a1_resolution.json", "--theta1", "cone=1,2;t=0,1", "--theta2", "cone=1,2;t=1,1",
-      "--oracle", "--box", "7/2"],
-     "de7a04d8f500ffd19546de1fe177e9c63ece90f987a52e718c2d1428321a798f"),
+      "--oracle"],
+     "eabf29e1aa529296170e88215aad881255cdf7bda680295dab3d5ecce33ead51"),
 ]
 
 
@@ -807,20 +799,16 @@ def test_plot_lagrangian_refuses_a_bad_window_or_box(capsys, tmp_path, window, b
 
 RATIONAL_ERROR = "expected a rational like 3 or 1/8, got ''"
 INTS_ERROR = "expected comma-separated integers, got ''"
-HOM_ARGV = ["hom", "p13.json", "--theta1", "cone=0;t=1", "--theta2", "cone=0;t=0"]
 
 
 @pytest.mark.parametrize("argv, error", [
     (["check", "contractibility-2d", "contract_om3.json", "--box=", "--step=1/6"], RATIONAL_ERROR),
     (["check", "contractibility-2d", "contract_om3.json", "--step="], RATIONAL_ERROR),
-    (["check", "hom-oracle", "p13.json", "--box="], RATIONAL_ERROR),
-    ([*HOM_ARGV, "--oracle", "--box="], RATIONAL_ERROR),
     (["plot", "lagrangian", "p13.json", "--box=", "-o"], RATIONAL_ERROR),
     (["plot", "region", "p112.json", "--theta", "cone=0,1;t=1,0", "--box=", "-o"], RATIONAL_ERROR),
     (["plot", "region", "contract_crepant_a1.json", "--J=", "--phi", "0,0", "-o"], INTS_ERROR),
     (["plot", "region", "contract_crepant_a1.json", "--J", "1,2", "--phi=", "-o"], INTS_ERROR),
     # an option the verb would not read
-    ([*HOM_ARGV, "--box", "abc"], "--box is the oracle's box bound: it needs --oracle"),
     (
         ["plot", "region", "contract_crepant_a1.json", "--J", "1,2", "--phi", "0,0",
          "--theta", "garbage", "-o"],
@@ -939,12 +927,12 @@ def test_help_is_one_ok_report(capsys, argv):
 
 _VERBS = {
     ("validate",): (),
-    ("hom",): ("--theta1", "--theta2", "--oracle", "--box"),
+    ("hom",): ("--theta1", "--theta2", "--oracle"),
     ("fm", "same-base"): ("--bundle", "--theta"),
     ("fm", "contract-push"): ("--bundle", "--theta"),
     ("fm", "contract-pull"): ("--J", "--phi"),
     ("check", "poset-embedding"): ("--window",),
-    ("check", "hom-oracle"): ("--window", "--box"),
+    ("check", "hom-oracle"): ("--window",),
     ("check", "case3-sandwich"): ("--window",),
     ("check", "contractibility-2d"): ("--window", "--box", "--step"),
     ("plot", "lagrangian"): ("--window", "--box", "-o"),
@@ -1101,15 +1089,17 @@ def test_parser_matches_reference_per_leaf(verb):
     ["--bogus", "validate", "F"],
     ["--pretty", "--pretty", "hom", "F", "--theta1", "cone=0;t=1", "--theta2", "cone=;t="],
     ["hom", "F", "--theta1=cone=0;t=1", "--theta2", "cone=;t=", "--oracle", "--oracle"],
+    # hom takes no --box, so --box and -2 are both unrecognized
     ["hom", "F", "--theta1", "-1 1", "--theta2", "-.5", "--box", "-2"],
-    ["hom", "F", "--theta1", "-1\n", "--theta2", "-1.", "--box", "-"],
-    ["hom", "F", "--theta1", "", "--theta2", "--", "--box", "1"],
+    ["plot", "region", "F", "--theta", "-1 1", "--phi", "-.5", "--box", "-2"],
+    ["plot", "region", "F", "--theta", "-1\n", "--phi", "-1.", "--box", "-"],
+    ["plot", "region", "F", "--theta", "", "--phi", "--", "--box", "1"],
     ["validate", "-h"],
     ["validate", "F", "G", "--", "H"],
     ["check", "hom-oracle", "-h"],
     ["check", "hom-oracle", "F", "--window", " 3 "],
     ["check", "hom-oracle", "F", "--window", "\u0663", "--window=-2"],
-    ["check", "hom-oracle", "F", "--window", "4", "--box="],
+    ["check", "contractibility-2d", "F", "--window", "4", "--box="],
     ["check", "hom-oracle", "F", "--win", "2"],
     ["check", "hom-oracle", "F", "--window"],
     ["fm", "same-base", "F", "--bundle", "1", "--bundle", "2"],

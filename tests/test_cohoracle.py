@@ -255,6 +255,30 @@ def test_hom_oracle_rejects_mixed_fans(p1, p13):
 ORACLE_FANS = ("p1.json", "p13.json", "p112.json", "a1_resolution.json")
 
 
+@pytest.mark.parametrize("window", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", ORACLE_FANS)
+def test_the_derived_box_passes_the_threshold_guard(name, window):
+    # witness_box >= |t| + 2 > |t|/r + 1, so no box the sweeps derive is too small
+    fan = parse_stacky_fan(load_data(name))
+    box = witness_box(fan, window)
+    for th in window_thetas(fan, window):
+        cohoracle._check_thresholds(th, box)
+
+
+@pytest.mark.parametrize("name, window", [
+    ("p1.json", 3), ("p13.json", 3), ("p112.json", 2), ("a1_resolution.json", 2),
+])
+def test_twice_the_derived_box_gives_the_same_verdicts(name, window):
+    # a larger box shows more of each support, so it could expose a
+    # non-inclusion the derived box misses: none appears
+    fan = parse_stacky_fan(load_data(name))
+    thetas = window_thetas(fan, window)
+    box = witness_box(fan, window)
+    derived, doubled = oracle_order(fan, thetas, box), oracle_order(fan, thetas, 2 * box)
+    for i, j in itertools.product(range(len(thetas)), repeat=2):
+        assert derived(i, j) == doubled(i, j), (thetas[i], thetas[j])
+
+
 @functools.lru_cache(maxsize=None)
 def _window3_thetas(name, weights):
     fan = parse_stacky_fan(load_data(name))
