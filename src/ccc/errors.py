@@ -27,7 +27,3 @@ class PreconditionError(CCCError):
 
 class WindowTooSmall(CCCError):
     """A truncated enumeration failed to stabilize within the allowed window growth."""
-
-
-class GridAlignmentError(CCCError):
-    """A raster pixel center hit a constraint boundary; choose a different step."""

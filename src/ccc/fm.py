@@ -17,12 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .errors import (
-    GridAlignmentError,
-    InvalidArgument,
-    PreconditionError,
-    ValidationError,
-)
+from .errors import InvalidArgument, PreconditionError, ValidationError
 from .exactlin import (
     ceil_div,
     ceil_frac,
@@ -307,18 +302,12 @@ class Chart:
         self._characters[key] = g
         return g
 
-    def _pairings(self, x) -> dict[int, Fraction]:
-        return {j: pair(x, self.setup.sigma2.b(j)) for j in self.j_prime}
-
-    def _gamma0(self, p: dict[int, Fraction]) -> int:
-        m0 = tuple(ceil_frac(p[i]) - 1 - self.c.get(i, 0) for i in self.m_index)
-        return self.gamma(m0).t[self.j_prime.index(self.i0)]
-
     def contains(self, x) -> bool:
         """Exact membership of a point in the region."""
         if not self.stepped:
             return self.outer.contains(x)
-        return self.contains_pairings(self._pairings(x))
+        fan = self.setup.sigma2
+        return self.contains_pairings({j: pair(x, fan.b(j)) for j in self.j_prime})
 
     def contains_pairings(self, p) -> bool:
         """Membership of a point of a stepped region, given as its pairings.
@@ -330,16 +319,8 @@ class Chart:
         for j in self.j_prime:
             if j in self.c and not p[j] > self.c[j]:
                 return False
-        return p[self.i0] > self._gamma0(p)
-
-    def _aligned(self, p: dict[int, Fraction]) -> bool:
-        if any(j in self.c and p[j] == self.c[j] for j in self.j_prime):
-            return True
-        if any(p[i].denominator == 1 for i in self.m_index):
-            return True
-        if all(p[i] > self.c[i] for i in self.m_index if i in self.c):
-            return p[self.i0] == self._gamma0(p)
-        return False
+        m0 = tuple(ceil_frac(p[i]) - 1 - self.c.get(i, 0) for i in self.m_index)
+        return p[self.i0] > self.gamma(m0).t[self.j_prime.index(self.i0)]
 
 
 def fm3_region(setup: ContractionSetup, theta: ThetaIndex) -> Chart:
@@ -425,28 +406,6 @@ def fm_line_bundle_case3(setup: ContractionSetup, c) -> tuple[int, ...] | None:
 # planar contractibility raster
 
 
-def as_pixel_predicate(obj):
-    """Membership closure for the raster that refuses boundary-aligned pixels."""
-    if isinstance(obj, Chart) and not obj.stepped:
-        obj = obj.outer  # a plain open support, refused as raster_runs refuses it
-    if isinstance(obj, Chart):
-        def pred(x):
-            p = obj._pairings(x)  # one set of pairings for both tests
-            if obj._aligned(p):
-                raise GridAlignmentError(f"pixel center {x} aligned with a region face")
-            return obj.contains_pairings(p)
-
-        return pred
-    if isinstance(obj, Polyhedron):
-        def pred(x):
-            if obj.on_boundary(x):
-                raise GridAlignmentError(f"pixel center {x} aligned with a constraint")
-            return obj.contains(x)
-
-        return pred
-    raise InvalidArgument(f"no pixel predicate for {type(obj).__name__}")
-
-
 # the most pixels per side of a raster grid; the largest default grid of a
 # bundled setup, contract_om3's at window 10 (box 42, step 1/6), has 504
 MAX_GRID_SIDE = 1 << 12
@@ -469,14 +428,14 @@ def _grid(bbox, step, origin) -> tuple:
     return (-bbox + step / 2 + ox, -bbox + step / 2 + oy), step, int(count)
 
 
-def raster_pixels(member, bbox, step, origin=(0, 0)) -> tuple:
+def raster_pixels(member, bbox, step, origin) -> tuple:
     """The raster of one membership predicate, walked pixel by pixel.
 
-    Pixel centers sit at -bbox + step*(i + 1/2) + origin on each axis; the
-    origin shifts the grid so centers stay off constraint lines with
-    non-axis normals.  Row i holds the maximal half-open runs (start, stop)
-    of the y indices j with member((x_i, y_j)).  This walk is the oracle
-    for raster_runs.
+    Pixel centers sit at -bbox + step*(i + 1/2) + origin on each axis.  Row
+    i holds the maximal half-open runs (start, stop) of the y indices j
+    with member((x_i, y_j)).  This walk, on Fraction, is the oracle for
+    raster_runs: the two agree when no center lies on a line of the region,
+    which the sweep's origin (``sweeps.raster_origin``) guarantees.
     """
     (x0, y0), step, side = _grid(bbox, step, origin)
     ys = [y0 + step * j for j in range(side)]
@@ -498,52 +457,28 @@ def _merged(spans) -> tuple:
     return tuple(runs)
 
 
-def _bounds(constraints, x, y0, step, lo, hi, hits) -> tuple[int, int]:
-    """Pixels [start, stop) of [lo, hi) in the row at x that meet every constraint.
+def _bounds(constraints, x, y0, step, side) -> tuple[int, int]:
+    """Pixels [start, stop) of [0, side) in the row at x that meet every constraint.
 
     Constraints are (normal, threshold) pairs.  The coordinates x, y0 and
     step and the thresholds are integers scaled by the raster's common
     denominator, so the crossing u = q + r/b of each constraint comes from
-    one divmod: a hit is a zero remainder, the floor is q and the ceiling
-    q + (r != 0).  Pixels of [lo, hi) with equality go to hits.  Strict and
-    closed constraints agree here, since such a pixel refuses the whole
-    raster.
+    one divmod: the floor is q and the ceiling q + (r != 0).  No pixel
+    center lies on a line (raster_runs), so strict and closed constraints
+    agree.
     """
-    start, stop = lo, hi
+    start, stop = 0, side
     for (n0, n1), threshold in constraints:
         a, b = n0 * x + n1 * y0, n1 * step  # the pairing at pixel j is a + b*j
         if b == 0:
-            hits += [lo] if a == threshold else []
             stop = stop if a > threshold else start
             continue
         q, r = divmod(threshold - a, b)
-        hits += [q] if r == 0 and lo <= q < hi else []
         if b > 0:
             start = max(start, q + 1)
         else:
             stop = min(stop, q + (r != 0))
     return start, stop
-
-
-def _first_step_hit(a, slope, scale, side):
-    """The least pixel j of [0, side) whose step pairing lies on a step line.
-
-    The scaled step pairing at pixel j is a + slope*j, on a line when
-    scale divides it.  With g = gcd(slope, scale), the congruence
-    slope*j = -a (mod scale) is solvable exactly when g divides a, and its
-    solutions are then one residue modulo scale/g, found with the inverse
-    of slope/g: one congruence test per row, however many lines it
-    crosses.  A zero slope is one divisibility test.  None when no pixel
-    of the row is on a line.
-    """
-    if slope == 0:
-        return 0 if a % scale == 0 else None
-    g = gcd(slope, scale)
-    if a % g:
-        return None
-    period = scale // g
-    j = -(a // g) * pow(slope // g, -1, period) % period
-    return j if j < side else None
 
 
 def _step_segments(a, slope, scale, lo, hi):
@@ -556,9 +491,9 @@ def _step_segments(a, slope, scale, lo, hi):
     pairing order, one floor division each: the quotient q is the last
     pixel on the near side of the line, and on it when the division is
     exact.  A segment that ends at the crossing of n has ceiling n going up
-    and n + 1 going down; a pixel on a line is refused with its row
-    (_first_step_hit), so it may join either segment.  A zero slope leaves
-    one segment.
+    and n + 1 going down; a pixel on the line itself would be misfiled going
+    down, and no pixel center lies on one (raster_runs).  A zero slope
+    leaves one segment.
     """
     if lo >= hi:
         return
@@ -582,7 +517,7 @@ def _step_segments(a, slope, scale, lo, hi):
 def _staircase_spans(ch: Chart, y0, step, side, scale):
     """The row spans of the staircase region of a chart that holds the extra ray.
 
-    Returns spans(x, hits), the maximal runs of the row at x as a tuple,
+    Returns spans(x), the maximal runs of the row at x as a tuple,
     with the same integer scaling as _bounds; the rays, floors, weights and
     step heights are read once per raster, and each height is one integer
     Chart.gamma.  A planar chart steps along one ray k: where ceil(p_k) = n,
@@ -604,11 +539,6 @@ def _staircase_spans(ch: Chart, y0, step, side, scale):
     (m0 < 0 with k in J) is skipped; the floor span is a union of whole
     segments, so clipping to it drops nothing else.  Spans are merged as
     they are emitted, so the row comes out maximal.
-
-    Hits are the floor hits of _bounds, the first pixel on a step line
-    (_first_step_hit) and the i0-face hits of the band, which holds every
-    i0-face pixel: their least is the least aligned pixel of the row, as
-    in a walk over every segment.
     """
     su = ch.setup
     rays, c = {j: su.sigma2.b(j) for j in ch.j_prime}, ch.c
@@ -628,12 +558,9 @@ def _staircase_spans(ch: Chart, y0, step, side, scale):
         heights[n] = None if held and m0 < 0 else ch.gamma((m0,)).t[pos] * scale
         return heights[n]
 
-    def spans(x, hits) -> tuple:
-        start, stop = _bounds(floors, x, y0, step, 0, side, hits)
+    def spans(x) -> tuple:
+        start, stop = _bounds(floors, x, y0, step, side)
         a, b = k0 * x + k1 * y0, h0 * x + h1 * y0  # p_k and p_i0 at pixel 0, scaled
-        on_line = _first_step_hit(a, slope, scale, side)
-        if on_line is not None:
-            hits.append(on_line)
         level = wi * b + wk * a - base  # the scaled L at pixel 0
         # the band [lo, hi) where 0 < L < w_k + w_i0; the decided inside
         # pixels are [hi, side) when L grows along the row, else [0, lo)
@@ -658,15 +585,11 @@ def _staircase_spans(ch: Chart, y0, step, side, scale):
                 continue
             if rise:  # p_i0 meets the bound at j = q + r/rise
                 q, r = divmod(bound - b, rise)
-                if r == 0 and first <= q < end:
-                    hits.append(q)
                 if rise > 0 and q >= first:
                     first = q + 1
                 elif rise < 0 and q + (r != 0) < end:
                     end = q + (r != 0)
             elif b <= bound:
-                if b == bound:
-                    hits.append(first)
                 end = first
             # max and min inline, cheaper here than the builtin calls
             first, end = first if first > start else start, end if end < stop else stop
@@ -685,30 +608,29 @@ def _staircase_spans(ch: Chart, y0, step, side, scale):
     return spans
 
 
-def raster_runs(obj, bbox, step, origin=(0, 0)) -> tuple:
-    """Row runs of ``as_pixel_predicate(obj)``, one exact bound per constraint.
+def raster_runs(obj, bbox, step, origin) -> tuple:
+    """Row runs of a planar polyhedron or chart, one exact bound per constraint.
 
-    Same runs as ``raster_pixels`` on the predicate, and the same refusal:
-    GridAlignmentError at the first aligned center in row-major order.  The
-    raster is scaled once by the common denominator of its first center,
-    its step and the thresholds, so every bound is found on integers; only
-    a refused center is rebuilt as fractions, for its message.  A
+    Precondition: no pixel center lies on a line of obj, that is on a
+    constraint line of a polyhedron, or on a line <x, b_j> = integer of a
+    chart (its floors, step lines and i0 faces).  ``sweeps.raster_origin``
+    places the grid so that this holds for every box and step, and the
+    raster does not check it again.  Under it, the runs are those of
+    ``raster_pixels(obj.contains, bbox, step, origin)``.  The raster is
+    scaled once by the common denominator of its first center, its step
+    and the thresholds, so every bound is found on integers.  A
     polyhedron row is one span.  A staircase row walks only the band of
-    pixels whose membership its step heights decide (_staircase_spans),
-    and finds its first pixel on a step line with one congruence test, so
-    the refusal is the same as a walk over every step.  Each row comes out
-    of its spans already maximal; a row equal to the row before it is that
-    row's tuple object, so a consumer can tell repeated rows by identity
-    (difference_contractible).
+    pixels whose membership its step heights decide (_staircase_spans).
+    Each row comes out of its spans already maximal; a row equal to the
+    row before it is that row's tuple object, so a consumer can tell
+    repeated rows by identity (difference_contractible).
     """
     (x0, y0), step, side = _grid(bbox, step, origin)
     if isinstance(obj, Chart) and not obj.stepped:
         obj = obj.outer
     if isinstance(obj, Polyhedron) and obj.dim == 2:
-        face = "constraint"
         thresholds = [Fraction(t) for _, t, _ in obj.constraints]
     elif isinstance(obj, Chart) and obj.setup.sigma2.dim == 2:
-        face = "region face"
         thresholds = []  # staircase thresholds and step heights are integers
     else:
         raise InvalidArgument(f"no planar raster for {type(obj).__name__}")
@@ -719,19 +641,15 @@ def raster_runs(obj, bbox, step, origin=(0, 0)) -> tuple:
             (normal, int(t * scale)) for (normal, _, _), t in zip(obj.constraints, thresholds)
         ]
 
-        def spans(x, hits) -> tuple:
-            start, stop = _bounds(constraints, x, sy, sstep, 0, side, hits)
+        def spans(x) -> tuple:
+            start, stop = _bounds(constraints, x, sy, sstep, side)
             return ((start, stop),) if start < stop else ()
 
     else:
         spans = _staircase_spans(obj, sy, sstep, side, scale)
     rows = []
     for i in range(side):
-        hits: list[int] = []
-        row = spans(sx + sstep * i, hits)
-        if hits:
-            center = (x0 + step * i, y0 + step * min(hits))
-            raise GridAlignmentError(f"pixel center {center} aligned with a {face}")
+        row = spans(sx + sstep * i)
         rows.append(rows[-1] if rows and rows[-1] == row else row)
     return tuple(rows)
 

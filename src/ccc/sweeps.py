@@ -300,7 +300,8 @@ def raster_origin(setup: ContractionSetup, bbox, step) -> tuple[Fraction, Fracti
     Qc integral.  Multiplying <c + o, n> = p/w by QWM^2 gives
     n_0 M + n_1 = M^2 (QpW/w - W<Qc, n>), a multiple k M^2; as
     |n_0 M + n_1| <= M^2 - 1, k = 0, so n_1 = 0 mod M, hence n_1 = 0 and
-    then n_0 = 0, which no ray is.  So no center is refused for alignment.
+    then n_0 = 0, which no ray is.  So no center lies on a line, the
+    precondition of ``fm.raster_runs``.
     """
     bbox, step = Fraction(bbox), Fraction(step)
     q = lcm((step / 2 - bbox).denominator, step.denominator)
@@ -321,17 +322,20 @@ def contractibility_sweep(
     Push runs when sum(alpha) >= 1 and pull when sum(alpha) <= 1.  A pair
     is confirmed when the pixel difference of its two images is contractible.
 
-    The grid is worked out from the setup where it is not given.  The box
-    defaults to the larger ``witness_box`` of sigma1 and sigma2 at the
-    window, and the step to 1/(2D), D the lcm of their
-    ``refined_denominator``s.  Every line the raster tests is
+    The grid is worked out from the setup.  The derived box is the larger
+    ``witness_box`` of sigma1 and sigma2 at the window, and the derived
+    step is 1/(2D), D the lcm of their ``refined_denominator``s.  A given
+    box may be larger and a given step finer, but a box below the derived
+    one or a step above it is refused, since either can report witnesses
+    that the derived grid does not.  Every line the raster tests is
     <x, b> = integer for a weighted ray b (``raster_origin``), and in the
     plane any two rays of sigma1 span a cone of sigma1 or of sigma2, so
     every vertex of one image, or of two overlaid, lies on (1/D)Z^2.  So
     does the box, whose basis inverses have denominators dividing D: the
-    default box holds a whole number of pixels, and every vertex is a
+    derived box holds a whole number of pixels, and every vertex is a
     pixel corner, up to the origin.  The origin is always
-    ``raster_origin``, so no center lies on a line.
+    ``raster_origin``, so no center lies on a line, which ``raster_runs``
+    takes as its precondition.
 
     What the grid does not guarantee.  Near a vertex where two faces of
     an image meet at a narrow angle (a support wedge, or the tip of a
@@ -341,10 +345,9 @@ def contractibility_sweep(
     cycle or split a difference.  Halving the step keeps the vertex on a
     pixel corner, so the artifact stays.  The box is not proved to hold
     every feature either, and the box edge can cut a piece off a
-    difference: a box twice the default can change the witnesses.  So a
-    witness is a failed raster check, not proof that the Ext verdict is
-    wrong (ROADMAP item 4); a box or step given coarser than the defaults
-    can report more such witnesses.
+    difference: a box twice the derived one can change the witnesses.  So
+    a witness is a failed raster check, not proof that the Ext verdict is
+    wrong (ROADMAP item 4).
     """
     if setup.sigma2.dim != 2:
         raise InvalidArgument("contractibility rasters need a two-dimensional setup")
@@ -354,11 +357,14 @@ def contractibility_sweep(
     work += pull * _key_count(setup.sigma1, window, setup.extra_index) ** 2
     _check_pairs("contractibility", work, "key pairs")
     fans = (setup.sigma1, setup.sigma2)
-    if bbox is None:
-        bbox = max(witness_box(fan, window) for fan in fans)
-    if step is None:
-        step = Fraction(1, 2 * lcm(*map(refined_denominator, fans)))
-    bbox, step = Fraction(bbox), Fraction(step)
+    derived_box = max(witness_box(fan, window) for fan in fans)
+    derived_step = Fraction(1, 2 * lcm(*map(refined_denominator, fans)))
+    bbox = derived_box if bbox is None else Fraction(bbox)
+    step = derived_step if step is None else Fraction(step)
+    if bbox < derived_box:
+        raise InvalidArgument(f"box {bbox} is below the derived box {derived_box}")
+    if step > derived_step:
+        raise InvalidArgument(f"step {step} is above the derived step {derived_step}")
     origin = raster_origin(setup, bbox, step)
     # (witness tag, keys, image of one key, Ext verdict on a key pair)
     directions = []

@@ -16,7 +16,7 @@ from functools import cached_property
 from math import floor, gcd
 from typing import NamedTuple
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, UnsupportedOperation
 from .exactlin import Rational, RationalVector, linear_feasible, pair, solve_square
 from .stackyfan import Cone, StackyFan
 
@@ -68,10 +68,6 @@ class Polyhedron(NamedTuple):
             if value < threshold or (strict and value == threshold):
                 return False
         return True
-
-    def on_boundary(self, x: RationalVector) -> bool:
-        """True when some constraint holds with equality at x."""
-        return any(pair(x, normal) == threshold for normal, threshold, _ in self.constraints)
 
     def canonical(self) -> tuple[Constraint, ...]:
         """Constraints with primitive normals, deduplicated and sorted."""
@@ -240,8 +236,6 @@ def _q_ample(fan: StackyFan, c, poly: Polyhedron) -> bool:
 
 def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
     """Minkowski sum for operands sharing one constraint per common normal."""
-    from .errors import UnsupportedOperation
-
     if p.dim != q.dim:
         raise UnsupportedOperation("summands live in different dimensions")
 

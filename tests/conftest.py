@@ -89,7 +89,7 @@ def gamma_union(ch, width):
     return member
 
 
-def raster_contractible_2d(member_a, member_b, bbox, step, origin=(0, 0)) -> bool:
+def raster_contractible_2d(member_a, member_b, bbox, step, origin) -> bool:
     """Contractibility of {A and not B} in a box, walking both predicates."""
     return difference_contractible(
         raster_pixels(member_a, bbox, step, origin), raster_pixels(member_b, bbox, step, origin)

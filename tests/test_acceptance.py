@@ -16,7 +16,6 @@ import ccc
 from ccc.cli import run
 from ccc.cohoracle import koszul_euler, q2_member
 from ccc.fm import (
-    as_pixel_predicate,
     ext_case2,
     ext_case3,
     fm3_region,
@@ -232,11 +231,7 @@ def _contractibility_sweep(setup, comparison):
     # one verdict per setup re-confirmed through the one-shot predicate walk
     first, second = _first_zero_pair(setup, comparison)
     assert raster_contractible_2d(
-        as_pixel_predicate(first),
-        as_pixel_predicate(second),
-        bbox,
-        step,
-        origin=raster_origin(setup, bbox, step),
+        first.contains, second.contains, bbox, step, raster_origin(setup, bbox, step)
     )
     return report.confirmed
 

@@ -1037,9 +1037,9 @@ def test_poset_cap_counts_the_pairs_the_sweep_compares(name, window, monkeypatch
 @pytest.mark.parametrize("window", [0, 1])
 @pytest.mark.parametrize("name", CONTRACTIONS_2D)
 def test_contractibility_cap_counts_the_pairs_the_sweep_compares(name, window, monkeypatch):
-    # push and pull each add the square of their key count
+    # push and pull each add the square of their key count; the grid is derived
     setup = _contraction(name)
-    args = (setup, window, Fraction(2), Fraction(1, 2))
+    args = (setup, window)
     counted = _refused_count(sweeps.contractibility_sweep, *args)
     calls = _counting(monkeypatch, "ext_case2", "ext_case3")
     sweeps.contractibility_sweep(*args)

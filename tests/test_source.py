@@ -1,8 +1,7 @@
 """Source rules of the core package: stdlib-only imports and no floats.
 
-The raster bounds ``fm._bounds``, ``fm._step_segments``,
-``fm._staircase_spans`` and the step-line congruence
-``fm._first_step_hit``, the staircase heights ``fm.Chart.gamma`` and the
+The raster bounds ``fm._bounds``, ``fm._step_segments`` and
+``fm._staircase_spans``, the staircase heights ``fm.Chart.gamma`` and the
 extra threshold ``fm._extra_threshold``, the
 Fourier-Motzkin elimination ``exactlin.linear_feasible`` with its
 primitive rows ``exactlin._primitive``, the lane-packed stalk and Koszul
@@ -66,8 +65,8 @@ ENTRY_POINTS = {"main"}
 
 # package definitions that only tests read -> the route or criterion each serves
 TEST_ROUTES = {
-    "as_pixel_predicate": "the Fraction membership closure that raster_runs is checked against",
-    "raster_pixels": "the pixel-by-pixel walk of that closure, the oracle of raster_runs",
+    "raster_pixels": "the pixel-by-pixel walk of a region's Fraction membership, "
+    "the oracle of raster_runs",
     "koszul_euler": "the Koszul resolution's Euler count, checked against q2_member",
     "q2_member": "Q2 membership through the pinned gamma, checked against koszul_euler",
     "q2_member_enum": "Q2 membership by an m-window search, checked against q2_member",
@@ -93,7 +92,6 @@ INTEGER_ONLY = {
     "_bounds": "fm.py",
     "_step_segments": "fm.py",
     "_staircase_spans": "fm.py",
-    "_first_step_hit": "fm.py",
     "_extra_threshold": "fm.py",
     "Chart.gamma": "fm.py",
     "linear_feasible": "exactlin.py",

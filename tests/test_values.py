@@ -80,7 +80,7 @@ VALUES = {
     ),
     "ContractibilityReport": (
         ("window", "bbox", "step", "discrepancy", "pairs", "confirmed", "witnesses"),
-        lambda: contractibility_sweep(_crepant(), 0, Fraction(2), Fraction(1, 2)),
+        lambda: contractibility_sweep(_crepant(), 0),
     ),
 }
 
