@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from ccc import fm
 from ccc.cohoracle import refined_denominator
 from ccc.errors import InvalidArgument, PreconditionError, ValidationError
-from ccc.exactlin import pair
+from ccc.exactlin import ceil_frac, pair
 from ccc.fm import (
     MAX_GRID_SIDE,
     case1_pullback,
@@ -1057,6 +1057,44 @@ def test_staircase_walk_matches_predicate_walk_on_every_stepped_chart(
                 slow = raster_pixels(region.contains, bbox, step, origin)
                 assert fast == slow, (key, bbox, step)
     assert {(s > 0) - (s < 0) for s in slopes} == {-1, 0, 1}
+
+
+@pytest.mark.parametrize(
+    "J, phi, center, on_step",
+    [
+        ((2,), (0,), (Fraction(-1, 2), Fraction(-3, 4)), True),
+        ((0, 2), (-1, 0), (Fraction(-1, 2), Fraction(-1, 4)), False),
+    ],
+    ids=["step-line", "i0-face"],
+)
+def test_raster_origin_moves_face_centers_off_the_staircase(
+    crepant_a1, J, phi, center, on_step
+):
+    """A center on a step line or an i0 face moves off it at the sweep's offset.
+
+    The 12-pixel grid at origin (1/4, 0) puts center on a face of the
+    chart: on a step line, or off them on the i0 face.  Added to that
+    origin, raster_origin's offset keeps 12c integral for every center c,
+    so its proof holds: the moved center meets no line <x, b_j> = integer,
+    and the staircase walk agrees with the predicate walk on that grid.
+    """
+    ch = pulled(crepant_a1, J, phi)
+    (k,) = ch.m_index
+    p = {j: pair(center, crepant_a1.sigma2.b(j)) for j in ch.j_prime}
+    assert not any(p[j] == c for j, c in ch.c.items() if j in p)
+    assert (p[k].denominator == 1) == on_step
+    if not on_step:
+        m0 = ceil_frac(p[k]) - 1 - ch.c.get(k, 0)
+        assert p[ch.i0] == ch.gamma((m0,)).t[ch.j_prime.index(ch.i0)]
+    bbox, step = _WALK_GRIDS[1]
+    plain = (Fraction(1, 4), Fraction(0))
+    centers = [-bbox + step * (i + Fraction(1, 2)) for i in range(int(2 * bbox / step))]
+    assert all(c - o in centers for c, o in zip(center, plain))
+    offset = raster_origin(crepant_a1, bbox, step)
+    moved = tuple(c + o for c, o in zip(center, offset))
+    assert all(pair(moved, crepant_a1.sigma2.b(j)).denominator != 1 for j in ch.j_prime)
+    origin = tuple(a + o for a, o in zip(plain, offset))
+    assert raster_runs(ch, bbox, step, origin) == raster_pixels(ch.contains, bbox, step, origin)
 
 
 def _runs_of(pixels, side=8):
