@@ -2,15 +2,16 @@
 
 Every command is a thin adapter: it parses arguments, calls one or two
 library functions, and serializes the result.  No geometry is computed
-here.  Reports are JSON with sorted keys and rationals rendered "p/q",
-so identical inputs give byte-identical output.
+here.  The command line is declared once, in _VERB_TREE, and _parse reads
+argv off it left to right by its own five rules.  Reports are JSON with
+sorted keys and rationals rendered "p/q", so identical inputs give
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -76,17 +77,16 @@ def _jsonable(x):
     raise InvalidArgument(f"cannot serialize {type(x).__name__} into a report")
 
 
-def emit_report(report: Report, format: str = "json-lines") -> str:
+def emit_report(report: Report, pretty: bool = False) -> str:
+    """The report as one JSON line, or indented when pretty."""
     doc = {
         "status": report.status,
         "payload": _jsonable(report.payload),
         "witnesses": _jsonable(report.witnesses),
     }
-    if format == "json-lines":
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    if format == "pretty":
+    if pretty:
         return json.dumps(doc, sort_keys=True, indent=2)
-    raise InvalidArgument(f"unknown report format {format!r}")
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def _load(path: str) -> dict:
@@ -118,10 +118,10 @@ def _ints(text: str) -> tuple[int, ...]:
         raise InvalidArgument(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _rational(text: str | None, default: Fraction | None = None) -> Fraction | None:
-    """The rational an option gives, or default when it is not given; an empty value is refused."""
+def _rational(text: str | None) -> Fraction | None:
+    """The rational an option gives, or None when it is not given; an empty value is refused."""
     if text is None:
-        return default
+        return None
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -259,7 +259,7 @@ def _cmd_plot_lagrangian(args) -> Report:
     fan = parse_stacky_fan(_load(args.file))
     if fan.dim != 1:
         raise InvalidArgument("lagrangian plots need a one-dimensional fan")
-    box = _rational(args.box, Fraction(1))
+    box = _rational(args.box)
     pieces = lambda_skeleton(fan, args.window, box)
     _write(args.out, skeleton_svg(fan, pieces, box))
     return Report(
@@ -271,7 +271,7 @@ def _cmd_plot_lagrangian(args) -> Report:
 
 def _cmd_plot_region(args) -> Report:
     doc = _load(args.file)
-    box = _rational(args.box, Fraction(6))
+    box = _rational(args.box)
     if args.J is not None or args.phi is not None:
         if args.J is None or args.phi is None:
             raise InvalidArgument("staircase plots need both --J and --phi")
@@ -312,9 +312,10 @@ def _arg(*flags, **options) -> tuple:
 
 # The verb tree, the one declaration of the command line.  A group is
 # (help, {name: node}); a leaf is (help, handler, arguments), where an
-# argument is an _arg or a list of them forming a required one-of group.
-# An _arg takes argparse's option words: required, default, type=int,
-# action="store_true" and help.
+# argument is an _arg or a list of them forming a required one-of group,
+# and the first argument is the leaf's one positional, its file.  An _arg
+# takes the option words required, default, type=int, help, and
+# action="store_true" for a flag.
 _VERB_TREE = {
     "validate": ("parse and validate a stacky fan file", _cmd_validate, [_arg("file")]),
     "hom": ("hom between two theta indices", _cmd_hom, [
@@ -365,7 +366,7 @@ _VERB_TREE = {
         "lagrangian": ("skeleton phase plot for a 1d fan", _cmd_plot_lagrangian, [
             _arg("file"),
             _arg("--window", type=int, default=3),
-            _arg("--box"),
+            _arg("--box", default="1"),
             _arg("-o", "--out", required=True),
         ]),
         "region": ("support or staircase region figure", _cmd_plot_region, [
@@ -373,7 +374,7 @@ _VERB_TREE = {
             _arg("--theta"),
             _arg("--J"),
             _arg("--phi"),
-            _arg("--box"),
+            _arg("--box", default="6"),
             _arg("-o", "--out", required=True),
         ]),
     }),
@@ -383,7 +384,7 @@ _DESCRIPTION = "Exact toric orbifold kernel"
 _PRETTY = _arg("--pretty", action="store_true", help="indent the JSON report")
 _HELP = _arg("-h", "--help", action="help", help="show this help and exit")
 _FLAG_ACTIONS = ("help", "store_true")  # arguments that take no value
-_VERB_DESTS = ("verb", "subverb")  # the field a group's choice fills, by depth
+_VERB_DESTS = ("verb", "subverb")  # a group's choice as refusals name it, by depth
 
 
 def _arguments(path, node) -> list:
@@ -403,159 +404,98 @@ def _refusal(flags, message: str) -> InvalidArgument:
     return InvalidArgument(f"argument {'/'.join(flags)}: {message}")
 
 
-def _classify(token: str, options: dict):
-    """How a level reads token: "A" for a value, else (argument, flag, attached value).
+def _level(path, node, fields) -> tuple:
+    """Enter a level: its verbs (None at a leaf), options by flag, one-of group and arguments.
 
-    The argument is None for an unknown option, the attached value None
-    when the token carries none.
+    The level's fields start at their defaults, and a leaf names its handler.
     """
-    if not token.startswith("-"):
-        return "A"
-    if token in options:
-        return options[token], token, None
-    if len(token) == 1:
-        return "A"
-    flag, eq, value = token.partition("=")
-    if eq and flag in options:
-        return options[flag], flag, value
-    if token[1] != "-" and token[:2] in options:
-        return options[token[:2]], token[:2], token[2:]
-    if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token:  # argparse's negative number
-        return "A"
-    return None, token, None
-
-
-def _read_level(tokens, path, node, fields, extras):
-    """Read one level of argv into fields: the top or a group up to its verb, or a leaf.
-
-    Returns the verb a group names and the tokens after it, or None at a
-    leaf.  An unknown option, or a value no argument takes, goes to extras.
-    """
-    group = node[1] if isinstance(node[1], dict) else None
     arguments = _arguments(path, node)
-    one_of = [flags for arg in arguments if isinstance(arg, list) for flags, _ in arg]
     declared = [_HELP]
     for arg in arguments:
         declared += arg if isinstance(arg, list) else [arg]
-    options = {flag: arg for arg in declared for flag in arg[0] if flag.startswith("-")}
-    positional = next((arg for arg in declared if arg[0][0] not in options), None)
     for flags, opts in declared[1:]:
         default = False if opts.get("action") == "store_true" else None
         fields[_dest(flags)] = opts.get("default", default)
+    group = node[1] if isinstance(node[1], dict) else None
     if group is None:
         fields["handler"] = node[1]
-    else:
-        dest = _VERB_DESTS[len(path)]
-        fields[dest] = None
-    kinds = []
-    for i, token in enumerate(tokens):
-        if token == "--":  # every later token is a value
-            kinds += ["-"] + ["A"] * (len(tokens) - i - 1)
-            break
-        kinds.append(_classify(token, options))
-    seen = set()
-
-    def take(arg, value):
-        flags, opts = arg
-        seen.add(flags)
-        if opts.get("action") == "help":
-            raise _Help(_help(path, node))
-        if opts.get("action") == "store_true":
-            value = True
-        elif "type" in opts:
-            try:
-                value = opts["type"](value)
-            except (TypeError, ValueError):
-                name = opts["type"].__name__
-                raise _refusal(flags, f"invalid {name} value: {value!r}") from None
-        for other in one_of if flags in one_of else ():
-            if other != flags and other in seen:
-                raise _refusal(flags, f"not allowed with argument {'/'.join(other)}")
-        fields[_dest(flags)] = value
-
-    i, n = 0, len(tokens)
-    while i < n:
-        kind = kinds[i]
-        if isinstance(kind, str):
-            # the positional, with a "--" just before it or just after it
-            at = i + (kind == "-")
-            if at == n or (group is None and positional[0] in seen):
-                extras.append(tokens[i])
-                i += 1
-            elif group is None:
-                take(positional, tokens[at])
-                i = at + 1 + (at + 1 < n and kinds[at + 1] == "-")
-            elif tokens[i] in group:
-                fields[dest] = tokens[i]
-                return tokens[i], tokens[i + 1 :]
-            else:
-                choices = ", ".join(map(repr, group))
-                raise InvalidArgument(
-                    f"argument {dest}: invalid choice: {tokens[i]!r} (choose from {choices})"
-                )
-            continue
-        arg, flag, attached = kind
-        if arg is None:
-            extras.append(tokens[i])
-            i += 1
-            continue
-        taken = []
-        while True:
-            flags, opts = arg
-            takes_value = opts.get("action") not in _FLAG_ACTIONS
-            if attached is None:
-                if not takes_value:
-                    taken.append((arg, None))
-                    i += 1
-                elif i + 1 < n and kinds[i + 1] == "A":
-                    taken.append((arg, tokens[i + 1]))
-                    i += 2
-                else:
-                    raise _refusal(flags, "expected one argument")
-                break
-            if takes_value:
-                taken.append((arg, attached))
-                i += 1
-                break
-            # -hXY is -h then -XY; a long flag or -h= takes no attached value
-            if flag[1] == "-" or not attached or "-" + attached[0] not in options:
-                raise _refusal(flags, f"ignored explicit argument {attached!r}")
-            taken.append((arg, None))
-            flag = "-" + attached[0]
-            arg, attached = options[flag], attached[1:] or None
-        for arg, value in taken:
-            take(arg, value)
-    if group is not None:
-        raise InvalidArgument(f"the following arguments are required: {dest}")
-    missing = [
-        "/".join(flags)
-        for flags, opts in declared
-        if flags not in seen and (opts.get("required") or flags == positional[0])
-    ]
-    if missing:
-        raise InvalidArgument(f"the following arguments are required: {', '.join(missing)}")
-    if one_of and not seen.intersection(one_of):
-        names = " ".join("/".join(flags) for flags in one_of)
-        raise InvalidArgument(f"one of the arguments {names} is required")
-    return None
+    options = {flag: arg for arg in declared for flag in arg[0] if flag.startswith("-")}
+    one_of = [flags for arg in arguments if isinstance(arg, list) for flags, _ in arg]
+    return group, options, one_of, declared
 
 
 def _parse(argv) -> SimpleNamespace:
-    """The fields argv names, read off _VERB_TREE by argparse's rules and refusals.
+    """The fields argv names, read left to right off _VERB_TREE.
 
-    The top, a group and a leaf each read their own options in argv order,
-    and one positional: a group's verb, which takes every token after it,
-    or a leaf's file.  No option is abbreviated.  `--name=value` and
-    `-ovalue` carry their value; a token that starts with "-" is a value
-    only as a negative number or with a space in it; every token after
-    `--` is a value.  A bad value, and -h, count where they stand in argv;
-    a missing argument, and then unrecognized ones, only at the end.
+    The top level reads --pretty and then a verb, a group its verb, and a
+    leaf its file and its options.  `--name=value` gives the value;
+    `--name value` and `-o value` take the next token unless it is -h or
+    starts with "--".  A flag takes no value.  -h or --help answers with
+    the help of the level it stands at.  Any other token that starts with
+    "-", but "-" alone, and a second file are unrecognized.  No option is
+    abbreviated.  A bad value and -h count where they stand in argv; a
+    missing argument, and then unrecognized ones, only at the end.
     """
     fields, extras = {}, []
-    path, node, tokens = (), (_DESCRIPTION, _VERB_TREE), list(argv)
-    while (chosen := _read_level(tokens, path, node, fields, extras)) is not None:
-        name, tokens = chosen
-        path, node = path + (name,), node[1][name]
+    path, node = (), (_DESCRIPTION, _VERB_TREE)
+    group, options, one_of, declared = _level(path, node, fields)
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        flag, eq, attached = token.partition("=") if token.startswith("--") else (token, "", "")
+        if flag not in options:
+            unknown = token.startswith("-") and token != "-"
+            if unknown or group is None and fields["file"] is not None:
+                extras.append(token)
+            elif group is None:
+                fields["file"] = token
+            elif token in group:
+                path, node = path + (token,), group[token]
+                group, options, one_of, declared = _level(path, node, fields)
+            else:
+                choices = ", ".join(map(repr, group))
+                raise InvalidArgument(
+                    f"argument {_VERB_DESTS[len(path)]}: invalid choice: {token!r} "
+                    f"(choose from {choices})"
+                )
+            continue
+        flags, opts = options[flag]
+        if opts.get("action") in _FLAG_ACTIONS:
+            if eq:
+                raise _refusal(flags, f"ignored explicit argument {attached!r}")
+            if opts["action"] == "help":
+                raise _Help(_help(path, node))
+            value = True
+        elif eq:
+            value = attached
+        elif i < len(argv) and argv[i] != "-h" and not argv[i].startswith("--"):
+            value = argv[i]
+            i += 1
+        else:
+            raise _refusal(flags, "expected one argument")
+        if "type" in opts:
+            try:
+                value = opts["type"](value)
+            except ValueError:
+                kind = opts["type"].__name__
+                raise _refusal(flags, f"invalid {kind} value: {value!r}") from None
+        for other in one_of if flags in one_of else ():
+            if other != flags and fields[_dest(other)] is not None:
+                raise _refusal(flags, f"not allowed with argument {'/'.join(other)}")
+        fields[_dest(flags)] = value
+    if group is not None:
+        raise InvalidArgument(f"the following arguments are required: {_VERB_DESTS[len(path)]}")
+    missing = [
+        "/".join(flags)
+        for flags, opts in declared
+        if fields.get(_dest(flags)) is None and (opts.get("required") or flags[0][0] != "-")
+    ]
+    if missing:
+        raise InvalidArgument(f"the following arguments are required: {', '.join(missing)}")
+    if one_of and all(fields[_dest(flags)] is None for flags in one_of):
+        names = " ".join("/".join(flags) for flags in one_of)
+        raise InvalidArgument(f"one of the arguments {names} is required")
     if extras:
         raise InvalidArgument(f"unrecognized arguments: {' '.join(extras)}")
     return SimpleNamespace(**fields)
@@ -607,20 +547,19 @@ def _help(path, node) -> str:
 
 
 def run(argv) -> int:
-    # the format is the parsed top-level flag: a refusal or help prints one line
-    fmt, text = "json-lines", None
+    # pretty is the parsed top-level flag: a refusal or help prints one line
+    pretty, text = False, None
     try:
         args = _parse(argv)
-        if args.pretty:
-            fmt = "pretty"
+        pretty = args.pretty
         report = args.handler(args)
         # written inside the try, so that a refusal to write it is a report too
-        text = emit_report(report, fmt)
+        text = emit_report(report, pretty)
     except _Help as exc:
         report = Report(status="ok", payload={"help": str(exc)}, witnesses=[])
     except CCCError as exc:
         report = Report(status="invalid-input", payload={"error": str(exc)}, witnesses=[])
-    print(text if text is not None else emit_report(report, fmt))
+    print(text if text is not None else emit_report(report, pretty))
     return _EXIT[report.status]
 
 

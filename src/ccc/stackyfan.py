@@ -120,6 +120,12 @@ def _relint_meets(fan_rays, sigma: Cone, tau: Cone) -> bool:
     return linear_feasible(cons, nvars)
 
 
+# the nonzero faces of the listed cones, sum(2^dim - 1), that make_fan closes
+# and compares pairwise: one linear_feasible per pair, so a single cone of
+# dimension 8 (255 faces) took seconds and each dimension more about 4 times as long
+MAX_FAN_FACES = 64
+
+
 def make_fan(dim: int, rays, max_cones) -> StackyFan:
     """Assemble and validate a stacky fan.
 
@@ -127,7 +133,8 @@ def make_fan(dim: int, rays, max_cones) -> StackyFan:
     and the fan axiom that distinct faces have disjoint relative interiors.
 
     Raises:
-        ValidationError: on any violated axiom, with the offending location.
+        ValidationError: on any violated axiom, with the offending location,
+            or when the listed cones count more than MAX_FAN_FACES faces.
     """
     rays = tuple(rays)
     if dim < 1:
@@ -156,6 +163,12 @@ def make_fan(dim: int, rays, max_cones) -> StackyFan:
     unused = [i for i in range(len(rays)) if i not in used]
     if unused:
         raise ValidationError(f"rays {unused} lie in no listed cone")
+    bound = sum(2**sigma.dim - 1 for sigma in cones)
+    if bound > MAX_FAN_FACES:
+        raise ValidationError(
+            f"the listed cones have {bound} nonzero faces counted cone by cone, "
+            f"over the cap of {MAX_FAN_FACES}"
+        )
 
     closure = set()
     for sigma in cones:

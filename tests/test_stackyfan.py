@@ -9,6 +9,7 @@ from ccc import stackyfan
 from ccc.errors import InvalidArgument, ValidationError
 from ccc.exactlin import cone_basis
 from ccc.stackyfan import (
+    MAX_FAN_FACES,
     Cone,
     WeightedRay,
     build_contraction,
@@ -209,6 +210,36 @@ def test_parse_contraction_builds_two_fans(doc, monkeypatch):
     monkeypatch.setattr(stackyfan, "make_fan", counted)
     setup = parse_contraction(load_data(doc) if isinstance(doc, str) else doc)
     assert built == [setup.sigma2, setup.sigma1]
+
+
+def _simplex_doc(d: int, opposite: bool = False) -> dict:
+    """One cone spanned by e1..ed, and with opposite a 1-D cone on -e1 as well."""
+    rays = [{"v": [int(i == j) for j in range(d)]} for i in range(d)]
+    cones = [list(range(d))]
+    if opposite:
+        rays.append({"v": [-1] + [0] * (d - 1)})
+        cones.append([d])
+    return {"dim": d, "rays": rays, "max_cones": cones}
+
+
+def test_fan_face_cap_counts_each_listed_cone():
+    # 63 faces of the 6-D cone and 1 of the opposite ray reach the cap exactly
+    assert MAX_FAN_FACES == 64
+    fan = parse_stacky_fan(_simplex_doc(6, opposite=True))
+    assert len(fan.all_cones) == 65  # the zero cone too
+    with pytest.raises(ValidationError) as caught:
+        parse_stacky_fan(_simplex_doc(7))
+    assert str(caught.value) == (
+        "the listed cones have 127 nonzero faces counted cone by cone, over the cap of 64"
+    )
+
+
+def test_four_dimensional_contraction_passes_the_face_cap():
+    # sigma1 lists four 4-D cones, 60 faces counted cone by cone
+    rays = [WeightedRay(tuple(int(i == j) for j in range(4)), 1) for i in range(4)]
+    setup = build_contraction(rays, WeightedRay((1, 1, 1, 1), 1))
+    assert len(setup.sigma1.max_cones) == 4
+    assert sum(2**c.dim - 1 for c in setup.sigma1.max_cones) == 60
 
 
 def test_contraction_rejects_degenerate_extra():
