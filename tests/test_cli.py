@@ -1085,6 +1085,69 @@ def test_parser_reads_argv_by_its_five_rules(argv, kind, expected):
         assert outcome == expected
 
 
+def _dest_of(flags) -> str:
+    """The field an option fills: its last flag without the dashes."""
+    return flags[-1].lstrip("-")
+
+
+@pytest.mark.parametrize("path", _LEAVES, ids=" ".join)
+def test_each_leaf_reads_argv_by_the_five_rules(path):
+    # a complete argv for the leaf: its file, the first of each one-of group, its required options
+    arguments = _node(path)[2][1:]
+    given, values = ["F"], {"file": "F"}
+    for arg in arguments:
+        flags, opts = arg[0] if isinstance(arg, list) else arg
+        if isinstance(arg, list) or opts.get("required"):
+            value = 1 if opts.get("type") is int else "v"
+            given += [flags[0], str(value)]
+            values[_dest_of(flags)] = value
+    base = [*path, *given]
+    got, fields = _outcome(base)
+    assert got == "fields"
+    assert {name: fields[name] for name in values} == values
+    # 1. nothing after the verb: the file and every required option are missing
+    required = ["file"] + [
+        "/".join(arg[0])
+        for arg in arguments
+        if not isinstance(arg, list) and arg[1].get("required")
+    ]
+    assert _outcome(list(path)) == (
+        "refused", f"the following arguments are required: {', '.join(required)}"
+    )
+    # 4. -h answers at the leaf wherever it stands, before any later token is read
+    usage = " ".join(["usage: ccc", *path, "[-h]"])
+    for argv in ([*path, "-h"], [*base, "--help", "--window", "x"], [*path, "-h", "--bogus"]):
+        got, text = _outcome(argv)
+        assert got == "help" and text.startswith(usage), argv
+    # 5. a stray "-" token, "--" and a second file are unrecognized, in the order given
+    assert _outcome([*base, "--pretty", "--", "-hx", "G"]) == (
+        "refused", "unrecognized arguments: --pretty -- -hx G"
+    )
+    assert _outcome([*path, "--", *given]) == ("refused", "unrecognized arguments: --")
+    for arg in arguments:
+        for flags, opts in arg if isinstance(arg, list) else [arg]:
+            name = "/".join(flags)
+            if opts.get("action") == "store_true":
+                # 3. a flag takes no value
+                assert _outcome([*base, f"{flags[-1]}=x"]) == (
+                    "refused", f"argument {name}: ignored explicit argument 'x'"
+                )
+                continue
+            # 2. an option takes the next token unless it is -h or starts with "--"
+            for after in ([], ["-h"], ["--pretty"]):
+                assert _outcome([*base, flags[0], *after]) == (
+                    "refused", f"argument {name}: expected one argument"
+                ), (flags, after)
+            got, outcome = _outcome([*base, flags[-1], "-1"])
+            if isinstance(arg, list) and (flags, opts) != arg[0]:
+                assert (got, outcome) == (
+                    "refused", f"argument {name}: not allowed with argument {'/'.join(arg[0][0])}"
+                )
+            else:
+                assert got == "fields"
+                assert outcome[_dest_of(flags)] == (-1 if opts.get("type") is int else "-1")
+
+
 # the text of a value that follows its option: any text but -h and "--..."
 _SPACED = st.text().filter(lambda text: text != "-h" and not text.startswith("--"))
 
@@ -1145,6 +1208,10 @@ def test_parse_returns_exactly_the_values_given(data):
         "'hom-oracle', 'case3-sandwich', 'contractibility-2d')",
     ),
     (["check"], "the following arguments are required: subverb"),
+    (
+        ["fm", "contract-pull", "F", "--J", "1,2", "--phi", "--J", "1,2"],
+        "argument --phi: expected one argument",
+    ),
     # a --J that names no cone of sigma1, refused by Cone and ThetaIndex
     (["fm", "contract-pull", "F", "--J", "1,1", "--phi=0,0"], "repeated ray index in cone (1, 1)"),
     (["fm", "contract-pull", "F", "--J", "1,3", "--phi=0,0"], "cone (1, 3) is not in the fan"),
